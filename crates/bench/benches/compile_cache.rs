@@ -12,15 +12,24 @@
 //!   core-count independent (`sweep_ratio`, pinned <= 0.5);
 //! * **warm start** — annealing a one-layer-resized MLP from the donor's
 //!   placement vs cold (`warm_moves_ratio`, pinned <= 0.5, with
-//!   equal-or-better HPWL).
+//!   equal-or-better HPWL);
+//! * **cold compile, decomposed** (`cold_compile`) — per ImageNet model the
+//!   CSR adjacency build, `Scheduler::schedule` (with its fixpoint pass
+//!   count) and `Netlist::build`, and the CIFAR-VGG17 duplication-64 route,
+//!   each a median with its MAD over [`COLD_ROUNDS`] rounds. `schedule_ms +
+//!   netlist_ms` is pinned at <= 1/2 of what the hashed implementation this
+//!   one replaced recorded on the same host (`parent_*`).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use fpsa_bench::{print_experiment, save_bench_artifact};
+use fpsa_arch::ArchitectureConfig;
+use fpsa_bench::{median, print_experiment, save_bench_artifact};
 use fpsa_core::compiler::PlaceRouteConfig;
 use fpsa_core::{CompileCache, Compiler, Evaluator};
+use fpsa_mapper::{Allocation, AllocationPolicy, Mapper, Netlist, Scheduler};
 use fpsa_nn::params::mlp_graph;
 use fpsa_nn::zoo::{self, Benchmark};
-use fpsa_placeroute::WarmStart;
+use fpsa_placeroute::{fabric_for, Placer, PlacerConfig, Router, RouterConfig, WarmStart};
+use fpsa_synthesis::{NeuralSynthesizer, SynthesisConfig};
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -29,6 +38,18 @@ const SWEEP_POINTS: usize = 6;
 const TARGET_CACHED_SPEEDUP: f64 = 10.0;
 const TARGET_SWEEP_RATIO: f64 = 0.5;
 const TARGET_WARM_MOVES_RATIO: f64 = 0.5;
+const COLD_ROUNDS: usize = 7;
+const TARGET_COLD_MAP_RATIO: f64 = 0.5;
+
+/// `(model, schedule_ms, netlist_ms)` of the `HashMap`/`HashSet` scheduler
+/// and netlist builder at the commit before the CSR rewrite: medians of 7
+/// rounds on the 2-core reference host, same probe as [`measure_cold`].
+const PARENT_MAP_MS: [(Benchmark, f64, f64); 4] = [
+    (Benchmark::AlexNet, 53.7, 19.0),
+    (Benchmark::Vgg16, 285.3, 85.8),
+    (Benchmark::GoogLeNet, 10.0, 2.0),
+    (Benchmark::ResNet152, 18.7, 4.9),
+];
 
 struct CompileCacheReport {
     cold_compile_ms: f64,
@@ -42,6 +63,224 @@ struct CompileCacheReport {
     warm_moves_ratio: f64,
     cold_hpwl: f64,
     warm_hpwl: f64,
+}
+
+/// A median and the median absolute deviation around it.
+#[derive(Clone, Copy)]
+struct Spread {
+    median: f64,
+    mad: f64,
+}
+
+impl Spread {
+    fn of(samples: &[f64]) -> Self {
+        let median = median(samples);
+        let deviations: Vec<f64> = samples.iter().map(|s| (s - median).abs()).collect();
+        Spread {
+            median,
+            mad: fpsa_bench::median(&deviations),
+        }
+    }
+}
+
+/// One ImageNet model's mapper stages.
+struct ColdMapRow {
+    model: Benchmark,
+    groups: usize,
+    edges: usize,
+    nets: usize,
+    fixpoint_passes: usize,
+    adjacency_ms: Spread,
+    schedule_ms: Spread,
+    netlist_ms: Spread,
+    parent_schedule_ms: f64,
+    parent_netlist_ms: f64,
+}
+
+impl ColdMapRow {
+    /// `schedule + netlist` against the parent's recording of the same sum.
+    fn map_ratio(&self) -> f64 {
+        (self.schedule_ms.median + self.netlist_ms.median)
+            / (self.parent_schedule_ms + self.parent_netlist_ms)
+    }
+}
+
+struct ColdCompileReport {
+    rows: Vec<ColdMapRow>,
+    /// Default router: waves evaluated on the rayon facade's scoped threads.
+    route_ms: Spread,
+    /// `RouterConfig::parallel = false`: the same trees on one thread, which
+    /// is the stable number on a shared host.
+    route_sequential_ms: Spread,
+    route_critical_hops: usize,
+}
+
+fn ms_since(start: Instant) -> f64 {
+    start.elapsed().as_secs_f64() * 1e3
+}
+
+/// The cold path's stages timed one by one, the way `Mapper::map` and the
+/// PlaceRoute stage call them.
+fn measure_cold() -> ColdCompileReport {
+    let synthesizer = NeuralSynthesizer::new(SynthesisConfig::fpsa_default());
+    let scheduler = Scheduler::new(64);
+    let rows = PARENT_MAP_MS
+        .iter()
+        .map(|&(model, parent_schedule_ms, parent_netlist_ms)| {
+            let core = synthesizer
+                .synthesize(&model.build())
+                .expect("zoo models synthesize");
+            let allocation = Allocation::allocate(&core, AllocationPolicy::DuplicationDegree(1));
+            let (mut adjacency_ms, mut schedule_ms, mut netlist_ms) = (vec![], vec![], vec![]);
+            let (mut fixpoint_passes, mut nets) = (0, 0);
+            for _ in 0..COLD_ROUNDS {
+                let start = Instant::now();
+                let adjacency = core.adjacency();
+                adjacency_ms.push(ms_since(start));
+                let start = Instant::now();
+                let (schedule, passes) =
+                    scheduler.schedule_counting_passes(&adjacency, &allocation);
+                schedule_ms.push(ms_since(start));
+                let start = Instant::now();
+                let netlist = Netlist::build(&core, &adjacency, &allocation, &schedule);
+                netlist_ms.push(ms_since(start));
+                fixpoint_passes = passes;
+                nets = netlist.nets().len();
+            }
+            ColdMapRow {
+                model,
+                groups: core.len(),
+                edges: core.edges().len(),
+                nets,
+                fixpoint_passes,
+                adjacency_ms: Spread::of(&adjacency_ms),
+                schedule_ms: Spread::of(&schedule_ms),
+                netlist_ms: Spread::of(&netlist_ms),
+                parent_schedule_ms,
+                parent_netlist_ms,
+            }
+        })
+        .collect();
+
+    // The router's worst zoo row: CIFAR-VGG17 at duplication 64.
+    let core = synthesizer
+        .synthesize(&zoo::cifar_vgg17())
+        .expect("CIFAR-VGG17 synthesizes");
+    let netlist = Mapper::new(64, AllocationPolicy::DuplicationDegree(64))
+        .map(&core)
+        .netlist;
+    let arch = ArchitectureConfig::fpsa();
+    let placement = Placer::new(PlacerConfig::fast()).place(&netlist, &fabric_for(&netlist, &arch));
+    let mut sequential = RouterConfig::negotiated();
+    sequential.parallel = false;
+    let routers = [
+        Router::new(arch.routing),
+        Router::with_config(arch.routing, sequential),
+    ];
+    let mut route_ms = [vec![], vec![]];
+    let mut route_critical_hops = 0;
+    for _ in 0..COLD_ROUNDS {
+        for (router, samples) in routers.iter().zip(&mut route_ms) {
+            let start = Instant::now();
+            let routing = router.route(&netlist, &placement);
+            samples.push(ms_since(start));
+            route_critical_hops = routing.critical_hops();
+        }
+    }
+    ColdCompileReport {
+        rows,
+        route_ms: Spread::of(&route_ms[0]),
+        route_sequential_ms: Spread::of(&route_ms[1]),
+        route_critical_hops,
+    }
+}
+
+fn cold_table(r: &ColdCompileReport) -> String {
+    let mut t = String::from(
+        "model        groups    edges     nets  passes  adjacency  schedule (was)    netlist (was)   ratio\n",
+    );
+    for row in &r.rows {
+        let _ = writeln!(
+            t,
+            "{:<11} {:>7} {:>8} {:>8} {:>7} {:>7.2} ms {:>6.2} ({:>5.1}) ms {:>6.2} ({:>4.1}) ms   {:.2}",
+            row.model.name(),
+            row.groups,
+            row.edges,
+            row.nets,
+            row.fixpoint_passes,
+            row.adjacency_ms.median,
+            row.schedule_ms.median,
+            row.parent_schedule_ms,
+            row.netlist_ms.median,
+            row.parent_netlist_ms,
+            row.map_ratio(),
+        );
+    }
+    let _ = write!(
+        t,
+        "CIFAR-VGG17 dup-64 route {:.1} ms (MAD {:.1}), sequential {:.1} ms (MAD {:.1}), \
+         critical path {} hops, {} host cores",
+        r.route_ms.median,
+        r.route_ms.mad,
+        r.route_sequential_ms.median,
+        r.route_sequential_ms.mad,
+        r.route_critical_hops,
+        host_cores(),
+    );
+    t
+}
+
+fn host_cores() -> usize {
+    std::thread::available_parallelism().map_or(1, |p| p.get())
+}
+
+/// The `cold_compile` object of the artifact (no trailing newline or comma).
+fn cold_json(r: &ColdCompileReport) -> String {
+    let spread = |s: Spread| format!("{{\"median\": {:.3}, \"mad\": {:.3}}}", s.median, s.mad);
+    let mut j = String::from("{\n");
+    let _ = writeln!(j, "    \"rounds\": {COLD_ROUNDS},");
+    let _ = writeln!(j, "    \"host_cores\": {},", host_cores());
+    let _ = writeln!(j, "    \"target_map_ratio\": {TARGET_COLD_MAP_RATIO:.2},");
+    j.push_str("    \"models\": [\n");
+    for (i, row) in r.rows.iter().enumerate() {
+        let _ = writeln!(
+            j,
+            "      {{\"model\": \"{}\", \"groups\": {}, \"edges\": {}, \"nets\": {}, \
+             \"fixpoint_passes\": {}, \"adjacency_ms\": {}, \"schedule_ms\": {}, \
+             \"netlist_ms\": {}, \"parent_schedule_ms\": {:.1}, \"parent_netlist_ms\": {:.1}, \
+             \"map_ratio\": {:.4}}}{}",
+            row.model.name(),
+            row.groups,
+            row.edges,
+            row.nets,
+            row.fixpoint_passes,
+            spread(row.adjacency_ms),
+            spread(row.schedule_ms),
+            spread(row.netlist_ms),
+            row.parent_schedule_ms,
+            row.parent_netlist_ms,
+            row.map_ratio(),
+            if i + 1 < r.rows.len() { "," } else { "" },
+        );
+    }
+    j.push_str("    ],\n");
+    let _ = writeln!(
+        j,
+        "    \"cifar_vgg17_dup64_route_ms\": {},",
+        spread(r.route_ms)
+    );
+    let _ = writeln!(
+        j,
+        "    \"cifar_vgg17_dup64_route_sequential_ms\": {},",
+        spread(r.route_sequential_ms)
+    );
+    let _ = writeln!(
+        j,
+        "    \"cifar_vgg17_dup64_critical_hops\": {}",
+        r.route_critical_hops
+    );
+    j.push_str("  }");
+    j
 }
 
 fn measure() -> CompileCacheReport {
@@ -139,7 +378,7 @@ fn to_table(r: &CompileCacheReport) -> String {
 
 /// Hand-rendered JSON (the vendored serde shim serializes through `Debug`,
 /// which the CI pin scripts cannot parse).
-fn to_json(r: &CompileCacheReport) -> String {
+fn to_json(r: &CompileCacheReport, cold: &ColdCompileReport) -> String {
     let mut j = String::from("{\n");
     let _ = writeln!(
         j,
@@ -160,7 +399,8 @@ fn to_json(r: &CompileCacheReport) -> String {
     let _ = writeln!(j, "  \"warm_moves\": {},", r.warm_moves);
     let _ = writeln!(j, "  \"warm_moves_ratio\": {:.4},", r.warm_moves_ratio);
     let _ = writeln!(j, "  \"cold_hpwl\": {:.1},", r.cold_hpwl);
-    let _ = writeln!(j, "  \"warm_hpwl\": {:.1}", r.warm_hpwl);
+    let _ = writeln!(j, "  \"warm_hpwl\": {:.1},", r.warm_hpwl);
+    let _ = writeln!(j, "  \"cold_compile\": {}", cold_json(cold));
     j.push_str("}\n");
     j
 }
@@ -171,7 +411,12 @@ fn bench(c: &mut Criterion) {
         "Compile cache: cold vs cached vs warm-started compilation",
         &to_table(&report),
     );
-    save_bench_artifact("BENCH_compile.json", &to_json(&report));
+    let cold = measure_cold();
+    print_experiment(
+        "Cold compile, decomposed: CSR scheduler, flat netlist, allocation-free router",
+        &cold_table(&cold),
+    );
+    save_bench_artifact("BENCH_compile.json", &to_json(&report, &cold));
 
     let mut group = c.benchmark_group("compile_cache");
     group.sample_size(10);

@@ -13,7 +13,7 @@
 //! `overhead_ratio <= target_ratio`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use fpsa_bench::{print_experiment, save_bench_artifact};
+use fpsa_bench::{median, print_experiment, save_bench_artifact};
 use fpsa_core::validate::sample_inputs;
 use fpsa_core::Compiler;
 use fpsa_nn::zoo;
@@ -25,11 +25,6 @@ use std::time::Instant;
 const BATCH: usize = 8;
 const ROUNDS: usize = 31;
 const TARGET_RATIO: f64 = 1.02;
-
-fn median(mut xs: Vec<f64>) -> f64 {
-    xs.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-    xs[xs.len() / 2]
-}
 
 fn time_ns_per_sample<F: FnMut()>(n_samples: usize, mut run: F) -> f64 {
     let start = Instant::now();
@@ -69,8 +64,8 @@ fn bench(c: &mut Criterion) {
                 .expect("traced run");
         }));
     }
-    let traced_ns = median(traced);
-    let untraced_ns = median(untraced);
+    let traced_ns = median(&traced);
+    let untraced_ns = median(&untraced);
     let ratio = traced_ns / untraced_ns;
 
     let mut table = String::from("| path | ns/sample |\n|---|---|\n");

@@ -80,17 +80,17 @@ fn seed_anneal(netlist: &Netlist, fabric: &Fabric, config: &SeedConfig) -> (f64,
 
     let mut nets_of_block: Vec<Vec<usize>> = vec![Vec::new(); netlist.len()];
     for (i, net) in netlist.nets().iter().enumerate() {
-        nets_of_block[net.source].push(i);
-        for &s in &net.sinks {
+        nets_of_block[net.source()].push(i);
+        for s in net.sinks() {
             nets_of_block[s].push(i);
         }
     }
-    let hpwl = |positions: &[(usize, usize)], net: &fpsa_mapper::Net| -> f64 {
+    let hpwl = |positions: &[(usize, usize)], net: fpsa_mapper::NetRef<'_>| -> f64 {
         let mut min_r = usize::MAX;
         let mut max_r = 0usize;
         let mut min_c = usize::MAX;
         let mut max_c = 0usize;
-        for &b in std::iter::once(&net.source).chain(net.sinks.iter()) {
+        for b in std::iter::once(net.source()).chain(net.sinks()) {
             let (r, c) = positions[b];
             min_r = min_r.min(r);
             max_r = max_r.max(r);
@@ -135,12 +135,12 @@ fn seed_anneal(netlist: &Netlist, fabric: &Fabric, config: &SeedConfig) -> (f64,
             affected.dedup();
             let before: f64 = affected
                 .iter()
-                .map(|&n| hpwl(&positions, &netlist.nets()[n]))
+                .map(|&n| hpwl(&positions, netlist.net(n)))
                 .sum();
             positions.swap(a, b);
             let after: f64 = affected
                 .iter()
-                .map(|&n| hpwl(&positions, &netlist.nets()[n]))
+                .map(|&n| hpwl(&positions, netlist.net(n)))
                 .sum();
             let delta = after - before;
             let accept = delta <= 0.0 || rng.gen::<f64>() < (-delta / temperature.max(1e-9)).exp();

@@ -15,6 +15,17 @@ pub fn print_experiment(title: &str, table: &str) {
     println!("{table}");
 }
 
+/// The median of a set of finite timings (upper middle for even counts).
+///
+/// # Panics
+///
+/// Panics if `samples` is empty.
+pub fn median(samples: &[f64]) -> f64 {
+    let mut sorted = samples.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    sorted[sorted.len() / 2]
+}
+
 /// The workspace-level `target/experiment-data` directory. Cargo runs bench
 /// binaries with the *package* directory as CWD, so a bare relative
 /// `target/` would scatter artifacts under `crates/bench/target/` where the

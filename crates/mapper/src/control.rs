@@ -105,7 +105,7 @@ mod tests {
     fn plan_counts_pes_smbs_and_rounds_up_clbs() {
         let g = graph(&[100, 1]);
         let alloc = Allocation::allocate(&g, AllocationPolicy::DuplicationDegree(1));
-        let sched = Scheduler::new(64).schedule(&g, &alloc);
+        let sched = Scheduler::new(64).schedule(&g.adjacency(), &alloc);
         let plan = ControlPlan::for_schedule(&g, &alloc, &sched);
         assert!(plan.pe_luts > 0);
         assert_eq!(plan.smb_luts, ControlPlan::luts_per_smb());
@@ -118,8 +118,8 @@ mod tests {
         let g = graph(&[64, 64]);
         let a1 = Allocation::allocate(&g, AllocationPolicy::DuplicationDegree(1));
         let a8 = Allocation::allocate(&g, AllocationPolicy::DuplicationDegree(8));
-        let s1 = Scheduler::new(64).schedule(&g, &a1);
-        let s8 = Scheduler::new(64).schedule(&g, &a8);
+        let s1 = Scheduler::new(64).schedule(&g.adjacency(), &a1);
+        let s8 = Scheduler::new(64).schedule(&g.adjacency(), &a8);
         let p1 = ControlPlan::for_schedule(&g, &a1, &s1);
         let p8 = ControlPlan::for_schedule(&g, &a8, &s8);
         assert!(p8.pe_luts > p1.pe_luts);
@@ -129,7 +129,7 @@ mod tests {
     fn empty_graph_still_reports_one_clb() {
         let g = CoreOpGraph::new("empty", 256, 256);
         let alloc = Allocation::allocate(&g, AllocationPolicy::DuplicationDegree(1));
-        let sched = Scheduler::new(64).schedule(&g, &alloc);
+        let sched = Scheduler::new(64).schedule(&g.adjacency(), &alloc);
         let plan = ControlPlan::for_schedule(&g, &alloc, &sched);
         assert_eq!(plan.lut_count, 0);
         assert_eq!(plan.clb_count, 1);

@@ -26,7 +26,7 @@ pub mod netlist;
 pub mod schedule;
 
 pub use allocation::{Allocation, AllocationPolicy};
-pub use netlist::{Net, NetIncidence, Netlist, NetlistBlock, NetlistStats};
+pub use netlist::{Net, NetIncidence, NetRef, Netlist, NetlistBlock, NetlistStats, Nets};
 pub use schedule::{Schedule, ScheduleEntry, Scheduler};
 
 use fpsa_synthesis::CoreOpGraph;
@@ -82,9 +82,10 @@ impl Mapper {
     /// Map a core-op graph.
     pub fn map(&self, graph: &CoreOpGraph) -> Mapping {
         let allocation = Allocation::allocate(graph, self.policy);
-        let scheduler = Scheduler::new(self.sampling_window);
-        let schedule = scheduler.schedule(graph, &allocation);
-        let netlist = Netlist::build(graph, &allocation, &schedule);
+        // One CSR adjacency serves both the scheduler and the netlist builder.
+        let adjacency = graph.adjacency();
+        let schedule = Scheduler::new(self.sampling_window).schedule(&adjacency, &allocation);
+        let netlist = Netlist::build(graph, &adjacency, &allocation, &schedule);
         Mapping {
             allocation,
             schedule,

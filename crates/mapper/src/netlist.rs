@@ -9,9 +9,8 @@
 use crate::allocation::Allocation;
 use crate::control::ControlPlan;
 use crate::schedule::Schedule;
-use fpsa_synthesis::{CoreOpGraph, GroupId};
+use fpsa_synthesis::{Adjacency, CoreOpGraph, GroupId};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// The role a netlist block plays.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -54,7 +53,9 @@ impl NetlistBlock {
     }
 }
 
-/// A net from one source block to one or more sink blocks.
+/// An owned net from one source block to one or more sink blocks: the input
+/// type of [`Netlist::from_parts`]. A built netlist stores its nets flat and
+/// hands out [`NetRef`] views instead.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Net {
     /// Index of the driving block.
@@ -63,6 +64,112 @@ pub struct Net {
     pub sinks: Vec<usize>,
     /// Values transferred per producer execution (used by the traffic model).
     pub values_per_activation: u64,
+}
+
+/// A borrowed view of one net of a [`Netlist`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct NetRef<'a> {
+    source: u32,
+    values: u32,
+    sinks: &'a [u32],
+}
+
+impl<'a> NetRef<'a> {
+    /// Index of the driving block.
+    pub fn source(&self) -> usize {
+        self.source as usize
+    }
+
+    /// Indices of the receiving blocks, in net order.
+    pub fn sinks(&self) -> impl ExactSizeIterator<Item = usize> + Clone + 'a {
+        self.sinks.iter().map(|&s| s as usize)
+    }
+
+    /// Values transferred per producer execution (used by the traffic model).
+    pub fn values_per_activation(&self) -> u64 {
+        u64::from(self.values)
+    }
+
+    /// An owned copy of the net.
+    pub fn to_net(&self) -> Net {
+        Net {
+            source: self.source(),
+            sinks: self.sinks().collect(),
+            values_per_activation: self.values_per_activation(),
+        }
+    }
+}
+
+/// The nets of a [`Netlist`], stored flat: one `u32` source, value count and
+/// sink-range end per net, and one shared `u32` sink array — no per-net heap
+/// allocation, so an ImageNet-scale netlist (VGG16: 784 856 nets) is four
+/// contiguous arrays.
+#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+pub struct Nets {
+    source: Vec<u32>,
+    values: Vec<u32>,
+    /// `sinks[sink_end[i - 1]..sink_end[i]]` are net `i`'s sinks (from 0 for
+    /// net 0).
+    sink_end: Vec<u32>,
+    sinks: Vec<u32>,
+}
+
+/// A block or sink-array position as stored in [`Nets`].
+fn index_u32(i: usize) -> u32 {
+    u32::try_from(i).expect("netlist exceeds the u32 index space")
+}
+
+impl Nets {
+    fn with_capacity(nets: usize, sinks: usize) -> Self {
+        Nets {
+            source: Vec::with_capacity(nets),
+            values: Vec::with_capacity(nets),
+            sink_end: Vec::with_capacity(nets),
+            sinks: Vec::with_capacity(sinks),
+        }
+    }
+
+    fn push(&mut self, source: usize, sinks: impl IntoIterator<Item = usize>, values: u64) {
+        self.source.push(index_u32(source));
+        self.values
+            .push(u32::try_from(values).expect("values per activation fit u32"));
+        self.sinks.extend(sinks.into_iter().map(index_u32));
+        self.sink_end.push(index_u32(self.sinks.len()));
+    }
+
+    /// Number of nets.
+    pub fn len(&self) -> usize {
+        self.source.len()
+    }
+
+    /// Whether there are no nets.
+    pub fn is_empty(&self) -> bool {
+        self.source.is_empty()
+    }
+
+    /// Net `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of range.
+    pub fn get(&self, i: usize) -> NetRef<'_> {
+        let start = if i == 0 { 0 } else { self.sink_end[i - 1] };
+        NetRef {
+            source: self.source[i],
+            values: self.values[i],
+            sinks: &self.sinks[start as usize..self.sink_end[i] as usize],
+        }
+    }
+
+    /// All nets in order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = NetRef<'_>> + Clone {
+        (0..self.len()).map(move |i| self.get(i))
+    }
+
+    /// Owned copies of all nets (the shape [`Netlist::from_parts`] takes).
+    pub fn to_vec(&self) -> Vec<Net> {
+        self.iter().map(|net| net.to_net()).collect()
+    }
 }
 
 /// Summary statistics of a netlist.
@@ -104,9 +211,9 @@ impl NetIncidence {
     fn build(netlist: &Netlist) -> Self {
         let mut nets_of_block: Vec<Vec<usize>> = vec![Vec::new(); netlist.len()];
         for (i, net) in netlist.nets().iter().enumerate() {
-            nets_of_block[net.source].push(i);
-            for &s in &net.sinks {
-                if s != net.source {
+            nets_of_block[net.source()].push(i);
+            for s in net.sinks() {
+                if s != net.source() {
                     nets_of_block[s].push(i);
                 }
             }
@@ -142,21 +249,41 @@ pub struct Netlist {
     /// Model name carried through the flow.
     pub model: String,
     blocks: Vec<NetlistBlock>,
-    nets: Vec<Net>,
+    nets: Nets,
 }
 
 impl Netlist {
-    /// Build the netlist from a core-op graph, an allocation and a schedule.
-    pub fn build(graph: &CoreOpGraph, allocation: &Allocation, schedule: &Schedule) -> Self {
-        let mut blocks = Vec::new();
-        let mut nets = Vec::new();
+    /// Build the netlist from a core-op graph (and its adjacency), an
+    /// allocation and a schedule, in O(groups + edges + nets): a PE block is
+    /// found at its group's prefix offset plus the duplicate index, and every
+    /// edge's SMB by one stamp pass per consumer
+    /// ([`Adjacency::match_edges`]) — no hashing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the adjacency was not taken from `graph`.
+    pub fn build(
+        graph: &CoreOpGraph,
+        adjacency: &Adjacency,
+        allocation: &Allocation,
+        schedule: &Schedule,
+    ) -> Self {
+        let n = graph.len();
+        let edges = graph.edges();
+        assert_eq!(
+            (adjacency.len(), adjacency.edge_count()),
+            (n, edges.len()),
+            "adjacency belongs to a different graph"
+        );
+        let duplicates = |g: GroupId| allocation.per_group.get(g).copied().unwrap_or(1);
 
-        // One PE block per duplicate of every group.
-        let mut pe_index: HashMap<(GroupId, u64), usize> = HashMap::new();
+        // One PE block per duplicate of every group: duplicate `d` of group
+        // `g` is block `pe_base[g] + d`.
+        let mut blocks = Vec::new();
+        let mut pe_base = Vec::with_capacity(n);
         for g in graph.groups() {
-            let duplicates = allocation.per_group.get(g.id).copied().unwrap_or(1);
-            for d in 0..duplicates {
-                pe_index.insert((g.id, d), blocks.len());
+            pe_base.push(blocks.len());
+            for d in 0..duplicates(g.id) {
                 blocks.push(NetlistBlock::Pe {
                     group: g.id,
                     duplicate: d,
@@ -164,69 +291,78 @@ impl Netlist {
             }
         }
 
-        // One SMB per buffered edge.
-        let buffered: std::collections::HashSet<(GroupId, GroupId)> =
-            schedule.buffered_edges.iter().copied().collect();
-        let mut smb_index: HashMap<(GroupId, GroupId), usize> = HashMap::new();
-        for &(u, v) in &schedule.buffered_edges {
-            smb_index.entry((u, v)).or_insert_with(|| {
-                let idx = blocks.len();
-                blocks.push(NetlistBlock::Smb { from: u, to: v });
-                idx
-            });
+        // One SMB per distinct buffered edge, in schedule order; repeats of
+        // a pair share the SMB of its first listing.
+        let buffered = &schedule.buffered_edges;
+        let mut by_pair: Vec<usize> = (0..buffered.len()).collect();
+        by_pair.sort_unstable_by_key(|&i| (buffered[i], i));
+        let mut first_listing = vec![false; buffered.len()];
+        for run in by_pair.chunk_by(|&a, &b| buffered[a] == buffered[b]) {
+            first_listing[run[0]] = true;
         }
-
-        // Nets: producer duplicates drive either the consumer duplicates
-        // directly or the SMB of the buffered edge.
-        for &(u, v) in graph.edges() {
-            let du = allocation.per_group.get(u).copied().unwrap_or(1);
-            let dv = allocation.per_group.get(v).copied().unwrap_or(1);
-            let values = graph.groups()[u].cols as u64;
-            if buffered.contains(&(u, v)) {
-                let smb = smb_index[&(u, v)];
-                for d in 0..du {
-                    nets.push(Net {
-                        source: pe_index[&(u, d)],
-                        sinks: vec![smb],
-                        values_per_activation: values,
-                    });
-                }
-                for d in 0..dv {
-                    nets.push(Net {
-                        source: smb,
-                        sinks: vec![pe_index[&(v, d)]],
-                        values_per_activation: values,
-                    });
-                }
-            } else {
-                for d in 0..dv {
-                    let src_dup = d % du;
-                    nets.push(Net {
-                        source: pe_index[&(u, src_dup)],
-                        sinks: vec![pe_index[&(v, d)]],
-                        values_per_activation: values,
-                    });
-                }
+        // Indexed by first listings only, which is what `match_edges` names.
+        let mut smb_of = vec![0usize; buffered.len()];
+        for (i, &(u, v)) in buffered.iter().enumerate() {
+            if first_listing[i] {
+                smb_of[i] = blocks.len();
+                blocks.push(NetlistBlock::Smb { from: u, to: v });
             }
         }
+
+        // Which buffered edge (if any) claims each graph edge, and from that
+        // the exact net count: a buffered edge has one net per producer and
+        // per consumer duplicate, a direct edge one per consumer duplicate,
+        // each with a single sink.
+        let claimed_by = adjacency.match_edges(buffered);
+        let mut net_count = 0usize;
+        for (&(u, v), &claim) in edges.iter().zip(&claimed_by) {
+            net_count += duplicates(v) as usize;
+            if claim != Adjacency::UNMATCHED {
+                net_count += duplicates(u) as usize;
+            }
+        }
+        let mut sink_count = net_count;
 
         // CLBs: one control region per `region_size` blocks, each driving the
         // blocks in its region.
         let control = ControlPlan::for_schedule(graph, allocation, schedule);
-        let region_size = (blocks.len() / control.clb_count.max(1)).max(1);
         let data_blocks = blocks.len();
-        for region in 0..control.clb_count {
+        let region_size = (data_blocks / control.clb_count.max(1)).max(1);
+        let region =
+            |r: usize| (r * region_size).min(data_blocks)..((r + 1) * region_size).min(data_blocks);
+        for r in 0..control.clb_count {
+            if !region(r).is_empty() {
+                net_count += 1;
+                sink_count += region(r).len();
+            }
+        }
+
+        // Nets: producer duplicates drive either the consumer duplicates
+        // directly or the SMB of the buffered edge.
+        let mut nets = Nets::with_capacity(net_count, sink_count);
+        for (&(u, v), &claim) in edges.iter().zip(&claimed_by) {
+            let du = duplicates(u) as usize;
+            let dv = duplicates(v) as usize;
+            let values = graph.groups()[u].cols as u64;
+            if claim == Adjacency::UNMATCHED {
+                for d in 0..dv {
+                    nets.push(pe_base[u] + d % du, [pe_base[v] + d], values);
+                }
+            } else {
+                let smb = smb_of[claim as usize];
+                for d in 0..du {
+                    nets.push(pe_base[u] + d, [smb], values);
+                }
+                for d in 0..dv {
+                    nets.push(smb, [pe_base[v] + d], values);
+                }
+            }
+        }
+        for r in 0..control.clb_count {
             let clb = blocks.len();
-            blocks.push(NetlistBlock::Clb { region });
-            let start = region * region_size;
-            let end = ((region + 1) * region_size).min(data_blocks);
-            let sinks: Vec<usize> = (start..end).collect();
-            if !sinks.is_empty() {
-                nets.push(Net {
-                    source: clb,
-                    sinks,
-                    values_per_activation: 1,
-                });
+            blocks.push(NetlistBlock::Clb { region: r });
+            if !region(r).is_empty() {
+                nets.push(clb, region(r), 1);
             }
         }
 
@@ -247,6 +383,7 @@ impl Netlist {
     ///
     /// Panics if any net references a block index out of range.
     pub fn from_parts(model: impl Into<String>, blocks: Vec<NetlistBlock>, nets: Vec<Net>) -> Self {
+        let mut flat = Nets::with_capacity(nets.len(), nets.iter().map(|n| n.sinks.len()).sum());
         for (i, net) in nets.iter().enumerate() {
             assert!(
                 net.source < blocks.len(),
@@ -261,11 +398,16 @@ impl Netlist {
                     blocks.len()
                 );
             }
+            flat.push(
+                net.source,
+                net.sinks.iter().copied(),
+                net.values_per_activation,
+            );
         }
         Netlist {
             model: model.into(),
             blocks,
-            nets,
+            nets: flat,
         }
     }
 
@@ -281,12 +423,17 @@ impl Netlist {
 
     /// Total number of (source, sink) connections across all nets.
     pub fn connection_count(&self) -> usize {
-        self.nets.iter().map(|n| n.sinks.len()).sum()
+        self.nets.sinks.len()
     }
 
     /// All nets.
-    pub fn nets(&self) -> &[Net] {
+    pub fn nets(&self) -> &Nets {
         &self.nets
+    }
+
+    /// Net `i` (shorthand for `nets().get(i)`).
+    pub fn net(&self, i: usize) -> NetRef<'_> {
+        self.nets.get(i)
     }
 
     /// Summary statistics.
@@ -296,7 +443,7 @@ impl Netlist {
             smb_count: self.blocks.iter().filter(|b| b.is_smb()).count(),
             clb_count: self.blocks.iter().filter(|b| b.is_clb()).count(),
             net_count: self.nets.len(),
-            total_fanout: self.nets.iter().map(|n| n.sinks.len()).sum(),
+            total_fanout: self.connection_count(),
         }
     }
 
@@ -345,8 +492,9 @@ mod tests {
             prev = Some(id);
         }
         let alloc = Allocation::allocate(&g, AllocationPolicy::DuplicationDegree(dup));
-        let sched = Scheduler::new(64).schedule(&g, &alloc);
-        let netlist = Netlist::build(&g, &alloc, &sched);
+        let adjacency = g.adjacency();
+        let sched = Scheduler::new(64).schedule(&adjacency, &alloc);
+        let netlist = Netlist::build(&g, &adjacency, &alloc, &sched);
         (g, netlist)
     }
 
@@ -369,9 +517,9 @@ mod tests {
             .nets()
             .iter()
             .filter(|net| {
-                !n.blocks()[net.source].is_clb()
-                    && (n.blocks()[net.source].is_smb()
-                        || net.sinks.iter().any(|&s| n.blocks()[s].is_smb()))
+                !n.blocks()[net.source()].is_clb()
+                    && (n.blocks()[net.source()].is_smb()
+                        || net.sinks().any(|s| n.blocks()[s].is_smb()))
             })
             .count();
         assert_eq!(smb_nets, 2);
@@ -385,7 +533,7 @@ mod tests {
             .nets()
             .iter()
             .filter(|net| {
-                n.blocks()[net.source].is_pe() && net.sinks.iter().all(|&s| n.blocks()[s].is_pe())
+                n.blocks()[net.source()].is_pe() && net.sinks().all(|s| n.blocks()[s].is_pe())
             })
             .count();
         assert!(pe_to_pe >= 1);
@@ -406,7 +554,7 @@ mod tests {
             let drivers = n
                 .nets()
                 .iter()
-                .filter(|net| net.sinks.contains(&pe) && n.blocks()[net.source].is_pe())
+                .filter(|net| net.sinks().any(|s| s == pe) && n.blocks()[net.source()].is_pe())
                 .count();
             assert_eq!(drivers, 1);
         }
@@ -420,7 +568,7 @@ mod tests {
         let control_nets = n
             .nets()
             .iter()
-            .filter(|net| n.blocks()[net.source].is_clb())
+            .filter(|net| n.blocks()[net.source()].is_clb())
             .count();
         assert_eq!(control_nets, stats.clb_count);
     }
@@ -429,7 +577,7 @@ mod tests {
     fn stats_fanout_counts_every_connection() {
         let (_, n) = build(&[2, 2], 1);
         let stats = n.stats();
-        let manual: usize = n.nets().iter().map(|net| net.sinks.len()).sum();
+        let manual: usize = n.nets().iter().map(|net| net.sinks().len()).sum();
         assert_eq!(stats.total_fanout, manual);
         assert_eq!(stats.net_count, n.nets().len());
         assert_eq!(stats.total_fanout, n.connection_count());
@@ -442,15 +590,16 @@ mod tests {
         assert_eq!(incidence.len(), n.len());
         // Forward check: every net appears in the index of all its blocks.
         for (i, net) in n.nets().iter().enumerate() {
-            assert!(incidence.nets_of(net.source).contains(&i));
-            for &s in &net.sinks {
+            assert!(incidence.nets_of(net.source()).contains(&i));
+            for s in net.sinks() {
                 assert!(incidence.nets_of(s).contains(&i));
             }
         }
         // Reverse check: every indexed net really touches the block.
         for block in 0..n.len() {
             for &net in incidence.nets_of(block) {
-                let touches = n.nets()[net].source == block || n.nets()[net].sinks.contains(&block);
+                let touches =
+                    n.net(net).source() == block || n.net(net).sinks().any(|s| s == block);
                 assert!(
                     touches,
                     "net {net} indexed for block {block} but not incident"

@@ -22,9 +22,8 @@
 //! pipeline stages exactly as the paper describes.
 
 use crate::allocation::Allocation;
-use fpsa_synthesis::{CoreOpGraph, GroupId};
+use fpsa_synthesis::{bucket_by_key, Adjacency, GroupId};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Scheduling result for one group.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -111,37 +110,48 @@ impl Scheduler {
         }
     }
 
-    /// Produce a schedule for an allocated core-op graph.
-    pub fn schedule(&self, graph: &CoreOpGraph, allocation: &Allocation) -> Schedule {
-        let n = graph.len();
-        let mut entries: Vec<Option<ScheduleEntry>> = vec![None; n];
+    /// Produce a schedule for an allocated core-op graph, given as its
+    /// adjacency ([`fpsa_synthesis::CoreOpGraph::adjacency`]).
+    pub fn schedule(&self, adjacency: &Adjacency, allocation: &Allocation) -> Schedule {
+        self.schedule_counting_passes(adjacency, allocation).0
+    }
+
+    /// [`Scheduler::schedule`], also reporting how many BC/relaxation
+    /// fixpoint passes ran (the last one changes nothing). The whole run is
+    /// O(passes · edges): every pass is one sweep over the CSR in-edge array.
+    pub fn schedule_counting_passes(
+        &self,
+        adjacency: &Adjacency,
+        allocation: &Allocation,
+    ) -> (Schedule, usize) {
+        let n = adjacency.len();
+        let order = topological_order(adjacency);
+        let mut placed: Vec<Option<ScheduleEntry>> = vec![None; n];
         let mut buffered_edges = Vec::new();
-
-        // Predecessor lists.
-        let mut preds: HashMap<GroupId, Vec<GroupId>> = HashMap::new();
-        for &(u, v) in graph.edges() {
-            preds.entry(v).or_default().push(u);
-        }
-
-        // Kahn topological order over group edges.
-        let order = topological_order(graph);
+        // One flag per in-edge slot of the adjacency: does the edge cross an
+        // SMB buffer? Parallel edges classify alike, so the flag of a slot
+        // is the membership of its (producer, consumer) pair.
+        let mut buffered = vec![false; adjacency.edge_count()];
 
         for &v in &order {
             let iterations = allocation.iterations.get(v).copied().unwrap_or(1);
             let duration = iterations * self.sampling_window;
-            let empty = Vec::new();
-            let my_preds = preds.get(&v).unwrap_or(&empty);
+            let preds = adjacency.predecessors(v);
 
             let mut start = 0u64;
             let mut stage = 0usize;
-            for &u in my_preds {
-                let pu = entries[u].expect("topological order guarantees scheduled predecessors");
+            for (slot, p) in adjacency.in_edge_slots(v).zip(preds) {
+                // Only a cyclic edge list leaves a predecessor unscheduled
+                // here; such an edge constrains nothing in this pass.
+                let Some(pu) = placed[p.group()] else {
+                    continue;
+                };
                 // NBD is possible only when this group's execution can cover
                 // the producer's (equal or longer duration); otherwise the
                 // spike trains cannot stream and a buffer is required (BD).
-                let needs_buffer = duration < pu.duration();
-                if needs_buffer {
-                    buffered_edges.push((u, v));
+                if duration < pu.duration() {
+                    buffered[slot] = true;
+                    buffered_edges.push((p.group(), v));
                     start = start.max(pu.end_cycle + 1);
                     stage = stage.max(pu.stage + 1);
                 } else {
@@ -152,13 +162,15 @@ impl Scheduler {
             // SW: duration is already >= Γ because iterations >= 1.
             let mut end = start + duration;
             // NBD end condition: cover every unbuffered producer's end.
-            for &u in my_preds {
-                let pu = entries[u].expect("scheduled predecessor");
+            for p in preds {
+                let Some(pu) = placed[p.group()] else {
+                    continue;
+                };
                 if duration >= pu.duration() && end <= pu.end_cycle {
                     end = pu.end_cycle + 1;
                 }
             }
-            entries[v] = Some(ScheduleEntry {
+            placed[v] = Some(ScheduleEntry {
                 group: v,
                 start_cycle: start,
                 end_cycle: end,
@@ -166,6 +178,10 @@ impl Scheduler {
                 iterations,
             });
         }
+        let mut entries: Vec<ScheduleEntry> = placed
+            .into_iter()
+            .map(|e| e.expect("the order visits every group"))
+            .collect();
 
         // BC: consumers of the same buffered producer must be separated by at
         // least one sampling window, and any BC shift must propagate to the
@@ -174,47 +190,56 @@ impl Scheduler {
         // pass with a dependency relaxation pass until a fixpoint: both
         // passes only move entries later, so the loop converges, and an
         // already-consistent schedule passes through unchanged.
-        let buffered_set: std::collections::HashSet<(GroupId, GroupId)> =
-            buffered_edges.iter().copied().collect();
-        let mut by_source: HashMap<GroupId, Vec<GroupId>> = HashMap::new();
-        for &(u, v) in &buffered_edges {
-            by_source.entry(u).or_default().push(v);
-        }
+        //
+        // Buffered consumers bucketed by producer (counting sort, so each
+        // bucket keeps `buffered_edges` order); producers are then visited in
+        // ascending group id, which makes the fixpoint a function of the
+        // inputs alone.
+        let (bucket_start, bucket) = bucket_by_key(n, buffered_edges.iter().map(|&(u, _)| u));
+        let consumers: Vec<GroupId> = bucket.iter().map(|&i| buffered_edges[i].1).collect();
+        let mut sorted: Vec<GroupId> = Vec::new();
+
         // The cap is a safety net far above what any real schedule needs
         // (every pass moves at least one entry strictly later or stops);
-        // any residual violation would still be rejected by the execution
-        // engine's bind-time schedule verification.
+        // any residual violation — a cyclic edge list never settles — is
+        // still rejected by the execution engine's bind-time schedule
+        // verification.
+        let mut passes = 0usize;
         for _ in 0..10_000 {
+            passes += 1;
             let mut changed = false;
             // BC serialization.
-            for consumers in by_source.values() {
-                let mut sorted: Vec<GroupId> = consumers.clone();
-                sorted.sort_unstable_by_key(|&v| entries[v].map(|e| e.start_cycle).unwrap_or(0));
+            for u in 0..n {
+                let bucket = &consumers[bucket_start[u]..bucket_start[u + 1]];
+                if bucket.len() < 2 {
+                    continue;
+                }
+                sorted.clear();
+                sorted.extend_from_slice(bucket);
+                sorted.sort_by_key(|&v| entries[v].start_cycle);
                 for pair in sorted.windows(2) {
-                    let first_end = entries[pair[0]].map(|e| e.end_cycle).unwrap_or(0);
-                    if let Some(e) = entries[pair[1]].as_mut() {
-                        if e.end_cycle <= first_end + self.sampling_window
-                            && e.start_cycle <= first_end
-                        {
-                            let shift = first_end + 1 - e.start_cycle;
-                            e.start_cycle += shift;
-                            e.end_cycle += shift;
-                            changed = true;
-                        }
+                    let first_end = entries[pair[0]].end_cycle;
+                    let e = &mut entries[pair[1]];
+                    if e.end_cycle <= first_end + self.sampling_window && e.start_cycle <= first_end
+                    {
+                        let shift = first_end + 1 - e.start_cycle;
+                        e.start_cycle += shift;
+                        e.end_cycle += shift;
+                        changed = true;
                     }
                 }
             }
             // Dependency relaxation in topological order: re-enforce the
             // NBD/BD start constraints and the NBD end-cover condition.
             for &v in &order {
-                let empty = Vec::new();
-                let my_preds = preds.get(&v).unwrap_or(&empty);
-                let Some(current) = entries[v] else { continue };
+                let current = entries[v];
                 let mut start = current.start_cycle;
                 let mut end = current.end_cycle;
-                for &u in my_preds {
-                    let pu = entries[u].expect("topological order schedules predecessors");
-                    let required = if buffered_set.contains(&(u, v)) {
+                let preds = adjacency.predecessors(v);
+                let flags = &buffered[adjacency.in_edge_slots(v)];
+                for (p, &is_buffered) in preds.iter().zip(flags) {
+                    let pu = &entries[p.group()];
+                    let required = if is_buffered {
                         pu.end_cycle + 1
                     } else {
                         pu.start_cycle + 1
@@ -224,24 +249,22 @@ impl Scheduler {
                         start = required;
                     }
                 }
-                for &u in my_preds {
-                    let pu = entries[u].expect("scheduled predecessor");
+                for (p, &is_buffered) in preds.iter().zip(flags) {
                     // NBD end cover: an unbuffered consumer must finish
                     // after its producer. The edge was classified
                     // unbuffered because the consumer's base duration
                     // covers the producer's, so the cover is always
                     // required here — testing current (possibly inflated)
                     // durations instead would silently skip it.
-                    if !buffered_set.contains(&(u, v)) && end <= pu.end_cycle {
-                        end = pu.end_cycle + 1;
+                    let producer_end = entries[p.group()].end_cycle;
+                    if !is_buffered && end <= producer_end {
+                        end = producer_end + 1;
                     }
                 }
                 if (start, end) != (current.start_cycle, current.end_cycle) {
                     changed = true;
-                    if let Some(e) = entries[v].as_mut() {
-                        e.start_cycle = start;
-                        e.end_cycle = end;
-                    }
+                    entries[v].start_cycle = start;
+                    entries[v].end_cycle = end;
                 }
             }
             if !changed {
@@ -249,58 +272,40 @@ impl Scheduler {
             }
         }
 
-        Schedule {
-            entries: entries
-                .into_iter()
-                .enumerate()
-                .map(|(i, e)| {
-                    e.unwrap_or(ScheduleEntry {
-                        group: i,
-                        start_cycle: 0,
-                        end_cycle: self.sampling_window,
-                        stage: 0,
-                        iterations: 1,
-                    })
-                })
-                .collect(),
+        let schedule = Schedule {
+            entries,
             buffered_edges,
             sampling_window: self.sampling_window,
-        }
+        };
+        (schedule, passes)
     }
 }
 
 /// Kahn topological order over the group graph; groups not reachable through
 /// edges keep their id order.
-fn topological_order(graph: &CoreOpGraph) -> Vec<GroupId> {
-    let n = graph.len();
-    let mut indegree = vec![0usize; n];
-    let mut succs: Vec<Vec<GroupId>> = vec![Vec::new(); n];
-    for &(u, v) in graph.edges() {
-        indegree[v] += 1;
-        succs[u].push(v);
-    }
-    let mut queue: Vec<GroupId> = (0..n).filter(|&i| indegree[i] == 0).collect();
-    let mut order = Vec::with_capacity(n);
+fn topological_order(adjacency: &Adjacency) -> Vec<GroupId> {
+    let n = adjacency.len();
+    let mut indegree: Vec<usize> = (0..n).map(|v| adjacency.predecessors(v).len()).collect();
+    // The order doubles as the Kahn queue: groups are appended once their
+    // last producer has been visited.
+    let mut order: Vec<GroupId> = (0..n).filter(|&i| indegree[i] == 0).collect();
     let mut head = 0;
-    while head < queue.len() {
-        let u = queue[head];
+    while head < order.len() {
+        let u = order[head];
         head += 1;
-        order.push(u);
-        for &v in &succs[u] {
+        for s in adjacency.successors(u) {
+            let v = s.group();
             indegree[v] -= 1;
             if indegree[v] == 0 {
-                queue.push(v);
+                order.push(v);
             }
         }
     }
-    // Defensive: if the edge list had a cycle, append the leftovers so every
-    // group still receives a schedule entry.
+    // Defensive: if the edge list had a cycle, the groups on or behind it
+    // still have producers outstanding; append them so every group receives
+    // a schedule entry.
     if order.len() != n {
-        for i in 0..n {
-            if !order.contains(&i) {
-                order.push(i);
-            }
-        }
+        order.extend((0..n).filter(|&i| indegree[i] != 0));
     }
     order
 }
@@ -309,7 +314,7 @@ fn topological_order(graph: &CoreOpGraph) -> Vec<GroupId> {
 mod tests {
     use super::*;
     use crate::allocation::AllocationPolicy;
-    use fpsa_synthesis::{CoreOpGroup, CoreOpKind};
+    use fpsa_synthesis::{CoreOpGraph, CoreOpGroup, CoreOpKind};
 
     fn group(reuse: u64, depth: usize) -> CoreOpGroup {
         CoreOpGroup {
@@ -343,7 +348,7 @@ mod tests {
     fn schedule_chain(reuses: &[u64]) -> (CoreOpGraph, Schedule) {
         let g = chain(reuses);
         let alloc = Allocation::allocate(&g, AllocationPolicy::DuplicationDegree(1));
-        let s = Scheduler::new(64).schedule(&g, &alloc);
+        let s = Scheduler::new(64).schedule(&g.adjacency(), &alloc);
         (g, s)
     }
 
@@ -396,7 +401,7 @@ mod tests {
         g.add_edge(p, a);
         g.add_edge(p, b);
         let alloc = Allocation::allocate(&g, AllocationPolicy::DuplicationDegree(1));
-        let s = Scheduler::new(64).schedule(&g, &alloc);
+        let s = Scheduler::new(64).schedule(&g.adjacency(), &alloc);
         assert_eq!(s.buffer_count(), 2);
         let (ea, eb) = (s.entries[a], s.entries[b]);
         let separated = ea.end_cycle + 64 <= eb.end_cycle || eb.end_cycle + 64 <= ea.end_cycle;
@@ -419,7 +424,7 @@ mod tests {
         g.add_edge(a, join);
         g.add_edge(b, join);
         let alloc = Allocation::allocate(&g, AllocationPolicy::DuplicationDegree(1));
-        let s = Scheduler::new(64).schedule(&g, &alloc);
+        let s = Scheduler::new(64).schedule(&g.adjacency(), &alloc);
         let buffered: std::collections::HashSet<_> = s.buffered_edges.iter().copied().collect();
         for &(u, v) in g.edges() {
             let (pu, pv) = (s.entries[u], s.entries[v]);
@@ -435,6 +440,52 @@ mod tests {
     }
 
     #[test]
+    fn repeated_scheduling_of_shared_consumers_yields_one_schedule() {
+        // Three heavy producers buffered into overlapping sets of six light
+        // consumers: the BC pass serializes a consumer once per producer, so
+        // the fixpoint depends on the order producers are visited in. That
+        // order must be a function of the graph — visiting them in a
+        // per-call hash order gave this graph several distinct schedules
+        // within one process.
+        let mut g = CoreOpGraph::new("shared", 256, 256);
+        for reuse in [40, 48, 45] {
+            g.add_group(group(reuse, 0));
+        }
+        for reuse in [4, 3, 4, 3, 2, 4] {
+            g.add_group(group(reuse, 1));
+        }
+        let fanout: [&[GroupId]; 3] = [&[3, 4, 5, 6, 7, 8], &[3, 4, 6, 7], &[4, 5, 6, 7, 8]];
+        for (producer, consumers) in fanout.iter().enumerate() {
+            for &consumer in consumers.iter() {
+                g.add_edge(producer, consumer);
+            }
+        }
+        let alloc = Allocation::allocate(&g, AllocationPolicy::DuplicationDegree(1));
+        let scheduler = Scheduler::new(64);
+        let first = scheduler.schedule(&g.adjacency(), &alloc);
+        assert_eq!(first.buffer_count(), 15);
+        for _ in 0..64 {
+            assert_eq!(scheduler.schedule(&g.adjacency(), &alloc), first);
+        }
+    }
+
+    #[test]
+    fn a_cyclic_edge_list_still_schedules_every_group() {
+        // Not a DAG, so no schedule can satisfy both edges — but scheduling
+        // must hand every group an entry instead of panicking; the executor's
+        // bind-time verification is what rejects the result.
+        let mut g = chain(&[4, 4, 1]);
+        g.add_edge(1, 0);
+        let alloc = Allocation::allocate(&g, AllocationPolicy::DuplicationDegree(1));
+        let s = Scheduler::new(64).schedule(&g.adjacency(), &alloc);
+        assert_eq!(s.entries.len(), 3);
+        for (i, e) in s.entries.iter().enumerate() {
+            assert_eq!(e.group, i);
+            assert!(e.duration() >= 64);
+        }
+    }
+
+    #[test]
     fn pipeline_period_is_bottleneck_duration() {
         let (_, s) = schedule_chain(&[100, 10, 1]);
         assert_eq!(s.pipeline_period_cycles(), 100 * 64);
@@ -446,8 +497,8 @@ mod tests {
         let g = chain(&[64, 64, 1]);
         let a1 = Allocation::allocate(&g, AllocationPolicy::DuplicationDegree(1));
         let a16 = Allocation::allocate(&g, AllocationPolicy::DuplicationDegree(16));
-        let s1 = Scheduler::new(64).schedule(&g, &a1);
-        let s16 = Scheduler::new(64).schedule(&g, &a16);
+        let s1 = Scheduler::new(64).schedule(&g.adjacency(), &a1);
+        let s16 = Scheduler::new(64).schedule(&g.adjacency(), &a16);
         assert!(s16.pipeline_period_cycles() < s1.pipeline_period_cycles());
         assert!(s16.latency_cycles() < s1.latency_cycles());
     }
@@ -468,7 +519,7 @@ mod tests {
     fn empty_graph_schedules_cleanly() {
         let g = CoreOpGraph::new("empty", 256, 256);
         let alloc = Allocation::allocate(&g, AllocationPolicy::DuplicationDegree(1));
-        let s = Scheduler::new(64).schedule(&g, &alloc);
+        let s = Scheduler::new(64).schedule(&g.adjacency(), &alloc);
         assert!(s.entries.is_empty());
         assert_eq!(s.stage_count(), 0);
         assert_eq!(s.latency_cycles(), 0);

@@ -16,7 +16,7 @@
 //! [`PlacementQuality`] attached to the result.
 
 use fpsa_arch::{BlockKind, Fabric, FabricDimensions};
-use fpsa_mapper::{Net, Netlist, NetlistBlock};
+use fpsa_mapper::{NetRef, Netlist, NetlistBlock, Nets};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -221,12 +221,12 @@ struct NetBox {
 }
 
 impl NetBox {
-    fn of(positions: &[(usize, usize)], net: &Net) -> Self {
+    fn of(positions: &[(usize, usize)], net: NetRef<'_>) -> Self {
         let (mut min_r, mut max_r, mut min_c, mut max_c) = {
-            let (r, c) = positions[net.source];
+            let (r, c) = positions[net.source()];
             (r, r, c, c)
         };
-        for &s in &net.sinks {
+        for s in net.sinks() {
             let (r, c) = positions[s];
             min_r = min_r.min(r);
             max_r = max_r.max(r);
@@ -249,7 +249,7 @@ impl NetBox {
 /// Mutable annealing state shared by the cooling sweeps and the final
 /// zero-temperature quench.
 struct AnnealState<'a> {
-    nets: &'a [Net],
+    nets: &'a Nets,
     incidence: &'a fpsa_mapper::NetIncidence,
     weights: &'a [f64],
     positions: &'a mut Vec<(usize, usize)>,
@@ -343,7 +343,7 @@ impl AnnealState<'_> {
             self.new_boxes.clear();
             let mut delta = 0.0;
             for &n in &self.affected {
-                let nb = NetBox::of(self.positions, &self.nets[n]);
+                let nb = NetBox::of(self.positions, self.nets.get(n));
                 delta += self.weights[n] * (nb.hpwl() - self.boxes[n].hpwl());
                 self.new_boxes.push(nb);
             }
@@ -510,14 +510,14 @@ impl Placer {
         // the routed critical path, so their wirelength counts for more.
         let max_traffic = nets
             .iter()
-            .map(|n| n.values_per_activation)
+            .map(|n| n.values_per_activation())
             .max()
             .unwrap_or(1)
             .max(1) as f64;
         let weights: Vec<f64> = nets
             .iter()
             .map(|n| {
-                1.0 + self.config.timing_weight * (n.values_per_activation as f64 / max_traffic)
+                1.0 + self.config.timing_weight * (n.values_per_activation() as f64 / max_traffic)
             })
             .collect();
 

@@ -24,6 +24,7 @@ use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::sync::Mutex;
 
 /// Orientation of a routing channel segment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -213,62 +214,87 @@ impl Default for RouterConfig {
 }
 
 /// Congestion state of the channel grid, frozen per wave for the searches.
+///
+/// Segments are indexed `r * cols + c`: the horizontal segment
+/// `(r, c) – (r, c + 1)` and the vertical segment `(r, c) – (r + 1, c)`.
 #[derive(Debug, Clone)]
 struct ChannelState {
     rows: usize,
     cols: usize,
-    /// Occupancy of horizontal segments, indexed `r * cols + c` for the
-    /// segment `(r, c) – (r, c + 1)`.
+    capacity: usize,
+    hist_weight: f64,
+    pres_fac: f64,
     occupancy_h: Vec<u32>,
-    /// Occupancy of vertical segments, indexed `r * cols + c` for the
-    /// segment `(r, c) – (r + 1, c)`.
     occupancy_v: Vec<u32>,
     history_h: Vec<f64>,
     history_v: Vec<f64>,
+    /// The PathFinder cost of crossing each segment, kept current with its
+    /// occupancy, its history and the present factor, so a search reads a
+    /// cost instead of recomputing it for every tile it expands.
+    cost_h: Vec<u64>,
+    cost_v: Vec<u64>,
 }
 
 impl ChannelState {
-    fn new(rows: usize, cols: usize) -> Self {
+    fn new(rows: usize, cols: usize, capacity: usize, hist_weight: f64) -> Self {
         let n = rows * cols;
         ChannelState {
             rows,
             cols,
+            capacity,
+            hist_weight,
+            pres_fac: 0.0,
             occupancy_h: vec![0; n],
             occupancy_v: vec![0; n],
             history_h: vec![0.0; n],
             history_v: vec![0.0; n],
+            cost_h: vec![0; n],
+            cost_v: vec![0; n],
         }
     }
 
-    fn index(&self, edge: RouteEdge) -> usize {
-        edge.row * self.cols + edge.col
-    }
-
     fn occupy(&mut self, edge: RouteEdge, delta: i64) {
-        let i = self.index(edge);
-        let slot = match edge.orientation {
-            Orientation::Horizontal => &mut self.occupancy_h[i],
-            Orientation::Vertical => &mut self.occupancy_v[i],
+        let i = edge.row * self.cols + edge.col;
+        let (occupancy, history, cost) = match edge.orientation {
+            Orientation::Horizontal => (
+                &mut self.occupancy_h[i],
+                self.history_h[i],
+                &mut self.cost_h[i],
+            ),
+            Orientation::Vertical => (
+                &mut self.occupancy_v[i],
+                self.history_v[i],
+                &mut self.cost_v[i],
+            ),
         };
-        *slot = (*slot as i64 + delta).max(0) as u32;
+        *occupancy = (*occupancy as i64 + delta).max(0) as u32;
+        *cost = segment_cost(
+            *occupancy,
+            history,
+            self.capacity,
+            self.pres_fac,
+            self.hist_weight,
+        );
     }
 
-    /// PathFinder cost of crossing one segment, scaled to an integer so the
-    /// Dijkstra heap has a total, platform-independent order.
-    fn edge_cost(&self, edge: RouteEdge, capacity: usize, pres_fac: f64, hist_weight: f64) -> u64 {
-        let i = self.index(edge);
-        let (occupancy, history) = match edge.orientation {
-            Orientation::Horizontal => (self.occupancy_h[i], self.history_h[i]),
-            Orientation::Vertical => (self.occupancy_v[i], self.history_v[i]),
+    /// Set the present-congestion factor of the coming iteration and reprice
+    /// every segment under it and the history accumulated so far.
+    fn reprice(&mut self, pres_fac: f64) {
+        self.pres_fac = pres_fac;
+        let (capacity, hist_weight) = (self.capacity, self.hist_weight);
+        let price = |(cost, (&occupancy, &history)): (&mut u64, (&u32, &f64))| {
+            *cost = segment_cost(occupancy, history, capacity, pres_fac, hist_weight);
         };
-        let overuse = (occupancy as i64 + 1 - capacity as i64).max(0) as f64;
-        let cost = (1.0 + hist_weight * history) * (1.0 + pres_fac * overuse);
-        (cost * 1024.0).round().max(1.0) as u64
+        let horizontal = self.occupancy_h.iter().zip(&self.history_h);
+        self.cost_h.iter_mut().zip(horizontal).for_each(price);
+        let vertical = self.occupancy_v.iter().zip(&self.history_v);
+        self.cost_v.iter_mut().zip(vertical).for_each(price);
     }
 
     /// Accumulate history cost on every currently overused segment and
     /// report (overused segment count, peak occupancy).
-    fn accumulate_history(&mut self, capacity: usize) -> (usize, usize) {
+    fn accumulate_history(&mut self) -> (usize, usize) {
+        let capacity = self.capacity;
         let mut overused = 0usize;
         let mut peak = 0usize;
         for (occ, hist) in self
@@ -285,6 +311,20 @@ impl ChannelState {
         }
         (overused, peak)
     }
+}
+
+/// PathFinder cost of crossing one segment, scaled to an integer so the
+/// Dijkstra heap has a total, platform-independent order.
+fn segment_cost(
+    occupancy: u32,
+    history: f64,
+    capacity: usize,
+    pres_fac: f64,
+    hist_weight: f64,
+) -> u64 {
+    let overuse = (occupancy as i64 + 1 - capacity as i64).max(0) as f64;
+    let cost = (1.0 + hist_weight * history) * (1.0 + pres_fac * overuse);
+    (cost * 1024.0).round().max(1.0) as u64
 }
 
 /// The router.
@@ -329,7 +369,7 @@ impl Router {
         let rows = placement.dims.rows.max(1);
         let cols = placement.dims.cols.max(1);
         let capacity = channel_width.max(1);
-        let mut state = ChannelState::new(rows, cols);
+        let mut state = ChannelState::new(rows, cols, capacity, self.config.history_weight);
 
         // The terminals of every net, fixed by the placement.
         type NetTerminals = ((usize, usize), Vec<(usize, usize)>);
@@ -338,10 +378,22 @@ impl Router {
             .iter()
             .map(|net| {
                 (
-                    placement.position(net.source),
-                    net.sinks.iter().map(|&s| placement.position(s)).collect(),
+                    placement.position(net.source()),
+                    net.sinks().map(|s| placement.position(s)).collect(),
                 )
             })
+            .collect();
+
+        // One search scratch per worker, reused by every net of every wave
+        // and iteration: a wave is split into one contiguous share per
+        // worker, and share `k` always searches in scratch `k`.
+        let workers = if self.config.parallel {
+            rayon::current_num_threads().max(1)
+        } else {
+            1
+        };
+        let scratches: Vec<Mutex<RouteScratch>> = (0..workers)
+            .map(|_| Mutex::new(RouteScratch::new(rows * cols)))
             .collect();
 
         let mut trees: Vec<RoutingTree> = Vec::new();
@@ -352,6 +404,7 @@ impl Router {
 
         for iteration in 0..self.config.max_iterations.max(1) {
             iterations = iteration + 1;
+            state.reprice(pres_fac);
             let net_order: Vec<usize> = (0..terminals.len()).collect();
             let mut new_trees: Vec<RoutingTree> = Vec::with_capacity(terminals.len());
             for wave in net_order.chunks(self.config.wave_width.max(1)) {
@@ -365,23 +418,33 @@ impl Router {
                     }
                 }
                 let snapshot = &state;
-                let route_one = |&net: &usize| {
-                    route_net(
-                        net,
-                        terminals[net].0,
-                        &terminals[net].1,
-                        snapshot,
-                        capacity,
-                        pres_fac,
-                        self.config.history_weight,
-                    )
+                let route_share = |&(share, scratch): &(&[usize], &Mutex<RouteScratch>)| {
+                    let mut scratch = scratch
+                        .lock()
+                        .expect("a routing worker panicked mid-search");
+                    share
+                        .iter()
+                        .map(|&net| {
+                            route_net(
+                                net,
+                                terminals[net].0,
+                                &terminals[net].1,
+                                snapshot,
+                                &mut scratch,
+                            )
+                        })
+                        .collect::<Vec<RoutingTree>>()
                 };
-                let routed: Vec<RoutingTree> = if self.config.parallel {
-                    wave.par_iter().map(route_one).collect()
+                let shares: Vec<(&[usize], &Mutex<RouteScratch>)> = wave
+                    .chunks(wave.len().div_ceil(workers))
+                    .zip(&scratches)
+                    .collect();
+                let routed: Vec<Vec<RoutingTree>> = if self.config.parallel {
+                    shares.par_iter().map(route_share).collect()
                 } else {
-                    wave.iter().map(route_one).collect()
+                    shares.iter().map(route_share).collect()
                 };
-                for tree in routed {
+                for tree in routed.into_iter().flatten() {
                     for &edge in &tree.edges {
                         state.occupy(edge, 1);
                     }
@@ -390,7 +453,7 @@ impl Router {
             }
             trees = new_trees;
 
-            let (over, pk) = state.accumulate_history(capacity);
+            let (over, pk) = state.accumulate_history();
             overused = over;
             peak = pk;
             if overused == 0 {
@@ -463,96 +526,197 @@ impl Router {
     }
 }
 
+type SearchHeap = BinaryHeap<Reverse<(u64, usize)>>;
+
+/// The search state one routing worker reuses across nets: per-tile arrays
+/// that are invalidated in O(1) by bumping an epoch instead of being
+/// reallocated or refilled, plus the heap and work lists that would otherwise
+/// be allocated per sink.
+struct RouteScratch {
+    tiles: TileState,
+    /// The tiles of the current tree in ascending order: the sources of the
+    /// next search.
+    tree_tiles: Vec<usize>,
+    /// The tiles a search just added, sink end first.
+    branch: Vec<usize>,
+    heap: SearchHeap,
+    sink_order: Vec<usize>,
+}
+
+/// Per-tile search state, epoch-stamped.
+struct TileState {
+    /// Bumped per sink search: `dist`/`prev` of a tile hold this search's
+    /// values iff `reached[tile] == search`.
+    search: u64,
+    reached: Vec<u64>,
+    dist: Vec<u64>,
+    prev: Vec<usize>,
+    /// Bumped per net: a tile is in the current net's tree (and `hops` holds
+    /// its distance from the source along the tree) iff `in_tree[tile] == net`.
+    net: u64,
+    in_tree: Vec<u64>,
+    hops: Vec<usize>,
+}
+
+impl RouteScratch {
+    fn new(tiles: usize) -> Self {
+        RouteScratch {
+            tiles: TileState {
+                search: 0,
+                reached: vec![0; tiles],
+                dist: vec![0; tiles],
+                prev: vec![0; tiles],
+                net: 0,
+                in_tree: vec![0; tiles],
+                hops: vec![0; tiles],
+            },
+            tree_tiles: Vec::new(),
+            branch: Vec::new(),
+            heap: BinaryHeap::new(),
+            sink_order: Vec::new(),
+        }
+    }
+}
+
+impl TileState {
+    fn in_tree(&self, tile: usize) -> bool {
+        self.in_tree[tile] == self.net
+    }
+
+    /// Expand `node` (at distance `d`) into its four neighbours. Tree tiles
+    /// are the search's sources at distance 0, so nothing improves on them.
+    fn expand(&mut self, state: &ChannelState, node: usize, d: u64, heap: &mut SearchHeap) {
+        let (rows, cols) = (state.rows, state.cols);
+        let (r, c) = (node / cols, node % cols);
+        let mut relax = |ni: usize, cost: u64| {
+            if self.in_tree[ni] == self.net {
+                return;
+            }
+            let nd = d + cost;
+            if self.reached[ni] != self.search || nd < self.dist[ni] {
+                self.reached[ni] = self.search;
+                self.dist[ni] = nd;
+                self.prev[ni] = node;
+                heap.push(Reverse((nd, ni)));
+            }
+        };
+        if r > 0 {
+            relax(node - cols, state.cost_v[node - cols]);
+        }
+        if r + 1 < rows {
+            relax(node + cols, state.cost_v[node]);
+        }
+        if c > 0 {
+            relax(node - 1, state.cost_h[node - 1]);
+        }
+        if c + 1 < cols {
+            relax(node + 1, state.cost_h[node]);
+        }
+    }
+}
+
 /// Route one net as a tree against a frozen congestion snapshot: sinks join
 /// the tree one at a time via a multi-source Dijkstra whose wavefront starts
 /// on every tile already in the tree, so later sinks reuse the trunk built
-/// for earlier ones.
+/// for earlier ones. A search costs O(tree tiles + tiles explored) and
+/// allocates nothing: all of its state lives in `scratch`.
 fn route_net(
     net: usize,
     source: (usize, usize),
     sinks: &[(usize, usize)],
     state: &ChannelState,
-    capacity: usize,
-    pres_fac: f64,
-    hist_weight: f64,
+    scratch: &mut RouteScratch,
 ) -> RoutingTree {
-    let (rows, cols) = (state.rows, state.cols);
-    let n = rows * cols;
-    let tile = |r: usize, c: usize| r * cols + c;
+    let cols = state.cols;
+    let tile = |(r, c): (usize, usize)| r * cols + c;
+    let RouteScratch {
+        tiles,
+        tree_tiles,
+        branch,
+        heap,
+        sink_order,
+    } = scratch;
 
-    let mut in_tree = vec![false; n];
-    in_tree[tile(source.0, source.1)] = true;
+    tiles.net += 1;
+    tree_tiles.clear();
+    tree_tiles.push(tile(source));
+    tiles.in_tree[tile(source)] = tiles.net;
+    tiles.hops[tile(source)] = 0;
     let mut tree_edges: Vec<RouteEdge> = Vec::new();
 
     // Deterministic sink order: nearest first, ties by net order. Routing
     // close sinks first grows the trunk outward, which later sinks reuse.
-    let mut order: Vec<usize> = (0..sinks.len()).collect();
-    order.sort_by_key(|&i| {
+    sink_order.clear();
+    sink_order.extend(0..sinks.len());
+    sink_order.sort_by_key(|&i| {
         let (r, c) = sinks[i];
         (r.abs_diff(source.0) + c.abs_diff(source.1), i)
     });
 
-    let mut dist: Vec<u64> = vec![u64::MAX; n];
-    let mut prev: Vec<usize> = vec![usize::MAX; n];
-    for &sink_index in &order {
-        let (tr, tc) = sinks[sink_index];
-        let target = tile(tr, tc);
-        if in_tree[target] {
+    for &sink_index in sink_order.iter() {
+        let target = tile(sinks[sink_index]);
+        if tiles.in_tree(target) {
             continue;
         }
 
-        dist.fill(u64::MAX);
-        prev.fill(usize::MAX);
-        let mut heap: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::new();
-        for (node, _) in in_tree.iter().enumerate().filter(|(_, &t)| t) {
-            dist[node] = 0;
-            heap.push(Reverse((0, node)));
+        tiles.search += 1;
+        heap.clear();
+        // A heap seeded with every tree tile at distance 0 would pop them
+        // all, in ascending tile order, before any other entry (a segment
+        // costs at least 1) — so expand them in that order directly and let
+        // the heap hold only the tiles beyond the tree.
+        for &node in tree_tiles.iter() {
+            tiles.expand(state, node, 0, heap);
         }
+        // Heap entries are `(cost, tile)` and totally ordered, so the pop
+        // sequence depends only on which entries were pushed, never on the
+        // order they were pushed in.
         while let Some(Reverse((d, node))) = heap.pop() {
-            if d > dist[node] {
+            if d > tiles.dist[node] {
                 continue;
             }
             if node == target {
                 break;
             }
-            let (r, c) = (node / cols, node % cols);
-            let neighbours = [
-                (r.wrapping_sub(1), c),
-                (r + 1, c),
-                (r, c.wrapping_sub(1)),
-                (r, c + 1),
-            ];
-            for (nr, nc) in neighbours {
-                if nr >= rows || nc >= cols {
-                    continue;
-                }
-                let edge = edge_between((r, c), (nr, nc));
-                let nd = d + state.edge_cost(edge, capacity, pres_fac, hist_weight);
-                let ni = tile(nr, nc);
-                if nd < dist[ni] {
-                    dist[ni] = nd;
-                    prev[ni] = node;
-                    heap.push(Reverse((nd, ni)));
-                }
-            }
+            tiles.expand(state, node, d, heap);
         }
 
         // Walk back from the sink until the existing tree, collecting the
         // new branch.
+        debug_assert_eq!(
+            tiles.reached[target], tiles.search,
+            "grid searches always reach the sink"
+        );
+        branch.clear();
         let mut node = target;
-        while !in_tree[node] {
-            let p = prev[node];
-            debug_assert_ne!(p, usize::MAX, "grid searches always reach the sink");
+        while !tiles.in_tree(node) {
+            let p = tiles.prev[node];
             tree_edges.push(edge_between(
                 (p / cols, p % cols),
                 (node / cols, node % cols),
             ));
-            in_tree[node] = true;
+            branch.push(node);
             node = p;
         }
+        // `node` is where the branch joins the tree; every tree edge costs
+        // one hop, so hops count up from there towards the sink.
+        let mut branch_hops = tiles.hops[node];
+        for &joined in branch.iter().rev() {
+            branch_hops += 1;
+            tiles.in_tree[joined] = tiles.net;
+            tiles.hops[joined] = branch_hops;
+        }
+        tree_tiles.extend_from_slice(branch);
+        tree_tiles.sort_unstable();
     }
 
-    let sink_hops = tree_hops(source, sinks, &tree_edges, rows, cols);
+    let sink_hops = sinks
+        .iter()
+        .map(|&s| {
+            debug_assert!(tiles.in_tree(tile(s)), "every sink is in its tree");
+            tiles.hops[tile(s)]
+        })
+        .collect();
     RoutingTree {
         net,
         source,
@@ -577,44 +741,6 @@ fn edge_between(a: (usize, usize), b: (usize, usize)) -> RouteEdge {
             col: a.1,
         }
     }
-}
-
-/// Hops from the source to each sink over the tree's edges (BFS, since every
-/// tree edge costs one hop).
-fn tree_hops(
-    source: (usize, usize),
-    sinks: &[(usize, usize)],
-    edges: &[RouteEdge],
-    rows: usize,
-    cols: usize,
-) -> Vec<usize> {
-    let n = rows * cols;
-    let tile = |(r, c): (usize, usize)| r * cols + c;
-    let mut adjacency: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for edge in edges {
-        let (a, b) = edge.endpoints();
-        adjacency[tile(a)].push(tile(b));
-        adjacency[tile(b)].push(tile(a));
-    }
-    let mut hops = vec![usize::MAX; n];
-    let mut queue = std::collections::VecDeque::from([tile(source)]);
-    hops[tile(source)] = 0;
-    while let Some(node) = queue.pop_front() {
-        for &next in &adjacency[node] {
-            if hops[next] == usize::MAX {
-                hops[next] = hops[node] + 1;
-                queue.push_back(next);
-            }
-        }
-    }
-    sinks
-        .iter()
-        .map(|&s| {
-            let h = hops[tile(s)];
-            debug_assert_ne!(h, usize::MAX, "every sink is connected to its tree");
-            h
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -686,7 +812,7 @@ mod tests {
         let high_fanout = netlist
             .nets()
             .iter()
-            .position(|n| n.sinks.len() >= 4)
+            .position(|n| n.sinks().len() >= 4)
             .expect("LeNet has CLB control nets with fanout >= 4");
         let tree = &result.trees[high_fanout];
         let tree_path_sum: usize = tree.sink_hops.iter().sum();

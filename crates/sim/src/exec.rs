@@ -74,7 +74,9 @@ use fpsa_nn::reference::{pooled_window_real, requantize_mac};
 use fpsa_nn::seeds;
 use fpsa_nn::{ComputationalGraph, GraphParameters, NnError, NodeId, Operator, TensorShape};
 use fpsa_obs::{SpanId, Tracer};
-use fpsa_synthesis::{weights, CoreOpGraph, CoreOpKind, GroupId};
+use fpsa_synthesis::{
+    bucket_by_key, weights, Adjacency, CoreOpGraph, CoreOpKind, GroupId, Neighbor,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rayon::prelude::*;
@@ -486,8 +488,22 @@ impl Executor {
         noise_group_offset: usize,
     ) -> Result<Executor, ExecError> {
         let shapes = graph.infer_shapes()?;
-        verify_schedule_order(core, mapping)?;
-        verify_transport(core, mapping)?;
+        let groups = core.len();
+        if core
+            .edges()
+            .iter()
+            .any(|&(u, v)| u >= groups || v >= groups)
+        {
+            return Err(mismatch(
+                "a core-graph edge names a group outside the graph",
+            ));
+        }
+        let adjacency = core.adjacency();
+        // Per core-graph edge: the buffered edge of the schedule that claims
+        // it, or `Adjacency::UNMATCHED` for a direct PE→PE edge.
+        let buffered = adjacency.match_edges(&mapping.schedule.buffered_edges);
+        verify_schedule_order(core, mapping, &buffered)?;
+        verify_transport(core, &adjacency, mapping, &buffered)?;
 
         let plan = match precision {
             Precision::Integer(plan) => {
@@ -626,7 +642,7 @@ impl Executor {
                 }
                 (CoreOpKind::Reduction, _) => {
                     let mut sources = Vec::new();
-                    for pred in core.predecessors(gid) {
+                    for pred in adjacency.predecessors(gid).iter().map(Neighbor::group) {
                         let p = &core.groups()[pred];
                         if p.source_node != g.source_node {
                             return Err(mismatch(format!(
@@ -672,9 +688,10 @@ impl Executor {
                 }
                 (CoreOpKind::Pooling, Operator::MaxPool2d { kernel, stride }) => {
                     // Stage 2 tiles have a same-node pooling predecessor.
-                    let stage1 = core
+                    let stage1 = adjacency
                         .predecessors(gid)
-                        .into_iter()
+                        .iter()
+                        .map(Neighbor::group)
                         .find(|&p| core.groups()[p].source_node == g.source_node);
                     match stage1 {
                         Some(source) => (ProgramKind::MaxStage2 { source }, true, false),
@@ -683,9 +700,10 @@ impl Executor {
                             // (the approximation MLP), but its functional
                             // output is the paired stage-2 tile's block of
                             // window maxima.
-                            let stage2 = core
+                            let stage2 = adjacency
                                 .successors(gid)
-                                .into_iter()
+                                .iter()
+                                .map(Neighbor::group)
                                 .find(|&s| core.groups()[s].source_node == g.source_node)
                                 .ok_or_else(|| {
                                     mismatch(format!(
@@ -1926,17 +1944,21 @@ fn schedule_order(mapping: &Mapping) -> Vec<GroupId> {
 
 /// Every dependency must execute strictly before its consumer under the
 /// start-cycle interpretation the executor uses, and buffered edges must not
-/// overlap their producer at all.
-fn verify_schedule_order(core: &CoreOpGraph, mapping: &Mapping) -> Result<(), ExecError> {
+/// overlap their producer at all. `buffered` is the per-edge claim table of
+/// [`Adjacency::match_edges`] over the schedule's buffered edges.
+fn verify_schedule_order(
+    core: &CoreOpGraph,
+    mapping: &Mapping,
+    buffered: &[u32],
+) -> Result<(), ExecError> {
     let schedule = &mapping.schedule;
-    let buffered: HashSet<(GroupId, GroupId)> = schedule.buffered_edges.iter().copied().collect();
-    for &(u, v) in core.edges() {
+    for (&(u, v), &claim) in core.edges().iter().zip(buffered) {
         let (Some(pu), Some(pv)) = (schedule.entry(u), schedule.entry(v)) else {
             return Err(mismatch(format!(
                 "schedule misses entries for edge {u}->{v}"
             )));
         };
-        let ordered = if buffered.contains(&(u, v)) {
+        let ordered = if claim != Adjacency::UNMATCHED {
             pv.start_cycle > pu.end_cycle
         } else {
             pv.start_cycle > pu.start_cycle
@@ -1953,53 +1975,110 @@ fn verify_schedule_order(core: &CoreOpGraph, mapping: &Mapping) -> Result<(), Ex
 
 /// Every core-graph edge must be carried by netlist nets: direct PE→PE nets
 /// covering every consumer duplicate (round-robin over producer duplicates),
-/// or producer→SMB→consumer nets for buffered edges.
-fn verify_transport(core: &CoreOpGraph, mapping: &Mapping) -> Result<(), ExecError> {
+/// or producer→SMB→consumer nets for buffered edges. The netlist is taken as
+/// found (it may have been assembled by hand), so its blocks and connections
+/// are indexed here rather than assumed to sit where `Netlist::build` puts
+/// them: PE blocks by group offset then duplicate, SMBs by the edge they
+/// buffer, connections as sorted rows per source block.
+fn verify_transport(
+    core: &CoreOpGraph,
+    adjacency: &Adjacency,
+    mapping: &Mapping,
+    buffered: &[u32],
+) -> Result<(), ExecError> {
     let netlist = &mapping.netlist;
-    let mut pe_block: HashMap<(GroupId, u64), usize> = HashMap::new();
-    let mut smb_block: HashMap<(GroupId, GroupId), usize> = HashMap::new();
-    for (i, block) in netlist.blocks().iter().enumerate() {
-        match *block {
-            NetlistBlock::Pe { group, duplicate } => {
-                pe_block.insert((group, duplicate), i);
-            }
-            NetlistBlock::Smb { from, to } => {
-                smb_block.insert((from, to), i);
-            }
-            NetlistBlock::Clb { .. } => {}
+    let groups = core.len();
+
+    // (group, duplicate) → block: PE blocks bucketed by group (anything else
+    // in a spare bucket nobody reads), each group's row ordered by duplicate.
+    let blocks = netlist.blocks();
+    let group_of = |block: &NetlistBlock| match *block {
+        NetlistBlock::Pe { group, .. } if group < groups => group,
+        _ => groups,
+    };
+    let (pe_start, by_group) = bucket_by_key(groups + 1, blocks.iter().map(group_of));
+    let mut pes: Vec<(u64, usize)> = by_group[..pe_start[groups]]
+        .iter()
+        .map(|&i| match blocks[i] {
+            NetlistBlock::Pe { duplicate, .. } => (duplicate, i),
+            _ => unreachable!("only PE blocks are bucketed below `groups`"),
+        })
+        .collect();
+    for g in 0..groups {
+        pes[pe_start[g]..pe_start[g + 1]].sort_unstable();
+    }
+    let pe_block = |group: GroupId, duplicate: u64| {
+        let row = &pes[pe_start[group]..pe_start[group + 1]];
+        row.binary_search_by_key(&duplicate, |&(d, _)| d)
+            .ok()
+            .map(|at| row[at].1)
+    };
+
+    // (from, to) → SMB block, per core-graph edge. Listing the SMBs last
+    // first makes the last block of a repeated pair win, as a map would.
+    let (smb_pairs, smb_blocks): (Vec<(GroupId, GroupId)>, Vec<usize>) = blocks
+        .iter()
+        .enumerate()
+        .rev()
+        .filter_map(|(i, block)| match *block {
+            NetlistBlock::Smb { from, to } => Some(((from, to), i)),
+            _ => None,
+        })
+        .unzip();
+    let smb_of_edge = adjacency.match_edges(&smb_pairs);
+
+    // (source block, sink block) membership: one sorted row per source.
+    let mut row_start = vec![0usize; netlist.len() + 1];
+    for net in netlist.nets().iter() {
+        row_start[net.source() + 1] += net.sinks().len();
+    }
+    for b in 0..netlist.len() {
+        row_start[b + 1] += row_start[b];
+    }
+    let mut row_fill = row_start.clone();
+    let mut rows = vec![0usize; row_start[netlist.len()]];
+    for net in netlist.nets().iter() {
+        let at = &mut row_fill[net.source()];
+        for sink in net.sinks() {
+            rows[*at] = sink;
+            *at += 1;
         }
     }
-    let connections: HashSet<(usize, usize)> = netlist
-        .nets()
-        .iter()
-        .flat_map(|net| net.sinks.iter().map(move |&s| (net.source, s)))
-        .collect();
-    let buffered: HashSet<(GroupId, GroupId)> =
-        mapping.schedule.buffered_edges.iter().copied().collect();
+    for b in 0..netlist.len() {
+        rows[row_start[b]..row_start[b + 1]].sort_unstable();
+    }
+    let connected = |source: usize, sink: usize| {
+        rows[row_start[source]..row_start[source + 1]]
+            .binary_search(&sink)
+            .is_ok()
+    };
 
-    for &(u, v) in core.edges() {
+    for (e, &(u, v)) in core.edges().iter().enumerate() {
         let du = mapping.allocation.per_group.get(u).copied().unwrap_or(1);
         let dv = mapping.allocation.per_group.get(v).copied().unwrap_or(1);
         let missing = || ExecError::MissingTransport { from: u, to: v };
-        if buffered.contains(&(u, v)) {
-            let &smb = smb_block.get(&(u, v)).ok_or_else(missing)?;
+        if buffered[e] != Adjacency::UNMATCHED {
+            let smb = match smb_of_edge[e] {
+                Adjacency::UNMATCHED => return Err(missing()),
+                listed => smb_blocks[listed as usize],
+            };
             for d in 0..du {
-                let &pe = pe_block.get(&(u, d)).ok_or_else(missing)?;
-                if !connections.contains(&(pe, smb)) {
+                let pe = pe_block(u, d).ok_or_else(missing)?;
+                if !connected(pe, smb) {
                     return Err(missing());
                 }
             }
             for d in 0..dv {
-                let &pe = pe_block.get(&(v, d)).ok_or_else(missing)?;
-                if !connections.contains(&(smb, pe)) {
+                let pe = pe_block(v, d).ok_or_else(missing)?;
+                if !connected(smb, pe) {
                     return Err(missing());
                 }
             }
         } else {
             for d in 0..dv {
-                let &src = pe_block.get(&(u, d % du)).ok_or_else(missing)?;
-                let &dst = pe_block.get(&(v, d)).ok_or_else(missing)?;
-                if !connections.contains(&(src, dst)) {
+                let src = pe_block(u, d % du).ok_or_else(missing)?;
+                let dst = pe_block(v, d).ok_or_else(missing)?;
+                if !connected(src, dst) {
                     return Err(missing());
                 }
             }
@@ -2213,6 +2292,30 @@ mod tests {
         mapping.schedule.entries[consumer].start_cycle = 0;
         let err = Executor::bind(&graph, &params, &core, &mapping, &Precision::Float).unwrap_err();
         assert!(matches!(err, ExecError::ScheduleOrder { .. }), "{err}");
+    }
+
+    #[test]
+    fn a_cyclic_core_graph_maps_without_panic_and_is_rejected_at_bind() {
+        let graph = zoo::tiny_mlp();
+        let params = GraphParameters::seeded(&graph, 0);
+        let (mut core, _) = compile(&graph, 1);
+        // Close a 2-cycle over the first dependency.
+        let (producer, consumer) = core.edges()[0];
+        core.add_edge(consumer, producer);
+        let mapping = Mapper::new(64, AllocationPolicy::DuplicationDegree(1)).map(&core);
+        assert_eq!(mapping.schedule.entries.len(), core.len());
+        let err = Executor::bind(&graph, &params, &core, &mapping, &Precision::Float).unwrap_err();
+        assert!(matches!(err, ExecError::ScheduleOrder { .. }), "{err}");
+    }
+
+    #[test]
+    fn a_core_graph_edge_outside_the_graph_is_a_typed_mismatch() {
+        let graph = zoo::tiny_mlp();
+        let params = GraphParameters::seeded(&graph, 0);
+        let (mut core, mapping) = compile(&graph, 1);
+        core.add_edge(0, core.len());
+        let err = Executor::bind(&graph, &params, &core, &mapping, &Precision::Float).unwrap_err();
+        assert!(matches!(err, ExecError::ModelMismatch { .. }), "{err}");
     }
 
     /// The three numeric regimes the reuse tests cycle through.

@@ -160,22 +160,14 @@ impl CoreOpGraph {
         self.groups.is_empty()
     }
 
-    /// Groups that feed `id`.
-    pub fn predecessors(&self, id: GroupId) -> Vec<GroupId> {
-        self.edges
-            .iter()
-            .filter(|(_, t)| *t == id)
-            .map(|(f, _)| *f)
-            .collect()
-    }
-
-    /// Groups fed by `id`.
-    pub fn successors(&self, id: GroupId) -> Vec<GroupId> {
-        self.edges
-            .iter()
-            .filter(|(f, _)| *f == id)
-            .map(|(_, t)| *t)
-            .collect()
+    /// The CSR adjacency of the current edge list, built in O(groups + edges).
+    ///
+    /// # Panics
+    ///
+    /// Panics if an edge names a group outside the graph, or if the graph
+    /// has more than `u32::MAX` groups or edges.
+    pub fn adjacency(&self) -> Adjacency {
+        Adjacency::build(self.groups.len(), &self.edges)
     }
 
     /// Total number of individual core-ops.
@@ -268,6 +260,192 @@ impl CoreOpGraph {
     }
 }
 
+/// One adjacency entry: the group on the other end of an edge, and that
+/// edge's position in [`CoreOpGraph::edges`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Neighbor {
+    group: u32,
+    edge: u32,
+}
+
+impl Neighbor {
+    /// The neighbouring group.
+    pub fn group(&self) -> GroupId {
+        self.group as GroupId
+    }
+
+    /// Index of the connecting edge in [`CoreOpGraph::edges`].
+    pub fn edge(&self) -> usize {
+        self.edge as usize
+    }
+}
+
+/// Compressed-sparse-row adjacency of a [`CoreOpGraph`]: every group's
+/// predecessors and successors as one contiguous slice each, in edge-list
+/// order (parallel edges appear once per occurrence). This is the index the
+/// mapper's scheduler and netlist builder and the executor's bind traverse;
+/// it is a snapshot — edges added afterwards are not reflected.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct Adjacency {
+    pred_start: Vec<u32>,
+    preds: Vec<Neighbor>,
+    succ_start: Vec<u32>,
+    succs: Vec<Neighbor>,
+}
+
+impl Adjacency {
+    /// The "no pair" value of [`Adjacency::match_edges`].
+    pub const UNMATCHED: u32 = u32::MAX;
+
+    fn build(groups: usize, edges: &[(GroupId, GroupId)]) -> Self {
+        assert!(
+            u32::try_from(groups).is_ok() && u32::try_from(edges.len()).is_ok(),
+            "core-op graph exceeds the u32 index space"
+        );
+        let mut pred_start = vec![0u32; groups + 1];
+        let mut succ_start = vec![0u32; groups + 1];
+        for (i, &(u, v)) in edges.iter().enumerate() {
+            assert!(
+                u < groups && v < groups,
+                "edge {i} ({u} -> {v}) names a group outside the graph ({groups} groups)"
+            );
+            succ_start[u + 1] += 1;
+            pred_start[v + 1] += 1;
+        }
+        for i in 0..groups {
+            pred_start[i + 1] += pred_start[i];
+            succ_start[i + 1] += succ_start[i];
+        }
+        // Counting sort: walking the edge list in order keeps every group's
+        // slice in edge-list order.
+        let blank = Neighbor { group: 0, edge: 0 };
+        let mut preds = vec![blank; edges.len()];
+        let mut succs = vec![blank; edges.len()];
+        let mut pred_fill = pred_start.clone();
+        let mut succ_fill = succ_start.clone();
+        for (i, &(u, v)) in edges.iter().enumerate() {
+            let edge = i as u32;
+            preds[pred_fill[v] as usize] = Neighbor {
+                group: u as u32,
+                edge,
+            };
+            pred_fill[v] += 1;
+            succs[succ_fill[u] as usize] = Neighbor {
+                group: v as u32,
+                edge,
+            };
+            succ_fill[u] += 1;
+        }
+        Adjacency {
+            pred_start,
+            preds,
+            succ_start,
+            succs,
+        }
+    }
+
+    /// Number of groups indexed.
+    pub fn len(&self) -> usize {
+        self.pred_start.len().saturating_sub(1)
+    }
+
+    /// Whether the adjacency covers no groups.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Number of edges indexed.
+    pub fn edge_count(&self) -> usize {
+        self.preds.len()
+    }
+
+    /// Groups that feed `id`, in edge-list order.
+    pub fn predecessors(&self, id: GroupId) -> &[Neighbor] {
+        &self.preds[self.in_edge_slots(id)]
+    }
+
+    /// Groups fed by `id`, in edge-list order.
+    pub fn successors(&self, id: GroupId) -> &[Neighbor] {
+        &self.succs[self.succ_start[id] as usize..self.succ_start[id + 1] as usize]
+    }
+
+    /// For every edge, by its index in [`CoreOpGraph::edges`]: the index of
+    /// the first of `pairs` equal to the edge's `(producer, consumer)`, or
+    /// [`Adjacency::UNMATCHED`]. Parallel edges match alike; pairs naming no
+    /// edge (or no group) match nothing. O(groups + pairs + edges) — the
+    /// set-membership query "which edges are buffered" without hashing.
+    pub fn match_edges(&self, pairs: &[(GroupId, GroupId)]) -> Vec<u32> {
+        let n = self.len();
+        assert!(
+            u32::try_from(pairs.len()).is_ok_and(|len| len != Self::UNMATCHED),
+            "pair list exceeds the u32 index space"
+        );
+        // Bucket the pairs by consumer (pairs outside the graph go to a spare
+        // bucket nobody reads), then per consumer stamp its listed producers
+        // and read the stamps back along its in-edges.
+        let consumer = |&(u, v): &(GroupId, GroupId)| if u < n && v < n { v } else { n };
+        let (bucket_start, bucket) = bucket_by_key(n + 1, pairs.iter().map(consumer));
+        // `stamp[u] == v` while consumer `v` is being resolved and `(u, v)`
+        // is listed; `first[u]` is then its first listing.
+        let mut stamp = vec![Self::UNMATCHED; n];
+        let mut first = vec![0u32; n];
+        let mut matched = vec![Self::UNMATCHED; self.edge_count()];
+        for v in 0..n {
+            let listed = &bucket[bucket_start[v]..bucket_start[v + 1]];
+            if listed.is_empty() {
+                continue;
+            }
+            let tag = v as u32;
+            for &i in listed {
+                let u = pairs[i].0;
+                if stamp[u] != tag {
+                    stamp[u] = tag;
+                    first[u] = i as u32;
+                }
+            }
+            for p in self.predecessors(v) {
+                if stamp[p.group()] == tag {
+                    matched[p.edge()] = first[p.group()];
+                }
+            }
+        }
+        matched
+    }
+
+    /// The positions `predecessors(id)` occupies in the flat in-edge array
+    /// (`0..edge_count()`): the key for per-in-edge side tables.
+    pub fn in_edge_slots(&self, id: GroupId) -> std::ops::Range<usize> {
+        self.pred_start[id] as usize..self.pred_start[id + 1] as usize
+    }
+}
+
+/// Counting sort of the positions `0..keys.len()` by key (`< buckets`):
+/// returns `(start, positions)` where `positions[start[k]..start[k + 1]]` are
+/// the positions whose key is `k`, in ascending order. O(buckets + keys).
+///
+/// # Panics
+///
+/// Panics if a key is not below `buckets`.
+pub fn bucket_by_key(
+    buckets: usize,
+    keys: impl Iterator<Item = usize> + Clone,
+) -> (Vec<usize>, Vec<usize>) {
+    let mut start = vec![0usize; buckets + 1];
+    for key in keys.clone() {
+        start[key + 1] += 1;
+    }
+    for k in 0..buckets {
+        start[k + 1] += start[k];
+    }
+    let mut fill = start.clone();
+    let mut positions = vec![0usize; start[buckets]];
+    for (position, key) in keys.enumerate() {
+        positions[fill[key]] = position;
+        fill[key] += 1;
+    }
+    (start, positions)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -309,9 +487,21 @@ mod tests {
     #[test]
     fn adjacency_queries_work() {
         let g = sample_graph();
-        assert_eq!(g.successors(0), vec![1, 2]);
-        assert_eq!(g.predecessors(2), vec![0]);
-        assert!(g.predecessors(0).is_empty());
+        let adj = g.adjacency();
+        let groups = |ns: &[Neighbor]| ns.iter().map(Neighbor::group).collect::<Vec<_>>();
+        assert_eq!(groups(adj.successors(0)), vec![1, 2]);
+        assert_eq!(groups(adj.predecessors(2)), vec![0]);
+        assert_eq!(adj.predecessors(2)[0].edge(), 1);
+        assert!(adj.predecessors(0).is_empty());
+        assert_eq!((adj.len(), adj.edge_count()), (3, 2));
+    }
+
+    #[test]
+    fn bucketing_is_a_stable_counting_sort() {
+        let keys = [2usize, 0, 2, 1, 0, 2];
+        let (start, positions) = bucket_by_key(4, keys.iter().copied());
+        assert_eq!(start, vec![0, 2, 3, 6, 6]);
+        assert_eq!(positions, vec![1, 4, 3, 0, 2, 5]);
     }
 
     #[test]

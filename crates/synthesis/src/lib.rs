@@ -28,6 +28,8 @@ pub mod lower;
 pub mod synthesizer;
 pub mod weights;
 
-pub use coreop::{CoreOp, CoreOpGraph, CoreOpGroup, CoreOpKind, GroupId};
+pub use coreop::{
+    bucket_by_key, Adjacency, CoreOp, CoreOpGraph, CoreOpGroup, CoreOpKind, GroupId, Neighbor,
+};
 pub use synthesizer::{NeuralSynthesizer, SynthesisConfig};
 pub use weights::{vmm_tile_matrix, weight_input_dim};

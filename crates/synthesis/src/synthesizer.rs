@@ -234,9 +234,10 @@ mod tests {
             .filter(|g| g.layer_depth > 0)
             .map(|g| g.id)
             .collect();
+        let adjacency = core.adjacency();
         for id in depth0 {
             assert!(
-                !core.predecessors(id).is_empty(),
+                !adjacency.predecessors(id).is_empty(),
                 "group {id} has no predecessors"
             );
         }
