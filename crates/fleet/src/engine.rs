@@ -1,15 +1,15 @@
 //! The fleet engine: one request front door over many co-located models.
 //!
-//! A [`FleetEngine`] owns a packed [`FleetPlacement`] and runs one worker
-//! pool per fabric, mirroring `fpsa_serve::ServeEngine`'s queue discipline
-//! one tier up:
+//! A [`FleetEngine`] owns a packed [`FleetPlacement`] and configures the
+//! serving core (`fpsa_serve::core`) one tier above `ServeEngine` — one
+//! station and worker pool per fabric:
 //!
 //! * **routing** — a request for model *m* goes to whichever fabric hosting
 //!   *m* has the shortest queue (ties to the lowest index), so replicated
 //!   models absorb load wherever there is room;
-//! * **weighted-fair admission** — each fabric queues requests in a
-//!   [`WeightedFairBatcher`], so tenants share a fabric by configured
-//!   weight instead of racing FIFO;
+//! * **weighted-fair admission** — each fabric queues requests in
+//!   weighted-fair lanes, so tenants share a fabric by configured weight
+//!   instead of racing FIFO;
 //! * **bind-handle LRU** — executors are bound lazily per fabric and kept
 //!   in a small LRU cache, so a cold model pays one bind and hot models
 //!   never rebind;
@@ -24,27 +24,27 @@
 //! (`tests/fleet_determinism.rs`).
 
 use std::fmt;
-use std::sync::{mpsc, Arc, Condvar, Mutex};
-use std::thread;
-use std::time::{Duration, Instant};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 
-use fpsa_obs::{Span, SpanId, Tracer};
-use fpsa_serve::{BatchPolicy, Response, ServeError, ServeStats, Ticket, WeightedFairBatcher};
+use fpsa_obs::Tracer;
+use fpsa_serve::{BatchPolicy, Core, CoreConfig, Router, ServeError, ServeStats, Ticket, Tier};
 use fpsa_sim::Executor;
 
 use crate::packer::FleetPlacement;
 use crate::registry::{ModelId, ModelRegistry};
 
 /// A tenant's service-level objective: shed new work once the observed p99
-/// latency exceeds `p99_budget_us` *and* the tenant's queued backlog is
-/// deeper than `shed_depth` (so a blown budget with an empty queue still
-/// admits — serving it cannot worsen the tail).
+/// latency exceeds `p99_budget_us` *and* the tenant's queued backlog across
+/// the fabrics hosting the model has reached `shed_depth`
+/// (`backlog >= shed_depth`). At `shed_depth = 0` a blown budget therefore
+/// sheds even with an empty queue; a tenant that must always be able to
+/// probe its way back under budget needs `shed_depth >= 1`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SloBudget {
     /// The tenant's p99 latency budget in microseconds.
     pub p99_budget_us: u64,
-    /// Queued requests the tenant may hold while violating before sheds
-    /// start.
+    /// Queued backlog at which a violating tenant's new requests are shed.
     pub shed_depth: usize,
 }
 
@@ -173,33 +173,6 @@ impl FleetStats {
     }
 }
 
-/// A queued fleet request (single tenant's lane holds mixed models).
-struct FleetRequest {
-    model: ModelId,
-    input: Vec<f32>,
-    submitted_us: u64,
-    tx: mpsc::Sender<Response>,
-    /// The request's root trace span ([`Span::DISABLED`] when the global
-    /// tracer is off — every later tracing call on it is then a no-op).
-    span: Span,
-    /// The open `queue` child span, closed when a worker claims the batch.
-    queue_span: Span,
-}
-
-/// One fabric's queue behind its mutex.
-struct FabricQueue {
-    queue: WeightedFairBatcher<FleetRequest>,
-    shutdown: bool,
-}
-
-/// One fabric: its queue, wakeup and bind cache (which models it hosts is
-/// the placement's bookkeeping — the router consults `FleetPlacement`).
-struct FabricUnit {
-    state: Mutex<FabricQueue>,
-    work: Condvar,
-    binds: Mutex<BindCache>,
-}
-
 /// A tiny LRU over bound executors: `capacity` live binds per fabric.
 struct BindCache {
     capacity: usize,
@@ -261,82 +234,78 @@ impl BindCache {
     }
 }
 
-/// Bind `model`'s executor from the registry — the cold half of the bind
-/// cache, run without any fabric lock held.
-fn bind_executor(registry: &ModelRegistry, model: ModelId) -> Result<Arc<Executor>, ServeError> {
-    let spec = registry
-        .get(model)
-        .ok_or(ServeError::UnknownModel { model })?;
-    spec.compiled
-        .executor(&spec.graph, &spec.params, &spec.precision)
-        .map(Arc::new)
-        .map_err(ServeError::Exec)
-}
+/// Telemetry names of the fleet tier.
+const FLEET_TIER: Tier = Tier {
+    name: "fleet",
+    hop: "execute",
+    station_arg: "fabric",
+    depth_counter: "fleet.queue_depth",
+};
 
-/// Per-tenant counters behind the stats mutex.
-#[derive(Default)]
-struct TenantState {
-    stats: ServeStats,
-    shed: u64,
-    budget: Option<SloBudget>,
-}
-
-struct StatsState {
-    aggregate: ServeStats,
-    tenants: Vec<TenantState>,
-}
-
-impl StatsState {
-    fn tenant_mut(&mut self, tenant: u16) -> &mut TenantState {
-        let index = usize::from(tenant);
-        while self.tenants.len() <= index {
-            self.tenants.push(TenantState::default());
-        }
-        &mut self.tenants[index]
-    }
-}
-
-/// Everything the fleet's worker threads share.
-struct Shared {
+/// What the executor resolver shares with the engine handle: the models
+/// and one bind-handle LRU per fabric.
+struct Binds {
     registry: ModelRegistry,
-    fabrics: Vec<FabricUnit>,
-    stats: Mutex<StatsState>,
-    started: Instant,
-    /// Cached global-registry handles (`fleet.submitted` …) plus the
-    /// fleet-specific shed counter.
-    counters: fpsa_serve::EngineCounters,
-    shed_counter: fpsa_obs::Counter,
+    caches: Vec<Mutex<BindCache>>,
 }
 
-impl Shared {
-    /// Microseconds since the fleet started (every queue's clock).
-    fn now_us(&self) -> u64 {
-        self.started.elapsed().as_micros() as u64
+impl Binds {
+    /// The executor for `model` on `fabric` — the core's resolver. Cache
+    /// lookup and insert each hold the fabric's bind mutex briefly; the
+    /// bind itself runs unlocked, so a slow cold bind never stalls a
+    /// sibling replica's cache hits on the same fabric.
+    fn resolve(&self, fabric: usize, model: ModelId) -> Result<Arc<Executor>, ServeError> {
+        let cache = &self.caches[fabric];
+        if let Some(exec) = cache.lock().expect("bind cache lock").lookup(model) {
+            return Ok(exec);
+        }
+        let spec = self.registry.get(model);
+        let spec = spec.ok_or(ServeError::UnknownModel { model })?;
+        let exec = spec
+            .compiled
+            .executor(&spec.graph, &spec.params, &spec.precision)
+            .map_err(ServeError::Exec)?;
+        let mut cache = cache.lock().expect("bind cache lock");
+        Ok(cache.insert(model, Arc::new(exec)))
     }
+}
+
+/// One tenant's SLO: its budget and the requests shed under it so far.
+struct Slo {
+    budget: SloBudget,
+    shed: AtomicU64,
 }
 
 /// A multi-tenant, multi-model serving engine over a packed fleet of
-/// fabrics (see the module docs).
+/// fabrics (see the module docs). In terms of `fpsa_serve::core`: one
+/// station per fabric chosen by the shared [`Router`], one weighted-fair
+/// lane per tenant, the bind-handle LRU as executor resolver, and SLO
+/// shedding as the admission check.
 pub struct FleetEngine {
-    shared: Arc<Shared>,
+    core: Core,
+    binds: Arc<Binds>,
+    router: Router,
     placement: FleetPlacement,
-    workers: Vec<thread::JoinHandle<()>>,
     config: FleetConfig,
+    /// Dense by tenant id; `None` = no SLO, never shed.
+    slos: Vec<Option<Slo>>,
+    shed_counter: fpsa_obs::Counter,
 }
 
 impl fmt::Debug for FleetEngine {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("FleetEngine")
             .field("fabrics", &self.placement.fabrics())
-            .field("models", &self.shared.registry.len())
-            .field("workers", &self.workers.len())
+            .field("models", &self.binds.registry.len())
             .finish()
     }
 }
 
 impl FleetEngine {
-    /// Start serving the fleet: `placement` must come from
-    /// [`FleetPlacement::pack`] over the same `registry`.
+    /// Start serving the fleet. `placement` normally comes from
+    /// [`FleetPlacement::pack`] over the same `registry`; a registered
+    /// model its `hosted` lists omit is still served — routed across every
+    /// fabric and bound lazily, exactly as the virtual twin routes it.
     pub fn start(
         registry: ModelRegistry,
         placement: FleetPlacement,
@@ -347,55 +316,39 @@ impl FleetEngine {
             max_batch: config.max_batch.max(1),
             ..config
         };
-        let policy = BatchPolicy::new(config.max_batch, config.batch_window_us);
-        let fabrics = (0..placement.fabrics())
-            .map(|_| {
-                let mut queue = WeightedFairBatcher::new(policy);
-                for &(tenant, weight) in &config.tenant_weights {
-                    queue.set_weight(tenant, weight);
-                }
-                FabricUnit {
-                    state: Mutex::new(FabricQueue {
-                        queue,
-                        shutdown: false,
-                    }),
-                    work: Condvar::new(),
-                    binds: Mutex::new(BindCache::new(config.bind_cache)),
-                }
-            })
-            .collect();
-        let mut stats = StatsState {
-            aggregate: ServeStats::default(),
-            tenants: Vec::new(),
-        };
-        for &(tenant, slo) in &config.slos {
-            stats.tenant_mut(tenant).budget = Some(slo);
-        }
-        let shared = Arc::new(Shared {
+        let router = Router::new(&placement.hosted);
+        let cache = || Mutex::new(BindCache::new(config.bind_cache));
+        let binds = Arc::new(Binds {
             registry,
-            fabrics,
-            stats: Mutex::new(stats),
-            started: Instant::now(),
-            counters: fpsa_serve::EngineCounters::for_tier("fleet"),
-            shed_counter: fpsa_obs::Registry::global().counter("fleet.shed"),
+            caches: (0..router.stations()).map(|_| cache()).collect(),
         });
-        let mut workers = Vec::with_capacity(placement.fabrics() * config.replicas_per_fabric);
-        for fabric in 0..placement.fabrics() {
-            for replica in 0..config.replicas_per_fabric {
-                let shared = Arc::clone(&shared);
-                workers.push(
-                    thread::Builder::new()
-                        .name(format!("fpsa-fleet-{fabric}-{replica}"))
-                        .spawn(move || worker_loop(&shared, fabric))
-                        .expect("fleet worker threads spawn"),
-                );
-            }
+        let mut slos = Vec::new();
+        for &(tenant, budget) in &config.slos {
+            let index = usize::from(tenant);
+            slos.resize_with(slos.len().max(index + 1), || None);
+            let shed = AtomicU64::new(0);
+            slos[index] = Some(Slo { budget, shed });
         }
+        let resolver = Arc::clone(&binds);
+        let core = Core::start(
+            CoreConfig {
+                tier: FLEET_TIER,
+                stations: router.stations(),
+                chain: false,
+                replicas: config.replicas_per_fabric,
+                policy: BatchPolicy::new(config.max_batch, config.batch_window_us),
+                lane_weights: config.tenant_weights.clone(),
+            },
+            Box::new(move |fabric, model| resolver.resolve(fabric, model)),
+        );
         FleetEngine {
-            shared,
+            core,
+            binds,
+            router,
             placement,
-            workers,
             config,
+            slos,
+            shed_counter: fpsa_obs::Registry::global().counter("fleet.shed"),
         }
     }
 
@@ -411,7 +364,7 @@ impl FleetEngine {
 
     /// The registry the fleet serves.
     pub fn registry(&self) -> &ModelRegistry {
-        &self.shared.registry
+        &self.binds.registry
     }
 
     /// Enqueue one request for `model` on behalf of `tenant`; never blocks
@@ -419,148 +372,56 @@ impl FleetEngine {
     /// post-shutdown submissions resolve the ticket immediately with the
     /// typed error instead of poisoning a batch.
     pub fn submit(&self, tenant: u16, model: ModelId, input: Vec<f32>) -> Ticket {
-        let Some(spec) = self.shared.registry.get(model) else {
-            return self.reject(tenant, ServeError::UnknownModel { model });
+        let args = [("tenant", i64::from(tenant)), ("model", i64::from(model))];
+        // The depth read is a heuristic — racing submitters may both pick
+        // the same fabric — but admission order per fabric is serialized
+        // by its queue lock.
+        let route = |()| self.router.route(model, |f| self.core.queued(f, None));
+        let fabric = self.admit(tenant, model, input.len()).map(route);
+        self.core
+            .submit(tenant, &args, fabric.map(|f| (f, model, input)))
+    }
+
+    /// The fleet's admission check: a known model, a well-formed input,
+    /// and SLO control — a tenant past its p99 budget with a deep enough
+    /// backlog on the model's fabrics is shed before it can queue.
+    fn admit(&self, tenant: u16, model: ModelId, got: usize) -> Result<(), ServeError> {
+        let spec = self.binds.registry.get(model);
+        let spec = spec.ok_or(ServeError::UnknownModel { model })?;
+        if let Some(want) = spec.input_len().filter(|&want| got != want) {
+            return Err(ServeError::InputLength { got, want });
+        }
+        let Some(Some(slo)) = self.slos.get(usize::from(tenant)) else {
+            return Ok(());
         };
-        if let Some(want) = spec.input_len() {
-            if input.len() != want {
-                return self.reject(
-                    tenant,
-                    ServeError::InputLength {
-                        got: input.len(),
-                        want,
-                    },
-                );
-            }
+        let budget_us = slo.budget.p99_budget_us;
+        let p99_us = self.core.lane_p99_latency_us(tenant);
+        if p99_us <= budget_us {
+            return Ok(());
         }
-        let hosts = self.placement.hosts_of(model);
-        debug_assert!(!hosts.is_empty(), "packed placement hosts every model");
-
-        // SLO admission control: a tenant past its p99 budget with a deep
-        // enough backlog is shed before it can queue.
-        if let Some((budget, p99)) = self.blown_budget(tenant) {
-            let backlog: usize = hosts
-                .iter()
-                .map(|&f| {
-                    let state = self.shared.fabrics[f].state.lock().expect("fabric lock");
-                    state.queue.tenant_len(tenant)
-                })
-                .sum();
-            if backlog >= budget.shed_depth {
-                let err = ServeError::Shed {
-                    tenant,
-                    p99_us: p99,
-                    budget_us: budget.p99_budget_us,
-                };
-                // The typed-error telemetry hook: mark the decision on the
-                // timeline and persist the flight-recorder postmortem (the
-                // last queue-depth samples and spans before the shed).
-                let tracer = Tracer::global();
-                if tracer.enabled() {
-                    tracer.instant(
-                        "shed",
-                        "fleet",
-                        self.shared.now_us(),
-                        &[("tenant", i64::from(tenant)), ("backlog", backlog as i64)],
-                    );
-                    fpsa_obs::flight_dump_on_error(
-                        "fleet.shed",
-                        &[
-                            ("tenant", i64::from(tenant)),
-                            ("p99_us", p99 as i64),
-                            ("budget_us", budget.p99_budget_us as i64),
-                            ("backlog", backlog as i64),
-                        ],
-                    );
-                }
-                let mut stats = self.shared.stats.lock().expect("stats lock");
-                stats.tenant_mut(tenant).shed += 1;
-                fpsa_obs::Registry::global().inc(self.shared.shed_counter);
-                return Self::count_rejection(&self.shared, &mut stats, tenant, err);
-            }
+        let queued = |&f: &usize| self.core.queued(f, Some(tenant));
+        let backlog: usize = self.router.hosts(model).iter().map(queued).sum();
+        if backlog < slo.budget.shed_depth {
+            return Ok(());
         }
-
-        // Route to the hosting fabric with the shortest queue (ties to the
-        // lowest index). The read is a heuristic — racing submitters may
-        // both pick the same fabric — but admission order per fabric is
-        // still serialized by its queue lock.
-        let fabric = hosts
-            .iter()
-            .copied()
-            .min_by_key(|&f| {
-                let state = self.shared.fabrics[f].state.lock().expect("fabric lock");
-                (state.queue.len(), f)
-            })
-            .expect("hosts non-empty");
-
-        // One relaxed load when tracing is off; the routing decision and
-        // the request's queue span open outside the fabric lock.
+        // The typed-error telemetry hook: mark the decision on the
+        // timeline and persist the flight-recorder postmortem (the last
+        // queue-depth samples and spans before the shed).
         let tracer = Tracer::global();
-        let (span, queue_span) = if tracer.enabled() {
-            let ts = tracer.now_us();
-            let span = tracer.enter_with(
-                "request",
-                "fleet",
-                ts,
-                SpanId::NONE,
-                &[("tenant", i64::from(tenant)), ("model", i64::from(model))],
-            );
-            tracer.record(&span, "fabric", fabric as i64, ts);
-            let queue_span = tracer.enter("queue", "fleet", ts, span.id);
-            (span, queue_span)
-        } else {
-            (Span::DISABLED, Span::DISABLED)
-        };
-        let (tx, ticket) = Ticket::channel();
-        let unit = &self.shared.fabrics[fabric];
-        {
-            let mut state = unit.state.lock().expect("fabric lock");
-            if state.shutdown {
-                drop(state);
-                if !span.id.is_none() {
-                    let ts = tracer.now_us();
-                    tracer.record(&span, "shutdown", 1, ts);
-                    tracer.exit(&queue_span, ts);
-                    tracer.exit(&span, ts);
-                }
-                let mut stats = self.shared.stats.lock().expect("stats lock");
-                return Self::count_rejection(
-                    &self.shared,
-                    &mut stats,
-                    tenant,
-                    ServeError::ShutDown,
-                );
-            }
-            // Stamped under the fabric lock, so each queue's timestamps are
-            // monotone and lanes stay FIFO.
-            let now = self.shared.now_us();
-            state.queue.push(
-                tenant,
-                FleetRequest {
-                    model,
-                    input,
-                    submitted_us: now,
-                    tx,
-                    span,
-                    queue_span,
-                },
-                now,
-            );
-            let depth = state.queue.len();
-            tracer.counter("fleet.queue_depth", "fleet", now, depth as i64);
-            // Counted while the fabric lock is still held: a worker cannot
-            // pop (let alone complete) this request before the lock drops,
-            // so `completed <= submitted` holds in every stats() snapshot.
-            let mut stats = self.shared.stats.lock().expect("stats lock");
-            stats.aggregate.submitted += 1;
-            self.shared.counters.submitted();
-            stats.aggregate.record_queue_depth(depth);
-            let tenant_state = stats.tenant_mut(tenant);
-            tenant_state.stats.submitted += 1;
-            tenant_state.stats.record_queue_depth(depth);
+        if tracer.enabled() {
+            let who = ("tenant", i64::from(tenant));
+            let depth = ("backlog", backlog as i64);
+            tracer.instant("shed", "fleet", tracer.now_us(), &[who, depth]);
+            let (p99, budget) = (("p99_us", p99_us as i64), ("budget_us", budget_us as i64));
+            fpsa_obs::flight_dump_on_error("fleet.shed", &[who, p99, budget, depth]);
         }
-        unit.work.notify_one();
-        ticket
+        slo.shed.fetch_add(1, Ordering::Relaxed);
+        fpsa_obs::Registry::global().inc(self.shed_counter);
+        Err(ServeError::Shed {
+            tenant,
+            p99_us,
+            budget_us,
+        })
     }
 
     /// Submit one request and block for its output.
@@ -577,25 +438,28 @@ impl FleetEngine {
         self.submit(tenant, model, input).wait()
     }
 
-    /// A snapshot of the lifetime counters.
+    /// A snapshot of the lifetime counters. Tenants are dense by id up to
+    /// the highest one seen or given an SLO.
     pub fn stats(&self) -> FleetStats {
-        let state = self.shared.stats.lock().expect("stats lock");
+        let mut tenants = self.core.stats();
+        let aggregate = ServeStats::merged(&tenants);
+        tenants.resize(tenants.len().max(self.slos.len()), ServeStats::default());
+        let slo = |tenant: usize| self.slos.get(tenant).and_then(Option::as_ref);
+        let shed = |s: &Slo| s.shed.load(Ordering::Relaxed);
         let mut bind_cache = BindCacheStats::default();
-        for unit in &self.shared.fabrics {
-            let cache = unit.binds.lock().expect("bind cache lock");
-            bind_cache.hits += cache.stats.hits;
-            bind_cache.misses += cache.stats.misses;
-            bind_cache.evictions += cache.stats.evictions;
+        for cache in &self.binds.caches {
+            let stats = cache.lock().expect("bind cache lock").stats;
+            bind_cache.hits += stats.hits;
+            bind_cache.misses += stats.misses;
+            bind_cache.evictions += stats.evictions;
         }
         FleetStats {
-            aggregate: state.aggregate,
-            tenants: state.tenants.iter().map(|t| t.stats).collect(),
-            sheds: state.tenants.iter().map(|t| t.shed).collect(),
-            budgets: state
-                .tenants
-                .iter()
-                .map(|t| t.budget.map(|b| b.p99_budget_us))
+            aggregate,
+            sheds: (0..tenants.len()).map(|t| slo(t).map_or(0, shed)).collect(),
+            budgets: (0..tenants.len())
+                .map(|t| slo(t).map(|s| s.budget.p99_budget_us))
                 .collect(),
+            tenants,
             bind_cache,
         }
     }
@@ -603,56 +467,8 @@ impl FleetEngine {
     /// Stop admitting requests, drain every queue, join the workers and
     /// return the final counters.
     pub fn shutdown(mut self) -> FleetStats {
-        self.shutdown_and_join();
+        self.core.shutdown_and_join();
         self.stats()
-    }
-
-    fn shutdown_and_join(&mut self) {
-        for unit in &self.shared.fabrics {
-            let mut state = unit.state.lock().expect("fabric lock");
-            state.shutdown = true;
-        }
-        for unit in &self.shared.fabrics {
-            unit.work.notify_all();
-        }
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
-    }
-
-    /// The tenant's `(budget, observed p99)` if its p99 currently exceeds
-    /// the budget.
-    fn blown_budget(&self, tenant: u16) -> Option<(SloBudget, u64)> {
-        let stats = self.shared.stats.lock().expect("stats lock");
-        let state = stats.tenants.get(usize::from(tenant))?;
-        let budget = state.budget?;
-        let p99 = state.stats.p99_latency_us();
-        (p99 > budget.p99_budget_us).then_some((budget, p99))
-    }
-
-    /// Resolve a ticket with `err` without queueing, counting the
-    /// rejection for the tenant and the aggregate.
-    fn reject(&self, tenant: u16, err: ServeError) -> Ticket {
-        let mut stats = self.shared.stats.lock().expect("stats lock");
-        Self::count_rejection(&self.shared, &mut stats, tenant, err)
-    }
-
-    fn count_rejection(
-        shared: &Shared,
-        stats: &mut StatsState,
-        tenant: u16,
-        err: ServeError,
-    ) -> Ticket {
-        stats.aggregate.rejected += 1;
-        stats.tenant_mut(tenant).stats.rejected += 1;
-        shared.counters.rejected();
-        Ticket::resolved(Err(err))
-    }
-}
-
-impl Drop for FleetEngine {
-    fn drop(&mut self) {
-        self.shutdown_and_join();
     }
 }
 
@@ -661,161 +477,7 @@ impl fpsa_workload::RoutedReplayTarget for FleetEngine {
         FleetEngine::submit(self, tenant, model, input)
     }
     fn stats(&self) -> ServeStats {
-        FleetEngine::stats(self).aggregate
-    }
-}
-
-/// One fabric worker: claim per-tenant batches under weighted-fair order,
-/// split each into contiguous same-model runs, execute them outside the
-/// queue lock on this worker's arena, answer every ticket.
-fn worker_loop(shared: &Shared, fabric: usize) {
-    let tracer = Tracer::global();
-    let mut arena = fpsa_sim::ExecArena::new();
-    let mut inputs: Vec<Vec<f32>> = Vec::new();
-    let mut outputs: Vec<Vec<f32>> = Vec::new();
-    let mut exec_spans: Vec<Span> = Vec::new();
-    while let Some((tenant, mut batch)) = next_batch(shared, fabric) {
-        if tracer.enabled() {
-            let ts = tracer.now_us();
-            for req in &batch {
-                tracer.exit(&req.queue_span, ts);
-            }
-        }
-        let mut start = 0;
-        while start < batch.len() {
-            // A lane is FIFO across models; a run is the longest prefix of
-            // one model, executed as one executor batch.
-            let model = batch[start].model;
-            let end = start
-                + batch[start..]
-                    .iter()
-                    .take_while(|req| req.model == model)
-                    .count();
-            let run = &mut batch[start..end];
-            inputs.clear();
-            inputs.extend(run.iter_mut().map(|req| std::mem::take(&mut req.input)));
-            exec_spans.clear();
-            if tracer.enabled() {
-                let ts = tracer.now_us();
-                exec_spans.extend(run.iter().map(|req| {
-                    tracer.enter_with(
-                        "execute",
-                        "fleet",
-                        ts,
-                        req.span.id,
-                        &[("fabric", fabric as i64), ("run", run.len() as i64)],
-                    )
-                }));
-            }
-            // Cache lookup and insert each hold the bind mutex briefly;
-            // the bind itself runs unlocked, so a slow cold bind never
-            // stalls a sibling replica's cache hits on the same fabric.
-            let cached = shared.fabrics[fabric]
-                .binds
-                .lock()
-                .expect("bind cache lock")
-                .lookup(model);
-            let executor = match cached {
-                Some(exec) => Ok(exec),
-                None => bind_executor(&shared.registry, model).map(|exec| {
-                    shared.fabrics[fabric]
-                        .binds
-                        .lock()
-                        .expect("bind cache lock")
-                        .insert(model, exec)
-                }),
-            };
-            let result = match executor {
-                Ok(exec) => exec
-                    .run_batch_into(&inputs, &mut arena, &mut outputs)
-                    .map_err(ServeError::Exec),
-                Err(e) => Err(e),
-            };
-            let done_us = shared.now_us();
-            if !exec_spans.is_empty() {
-                let ts = tracer.now_us();
-                for span in &exec_spans {
-                    tracer.exit(span, ts);
-                }
-            }
-            {
-                // Count the run before answering its tickets, so a client
-                // that just received its output observes itself in the
-                // stats.
-                let mut stats = shared.stats.lock().expect("stats lock");
-                stats.aggregate.record_batch(run.len(), result.is_ok());
-                shared.counters.batch_done(run.len(), result.is_ok());
-                if result.is_ok() {
-                    for req in run.iter() {
-                        let latency = done_us.saturating_sub(req.submitted_us);
-                        stats.aggregate.record_latency(latency);
-                    }
-                }
-                let tenant_state = stats.tenant_mut(tenant);
-                tenant_state.stats.record_batch(run.len(), result.is_ok());
-                if result.is_ok() {
-                    for req in run.iter() {
-                        let latency = done_us.saturating_sub(req.submitted_us);
-                        tenant_state.stats.record_latency(latency);
-                    }
-                }
-            }
-            match &result {
-                Ok(()) => {
-                    for (req, out) in run.iter().zip(outputs.iter_mut()) {
-                        let latency = done_us.saturating_sub(req.submitted_us);
-                        if req.span.id.is_none() {
-                            let _ = req.tx.send(Ok((std::mem::take(out), latency)));
-                        } else {
-                            let respond =
-                                tracer.enter("respond", "fleet", tracer.now_us(), req.span.id);
-                            let _ = req.tx.send(Ok((std::mem::take(out), latency)));
-                            let ts = tracer.now_us();
-                            tracer.record(&req.span, "latency_us", latency as i64, ts);
-                            tracer.exit(&respond, ts);
-                            tracer.exit(&req.span, ts);
-                        }
-                    }
-                }
-                Err(e) => {
-                    for req in run.iter() {
-                        let _ = req.tx.send(Err(e.clone()));
-                        if !req.span.id.is_none() {
-                            let ts = tracer.now_us();
-                            tracer.record(&req.span, "exec_error", 1, ts);
-                            tracer.exit(&req.span, ts);
-                        }
-                    }
-                }
-            }
-            start = end;
-        }
-    }
-}
-
-/// Block until this fabric has a batch (or drained out at shutdown),
-/// mirroring `fpsa_serve`'s `next_batch` over the weighted-fair queue.
-fn next_batch(shared: &Shared, fabric: usize) -> Option<(u16, Vec<FleetRequest>)> {
-    let unit = &shared.fabrics[fabric];
-    let mut state = unit.state.lock().expect("fabric lock");
-    loop {
-        let now = shared.now_us();
-        if let Some(popped) = state.queue.pop_ready(now) {
-            if !state.queue.is_empty() {
-                unit.work.notify_one();
-            }
-            return Some(popped);
-        }
-        if state.shutdown {
-            return state.queue.pop_now();
-        }
-        state = match state.queue.next_deadline_us() {
-            Some(deadline) => {
-                let wait = Duration::from_micros(deadline.saturating_sub(now).max(1));
-                unit.work.wait_timeout(state, wait).expect("fabric lock").0
-            }
-            None => unit.work.wait(state).expect("fabric lock"),
-        };
+        ServeStats::merged(&self.core.stats())
     }
 }
 
@@ -962,6 +624,38 @@ mod tests {
         assert!(status[0].violating);
         assert_eq!(status[0].budget_us, Some(0));
         assert_eq!(status[1].budget_us, None);
+    }
+
+    #[test]
+    fn a_model_hosted_nowhere_is_served_across_every_fabric() {
+        // A hand-built placement (`hosted` is a public field) that omits
+        // the registered model 1. The front door used to panic on it
+        // (`expect("hosts non-empty")`); the shared router degrades like
+        // the virtual twin: route across every fabric, bind lazily.
+        let registry = zoo_registry();
+        let spec = registry.get(1).unwrap();
+        let direct = spec
+            .compiled
+            .executor(&spec.graph, &spec.params, &spec.precision)
+            .unwrap();
+        let len = spec.input_len().unwrap();
+        let expected: Vec<Vec<f32>> = (0..6)
+            .map(|i| direct.run(&sample(len, i)).unwrap())
+            .collect();
+        let placement = FleetPlacement {
+            capacity: ample(),
+            hosted: vec![vec![0], vec![0]],
+            residual: vec![ample(), ample()],
+        };
+        let engine = FleetEngine::start(registry, placement, FleetConfig::default());
+        let tickets: Vec<Ticket> = (0..6)
+            .map(|i| engine.submit(0, 1, sample(len, i)))
+            .collect();
+        let served: Vec<Vec<f32>> = tickets.into_iter().map(|t| t.wait().unwrap()).collect();
+        assert_eq!(served, expected);
+        let stats = engine.shutdown();
+        assert_eq!(stats.aggregate.completed, 6);
+        assert_eq!(stats.aggregate.failed + stats.aggregate.rejected, 0);
     }
 
     #[test]

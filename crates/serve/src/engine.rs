@@ -5,14 +5,14 @@
 //!
 //! [`ServeEngine::start`] takes a bound [`Executor`] — the expensive step
 //! (weight realization, artifact verification) already paid exactly once —
-//! and shares it read-only (`Arc`) across `replicas` worker threads. Each
-//! worker owns the only mutable state it needs: one [`fpsa_sim::ExecArena`]
-//! of recycled scratch buffers plus a reusable output table, so the
-//! steady-state request path performs no scratch allocation. Workers block
-//! on a condvar over the shared [`DynamicBatcher`], pop ready batches FIFO
-//! under the queue lock, and execute them *outside* the lock — which is what
-//! pipelines consecutive batches across replicas: while one replica computes
-//! a batch, the next batch fills and is claimed by another.
+//! and shares it read-only (`Arc`) across `replicas` worker threads of one
+//! [`crate::core`] station, whose single lane is the FIFO dynamic batcher.
+//! Each worker owns one [`fpsa_sim::ExecArena`] of recycled scratch buffers
+//! plus a reusable output table, so the steady-state request path performs
+//! no scratch allocation. Workers pop ready batches under the queue lock
+//! and execute them *outside* it — which is what pipelines consecutive
+//! batches across replicas: while one replica computes a batch, the next
+//! batch fills and is claimed by another.
 //!
 //! # Shutdown
 //!
@@ -32,15 +32,14 @@
 //! *which* client receives it. The determinism suite
 //! (`tests/determinism.rs`) pins this across all three precisions.
 
-use crate::batcher::{BatchPolicy, DynamicBatcher};
-use fpsa_obs::{Counter, Histogram, Registry, Span, SpanId, Tracer};
+use crate::batcher::BatchPolicy;
+use crate::core::{Core, CoreConfig, Tier};
+use fpsa_obs::Histogram;
 use fpsa_sim::exec::{ExecError, Executor};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread;
-use std::time::{Duration, Instant};
+use std::sync::Arc;
 
 /// How an engine batches and shards incoming requests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -271,25 +270,27 @@ impl ServeStats {
     pub fn record_latency(&mut self, us: u64) {
         self.latency_us.record(us);
     }
+
+    /// The aggregate of per-lane counters: counters add, histograms merge.
+    pub fn merged(lanes: &[ServeStats]) -> ServeStats {
+        let mut total = ServeStats::default();
+        for lane in lanes {
+            total.submitted += lane.submitted;
+            total.completed += lane.completed;
+            total.failed += lane.failed;
+            total.rejected += lane.rejected;
+            total.batches += lane.batches;
+            total.batch_sizes.merge(&lane.batch_sizes);
+            total.queue_depth.merge(&lane.queue_depth);
+            total.latency_us.merge(&lane.latency_us);
+        }
+        total
+    }
 }
 
 /// One response: the logits plus the request's queue-to-completion latency
-/// in microseconds (stamped by the worker, not by the waiter). Public so
-/// out-of-crate engines (the fleet tier) can answer tickets minted via
-/// [`Ticket::channel`] under the same contract.
+/// in microseconds (stamped by the worker, not by the waiter).
 pub type Response = Result<(Vec<f32>, u64), ServeError>;
-
-/// A pending request inside the queue.
-struct Request {
-    input: Vec<f32>,
-    submitted_us: u64,
-    tx: mpsc::Sender<Response>,
-    /// The request's root trace span ([`Span::DISABLED`] when the global
-    /// tracer is off — every later tracing call on it is then a no-op).
-    span: Span,
-    /// The open `queue` child span, closed when a worker claims the batch.
-    queue_span: Span,
-}
 
 /// The handle [`ServeEngine::submit`] returns: redeem it for the output.
 /// Each ticket is answered exactly once; responses cannot cross between
@@ -299,23 +300,12 @@ pub struct Ticket {
 }
 
 impl Ticket {
-    /// A fresh ticket plus the sender that resolves it. This is the hook
-    /// external engines (e.g. the fleet tier) use to answer requests under
-    /// the same exactly-once ticket contract as the in-crate engines: send
-    /// one [`Response`] on the returned sender, or drop it to cancel the
-    /// ticket ([`Ticket::wait`] then yields [`ServeError::Canceled`]).
-    pub fn channel() -> (mpsc::Sender<Response>, Ticket) {
+    /// A fresh ticket plus the sender that resolves it: send one
+    /// [`Response`], or drop the sender to cancel the ticket
+    /// ([`Ticket::wait`] then yields [`ServeError::Canceled`]).
+    pub(crate) fn channel() -> (mpsc::Sender<Response>, Ticket) {
         let (tx, rx) = mpsc::channel();
         (tx, Ticket { rx })
-    }
-
-    /// Resolve a ticket immediately with `response` — the rejection path
-    /// for engines that refuse a request at submit time (shed, shutdown,
-    /// bad input) without involving a worker.
-    pub fn resolved(response: Response) -> Ticket {
-        let (tx, ticket) = Ticket::channel();
-        let _ = tx.send(response);
-        ticket
     }
 
     /// Block until the output is ready.
@@ -338,123 +328,77 @@ impl Ticket {
     }
 }
 
-/// Queue state behind the engine's mutex.
-struct QueueState {
-    batcher: DynamicBatcher<Request>,
-    shutdown: bool,
-    stats: ServeStats,
-}
+/// Telemetry names of the single-fabric tier.
+const SERVE_TIER: Tier = Tier {
+    name: "serve",
+    hop: "execute",
+    station_arg: "",
+    depth_counter: "serve.queue_depth",
+};
 
-/// Global-registry counter handles, registered once at engine start and
-/// cached so the hot path pays one relaxed RMW per event — never the
-/// registry's name-table lock.
-pub struct EngineCounters {
-    submitted: Counter,
-    completed: Counter,
-    failed: Counter,
-    rejected: Counter,
-}
-
-impl EngineCounters {
-    /// Register (idempotently) the four lifecycle counters under `tier`
-    /// (e.g. `serve` → `serve.submitted` …).
-    pub fn for_tier(tier: &str) -> EngineCounters {
-        let registry = Registry::global();
-        EngineCounters {
-            submitted: registry.counter(&format!("{tier}.submitted")),
-            completed: registry.counter(&format!("{tier}.completed")),
-            failed: registry.counter(&format!("{tier}.failed")),
-            rejected: registry.counter(&format!("{tier}.rejected")),
-        }
-    }
-
-    /// Count one admitted request.
-    pub fn submitted(&self) {
-        Registry::global().inc(self.submitted);
-    }
-
-    /// Count one rejected request.
-    pub fn rejected(&self) {
-        Registry::global().inc(self.rejected);
-    }
-
-    /// Count one executed batch: `n` completions or `n` failures.
-    pub fn batch_done(&self, n: usize, ok: bool) {
-        let counter = if ok { self.completed } else { self.failed };
-        Registry::global().add(counter, n as u64);
-    }
-}
-
-/// Everything the worker threads share (itself behind one `Arc`).
-struct Shared {
-    exec: Executor,
+/// The single-model front door over [`crate::core`]: a chain of stations,
+/// one per stage executor, one lane, requests entering at stage 0 and
+/// resolving at the last. Its two instantiations differ only in how they
+/// start and in their telemetry tier: [`ServeEngine`] is the one-stage
+/// case, [`crate::ShardedEngine`] (`CHAIN`) the pipeline.
+pub struct Engine<const CHAIN: bool> {
+    core: Core,
+    stages: usize,
     input_len: Option<usize>,
-    state: Mutex<QueueState>,
-    work: Condvar,
-    started: Instant,
-    counters: EngineCounters,
-}
-
-impl Shared {
-    /// Microseconds since the engine started (the batcher's clock).
-    fn now_us(&self) -> u64 {
-        self.started.elapsed().as_micros() as u64
-    }
+    config: ServeConfig,
 }
 
 /// An in-process serving engine over one pre-bound executor: dynamic
 /// batching in front, replica sharding behind (see the module docs).
-pub struct ServeEngine {
-    shared: Arc<Shared>,
-    workers: Vec<thread::JoinHandle<()>>,
-    config: ServeConfig,
-}
+pub type ServeEngine = Engine<false>;
 
-impl fmt::Debug for ServeEngine {
+impl<const CHAIN: bool> fmt::Debug for Engine<CHAIN> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ServeEngine")
-            .field("config", &self.config)
-            .field("workers", &self.workers.len())
-            .finish()
+        f.debug_struct(if CHAIN {
+            "ShardedEngine"
+        } else {
+            "ServeEngine"
+        })
+        .field("config", &self.config)
+        .field("stages", &self.stage_count())
+        .finish()
     }
 }
 
 impl ServeEngine {
     /// Start serving: bind-once executor in, worker pool out.
     pub fn start(executor: Executor, config: ServeConfig) -> ServeEngine {
+        Engine::start_stages(vec![executor], config, SERVE_TIER)
+    }
+}
+
+impl<const CHAIN: bool> Engine<CHAIN> {
+    /// Start one station per stage executor, each with `config.replicas`
+    /// workers.
+    pub(crate) fn start_stages(stages: Vec<Executor>, config: ServeConfig, tier: Tier) -> Self {
         let config = ServeConfig {
             replicas: config.replicas.max(1),
             max_batch: config.max_batch.max(1),
-            batch_window_us: config.batch_window_us,
+            ..config
         };
-        let input_len = executor.input_len();
-        let shared = Arc::new(Shared {
-            exec: executor,
+        let input_len = stages[0].input_len();
+        let stages: Vec<Arc<Executor>> = stages.into_iter().map(Arc::new).collect();
+        let stations = stages.len();
+        let core = Core::start(
+            CoreConfig {
+                tier,
+                stations,
+                chain: true,
+                replicas: config.replicas,
+                policy: BatchPolicy::new(config.max_batch, config.batch_window_us),
+                lane_weights: Vec::new(),
+            },
+            Box::new(move |stage, _| Ok(Arc::clone(&stages[stage]))),
+        );
+        Engine {
+            core,
+            stages: stations,
             input_len,
-            state: Mutex::new(QueueState {
-                batcher: DynamicBatcher::new(BatchPolicy::new(
-                    config.max_batch,
-                    config.batch_window_us,
-                )),
-                shutdown: false,
-                stats: ServeStats::default(),
-            }),
-            work: Condvar::new(),
-            started: Instant::now(),
-            counters: EngineCounters::for_tier("serve"),
-        });
-        let workers = (0..config.replicas)
-            .map(|replica| {
-                let shared = Arc::clone(&shared);
-                thread::Builder::new()
-                    .name(format!("fpsa-serve-{replica}"))
-                    .spawn(move || worker_loop(&shared))
-                    .expect("serving worker threads spawn")
-            })
-            .collect();
-        ServeEngine {
-            shared,
-            workers,
             config,
         }
     }
@@ -464,79 +408,21 @@ impl ServeEngine {
         self.config
     }
 
+    /// Number of pipeline stages (1 for the single-fabric engine).
+    pub fn stage_count(&self) -> usize {
+        self.stages
+    }
+
     /// Enqueue one request; never blocks on the model. Invalid inputs and
     /// post-shutdown submissions resolve the ticket immediately with an
     /// error instead of poisoning a batch.
     pub fn submit(&self, input: Vec<f32>) -> Ticket {
-        let (tx, rx) = mpsc::channel();
-        let ticket = Ticket { rx };
-        let rejection = match self.shared.input_len {
-            Some(want) if input.len() != want => Some(ServeError::InputLength {
-                got: input.len(),
-                want,
-            }),
-            _ => None,
+        let got = input.len();
+        let admitted = match self.input_len {
+            Some(want) if got != want => Err(ServeError::InputLength { got, want }),
+            _ => Ok((0, 0, input)),
         };
-        // One relaxed load when tracing is off; spans open outside the
-        // queue lock so tracing never extends the critical section.
-        let tracer = Tracer::global();
-        let (span, queue_span) = if tracer.enabled() {
-            let ts = tracer.now_us();
-            let span = tracer.enter("request", "serve", ts, SpanId::NONE);
-            let queue_span = tracer.enter("queue", "serve", ts, span.id);
-            (span, queue_span)
-        } else {
-            (Span::DISABLED, Span::DISABLED)
-        };
-        {
-            let mut state = self.shared.state.lock().expect("queue lock");
-            if let Some(err) = rejection {
-                state.stats.rejected += 1;
-                self.shared.counters.rejected();
-                let _ = tx.send(Err(err));
-                drop(state);
-                if !span.id.is_none() {
-                    let ts = tracer.now_us();
-                    tracer.record(&span, "rejected", 1, ts);
-                    tracer.exit(&queue_span, ts);
-                    tracer.exit(&span, ts);
-                }
-                return ticket;
-            }
-            if state.shutdown {
-                state.stats.rejected += 1;
-                self.shared.counters.rejected();
-                let _ = tx.send(Err(ServeError::ShutDown));
-                drop(state);
-                if !span.id.is_none() {
-                    let ts = tracer.now_us();
-                    tracer.record(&span, "shutdown", 1, ts);
-                    tracer.exit(&queue_span, ts);
-                    tracer.exit(&span, ts);
-                }
-                return ticket;
-            }
-            // Stamped under the lock, so batcher timestamps are monotone
-            // and the oldest entry is always the queue front.
-            let now = self.shared.now_us();
-            state.stats.submitted += 1;
-            self.shared.counters.submitted();
-            state.batcher.push(
-                Request {
-                    input,
-                    submitted_us: now,
-                    tx,
-                    span,
-                    queue_span,
-                },
-                now,
-            );
-            let depth = state.batcher.len();
-            state.stats.record_queue_depth(depth);
-            tracer.counter("serve.queue_depth", "serve", now, depth as i64);
-        }
-        self.shared.work.notify_one();
-        ticket
+        self.core.submit(0, &[], admitted)
     }
 
     /// Submit one request and block for its output.
@@ -558,148 +444,22 @@ impl ServeEngine {
         tickets.into_iter().map(Ticket::wait).collect()
     }
 
-    /// A snapshot of the lifetime counters.
+    /// A snapshot of the lifetime counters. Batches are counted where they
+    /// complete (the exit stage), so in a pipeline `batches` means "batches
+    /// that crossed every stage".
     pub fn stats(&self) -> ServeStats {
-        self.shared.state.lock().expect("queue lock").stats
+        ServeStats::merged(&self.core.stats())
     }
 
-    /// Stop admitting requests, drain the queue, join the workers and
-    /// return the final counters.
+    /// Stop admitting requests, drain every stage front to back, join the
+    /// workers and return the final counters.
     pub fn shutdown(mut self) -> ServeStats {
         self.shutdown_and_join();
         self.stats()
     }
 
-    fn shutdown_and_join(&mut self) {
-        {
-            let mut state = self.shared.state.lock().expect("queue lock");
-            state.shutdown = true;
-        }
-        self.shared.work.notify_all();
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
-    }
-}
-
-impl Drop for ServeEngine {
-    fn drop(&mut self) {
-        self.shutdown_and_join();
-    }
-}
-
-/// One replica: claim ready batches FIFO, execute them outside the lock on
-/// this replica's arena, answer every ticket, repeat until drained shutdown.
-fn worker_loop(shared: &Shared) {
-    let tracer = Tracer::global();
-    let mut arena = shared.exec.arena();
-    let mut inputs: Vec<Vec<f32>> = Vec::new();
-    let mut outputs: Vec<Vec<f32>> = Vec::new();
-    let mut exec_spans: Vec<Span> = Vec::new();
-    while let Some(mut batch) = next_batch(shared) {
-        inputs.clear();
-        inputs.extend(batch.iter_mut().map(|req| std::mem::take(&mut req.input)));
-        exec_spans.clear();
-        if tracer.enabled() {
-            // The claim instant closes every member's queue span and opens
-            // its execute span (sharing the request's correlation id, so
-            // the chain nests in the exported trace).
-            let ts = tracer.now_us();
-            for req in &batch {
-                tracer.exit(&req.queue_span, ts);
-            }
-            exec_spans.extend(batch.iter().map(|req| {
-                tracer.enter_with(
-                    "execute",
-                    "serve",
-                    ts,
-                    req.span.id,
-                    &[("batch", batch.len() as i64)],
-                )
-            }));
-        }
-        let result = shared
-            .exec
-            .run_batch_into(&inputs, &mut arena, &mut outputs);
-        let done_us = shared.now_us();
-        if !exec_spans.is_empty() {
-            let ts = tracer.now_us();
-            for span in &exec_spans {
-                tracer.exit(span, ts);
-            }
-        }
-        {
-            // Count the batch before answering its tickets, so a client that
-            // just received its output always observes itself in the stats.
-            let mut state = shared.state.lock().expect("queue lock");
-            state.stats.record_batch(batch.len(), result.is_ok());
-            shared.counters.batch_done(batch.len(), result.is_ok());
-            if result.is_ok() {
-                for req in &batch {
-                    state
-                        .stats
-                        .record_latency(done_us.saturating_sub(req.submitted_us));
-                }
-            }
-        }
-        match &result {
-            Ok(()) => {
-                for (req, out) in batch.iter().zip(outputs.iter_mut()) {
-                    let latency = done_us.saturating_sub(req.submitted_us);
-                    if req.span.id.is_none() {
-                        let _ = req.tx.send(Ok((std::mem::take(out), latency)));
-                    } else {
-                        let respond =
-                            tracer.enter("respond", "serve", tracer.now_us(), req.span.id);
-                        let _ = req.tx.send(Ok((std::mem::take(out), latency)));
-                        let ts = tracer.now_us();
-                        tracer.record(&req.span, "latency_us", latency as i64, ts);
-                        tracer.exit(&respond, ts);
-                        tracer.exit(&req.span, ts);
-                    }
-                }
-            }
-            Err(e) => {
-                // Inputs are validated at submission, so this is an internal
-                // failure; every member of the batch learns about it.
-                for req in &batch {
-                    let _ = req.tx.send(Err(ServeError::Exec(e.clone())));
-                    if !req.span.id.is_none() {
-                        let ts = tracer.now_us();
-                        tracer.record(&req.span, "exec_error", 1, ts);
-                        tracer.exit(&req.span, ts);
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Block until a batch is ready (or the engine drained out). Wakes on new
-/// work and on the oldest request's deadline; after a pop, hands any
-/// leftover queue to another replica via `notify_one` — that hand-off is
-/// the batch pipeline.
-fn next_batch(shared: &Shared) -> Option<Vec<Request>> {
-    let mut state = shared.state.lock().expect("queue lock");
-    loop {
-        let now = shared.now_us();
-        if let Some(batch) = state.batcher.pop_ready(now) {
-            if !state.batcher.is_empty() {
-                shared.work.notify_one();
-            }
-            return Some(batch);
-        }
-        if state.shutdown {
-            // Drain without waiting out the window; None ends the worker.
-            return state.batcher.pop_now();
-        }
-        state = match state.batcher.next_deadline_us() {
-            Some(deadline) => {
-                let wait = Duration::from_micros(deadline.saturating_sub(now).max(1));
-                shared.work.wait_timeout(state, wait).expect("queue lock").0
-            }
-            None => shared.work.wait(state).expect("queue lock"),
-        };
+    pub(crate) fn shutdown_and_join(&mut self) {
+        self.core.shutdown_and_join();
     }
 }
 

@@ -43,14 +43,15 @@
 //! ```
 
 pub mod batcher;
+pub mod core;
 pub mod engine;
 pub mod sharded;
 pub mod wfq;
 
 pub use batcher::{BatchPolicy, DynamicBatcher};
+pub use core::{lane_mut, Core, CoreConfig, Resolver, Router, Tier};
 pub use engine::{
-    EngineCounters, Response, ServeConfig, ServeEngine, ServeError, ServeStats, Ticket,
-    STATS_BUCKETS,
+    Engine, Response, ServeConfig, ServeEngine, ServeError, ServeStats, Ticket, STATS_BUCKETS,
 };
 pub use sharded::ShardedEngine;
 pub use wfq::WeightedFairBatcher;

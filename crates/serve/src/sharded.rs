@@ -35,89 +35,29 @@
 //!
 //! # Shutdown
 //!
-//! Shutdown drains front to back: stage 0 stops admitting and drains its
-//! batcher, then each relay stage is marked `upstream_done` once every
-//! worker of the previous stage has exited, so in-flight batches are never
-//! dropped — every ticket resolves.
+//! The engine is [`crate::core`] configured as a chain of stations whose
+//! non-entry queues hold whole relayed batches, behind the front door
+//! [`crate::ServeEngine`] also uses. Shutdown drains front to back: stage
+//! 0 stops admitting and drains its batcher, then each relay stage is
+//! closed once every worker of the previous stage has exited, so in-flight
+//! batches are never dropped — every ticket resolves.
 
-use crate::batcher::{BatchPolicy, DynamicBatcher};
-use crate::engine::{Response, ServeConfig, ServeError, ServeStats, Ticket};
-use fpsa_obs::{Span, SpanId, Tracer};
+use crate::core::Tier;
+use crate::engine::{Engine, ServeConfig};
 use fpsa_sim::exec::Executor;
-use std::collections::VecDeque;
-use std::fmt;
-use std::sync::{mpsc, Arc, Condvar, Mutex};
-use std::thread;
-use std::time::{Duration, Instant};
 
-/// One request travelling the stage pipeline: the payload starts as the
-/// client's input and is rewritten to each stage's output on the way.
-struct InFlight {
-    payload: Vec<f32>,
-    submitted_us: u64,
-    tx: mpsc::Sender<Response>,
-    /// Root telemetry span of the request ([`Span::DISABLED`] when tracing
-    /// was off at submission). Each stage hop opens a child under it.
-    span: Span,
-}
-
-/// Stage 0's queue: the dynamic batcher plus the admission flag.
-struct EntryQueue {
-    batcher: DynamicBatcher<InFlight>,
-    shutdown: bool,
-}
-
-/// A later stage's queue: whole batches relayed from the previous stage.
-struct RelayQueue {
-    batches: VecDeque<Vec<InFlight>>,
-    /// Set once every worker of the previous stage has exited; an empty
-    /// queue then means "no more work ever".
-    upstream_done: bool,
-}
-
-enum StageQueue {
-    Entry(EntryQueue),
-    Relay(RelayQueue),
-}
-
-/// One pipeline stage: its bound executor and its work queue.
-struct StageState {
-    exec: Executor,
-    queue: Mutex<StageQueue>,
-    work: Condvar,
-}
-
-/// Everything the stage workers share.
-struct PipeShared {
-    stages: Vec<StageState>,
-    input_len: Option<usize>,
-    stats: Mutex<ServeStats>,
-    started: Instant,
-}
-
-impl PipeShared {
-    fn now_us(&self) -> u64 {
-        self.started.elapsed().as_micros() as u64
-    }
-}
+/// Telemetry names of the pipeline tier: each stage hop is a `stage` span.
+const SHARD_TIER: Tier = Tier {
+    name: "shard",
+    hop: "stage",
+    station_arg: "stage",
+    depth_counter: "shard.queue_depth",
+};
 
 /// An in-process pipeline-parallel serving engine over pre-bound per-stage
-/// executors (see the module docs).
-pub struct ShardedEngine {
-    shared: Arc<PipeShared>,
-    /// Worker handles grouped by stage, so shutdown can drain front to back.
-    workers: Vec<Vec<thread::JoinHandle<()>>>,
-    config: ServeConfig,
-}
-
-impl fmt::Debug for ShardedEngine {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ShardedEngine")
-            .field("config", &self.config)
-            .field("stages", &self.workers.len())
-            .finish()
-    }
-}
+/// executors (see the module docs): the [`crate::ServeEngine`] front door
+/// over one station per stage.
+pub type ShardedEngine = Engine<true>;
 
 impl ShardedEngine {
     /// Start serving over a chain of stage executors. `config.replicas`
@@ -130,322 +70,12 @@ impl ShardedEngine {
     /// Panics if `stages` is empty — a pipeline needs at least one stage.
     pub fn start(stages: Vec<Executor>, config: ServeConfig) -> ShardedEngine {
         assert!(!stages.is_empty(), "a sharded pipeline needs >= 1 stage");
-        let config = ServeConfig {
-            replicas: config.replicas.max(1),
-            max_batch: config.max_batch.max(1),
-            batch_window_us: config.batch_window_us,
-        };
-        let input_len = stages[0].input_len();
-        let stage_states: Vec<StageState> = stages
-            .into_iter()
-            .enumerate()
-            .map(|(i, exec)| StageState {
-                exec,
-                queue: Mutex::new(if i == 0 {
-                    StageQueue::Entry(EntryQueue {
-                        batcher: DynamicBatcher::new(BatchPolicy::new(
-                            config.max_batch,
-                            config.batch_window_us,
-                        )),
-                        shutdown: false,
-                    })
-                } else {
-                    StageQueue::Relay(RelayQueue {
-                        batches: VecDeque::new(),
-                        upstream_done: false,
-                    })
-                }),
-                work: Condvar::new(),
-            })
-            .collect();
-        let shared = Arc::new(PipeShared {
-            stages: stage_states,
-            input_len,
-            stats: Mutex::new(ServeStats::default()),
-            started: Instant::now(),
-        });
-        let workers = (0..shared.stages.len())
-            .map(|stage| {
-                (0..config.replicas)
-                    .map(|replica| {
-                        let shared = Arc::clone(&shared);
-                        thread::Builder::new()
-                            .name(format!("fpsa-shard-{stage}-{replica}"))
-                            .spawn(move || stage_worker(&shared, stage))
-                            .expect("sharded serving worker threads spawn")
-                    })
-                    .collect()
-            })
-            .collect();
-        ShardedEngine {
-            shared,
-            workers,
-            config,
-        }
-    }
-
-    /// The (clamped) configuration the engine runs with.
-    pub fn config(&self) -> ServeConfig {
-        self.config
-    }
-
-    /// Number of pipeline stages.
-    pub fn stage_count(&self) -> usize {
-        self.shared.stages.len()
-    }
-
-    /// Enqueue one request at the entry stage; never blocks on the model.
-    /// Invalid inputs and post-shutdown submissions resolve the ticket
-    /// immediately with an error instead of poisoning a batch.
-    pub fn submit(&self, input: Vec<f32>) -> Ticket {
-        let (tx, rx) = mpsc::channel();
-        let ticket = Ticket { rx };
-        let rejection = match self.shared.input_len {
-            Some(want) if input.len() != want => Some(ServeError::InputLength {
-                got: input.len(),
-                want,
-            }),
-            _ => None,
-        };
-        let entry = &self.shared.stages[0];
-        {
-            let mut queue = entry.queue.lock().expect("entry queue lock");
-            let StageQueue::Entry(q) = &mut *queue else {
-                unreachable!("stage 0 is always the entry queue");
-            };
-            let rejection = rejection.or(q.shutdown.then_some(ServeError::ShutDown));
-            if let Some(err) = rejection {
-                self.shared.stats.lock().expect("stats lock").rejected += 1;
-                let _ = tx.send(Err(err));
-                return ticket;
-            }
-            let tracer = Tracer::global();
-            let span = if tracer.enabled() {
-                tracer.enter("request", "shard", tracer.now_us(), SpanId::NONE)
-            } else {
-                Span::DISABLED
-            };
-            let now = self.shared.now_us();
-            q.batcher.push(
-                InFlight {
-                    payload: input,
-                    submitted_us: now,
-                    tx,
-                    span,
-                },
-                now,
-            );
-            let mut stats = self.shared.stats.lock().expect("stats lock");
-            stats.submitted += 1;
-            stats.record_queue_depth(q.batcher.len());
-        }
-        entry.work.notify_one();
-        ticket
-    }
-
-    /// Submit one request and block for its output.
-    ///
-    /// # Errors
-    ///
-    /// The request's [`ServeError`], if it failed.
-    pub fn infer(&self, input: Vec<f32>) -> Result<Vec<f32>, ServeError> {
-        self.submit(input).wait()
-    }
-
-    /// Submit a whole batch and collect the outputs in submission order.
-    ///
-    /// # Errors
-    ///
-    /// The first failing request's [`ServeError`].
-    pub fn serve_batch(&self, inputs: &[Vec<f32>]) -> Result<Vec<Vec<f32>>, ServeError> {
-        let tickets: Vec<Ticket> = inputs.iter().map(|x| self.submit(x.clone())).collect();
-        tickets.into_iter().map(Ticket::wait).collect()
-    }
-
-    /// A snapshot of the lifetime counters. Batches are counted where they
-    /// complete (the exit stage), so `batches` means "batches that crossed
-    /// the whole pipeline".
-    pub fn stats(&self) -> ServeStats {
-        *self.shared.stats.lock().expect("stats lock")
-    }
-
-    /// Stop admitting requests, drain every stage front to back, join the
-    /// workers and return the final counters.
-    pub fn shutdown(mut self) -> ServeStats {
-        self.shutdown_and_join();
-        self.stats()
-    }
-
-    fn shutdown_and_join(&mut self) {
-        if self.workers.iter().all(Vec::is_empty) {
-            return;
-        }
-        // Front to back: stop admissions, drain stage 0, then cascade the
-        // upstream-done marker so each relay stage drains after its feeder.
-        for (stage, handles) in self.workers.iter_mut().enumerate() {
-            {
-                let mut queue = self.shared.stages[stage].queue.lock().expect("queue lock");
-                match &mut *queue {
-                    StageQueue::Entry(q) => q.shutdown = true,
-                    StageQueue::Relay(q) => q.upstream_done = true,
-                }
-            }
-            self.shared.stages[stage].work.notify_all();
-            for handle in handles.drain(..) {
-                let _ = handle.join();
-            }
-        }
+        Engine::start_stages(stages, config, SHARD_TIER)
     }
 }
 
-impl Drop for ShardedEngine {
-    fn drop(&mut self) {
-        self.shutdown_and_join();
-    }
-}
-
-/// One stage worker: claim batches, execute them on this stage's executor,
-/// forward to the next stage (or resolve tickets at the exit stage).
-fn stage_worker(shared: &PipeShared, stage: usize) {
-    let state = &shared.stages[stage];
-    let exit = stage + 1 == shared.stages.len();
-    let tracer = Tracer::global();
-    let mut arena = state.exec.arena();
-    let mut inputs: Vec<Vec<f32>> = Vec::new();
-    let mut outputs: Vec<Vec<f32>> = Vec::new();
-    let mut latencies: Vec<u64> = Vec::new();
-    let mut hop_spans: Vec<Span> = Vec::new();
-    while let Some(mut batch) = next_stage_batch(shared, stage) {
-        inputs.clear();
-        inputs.extend(batch.iter_mut().map(|req| std::mem::take(&mut req.payload)));
-        hop_spans.clear();
-        if tracer.enabled() {
-            let ts = tracer.now_us();
-            hop_spans.extend(batch.iter().map(|req| {
-                tracer.enter_with(
-                    "stage",
-                    "shard",
-                    ts,
-                    req.span.id,
-                    &[("stage", stage as i64), ("batch", batch.len() as i64)],
-                )
-            }));
-        }
-        let result = state.exec.run_batch_into(&inputs, &mut arena, &mut outputs);
-        if !hop_spans.is_empty() {
-            let ts = tracer.now_us();
-            for span in &hop_spans {
-                tracer.exit(span, ts);
-            }
-        }
-        match &result {
-            Ok(()) if !exit => {
-                // Rewrite payloads to this stage's outputs and relay the
-                // batch as a unit — the next stage sees it exactly once.
-                for (req, out) in batch.iter_mut().zip(outputs.iter_mut()) {
-                    req.payload = std::mem::take(out);
-                }
-                let next = &shared.stages[stage + 1];
-                {
-                    let mut queue = next.queue.lock().expect("relay queue lock");
-                    let StageQueue::Relay(q) = &mut *queue else {
-                        unreachable!("stages past 0 are relay queues");
-                    };
-                    q.batches.push_back(batch);
-                }
-                next.work.notify_one();
-            }
-            Ok(()) => {
-                let done_us = shared.now_us();
-                latencies.clear();
-                latencies.extend(
-                    batch
-                        .iter()
-                        .map(|req| done_us.saturating_sub(req.submitted_us)),
-                );
-                {
-                    // Count before answering, so a client that just received
-                    // its output always observes itself in the stats.
-                    let mut stats = shared.stats.lock().expect("stats lock");
-                    stats.record_batch(batch.len(), true);
-                    for &latency in &latencies {
-                        stats.record_latency(latency);
-                    }
-                }
-                for ((req, out), &latency) in
-                    batch.iter().zip(outputs.iter_mut()).zip(latencies.iter())
-                {
-                    let _ = req.tx.send(Ok((std::mem::take(out), latency)));
-                    if !req.span.id.is_none() {
-                        let ts = tracer.now_us();
-                        tracer.record(&req.span, "latency_us", latency as i64, ts);
-                        tracer.exit(&req.span, ts);
-                    }
-                }
-            }
-            Err(e) => {
-                // Inputs are validated at submission, so this is an internal
-                // failure; the batch stops here and every member learns.
-                shared
-                    .stats
-                    .lock()
-                    .expect("stats lock")
-                    .record_batch(batch.len(), false);
-                for req in &batch {
-                    let _ = req.tx.send(Err(ServeError::Exec(e.clone())));
-                    if !req.span.id.is_none() {
-                        let ts = tracer.now_us();
-                        tracer.record(&req.span, "exec_error", 1, ts);
-                        tracer.exit(&req.span, ts);
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Block until this stage has a batch (or is drained out; `None` ends the
-/// worker). Stage 0 applies the coalescing policy; relay stages pop FIFO.
-fn next_stage_batch(shared: &PipeShared, stage: usize) -> Option<Vec<InFlight>> {
-    let state = &shared.stages[stage];
-    let mut queue = state.queue.lock().expect("queue lock");
-    loop {
-        match &mut *queue {
-            StageQueue::Entry(q) => {
-                let now = shared.now_us();
-                if let Some(batch) = q.batcher.pop_ready(now) {
-                    if !q.batcher.is_empty() {
-                        state.work.notify_one();
-                    }
-                    return Some(batch);
-                }
-                if q.shutdown {
-                    // Drain without waiting out the window.
-                    return q.batcher.pop_now();
-                }
-                queue = match q.batcher.next_deadline_us() {
-                    Some(deadline) => {
-                        let wait = Duration::from_micros(deadline.saturating_sub(now).max(1));
-                        state.work.wait_timeout(queue, wait).expect("queue lock").0
-                    }
-                    None => state.work.wait(queue).expect("queue lock"),
-                };
-            }
-            StageQueue::Relay(q) => {
-                if let Some(batch) = q.batches.pop_front() {
-                    if !q.batches.is_empty() {
-                        state.work.notify_one();
-                    }
-                    return Some(batch);
-                }
-                if q.upstream_done {
-                    return None;
-                }
-                queue = state.work.wait(queue).expect("queue lock");
-            }
-        }
-    }
-}
+#[cfg(test)]
+use crate::engine::{ServeError, Ticket};
 
 #[cfg(test)]
 mod tests {

@@ -66,6 +66,15 @@ impl<T> WeightedFairBatcher<T> {
         }
     }
 
+    /// An empty machine with the listed `(tenant, weight)` shares set.
+    pub fn with_weights(policy: BatchPolicy, weights: &[(u16, u64)]) -> Self {
+        let mut queue = WeightedFairBatcher::new(policy);
+        for &(tenant, weight) in weights {
+            queue.set_weight(tenant, weight);
+        }
+        queue
+    }
+
     /// The per-lane batch policy.
     pub fn policy(&self) -> BatchPolicy {
         self.policy

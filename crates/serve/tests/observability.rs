@@ -79,6 +79,11 @@ fn full_tracing_leaves_serve_and_shard_outputs_bit_identical() {
     };
     let submitted_before = counter_at("serve.submitted");
     let completed_before = counter_at("serve.completed");
+    let shard_counters = || {
+        ["submitted", "completed", "failed", "rejected"]
+            .map(|event| counter_at(&format!("shard.{event}")))
+    };
+    let shard_before = shard_counters();
 
     let tracer = Tracer::global();
     tracer.clear();
@@ -119,6 +124,15 @@ fn full_tracing_leaves_serve_and_shard_outputs_bit_identical() {
         "every served request increments serve.completed"
     );
 
+    // ... and so did the pipeline, under its own tier.
+    let shard_after = shard_counters();
+    let served = inputs.len() as u64;
+    assert_eq!(
+        [0, 1, 2, 3].map(|i| shard_after[i] - shard_before[i]),
+        [served, served, 0, 0],
+        "every sharded request increments shard.submitted and shard.completed"
+    );
+
     // The engines left complete span chains behind.
     let serve_spans = span_names(&events, "serve");
     for name in ["request", "queue", "execute", "respond"] {
@@ -137,10 +151,18 @@ fn full_tracing_leaves_serve_and_shard_outputs_bit_identical() {
         shard_spans.iter().filter(|&&n| n == "stage").count() >= 2 * inputs.len(),
         "every pipeline hop records a 'stage' span"
     );
-    assert!(
-        events
-            .iter()
-            .any(|e| e.phase == Phase::Counter && e.name == "serve.queue_depth"),
-        "admission samples the queue-depth counter"
-    );
+    for name in ["queue", "respond"] {
+        assert!(
+            shard_spans.iter().filter(|&&n| n == name).count() >= inputs.len(),
+            "every sharded request opens+closes a '{name}' span"
+        );
+    }
+    for track in ["serve.queue_depth", "shard.queue_depth"] {
+        assert!(
+            events
+                .iter()
+                .any(|e| e.phase == Phase::Counter && e.name == track),
+            "admission samples the {track} counter"
+        );
+    }
 }

@@ -3,17 +3,17 @@
 //! This is the measured half of the workload story: the virtual clock in
 //! [`crate::sim`] answers "what do these arrivals deserve" deterministically,
 //! while [`TraceReplayer`] pushes the very same events through a live
-//! [`ServeEngine`]/[`ShardedEngine`] worker pool and reports what actually
-//! happened on the wall clock. Outputs are **bit-identical** across replays,
+//! `ServeEngine` / `ShardedEngine` / `FleetEngine` worker pool and reports
+//! what actually happened on the wall clock. Outputs are **bit-identical** across replays,
 //! replica counts and client thread counts — every request's input vector is
 //! regenerated from the trace seed by index ([`Trace::input_for`]) and the
 //! executors themselves are deterministic — so acceptance tests can pin
 //! `f32`-exact agreement while timing stays advisory.
 
-use crate::trace::Trace;
-use fpsa_serve::{ServeEngine, ServeStats, ShardedEngine, Ticket};
+use crate::trace::{Trace, TraceEvent};
+use fpsa_serve::{Engine, ServeStats, Ticket};
 use serde::{Deserialize, Serialize};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Anything a recorded trace can be replayed against: the two serving
 /// engines today, test doubles tomorrow. One request in, one ticket out,
@@ -25,21 +25,13 @@ pub trait ReplayTarget {
     fn stats(&self) -> ServeStats;
 }
 
-impl ReplayTarget for ServeEngine {
+/// [`fpsa_serve::ServeEngine`] and [`fpsa_serve::ShardedEngine`] alike.
+impl<const CHAIN: bool> ReplayTarget for Engine<CHAIN> {
     fn submit(&self, input: Vec<f32>) -> Ticket {
-        ServeEngine::submit(self, input)
+        Engine::submit(self, input)
     }
     fn stats(&self) -> ServeStats {
-        ServeEngine::stats(self)
-    }
-}
-
-impl ReplayTarget for ShardedEngine {
-    fn submit(&self, input: Vec<f32>) -> Ticket {
-        ShardedEngine::submit(self, input)
-    }
-    fn stats(&self) -> ServeStats {
-        ShardedEngine::stats(self)
+        Engine::stats(self)
     }
 }
 
@@ -57,12 +49,10 @@ pub trait RoutedReplayTarget {
 /// How the replayer spaces submissions on the wall clock.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Pacing {
-    /// Submit every event back-to-back: the throughput shape. This is the
-    /// old drivers' "burst" loop.
+    /// Submit every event back-to-back: the throughput shape.
     Burst,
     /// Sleep until each event's recorded offset before submitting: the
-    /// latency shape. Generalises the old drivers' fixed-gap "dribble"
-    /// loop — the gaps now come from the scenario's arrival process.
+    /// latency shape, gaps coming from the scenario's arrival process.
     Trace,
 }
 
@@ -116,33 +106,8 @@ impl<'a> TraceReplayer<'a> {
     /// Replay every event from one client thread, in trace order.
     pub fn replay<T: ReplayTarget>(&self, target: &T) -> ReplayOutcome {
         let start = Instant::now();
-        let mut tickets = Vec::with_capacity(self.trace.len());
-        let first_at = self.trace.events.first().map_or(0, |e| e.at_us);
-        for (index, event) in self.trace.events.iter().enumerate() {
-            if self.pacing == Pacing::Trace {
-                let offset_us = event.at_us - first_at;
-                let elapsed_us = start.elapsed().as_micros() as u64;
-                if offset_us > elapsed_us {
-                    std::thread::sleep(std::time::Duration::from_micros(offset_us - elapsed_us));
-                }
-            }
-            tickets.push(target.submit(self.trace.input_for(index, self.input_len)));
-        }
-        let mut outputs = Vec::with_capacity(tickets.len());
-        let mut latencies_us = Vec::with_capacity(tickets.len());
-        for (index, ticket) in tickets.into_iter().enumerate() {
-            let (logits, latency_us) = ticket
-                .wait_timed()
-                .unwrap_or_else(|e| panic!("replay request {index} failed: {e}"));
-            outputs.push(logits);
-            latencies_us.push(latency_us);
-        }
-        ReplayOutcome {
-            outputs,
-            latencies_us,
-            wall_us: start.elapsed().as_micros() as u64,
-            stats: target.stats(),
-        }
+        let resolved = self.client(0, 1, self.pacing, start, &self.plain(target));
+        Self::outcome(resolved, start, target.stats())
     }
 
     /// Replay through `clients` concurrent submitter threads (events dealt
@@ -155,47 +120,9 @@ impl<'a> TraceReplayer<'a> {
         target: &T,
         clients: usize,
     ) -> ReplayOutcome {
-        let clients = clients.max(1);
         let start = Instant::now();
-        let mut slots: Vec<Option<(Vec<f32>, u64)>> = vec![None; self.trace.len()];
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(clients);
-            for client in 0..clients {
-                handles.push(scope.spawn(move || {
-                    let mut resolved = Vec::new();
-                    let owned: Vec<usize> = (client..self.trace.len()).step_by(clients).collect();
-                    let tickets: Vec<Ticket> = owned
-                        .iter()
-                        .map(|&i| target.submit(self.trace.input_for(i, self.input_len)))
-                        .collect();
-                    for (&index, ticket) in owned.iter().zip(tickets) {
-                        let timed = ticket
-                            .wait_timed()
-                            .unwrap_or_else(|e| panic!("replay request {index} failed: {e}"));
-                        resolved.push((index, timed));
-                    }
-                    resolved
-                }));
-            }
-            for handle in handles {
-                for (index, timed) in handle.join().expect("replay client panicked") {
-                    slots[index] = Some(timed);
-                }
-            }
-        });
-        let mut outputs = Vec::with_capacity(slots.len());
-        let mut latencies_us = Vec::with_capacity(slots.len());
-        for slot in slots {
-            let (logits, latency_us) = slot.expect("every trace event replayed");
-            outputs.push(logits);
-            latencies_us.push(latency_us);
-        }
-        ReplayOutcome {
-            outputs,
-            latencies_us,
-            wall_us: start.elapsed().as_micros() as u64,
-            stats: target.stats(),
-        }
+        let resolved = self.concurrent(clients, start, &self.plain(target));
+        Self::outcome(resolved, start, target.stats())
     }
 
     /// Replay every event through a routed target, honouring each event's
@@ -215,38 +142,9 @@ impl<'a> TraceReplayer<'a> {
         input_lens: &[usize],
     ) -> ReplayOutcome {
         let start = Instant::now();
-        let mut tickets = Vec::with_capacity(self.trace.len());
-        let first_at = self.trace.events.first().map_or(0, |e| e.at_us);
-        for (index, event) in self.trace.events.iter().enumerate() {
-            if self.pacing == Pacing::Trace {
-                let offset_us = event.at_us - first_at;
-                let elapsed_us = start.elapsed().as_micros() as u64;
-                if offset_us > elapsed_us {
-                    std::thread::sleep(std::time::Duration::from_micros(offset_us - elapsed_us));
-                }
-            }
-            let len = input_lens[usize::from(event.model)];
-            tickets.push(target.submit_routed(
-                event.tenant,
-                event.model,
-                self.trace.input_for(index, len),
-            ));
-        }
-        let mut outputs = Vec::with_capacity(tickets.len());
-        let mut latencies_us = Vec::with_capacity(tickets.len());
-        for (index, ticket) in tickets.into_iter().enumerate() {
-            let (logits, latency_us) = ticket
-                .wait_timed()
-                .unwrap_or_else(|e| panic!("routed replay request {index} failed: {e}"));
-            outputs.push(logits);
-            latencies_us.push(latency_us);
-        }
-        ReplayOutcome {
-            outputs,
-            latencies_us,
-            wall_us: start.elapsed().as_micros() as u64,
-            stats: target.stats(),
-        }
+        let submit = self.routed(target, input_lens);
+        let resolved = self.client(0, 1, self.pacing, start, &submit);
+        Self::outcome(resolved, start, target.stats())
     }
 
     /// [`Self::replay_routed`] through `clients` concurrent submitter
@@ -264,54 +162,97 @@ impl<'a> TraceReplayer<'a> {
         input_lens: &[usize],
         clients: usize,
     ) -> ReplayOutcome {
-        let clients = clients.max(1);
         let start = Instant::now();
-        let mut slots: Vec<Option<(Vec<f32>, u64)>> = vec![None; self.trace.len()];
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(clients);
-            for client in 0..clients {
-                handles.push(scope.spawn(move || {
-                    let mut resolved = Vec::new();
-                    let owned: Vec<usize> = (client..self.trace.len()).step_by(clients).collect();
-                    let tickets: Vec<Ticket> = owned
-                        .iter()
-                        .map(|&i| {
-                            let event = &self.trace.events[i];
-                            let len = input_lens[usize::from(event.model)];
-                            target.submit_routed(
-                                event.tenant,
-                                event.model,
-                                self.trace.input_for(i, len),
-                            )
-                        })
-                        .collect();
-                    for (&index, ticket) in owned.iter().zip(tickets) {
-                        let timed = ticket.wait_timed().unwrap_or_else(|e| {
-                            panic!("routed replay request {index} failed: {e}")
-                        });
-                        resolved.push((index, timed));
-                    }
-                    resolved
-                }));
-            }
-            for handle in handles {
-                for (index, timed) in handle.join().expect("replay client panicked") {
-                    slots[index] = Some(timed);
-                }
-            }
-        });
-        let mut outputs = Vec::with_capacity(slots.len());
-        let mut latencies_us = Vec::with_capacity(slots.len());
-        for slot in slots {
-            let (logits, latency_us) = slot.expect("every trace event replayed");
-            outputs.push(logits);
-            latencies_us.push(latency_us);
+        let resolved = self.concurrent(clients, start, &self.routed(target, input_lens));
+        Self::outcome(resolved, start, target.stats())
+    }
+
+    /// How event `index` is submitted to a single-model target.
+    fn plain<'t, T: ReplayTarget>(
+        &'t self,
+        target: &'t T,
+    ) -> impl Fn(usize, &TraceEvent) -> Ticket + 't {
+        move |index, _| target.submit(self.trace.input_for(index, self.input_len))
+    }
+
+    /// How event `index` is submitted to a routed target.
+    fn routed<'t, T: RoutedReplayTarget>(
+        &'t self,
+        target: &'t T,
+        input_lens: &'t [usize],
+    ) -> impl Fn(usize, &TraceEvent) -> Ticket + 't {
+        move |index, event| {
+            let len = input_lens[usize::from(event.model)];
+            target.submit_routed(event.tenant, event.model, self.trace.input_for(index, len))
         }
+    }
+
+    /// The one replay body: client `client` of `clients` submits its
+    /// round-robin share of the trace in order (sleeping to each event's
+    /// recorded offset under [`Pacing::Trace`]), then collects its tickets.
+    fn client(
+        &self,
+        client: usize,
+        clients: usize,
+        pacing: Pacing,
+        start: Instant,
+        submit: &impl Fn(usize, &TraceEvent) -> Ticket,
+    ) -> Vec<Resolved> {
+        let events = &self.trace.events;
+        let first_at = events.first().map_or(0, |e| e.at_us);
+        let tickets: Vec<(usize, Ticket)> = (client..events.len())
+            .step_by(clients)
+            .map(|index| {
+                if pacing == Pacing::Trace {
+                    let offset_us = events[index].at_us - first_at;
+                    let elapsed_us = start.elapsed().as_micros() as u64;
+                    if offset_us > elapsed_us {
+                        std::thread::sleep(Duration::from_micros(offset_us - elapsed_us));
+                    }
+                }
+                (index, submit(index, &events[index]))
+            })
+            .collect();
+        let wait = |(index, ticket): (usize, Ticket)| match ticket.wait_timed() {
+            Ok((logits, latency_us)) => (index, logits, latency_us),
+            Err(e) => panic!("replay request {index} failed: {e}"),
+        };
+        tickets.into_iter().map(wait).collect()
+    }
+
+    /// Run [`Self::client`] on `clients` scoped threads, burst-paced.
+    fn concurrent(
+        &self,
+        clients: usize,
+        start: Instant,
+        submit: &(impl Fn(usize, &TraceEvent) -> Ticket + Sync),
+    ) -> Vec<Resolved> {
+        let clients = clients.max(1);
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..clients)
+                .map(|c| scope.spawn(move || self.client(c, clients, Pacing::Burst, start, submit)))
+                .collect();
+            let joined = handles.into_iter().map(|handle| handle.join());
+            joined
+                .flat_map(|share| share.expect("replay client panicked"))
+                .collect()
+        })
+    }
+
+    /// Put the clients' results back into trace order.
+    fn outcome(mut resolved: Vec<Resolved>, start: Instant, stats: ServeStats) -> ReplayOutcome {
+        let wall_us = start.elapsed().as_micros() as u64;
+        resolved.sort_unstable_by_key(|&(index, ..)| index);
+        let in_order = resolved.into_iter().map(|(_, logits, us)| (logits, us));
+        let (outputs, latencies_us) = in_order.unzip();
         ReplayOutcome {
             outputs,
             latencies_us,
-            wall_us: start.elapsed().as_micros() as u64,
-            stats: target.stats(),
+            wall_us,
+            stats,
         }
     }
 }
+
+/// One answered request: `(trace index, logits, latency_us)`.
+type Resolved = (usize, Vec<f32>, u64);

@@ -4,9 +4,9 @@
 //! and timer resolution — none of which belongs in a CI pin. Following the
 //! record → simulate → report methodology (measure against a model you can
 //! hold fixed, not an ad-hoc probe), [`simulate`] replays a recorded
-//! [`Trace`] through the *real* [`DynamicBatcher`] state machine — the same
-//! pure, clock-free admission discipline the serving engines run — under a
-//! discrete-event virtual clock: arrivals land at their trace timestamps,
+//! [`Trace`] through the *real* batcher state machines and [`Router`] — the
+//! same pure, clock-free admission discipline and routing rule the serving
+//! core runs — under a discrete-event virtual clock: arrivals land at their trace timestamps,
 //! ready batches are claimed by the earliest-free of `replicas` virtual
 //! workers, and each batch occupies its worker for the scenario's
 //! [`ServiceModel`] cost. Everything is integer microseconds, the
@@ -18,13 +18,13 @@
 //! stand on.
 
 use crate::scenario::{ReplayPolicy, ServiceModel};
-use crate::trace::{Trace, TraceEvent};
+use crate::trace::Trace;
 use fpsa_obs::{Span, SpanId, Tracer};
-use fpsa_serve::{BatchPolicy, DynamicBatcher, ServeStats, WeightedFairBatcher};
+use fpsa_serve::{lane_mut, BatchPolicy, Router, ServeStats, WeightedFairBatcher};
 use serde::{Deserialize, Serialize};
 
 /// The result of one virtual-time replay.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct VirtualReplay {
     /// Engine-contract statistics accumulated under the virtual clock
     /// (deterministic: identical across runs and thread counts).
@@ -39,17 +39,14 @@ pub struct VirtualReplay {
 
 impl VirtualReplay {
     fn empty() -> VirtualReplay {
-        VirtualReplay {
-            stats: ServeStats::default(),
-            makespan_us: 0,
-            throughput_rps: 0.0,
-        }
+        VirtualReplay::default()
     }
 }
 
-/// Replay `trace` under the virtual clock (see the module docs).
+/// Replay `trace` under the virtual clock (see the module docs): the
+/// one-fabric, one-lane, everything-hosted case of [`simulate_fleet`].
 pub fn simulate(trace: &Trace, policy: ReplayPolicy, service: ServiceModel) -> VirtualReplay {
-    simulate_inner(trace, policy, service, None)
+    run(trace, &single(policy), false, service, None).aggregate
 }
 
 /// [`simulate`], recording every request's `request → queue → execute →
@@ -68,107 +65,7 @@ pub fn simulate_traced(
     service: ServiceModel,
     tracer: &Tracer,
 ) -> VirtualReplay {
-    simulate_inner(trace, policy, service, Some(tracer))
-}
-
-fn simulate_inner(
-    trace: &Trace,
-    policy: ReplayPolicy,
-    service: ServiceModel,
-    tracer: Option<&Tracer>,
-) -> VirtualReplay {
-    if trace.is_empty() {
-        return VirtualReplay::empty();
-    }
-    // Request/queue span handles, indexed by trace-event index (admissions
-    // happen strictly in index order).
-    let mut spans: Vec<(Span, Span)> = Vec::new();
-    let mut batcher: DynamicBatcher<usize> =
-        DynamicBatcher::new(BatchPolicy::new(policy.max_batch, policy.window_us));
-    let mut stats = ServeStats::default();
-    let mut free = vec![0u64; policy.replicas.max(1)];
-    let events = &trace.events;
-    let mut next = 0usize;
-    let mut last_finish = 0u64;
-    // The global simulation clock: monotone, so a replica that frees up
-    // early can never claim a batch "before" arrivals the simulation has
-    // already admitted (which would send a latency negative).
-    let mut clock = 0u64;
-
-    while next < events.len() || !batcher.is_empty() {
-        // The earliest-free virtual worker claims the next batch (ties by
-        // worker index) — the deterministic mirror of "whichever replica
-        // frees up first".
-        let (worker, worker_free) = free
-            .iter()
-            .copied()
-            .enumerate()
-            .min_by_key(|&(i, t)| (t, i))
-            .expect("replicas >= 1");
-        let mut now = worker_free.max(clock);
-        loop {
-            // Arrivals up to the candidate instant join the queue first, so
-            // simultaneity resolves identically on every run.
-            while next < events.len() && events[next].at_us <= now {
-                let at = events[next].at_us;
-                stats.submitted += 1;
-                batcher.push(next, at);
-                stats.record_queue_depth(batcher.len());
-                if let Some(t) = tracer {
-                    let root = t.enter_with(
-                        "request",
-                        "replay",
-                        at,
-                        SpanId::NONE,
-                        &[
-                            ("tenant", i64::from(events[next].tenant)),
-                            ("model", i64::from(events[next].model)),
-                        ],
-                    );
-                    let queue = t.enter("queue", "replay", at, root.id);
-                    spans.push((root, queue));
-                    t.counter("replay.queue_depth", "replay", at, batcher.len() as i64);
-                }
-                next += 1;
-            }
-            if batcher.ready(now) {
-                break;
-            }
-            // Advance to the next interesting instant: the oldest entry's
-            // deadline or the next arrival. Both are > now (arrivals <= now
-            // are already pushed; an expired deadline implies ready).
-            now = match (batcher.next_deadline_us(), events.get(next)) {
-                (Some(deadline), Some(event)) => deadline.min(event.at_us),
-                (Some(deadline), None) => deadline,
-                (None, Some(event)) => event.at_us,
-                (None, None) => return finishize(stats, events, last_finish),
-            }
-            .max(now);
-        }
-        let batch = batcher.pop_ready(now).expect("checked ready");
-        clock = now;
-        let blen = batch.len();
-        let finish = now + service.batch_us(blen);
-        free[worker] = finish;
-        last_finish = last_finish.max(finish);
-        stats.record_batch(blen, true);
-        for index in batch {
-            let latency = finish - events[index].at_us;
-            stats.record_latency(latency);
-            if let Some(t) = tracer {
-                let (root, queue) = spans[index];
-                t.exit(&queue, now);
-                let exec =
-                    t.enter_with("execute", "replay", now, root.id, &[("batch", blen as i64)]);
-                t.exit(&exec, finish);
-                let respond = t.enter("respond", "replay", finish, root.id);
-                t.exit(&respond, finish);
-                t.record(&root, "latency_us", latency as i64, finish);
-                t.exit(&root, finish);
-            }
-        }
-    }
-    finishize(stats, events, last_finish)
+    run(trace, &single(policy), false, service, Some(tracer)).aggregate
 }
 
 /// How a virtual *fleet* replays a trace: several fabrics, each running a
@@ -195,19 +92,18 @@ pub struct FleetVirtualReplay {
 }
 
 /// Replay `trace` through a virtual fleet (see [`FleetPolicy`]): arrivals
-/// route to the hosting fabric with the shortest queue (ties to the lowest
-/// index — the deterministic mirror of `FleetEngine`'s router), each
-/// fabric's earliest-free replica claims batches under weighted-fair
-/// order, and every batch costs the scenario's [`ServiceModel`] time.
-/// Single-threaded, integer microseconds, bit-deterministic. A model
-/// hosted nowhere falls back to routing across every fabric, so a stale
-/// placement degrades to a shared queue instead of dropping work.
+/// route through the very [`Router`] `FleetEngine::submit` calls (shortest
+/// queue among the hosting fabrics, ties to the lowest index, a model
+/// hosted nowhere falls back to every fabric), each fabric's earliest-free
+/// replica claims batches under weighted-fair order, and every batch costs
+/// the scenario's [`ServiceModel`] time. Single-threaded, integer
+/// microseconds, bit-deterministic.
 pub fn simulate_fleet(
     trace: &Trace,
     policy: &FleetPolicy,
     service: ServiceModel,
 ) -> FleetVirtualReplay {
-    simulate_fleet_inner(trace, policy, service, None)
+    run(trace, policy, true, service, None)
 }
 
 /// [`simulate_fleet`] with the same per-request span recording contract as
@@ -219,12 +115,27 @@ pub fn simulate_fleet_traced(
     service: ServiceModel,
     tracer: &Tracer,
 ) -> FleetVirtualReplay {
-    simulate_fleet_inner(trace, policy, service, Some(tracer))
+    run(trace, policy, true, service, Some(tracer))
 }
 
-fn simulate_fleet_inner(
+/// The single-engine view of the event loop: one fabric hosting
+/// everything, and (`fleet = false` below) one FIFO lane for all tenants.
+fn single(policy: ReplayPolicy) -> FleetPolicy {
+    FleetPolicy {
+        per_fabric: policy,
+        hosted: Vec::new(),
+        tenant_weights: Vec::new(),
+    }
+}
+
+/// The one discrete-event loop. Each iteration either admits the next
+/// arrival or lets one fabric's earliest-free worker pop one batch,
+/// whichever comes first on the monotone global clock. `fleet` says
+/// whether tenants queue in their own lanes and spans name their fabric.
+fn run(
     trace: &Trace,
-    policy: &FleetPolicy,
+    plan: &FleetPolicy,
+    fleet: bool,
     service: ServiceModel,
     tracer: Option<&Tracer>,
 ) -> FleetVirtualReplay {
@@ -234,36 +145,24 @@ fn simulate_fleet_inner(
             per_tenant: Vec::new(),
         };
     }
-    let fabrics = policy.hosted.len().max(1);
-    let per_fabric = BatchPolicy::new(policy.per_fabric.max_batch, policy.per_fabric.window_us);
+    let router = Router::new(&plan.hosted);
+    let fabrics = router.stations();
+    let policy = BatchPolicy::new(plan.per_fabric.max_batch, plan.per_fabric.window_us);
     let mut queues: Vec<WeightedFairBatcher<usize>> = (0..fabrics)
-        .map(|_| {
-            let mut queue = WeightedFairBatcher::new(per_fabric);
-            for &(tenant, weight) in &policy.tenant_weights {
-                queue.set_weight(tenant, weight);
-            }
-            queue
-        })
+        .map(|_| WeightedFairBatcher::with_weights(policy, &plan.tenant_weights))
         .collect();
-    let mut free = vec![vec![0u64; policy.per_fabric.replicas.max(1)]; fabrics];
-    let mut stats = ServeStats::default();
-    let mut per_tenant: Vec<ServeStats> = Vec::new();
+    let mut free = vec![vec![0u64; plan.per_fabric.replicas.max(1)]; fabrics];
+    let mut lanes: Vec<ServeStats> = Vec::new();
     // Request/queue span handles, indexed by trace-event index (admissions
     // happen strictly in index order).
     let mut spans: Vec<(Span, Span)> = Vec::new();
     let events = &trace.events;
     let mut next = 0usize;
     let mut last_finish = 0u64;
-    // Global monotone clock, exactly as in [`simulate`].
+    // The global simulation clock: monotone, so a replica that frees up
+    // early can never claim a batch "before" arrivals the simulation has
+    // already admitted (which would send a latency negative).
     let mut clock = 0u64;
-
-    fn tenant_mut(per_tenant: &mut Vec<ServeStats>, tenant: u16) -> &mut ServeStats {
-        let index = usize::from(tenant);
-        while per_tenant.len() <= index {
-            per_tenant.push(ServeStats::default());
-        }
-        &mut per_tenant[index]
-    }
 
     loop {
         // The earliest instant any fabric could pop a batch: its earliest
@@ -292,46 +191,26 @@ fn simulate_fleet_inner(
         let horizon = action.map_or(u64::MAX, |(at, _)| at);
         if next < events.len() && events[next].at_us <= horizon {
             let event = &events[next];
-            let fabric = (0..fabrics)
-                .filter(|&f| policy.hosted[f].contains(&event.model))
-                .min_by_key(|&f| (queues[f].len(), f))
-                .unwrap_or_else(|| {
-                    (0..fabrics)
-                        .min_by_key(|&f| (queues[f].len(), f))
-                        .expect("fabrics >= 1")
-                });
-            queues[fabric].push(event.tenant, next, event.at_us);
-            // Admission advances the global clock to the arrival instant
-            // (the fleet mirror of `simulate`'s `.max(now)` on event
-            // times). Without this, a count-full queue is "ready" at the
-            // stale clock and a batch can be popped *before* its items
-            // arrived, underflowing `finish - at_us`. Safe to advance:
+            let fabric = router.route(event.model, |f| queues[f].len());
+            let lane = if fleet { event.tenant } else { 0 };
+            queues[fabric].push(lane, next, event.at_us);
+            // Admission advances the global clock to the arrival instant.
+            // Without this, a count-full queue is "ready" at the stale
+            // clock and a batch can be popped *before* its items arrived,
+            // underflowing `finish - at_us`. Safe to advance:
             // `at_us <= horizon` means no fabric had an earlier action.
             clock = clock.max(event.at_us);
             let depth = queues[fabric].len();
-            stats.submitted += 1;
-            stats.record_queue_depth(depth);
-            let tenant = tenant_mut(&mut per_tenant, event.tenant);
-            tenant.submitted += 1;
-            tenant.record_queue_depth(depth);
+            let lane_stats = lane_mut(&mut lanes, lane);
+            lane_stats.submitted += 1;
+            lane_stats.record_queue_depth(depth);
             if let Some(t) = tracer {
-                let root = t.enter_with(
-                    "request",
-                    "replay",
-                    event.at_us,
-                    SpanId::NONE,
-                    &[
-                        ("tenant", i64::from(event.tenant)),
-                        ("model", i64::from(event.model)),
-                    ],
-                );
-                let queue = t.enter_with(
-                    "queue",
-                    "replay",
-                    event.at_us,
-                    root.id,
-                    &[("fabric", fabric as i64)],
-                );
+                let tenant = ("tenant", i64::from(event.tenant));
+                let who = [tenant, ("model", i64::from(event.model))];
+                let root = t.enter_with("request", "replay", event.at_us, SpanId::NONE, &who);
+                let args = [("fabric", fabric as i64)];
+                let args = &args[usize::from(!fleet)..];
+                let queue = t.enter_with("queue", "replay", event.at_us, root.id, args);
                 spans.push((root, queue));
                 t.counter("replay.queue_depth", "replay", event.at_us, depth as i64);
             }
@@ -342,13 +221,16 @@ fn simulate_fleet_inner(
         let Some((now, fabric)) = action else {
             break; // no queued work and no arrivals left
         };
+        // The earliest-free virtual worker claims the batch (ties by
+        // worker index) — the deterministic mirror of "whichever replica
+        // frees up first".
         let (worker, _) = free[fabric]
             .iter()
             .copied()
             .enumerate()
             .min_by_key(|&(i, t)| (t, i))
             .expect("replicas >= 1");
-        let (tenant_id, batch) = queues[fabric]
+        let (lane, batch) = queues[fabric]
             .pop_ready(now)
             .expect("a fabric's action instant has a ready batch");
         clock = now;
@@ -356,23 +238,17 @@ fn simulate_fleet_inner(
         let finish = now + service.batch_us(blen);
         free[fabric][worker] = finish;
         last_finish = last_finish.max(finish);
-        stats.record_batch(blen, true);
-        let tenant = tenant_mut(&mut per_tenant, tenant_id);
-        tenant.record_batch(blen, true);
+        let lane_stats = lane_mut(&mut lanes, lane);
+        lane_stats.record_batch(blen, true);
+        let args = [("fabric", fabric as i64), ("batch", blen as i64)];
+        let args = &args[usize::from(!fleet)..];
         for index in batch {
             let latency = finish - events[index].at_us;
-            stats.record_latency(latency);
-            tenant_mut(&mut per_tenant, tenant_id).record_latency(latency);
+            lane_stats.record_latency(latency);
             if let Some(t) = tracer {
                 let (root, queue) = spans[index];
                 t.exit(&queue, now);
-                let exec = t.enter_with(
-                    "execute",
-                    "replay",
-                    now,
-                    root.id,
-                    &[("fabric", fabric as i64), ("batch", blen as i64)],
-                );
+                let exec = t.enter_with("execute", "replay", now, root.id, args);
                 t.exit(&exec, finish);
                 let respond = t.enter("respond", "replay", finish, root.id);
                 t.exit(&respond, finish);
@@ -382,24 +258,22 @@ fn simulate_fleet_inner(
         }
     }
 
-    FleetVirtualReplay {
-        aggregate: finishize(stats, events, last_finish),
-        per_tenant,
-    }
-}
-
-fn finishize(stats: ServeStats, events: &[TraceEvent], last_finish: u64) -> VirtualReplay {
     // Makespan runs from the first *arrival*, not virtual t=0: a trace
     // slice that was not rebased starts deep into virtual time, and
     // counting that dead lead-in would deflate throughput_rps.
-    let first_at = events.first().map_or(0, |e| e.at_us);
-    let makespan_us = last_finish.saturating_sub(first_at);
-    VirtualReplay {
-        stats,
-        makespan_us,
-        throughput_rps: events.len() as f64 / (makespan_us.max(1) as f64 / 1_000_000.0),
+    let makespan_us = last_finish.saturating_sub(events[0].at_us);
+    FleetVirtualReplay {
+        aggregate: VirtualReplay {
+            stats: ServeStats::merged(&lanes),
+            makespan_us,
+            throughput_rps: events.len() as f64 / (makespan_us.max(1) as f64 / 1_000_000.0),
+        },
+        per_tenant: lanes,
     }
 }
+
+#[cfg(test)]
+use crate::trace::TraceEvent;
 
 #[cfg(test)]
 mod tests {
