@@ -1,6 +1,6 @@
-//! Per-sample forward-pass cost of the bytecode executor vs the retired
-//! tile-program interpreter, bind-amortized on one core, on the two
-//! deterministic paper models (MLP-500-100 and LeNet).
+//! Per-sample forward-pass cost of the bytecode executor vs the
+//! tile-program oracle (`Executor::run_interpreted`), bind-amortized on one
+//! core, on the two deterministic paper models (MLP-500-100 and LeNet).
 //!
 //! Two bytecode numbers are reported: single-sample `run_into`, and the
 //! serving hot path `run_batch_into`, whose instruction-major dispatch
@@ -72,12 +72,9 @@ fn measure(graph: &ComputationalGraph) -> (ExecRow, Executor, Vec<Vec<f32>>) {
         exec.run_batch_into(xs, &mut arena, &mut outs)
             .expect("batched run");
     });
-    let mut arena = ExecArena::default();
-    let mut out = Vec::new();
     let interpreter = best_ns_per_sample(&inputs, |xs| {
         for x in xs {
-            exec.run_interpreted_into(x, &mut arena, &mut out)
-                .expect("interpreter run");
+            std::hint::black_box(exec.run_interpreted(x).expect("oracle run"));
         }
     });
 

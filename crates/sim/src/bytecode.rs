@@ -30,7 +30,7 @@
 //! arithmetic the interpreter performs (`0 · x` and `w · 0` with finite
 //! operands), so every accumulator still receives exactly the same sequence
 //! of non-zero terms in the same order — outputs are bit-identical to the
-//! shadow interpreter, which the differential suite asserts per node.
+//! tile-program oracle, which the differential suite asserts per node.
 //!
 //! Per output position, the dispatch loop prefilters the surviving rows —
 //! conv window clipping and the zero-activation check both run once per

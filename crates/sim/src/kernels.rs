@@ -4,9 +4,9 @@
 //! the same primitive: `out[c] = Σ_rows w[woff + c] · x_row` with the terms
 //! of every accumulator taken in ascending row order. The dispatch loops in
 //! [`crate::bytecode`] prefilter each position's surviving rows (dynamic
-//! sparsity: activations that are exactly zero are dropped, exactly like the
-//! interpreter's `xv != 0` guard) into a flat `(weight offset, activation)`
-//! list, then hand the whole position to one of the kernels here.
+//! sparsity: activations that are exactly zero are dropped — they only ever
+//! contribute `w · 0` terms) into a flat `(weight offset, activation)` list,
+//! then hand the whole position to one of the kernels here.
 //!
 //! The kernels differ only in how many accumulator lanes they keep in
 //! registers while sweeping rows; none of them changes the order in which
@@ -14,8 +14,8 @@
 //! contract. Vectorizing *across columns* is always exact: each f64
 //! accumulator still receives the same `w·x` products in the same sequence,
 //! and Rust never contracts the separate multiply and add into a fused
-//! multiply-add. The differential suite re-checks this against the shadow
-//! interpreter on every `run_checked` call.
+//! multiply-add. The differential suite re-checks this against the
+//! tile-program oracle on every `run_checked` call.
 //!
 //! Feature detection happens once at bind time ([`Simd::detect`]); the
 //! resulting selector is stored in the lowered artifact so the hot loop is a

@@ -18,9 +18,10 @@
 //!   sparsity skipping and precomputed arena demand, then executes samples
 //!   with a single dispatch loop in float, integer-exact or noisy-device
 //!   precision — the numeric proof that compilation preserves semantics,
-//!   fast enough to sit under the serving and sharding engines. The retired
-//!   interpreter survives behind the default `shadow-interp` feature purely
-//!   as the differential cross-check (`Executor::run_checked`).
+//!   fast enough to sit under the serving and sharding engines. The bound
+//!   tile programs stay interpretable by a self-contained oracle
+//!   (`exec/oracle.rs`), the bit-exact reference `Executor::run_checked`
+//!   compares the stream against node by node.
 //!
 //! The [`trace`] module carries compile-stage instrumentation: the compiler
 //! in `fpsa-core` fills a [`StageTrace`] per compilation and attaches it to

@@ -25,22 +25,18 @@
 use crate::bytecode::{
     ConvRun, Inst, Lowered, MacStore, PoolLoop, PosWin, ReduceSrc, Region, Requant, RowRun, Span,
 };
-use crate::exec::{side_gather_step, ConvGeom, ExecError, NodeInfo, ProgramKind, TileProgram};
+use crate::exec::{
+    mismatch, side_gather_step, ConvGeom, ExecError, NodeInfo, ProgramKind, TileProgram,
+};
 use fpsa_nn::reference::InputView;
 use fpsa_nn::NodeId;
 use std::collections::HashMap;
 
-fn mismatch(reason: impl Into<String>) -> ExecError {
-    ExecError::ModelMismatch {
-        reason: reason.into(),
-    }
-}
-
 /// Everything [`lower`] needs from the bind phase.
 pub(crate) struct LowerCtx<'a> {
     pub programs: &'a [TileProgram],
+    /// Per-graph-node geometry (`None` for nodes no tile computes).
     pub nodes: &'a [Option<NodeInfo>],
-    pub graph_len: usize,
     pub input: (NodeId, usize),
     /// Integer-mode activation steps per node (1.0 placeholders otherwise).
     pub node_steps: &'a [f64],
@@ -72,7 +68,7 @@ struct LowerPass<'a> {
 
 /// Lower bound tile programs (in schedule order) into a bytecode stream.
 pub(crate) fn lower(ctx: LowerCtx<'_>) -> Result<Lowered, ExecError> {
-    let graph_len = ctx.graph_len;
+    let graph_len = ctx.nodes.len();
     let mut pass = LowerPass {
         ctx,
         out: Lowered::default(),
@@ -169,7 +165,7 @@ impl<'a> LowerPass<'a> {
         // Resolve the node's gathered input view (first consumer only) or
         // this program's element-wise sides (re-resolved per program until
         // the sources are complete, like the interpreter re-gathers).
-        let gather = if needs_gather(&prog.kind) {
+        let gather = if prog.kind.gathers() {
             Some(self.resolve_gather(prog.node, info)?)
         } else {
             None
@@ -713,17 +709,4 @@ fn pool_loop(geom: &crate::exec::PoolGeom, cols: u32, positions: u32) -> PoolLoo
         iw: geom.iw as u32,
         chan: (geom.ih * geom.iw) as u32,
     }
-}
-
-/// Views gather the node's logical input for these kinds (mirror of the
-/// interpreter's rule).
-fn needs_gather(kind: &ProgramKind) -> bool {
-    matches!(
-        kind,
-        ProgramKind::Dense
-            | ProgramKind::Conv(_)
-            | ProgramKind::AvgPool(_)
-            | ProgramKind::GlobalAvgPool { .. }
-            | ProgramKind::MaxStage1(_)
-    )
 }
