@@ -43,6 +43,14 @@
 //! which is what keeps the f64 results bit-identical. Batched entry points
 //! run instruction-major over a batch of slabs so a weight tile streams
 //! from memory once per batch instead of once per sample.
+//!
+//! The integer domain keeps `i64` everywhere a caller can see — value slab,
+//! partial slab, accumulator row, `requantize_mac` — but its MAC datapath is
+//! narrow: the weight slab holds one `i8` per code, the surviving-row list
+//! carries `i32` activation codes, and [`kernels::mac_i`] accumulates in
+//! `i32` lanes, widening at the store. That is exact because value-slab
+//! codes are clamped to ±`activation_levels` by every writer and bind
+//! rejects any plan whose deepest tile could overflow a lane.
 
 use crate::kernels::{self, RowF, RowI, Simd};
 use crate::profile::{self, SkipTally};
@@ -394,7 +402,10 @@ pub struct LowerStats {
     pub value_slab: usize,
     /// Partial-slab length in elements.
     pub partial_slab: usize,
-    /// Weight-slab length in elements (float or integer domain).
+    /// Weight-slab length in **elements**, not bytes: one element per
+    /// realized weight (per duplicate, in the noisy domain). An element is a
+    /// 4-byte `f32` in the float domains and a 1-byte `i8` code in the
+    /// integer domain.
     pub weight_slab: usize,
 }
 
@@ -412,8 +423,9 @@ pub(crate) struct Lowered {
     pub dup_bases: Vec<u32>,
     /// Row-major realized float weights of every tile duplicate.
     pub wslab_f: Vec<f32>,
-    /// Row-major integer weight codes (Integer precision).
-    pub wslab_q: Vec<i64>,
+    /// Row-major integer weight codes (Integer precision): one byte per
+    /// code, which is all an up-to-8-bit plan needs (bind rejects wider).
+    pub wslab_q: Vec<i8>,
     /// Value-slab length (f32 floats or i64 codes).
     pub val_len: usize,
     /// Partial-slab length (f64 floats or i64 codes).
@@ -976,7 +988,7 @@ impl Lowered {
                         for x in run.x..run.x + run.n {
                             let xv = vals[x as usize];
                             if xv != 0 {
-                                mac.rows_i.push((woff, xv));
+                                mac.rows_i.push((woff, lane_code(xv, alevels)));
                             } else {
                                 skips.hit();
                             }
@@ -986,11 +998,12 @@ impl Lowered {
                     skips.flush(profile::OP_DENSE_I);
                     if store.output {
                         let acc = grow(&mut mac.acc_i, cols);
-                        kernels::mac_i(&self.wslab_q, cols, &mac.rows_i, acc);
+                        kernels::mac_i(self.simd, &self.wslab_q, cols, &mac.rows_i, acc);
                         scatter_out_i(vals, store, rq, alevels, &mac.acc_i[..cols], 1, 0);
                     } else {
                         let dst = store.dst as usize;
                         kernels::mac_i(
+                            self.simd,
                             &self.wslab_q,
                             cols,
                             &mac.rows_i,
@@ -1030,7 +1043,7 @@ impl Lowered {
                             for kx in lo..hi {
                                 let xv = vals[(xrun + i64::from(kx)) as usize];
                                 if xv != 0 {
-                                    mac.rows_i.push((woff, xv));
+                                    mac.rows_i.push((woff, lane_code(xv, alevels)));
                                 } else {
                                     skips.hit();
                                 }
@@ -1039,7 +1052,7 @@ impl Lowered {
                         }
                         if store.output {
                             let acc = grow(&mut mac.acc_i, cols);
-                            kernels::mac_i(&self.wslab_q, cols, &mac.rows_i, acc);
+                            kernels::mac_i(self.simd, &self.wslab_q, cols, &mac.rows_i, acc);
                             scatter_out_i(
                                 vals,
                                 store,
@@ -1052,6 +1065,7 @@ impl Lowered {
                         } else {
                             let dst = store.dst as usize + p * cols;
                             kernels::mac_i(
+                                self.simd,
                                 &self.wslab_q,
                                 cols,
                                 &mac.rows_i,
@@ -1263,6 +1277,19 @@ fn pool_loop(geom: PoolLoop, mut body: impl FnMut(usize, usize, usize)) {
         }
         row_base += stride * iw;
     }
+}
+
+/// Narrow a value-slab activation code to the MAC kernels' `i32` lane width.
+/// Lossless: every value-slab writer (input quantization, `rescale_code`,
+/// `requantize_mac`, `quantize_code`) clamps to ±`alevels`, and bind rejects
+/// plans whose `alevels` does not fit the lane bound.
+#[inline(always)]
+fn lane_code(code: i64, alevels: i64) -> i32 {
+    debug_assert!(
+        code.abs() <= alevels,
+        "value-slab code {code} escaped ±{alevels}"
+    );
+    code as i32
 }
 
 /// Store one float result: fused ReLU + f32 cast at output boundaries

@@ -12,7 +12,7 @@ use super::{
 use crate::lower::{self, LowerCtx};
 use fpsa_mapper::Mapping;
 use fpsa_nn::quant::{quantize_code, Quantizer};
-use fpsa_nn::reference;
+use fpsa_nn::reference::{self, QuantizationPlan};
 use fpsa_nn::seeds;
 use fpsa_nn::{ComputationalGraph, GraphParameters, NodeId, Operator, TensorShape};
 use fpsa_synthesis::{weights, CoreOpGraph, CoreOpKind, GroupId, Neighbor};
@@ -29,7 +29,11 @@ impl Executor {
     ///
     /// * [`ExecError::Graph`] — malformed source graph;
     /// * [`ExecError::Unsupported`] — constructs without numeric semantics
-    ///   (grouped convolutions share one weight tile across channel groups);
+    ///   (grouped convolutions share one weight tile across channel groups),
+    ///   or a [`Precision::Integer`] plan outside the integer datapath:
+    ///   weight codes wider than the `i8` slab, or a deepest tile whose
+    ///   `rows · weight_levels · activation_levels` could overflow the MAC
+    ///   kernels' `i32` lanes;
     /// * [`ExecError::ModelMismatch`] — artifacts disagree with the graph or
     ///   parameters;
     /// * [`ExecError::ScheduleOrder`] / [`ExecError::MissingTransport`] —
@@ -108,6 +112,7 @@ impl Executor {
                 {
                     return Err(mismatch("quantization plan covers a different graph"));
                 }
+                check_integer_datapath(plan, core)?;
                 Some(plan)
             }
             _ => None,
@@ -156,13 +161,12 @@ impl Executor {
             .map(|g| g.source_node)
             .collect();
 
-        let wlevels = Quantizer::weights_8bit(1.0).positive_levels();
         // Per-node |w|max cache: scanning a layer's weights once per *tile*
         // is quadratic (VGG16's fc6 alone is 25k tiles × 102M weights), and
         // only the quantizing precisions need the range at all.
         let mut weight_ranges: HashMap<NodeId, f32> = HashMap::new();
         let mut wslab_f: Vec<f32> = Vec::new();
-        let mut wslab_q: Vec<i64> = Vec::new();
+        let mut wslab_q: Vec<i8> = Vec::new();
         let mut programs = Vec::with_capacity(core.len());
         let order = schedule_order(mapping);
         for &gid in &order {
@@ -360,9 +364,13 @@ impl Executor {
                     }
                     Precision::Integer(plan) => {
                         let wstep = plan.weight_step(g.source_node);
+                        let wlevels = plan.weight_levels();
                         let codes = exact
                             .iter()
-                            .map(|&w| quantize_code(f64::from(w), wstep, wlevels))
+                            .map(|&w| {
+                                i8::try_from(quantize_code(f64::from(w), wstep, wlevels))
+                                    .expect("codes clamp to ±weight_levels, checked to fit i8")
+                            })
                             .collect();
                         // Integer execution reads only the codes; keeping
                         // the float tiles too would double the bound
@@ -493,6 +501,45 @@ impl Executor {
     }
 }
 
+/// The integer datapath's contract with a plan, checked before anything is
+/// realized: weight codes must fit the one-byte slab, and the deepest VMM
+/// tile must not be able to overflow an `i32` accumulator lane of
+/// [`crate::kernels::mac_i`] — `rows · weight_levels · activation_levels ≤
+/// i32::MAX` bounds every partial sum, since weight codes are clamped to
+/// ±`weight_levels` here and activation codes to ±`activation_levels` by
+/// every value-slab writer. The default 8/6-bit plan leaves ~545k rows of
+/// headroom over a 256-row crossbar.
+fn check_integer_datapath(plan: &QuantizationPlan, core: &CoreOpGraph) -> Result<(), ExecError> {
+    let unsupported = |reason: String| Err(ExecError::Unsupported { reason });
+    if !(2..=8).contains(&plan.weight_bits) {
+        return unsupported(format!(
+            "{}-bit weight codes do not fit the integer datapath's i8 weight slab (2..=8 bits)",
+            plan.weight_bits
+        ));
+    }
+    if !(2..=32).contains(&plan.activation_bits) {
+        return unsupported(format!(
+            "{}-bit activation codes do not fit the integer datapath's i32 lanes (2..=32 bits)",
+            plan.activation_bits
+        ));
+    }
+    let rows = core
+        .groups()
+        .iter()
+        .filter(|g| g.kind == CoreOpKind::Vmm)
+        .map(|g| g.rows)
+        .max()
+        .unwrap_or(0);
+    let (wlevels, alevels) = (plan.weight_levels(), plan.activation_levels());
+    if rows as i128 * i128::from(wlevels * alevels) > i128::from(i32::MAX) {
+        return unsupported(format!(
+            "a {rows}-row tile at ±{wlevels} weight and ±{alevels} activation codes \
+             can overflow the integer datapath's i32 accumulator lanes"
+        ));
+    }
+    Ok(())
+}
+
 /// Append one realized tile to a weight slab, returning its `(offset, len)`
 /// span.
 fn pack<T: Copy>(slab: &mut Vec<T>, tile: &[T]) -> Result<(u32, u32), ExecError> {
@@ -584,6 +631,52 @@ mod tests {
         let reference = Reference::new(&graph, &params).unwrap();
         let diff = max_abs_diff(&ideal, &reference.logits(x).unwrap());
         assert!(diff < 0.05, "ideal-noise diff {diff} too large");
+    }
+
+    #[test]
+    fn integer_bind_honours_the_plans_bit_widths_or_rejects_them() {
+        let graph = zoo::tiny_cnn();
+        let params = GraphParameters::seeded(&graph, 17);
+        let inputs = samples(&graph, 3);
+        let calibrated = QuantizationPlan::calibrate(&graph, &params, &inputs).unwrap();
+        let (core, mapping) = compile(&graph, 1);
+        let bind = |weight_bits: u32, activation_bits: u32| {
+            let plan = QuantizationPlan {
+                weight_bits,
+                activation_bits,
+                ..calibrated.clone()
+            };
+            let precision = Precision::Integer(plan.clone());
+            let bound = Executor::bind(&graph, &params, &core, &mapping, &precision);
+            (bound, plan)
+        };
+
+        // The weight clamp is `plan.weight_levels()`, like the reference's —
+        // not a hard-coded 8-bit ±127, which a narrower plan never reaches
+        // and a wider one silently saturates at on a step sized for more.
+        let (exec, plan) = bind(4, 6);
+        let exec = exec.unwrap();
+        let reference = Reference::new(&graph, &params).unwrap();
+        for x in &inputs {
+            assert_eq!(
+                exec.run_codes(x).unwrap(),
+                reference.quantized_logits(&plan, x).unwrap()
+            );
+            exec.run_checked(x).unwrap();
+        }
+
+        // Outside the datapath: 10-bit codes (±511) do not fit the i8 slab;
+        // 24-bit activations (±8.4M) times ±127 overflow an i32 lane within
+        // three rows; 1-bit plans have no levels at all.
+        for (weight_bits, activation_bits) in [(10, 6), (9, 6), (8, 24), (8, 40), (1, 6), (8, 0)] {
+            let err = bind(weight_bits, activation_bits).0.unwrap_err();
+            assert!(
+                matches!(err, ExecError::Unsupported { .. }),
+                "{weight_bits}/{activation_bits} bits: {err}"
+            );
+        }
+        // The widest plan the lanes do admit binds: ±127 · ±32767 · rows.
+        bind(8, 16).0.unwrap();
     }
 
     #[test]

@@ -56,10 +56,15 @@
 //!   8-bit `Quantizer` per layer; bit-for-bit the quantizer's reference
 //!   values, float math otherwise.
 //! * [`Precision::Integer`] — full integer-code execution on a calibrated
-//!   [`QuantizationPlan`]: 8-bit weight codes, 6-bit activation codes, i64
-//!   accumulation. Integer addition is associative, so tiling and transport
-//!   cannot perturb results: outputs match
-//!   `Reference::quantized_forward` **bit for bit**.
+//!   [`QuantizationPlan`]: weight codes at the plan's `weight_bits` (8 by
+//!   default, one `i8` each in the bound slab), 6-bit activation codes, MAC
+//!   accumulation in `i32` SIMD lanes widened to `i64` at every store. Bind
+//!   rejects any plan whose deepest tile could overflow a lane (`rows ·
+//!   weight_levels · activation_levels > i32::MAX`) or whose codes do not
+//!   fit the slab, so the narrow datapath is exact; integer addition is
+//!   associative, so tiling and transport cannot perturb results: outputs
+//!   match `Reference::quantized_forward` **bit for bit**, and the oracle
+//!   re-derives them in plain `i64`.
 //! * [`Precision::Noisy`] — quantized weights programmed onto simulated
 //!   ReRAM cells ([`WeightScheme`] + [`CellVariation`]), seeded per PE by
 //!   the repository convention (`seeds::derive(seed, STREAM_PE_NOISE,
@@ -277,7 +282,8 @@ pub(crate) struct TileProgram {
     /// weight slab, one per PE duplicate (length 1 when all duplicates share
     /// the exact same matrix; empty spans in Integer precision).
     pub w_f: Vec<(u32, u32)>,
-    /// Integer weight code span (Integer precision only; always shared).
+    /// Integer weight code span of the `i8` slab (Integer precision only;
+    /// always shared).
     pub w_q: (u32, u32),
     pub duplicates: u64,
 }

@@ -39,7 +39,7 @@ pub(super) struct Oracle<'a> {
     pub node_steps: &'a [f64],
     pub activation_levels: i64,
     pub wslab_f: &'a [f32],
-    pub wslab_q: &'a [i64],
+    pub wslab_q: &'a [i8],
 }
 
 impl Oracle<'_> {
@@ -191,11 +191,13 @@ impl Oracle<'_> {
             for p in 0..positions {
                 match &prog.kind {
                     ProgramKind::Dense | ProgramKind::Conv(_) => {
-                        // Codes are shared across duplicates.
+                        // Codes are shared across duplicates. Widened per
+                        // term and accumulated in i64: the independent
+                        // check on the kernels' i32 lanes.
                         let (off, len) = prog.w_q;
                         let wq = &self.wslab_q[off as usize..(off + len) as usize];
                         acc.fill(0);
-                        mac(prog, p, x, wq, acc, |a, wv, xv| *a += wv * xv);
+                        mac(prog, p, x, wq, acc, |a, wv, xv| *a += i64::from(wv) * xv);
                     }
                     ProgramKind::Reduce(sources) => {
                         for (c, a) in acc.iter_mut().enumerate() {

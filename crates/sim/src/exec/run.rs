@@ -471,6 +471,35 @@ mod tests {
         }
     }
 
+    /// The invariant the integer MAC's `i64 → i32` gather rests on: every
+    /// value-slab writer clamps its codes to ±`activation_levels`, even on
+    /// inputs far outside the calibrated range (which saturate, not escape).
+    #[test]
+    fn integer_value_slab_codes_stay_within_the_activation_levels() {
+        for graph in zoo::differential_suite() {
+            let params = GraphParameters::seeded(&graph, 11);
+            let calibration = samples(&graph, 3);
+            let plan = QuantizationPlan::calibrate(&graph, &params, &calibration).unwrap();
+            let (core, mapping) = compile(&graph, 1);
+            let exec = Executor::bind(&graph, &params, &core, &mapping, &Precision::Integer(plan))
+                .unwrap_or_else(|e| panic!("{}: {e}", graph.name));
+            let mut inputs = calibration.clone();
+            inputs.extend(
+                calibration
+                    .iter()
+                    .map(|x| x.iter().map(|v| 8.0 * v - 3.0).collect()),
+            );
+            let mut arena = exec.arena();
+            let mut outputs = Vec::new();
+            exec.run_batch_into(&inputs, &mut arena, &mut outputs)
+                .unwrap();
+            let slab = &arena.val_i[..inputs.len() * exec.lowered.val_len];
+            let alevels = exec.activation_levels;
+            assert!(slab.iter().any(|c| c.abs() == alevels), "{}", graph.name);
+            assert!(slab.iter().all(|c| c.abs() <= alevels), "{}", graph.name);
+        }
+    }
+
     #[test]
     fn batched_execution_is_bit_identical_to_sequential() {
         let graph = zoo::tiny_cnn();

@@ -44,7 +44,7 @@ pub(crate) struct LowerCtx<'a> {
     /// Realized weight slabs, moved in from binding (row-major, one span per
     /// duplicate realization — see [`TileProgram::w_f`]).
     pub wslab_f: Vec<f32>,
-    pub wslab_q: Vec<i64>,
+    pub wslab_q: Vec<i8>,
 }
 
 struct LowerPass<'a> {
