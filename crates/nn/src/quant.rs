@@ -74,6 +74,7 @@ impl Quantizer {
 /// golden-model reference (`fpsa_nn::reference`) and the compiled-model
 /// executor (`fpsa_sim::exec`) both requantize through this function, which
 /// is what makes their integer results comparable bit for bit.
+#[inline]
 pub fn quantize_code(value: f64, step: f64, levels: i64) -> i64 {
     let code = (value / step).round();
     let bound = levels as f64;
@@ -82,6 +83,7 @@ pub fn quantize_code(value: f64, step: f64, levels: i64) -> i64 {
 
 /// Rescale an integer code from one step size to another (identity when the
 /// steps are equal, so rescaling to a code's own grid is always lossless).
+#[inline]
 pub fn rescale_code(code: i64, step_from: f64, step_to: f64, levels: i64) -> i64 {
     if step_from == step_to {
         return code.clamp(-levels, levels);

@@ -764,6 +764,7 @@ pub fn pooled_window_real(
 /// `wstep * gather_step`, optional ReLU on the real value, requantized to
 /// the producing node's activation step. The compiled executor must call
 /// exactly this function so integer-mode results stay bit-identical.
+#[inline]
 pub fn requantize_mac(
     acc: i64,
     wstep: f64,

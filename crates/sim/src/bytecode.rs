@@ -24,25 +24,34 @@
 //!   dropped at lowering time (an all-zero tile emits no instruction at
 //!   all), and
 //! * **dynamic** — a row whose activation is exactly `0.0` (or code `0`) is
-//!   skipped at run time.
+//!   skipped at run time; where a weight tile is shared by a *block* (the
+//!   positions of a float convolution, the samples of a dense batch), a row
+//!   is skipped when the whole block is zero on it.
 //!
 //! Both skips remove only terms that are exactly zero in the same f64/i64
-//! arithmetic the interpreter performs (`0 · x` and `w · 0` with finite
-//! operands), so every accumulator still receives exactly the same sequence
-//! of non-zero terms in the same order — outputs are bit-identical to the
-//! tile-program oracle, which the differential suite asserts per node.
+//! arithmetic the oracle performs (`0 · x` and `w · 0` with finite operands
+//! — bind rejects non-finite float weights), so every accumulator still
+//! receives exactly the same sequence of non-zero terms in the same order —
+//! outputs are bit-identical to the tile-program oracle, which the
+//! differential suite asserts per node.
 //!
-//! Per output position, the dispatch loop prefilters the surviving rows —
-//! conv window clipping and the zero-activation check both run once per
-//! position, not per element — and hands the whole position to a full-width
-//! MAC kernel ([`crate::kernels`]): one contiguous sweep over the tile's
-//! weight rows, with column accumulators register-blocked in the widest
-//! vector unit the CPU offers (detected once at bind). Per-accumulator
-//! summation order is untouched (terms arrive in ascending row order
-//! regardless of column blocking, and multiplies and adds stay unfused),
-//! which is what keeps the f64 results bit-identical. Batched entry points
-//! run instruction-major over a batch of slabs so a weight tile streams
-//! from memory once per batch instead of once per sample.
+//! A VMM tile is the paper's weight-stationary crossbar: programmed once,
+//! reused by every output position of its layer. The float dispatch mirrors
+//! that reuse instead of re-streaming the tile per position. A convolution
+//! runs by **blocks of positions** ([`Lowered::conv_f`]): up to
+//! [`Simd::block`] positions that share a weight realization gather their
+//! im2col windows once — window clipping is two bit tables per block, not a
+//! test per element — into a row-major activation block, and one pass of the
+//! 2-D register-blocked kernel ([`kernels::mac_f_block`]) over the tile's
+//! surviving rows produces all their outputs, stored `b` contiguous values
+//! per column. A dense tile has one position, so its block is the *samples*
+//! of a batch ([`Lowered::exec_float_batch`]); at batch 1 it is a plain GEMV
+//! ([`kernels::mac_f`]). Batched entry points run instruction-major over a
+//! batch of slabs, so a tile is also cache-resident across the samples it
+//! cannot block. None of this touches per-accumulator summation order: terms
+//! arrive in ascending row order whatever the blocking, a block member's
+//! own zero contributes a `±0.0` that cannot move an accumulator, and
+//! multiplies and adds stay unfused.
 //!
 //! The integer domain keeps `i64` everywhere a caller can see — value slab,
 //! partial slab, accumulator row, `requantize_mac` — but its MAC datapath is
@@ -50,7 +59,12 @@
 //! carries `i32` activation codes, and [`kernels::mac_i`] accumulates in
 //! `i32` lanes, widening at the store. That is exact because value-slab
 //! codes are clamped to ±`activation_levels` by every writer and bind
-//! rejects any plan whose deepest tile could overflow a lane.
+//! rejects any plan whose deepest tile could overflow a lane. Its MAC stays
+//! one GEMV per position (the `i32` multiply is the limiter, not weight
+//! traffic); what it shares with the float side is the *store*: every
+//! requantizing store runs the reference's own `requantize_mac` /
+//! `quantize_code` through [`kernels::map_store`], instantiated for the
+//! bind-time family so `round` is an instruction, not a libm call.
 
 use crate::kernels::{self, RowF, RowI, Simd};
 use crate::profile::{self, SkipTally};
@@ -59,23 +73,23 @@ use fpsa_nn::reference::requantize_mac;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-/// Reusable MAC scratch: the per-position surviving-row lists the dispatch
-/// loop hands to the kernels, and the f64/i64 accumulator row that
-/// output-carrying stores compute into before scattering (partial stores
-/// accumulate straight into their slab stripe and need neither), plus the
-/// batched-MAC gather buffers. All buffers grow to their high-water mark on
-/// the first run and are reused allocation-free afterwards.
+/// Reusable MAC scratch: the per-position surviving-row lists the GEMV
+/// kernels take, the row list and activation block the blocked kernel takes,
+/// and the f64/i64 accumulators that output-carrying stores compute into
+/// before scattering (partial stores accumulate straight into their slab
+/// stripe). All buffers grow to their high-water mark on the first run and
+/// are reused allocation-free afterwards.
 #[derive(Debug, Default)]
 pub(crate) struct MacScratch {
     pub acc_f: Vec<f64>,
     pub acc_i: Vec<i64>,
     pub rows_f: Vec<RowF>,
     pub rows_i: Vec<RowI>,
-    /// Batched-MAC row list: weight-row offsets of rows that survive the
-    /// whole-group zero check.
+    /// Blocked-MAC row list: weight-row offsets of the rows that survive
+    /// the whole-block zero check.
     pub woffs: Vec<u32>,
-    /// Batched-MAC activation block: `sb` samples' activations per surviving
-    /// row, row-major (see [`kernels::mac_f_batch`]).
+    /// Blocked-MAC activation block: `b` positions' / samples' activations
+    /// per surviving row, row-major (see [`kernels::mac_f_block`]).
     pub xb: Vec<f64>,
 }
 
@@ -131,8 +145,8 @@ pub(crate) struct ConvRun {
 /// Per-output-position convolution window: the gather-relative base offset
 /// of the window origin (negative in the padded border) and the kernel
 /// ranges that fall inside the input (`ky ∈ [ky0, ky1)`, `kx ∈ [kx0, kx1)`).
-/// Rows clipped here are exactly the rows the interpreter's
-/// `conv_input_index` rejected as zero padding.
+/// Rows clipped by them are exactly the rows the oracle's
+/// `conv_input_index` rejects as zero padding.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct PosWin {
     pub base: i32,
@@ -455,14 +469,18 @@ impl Lowered {
     /// independent), so results are bit-identical to `batch` sequential
     /// [`Lowered::exec_float`] calls.
     ///
-    /// VMM instructions additionally run a *sample-blocked* kernel
-    /// ([`kernels::mac_f_batch`]): groups of up to 8 samples share every
-    /// weight-row load, so the tile is not just cache-resident but loaded
-    /// once per group. A sample whose activation is zero on a row another
-    /// group member keeps contributes a `±0.0` product, which cannot change
-    /// an accumulator that starts at `+0.0` (exact cancellation rounds to
-    /// `+0.0` under round-to-nearest, so the accumulator is never `-0.0`) —
-    /// bits stay identical to the per-sample skip path.
+    /// Dense tiles additionally block *samples* through the 2-D register
+    /// kernel ([`kernels::mac_f_block`]): groups of up to
+    /// [`Simd::block`] samples share every weight-row load, so the tile is
+    /// not just cache-resident but loaded once per group. A sample whose
+    /// activation is zero on a row another group member keeps contributes a
+    /// `±0.0` product, which cannot change an accumulator that starts at
+    /// `+0.0` (exact cancellation rounds to `+0.0` under round-to-nearest,
+    /// so the accumulator is never `-0.0`; bind rejects non-finite weights,
+    /// the one case where `0 · w` is not `±0.0`) — bits stay identical to
+    /// the per-sample skip path. Convolution tiles already reuse their
+    /// weights across the *positions* of one sample (see
+    /// [`Lowered::conv_f`]), so a conv batch is just that, per sample.
     pub fn exec_float_batch(
         &self,
         vals: &mut [f32],
@@ -471,108 +489,29 @@ impl Lowered {
         mac: &mut MacScratch,
     ) {
         for inst in &self.insts {
-            match *inst {
-                Inst::DenseF {
-                    runs,
-                    w,
-                    cols,
-                    store,
-                } => {
-                    profile::retire(inst.opcode(), batch as u64);
-                    self.dense_f_batch(runs, w, cols as usize, store, vals, parts, batch, mac);
-                }
-                Inst::ConvF {
-                    runs,
-                    wins,
-                    x0,
-                    wsel,
-                    cols,
-                    positions,
-                    store,
-                } => {
-                    profile::retire(inst.opcode(), batch as u64);
-                    self.conv_f_batch(
-                        runs,
-                        wins,
-                        x0,
-                        wsel,
-                        cols as usize,
-                        positions,
-                        store,
-                        vals,
-                        parts,
-                        batch,
-                        mac,
-                    );
-                }
-                _ => {
-                    for s in 0..batch {
-                        let v = &mut vals[s * self.val_len..(s + 1) * self.val_len];
-                        let p = &mut parts[s * self.part_len..(s + 1) * self.part_len];
-                        self.exec_float_inst(inst, v, p, mac);
-                    }
-                }
+            if let Inst::DenseF {
+                runs,
+                w,
+                cols,
+                store,
+            } = *inst
+            {
+                profile::retire(inst.opcode(), batch as u64);
+                self.dense_f_batch(runs, w, cols as usize, store, vals, parts, batch, mac);
+                continue;
+            }
+            for s in 0..batch {
+                let v = &mut vals[s * self.val_len..(s + 1) * self.val_len];
+                let p = &mut parts[s * self.part_len..(s + 1) * self.part_len];
+                self.exec_float_inst(inst, v, p, mac);
             }
         }
     }
 
-    /// Gather one sample group's activations for a MAC row: push `sb`
-    /// activations (as f64) and keep the row only if any is non-zero.
-    #[inline(always)]
-    #[allow(clippy::too_many_arguments)]
-    fn gather_group_row(
-        &self,
-        vals: &[f32],
-        s0: usize,
-        sb: usize,
-        x: usize,
-        woff: u32,
-        mac: &mut MacScratch,
-        skips: &mut SkipTally,
-    ) {
-        let base = mac.xb.len();
-        let mut any = false;
-        for s in 0..sb {
-            let xv = vals[(s0 + s) * self.val_len + x];
-            any |= xv != 0.0;
-            mac.xb.push(f64::from(xv));
-        }
-        if any {
-            mac.woffs.push(woff);
-        } else {
-            mac.xb.truncate(base);
-            skips.hit();
-        }
-    }
-
-    /// Store one sample group's accumulator rows (output scatter or partial
-    /// stripe copy — same bits as the per-sample kernels writing in place).
-    #[inline(always)]
-    #[allow(clippy::too_many_arguments)]
-    fn store_group(
-        &self,
-        vals: &mut [f32],
-        parts: &mut [f64],
-        store: MacStore,
-        cols: usize,
-        positions: usize,
-        p: usize,
-        s0: usize,
-        sb: usize,
-        mac: &MacScratch,
-    ) {
-        for s in 0..sb {
-            let row = &mac.acc_f[s * cols..(s + 1) * cols];
-            if store.output {
-                let vo = (s0 + s) * self.val_len;
-                scatter_out_f(&mut vals[vo..vo + self.val_len], store, row, positions, p);
-            } else {
-                let dst = (s0 + s) * self.part_len + store.dst as usize + p * cols;
-                parts[dst..dst + cols].copy_from_slice(row);
-            }
-        }
-    }
-
+    /// A dense tile over a whole batch: sample groups of up to
+    /// [`Simd::block`] gather their activations row-major (a row survives
+    /// if *any* sample of the group drives it) and share one blocked pass
+    /// over the tile.
     #[allow(clippy::too_many_arguments)]
     fn dense_f_batch(
         &self,
@@ -586,77 +525,176 @@ impl Lowered {
         mac: &mut MacScratch,
     ) {
         let runs = &self.dense_runs[runs.0 as usize..(runs.0 + runs.1) as usize];
+        let (val_len, part_len) = (self.val_len, self.part_len);
+        let rows = dense_rows(runs);
+        let woffs = grow(&mut mac.woffs, rows);
+        let xb = grow(&mut mac.xb, rows * self.simd.block());
         let mut skips = SkipTally::new();
         let mut s0 = 0usize;
         while s0 < batch {
-            let sb = (batch - s0).min(8);
-            mac.woffs.clear();
-            mac.xb.clear();
+            let sb = (batch - s0).min(self.simd.block());
+            let mut n = 0usize;
             for run in runs {
                 let mut woff = w + run.r * cols as u32;
                 for x in run.x..run.x + run.n {
-                    self.gather_group_row(vals, s0, sb, x as usize, woff, mac, &mut skips);
+                    let mut any = false;
+                    for (s, xs) in xb[n * sb..(n + 1) * sb].iter_mut().enumerate() {
+                        let xv = vals[(s0 + s) * val_len + x as usize];
+                        any |= xv != 0.0;
+                        *xs = f64::from(xv);
+                    }
+                    woffs[n] = woff;
+                    if any {
+                        n += 1;
+                    } else {
+                        skips.hit();
+                    }
                     woff += cols as u32;
                 }
             }
-            let acc = grow(&mut mac.acc_f, sb * cols);
-            kernels::mac_f_batch(self.simd, &self.wslab_f, cols, &mac.woffs, &mac.xb, sb, acc);
-            self.store_group(vals, parts, store, cols, 1, 0, s0, sb, mac);
+            let (woffs, xb) = (&woffs[..n], &xb[..n * sb]);
+            if store.output {
+                let acc = grow(&mut mac.acc_f, sb * cols);
+                kernels::mac_f_block(self.simd, &self.wslab_f, cols, woffs, xb, sb, acc, cols);
+                for (s, row) in acc.chunks_exact(cols).enumerate() {
+                    let vo = (s0 + s) * val_len;
+                    scatter_out_f(&mut vals[vo..vo + val_len], store, row, 1, 0);
+                }
+            } else {
+                // Each sample's partial stripe is a row of the block, one
+                // partial slab apart.
+                let dst = s0 * part_len + store.dst as usize;
+                let out = &mut parts[dst..dst + (sb - 1) * part_len + cols];
+                kernels::mac_f_block(self.simd, &self.wslab_f, cols, woffs, xb, sb, out, part_len);
+            }
             s0 += sb;
         }
         skips.flush(profile::OP_DENSE_F);
     }
 
+    /// A convolution tile over one sample, by **blocks of positions**: up to
+    /// [`Simd::block`] output positions that execute on the same weight
+    /// realization — consecutive positions when the tile has one, positions
+    /// `p ≡ r (mod dups)` under Noisy duplicates — gather their windows
+    /// once into the row-major activation block (a clipped entry is the
+    /// `+0.0` padding it stands for; a tile row survives if *any* position
+    /// of the block drives it), share one blocked pass over the surviving
+    /// rows and store `b` outputs per column. The crossbar the paper reuses
+    /// across a layer's positions is thereby streamed once per block, not
+    /// once per position; every accumulator still sees exactly its own
+    /// non-zero terms in ascending row order (the `±0.0` argument of
+    /// [`Lowered::exec_float_batch`]).
     #[allow(clippy::too_many_arguments)]
-    fn conv_f_batch(
+    fn conv_f(
         &self,
         runs: Span,
         wins: Span,
         x0: u32,
         wsel: (u32, u32, u32),
         cols: usize,
-        positions: u32,
+        positions: usize,
         store: MacStore,
         vals: &mut [f32],
         parts: &mut [f64],
-        batch: usize,
         mac: &mut MacScratch,
     ) {
         let runs = &self.conv_runs[runs.0 as usize..(runs.0 + runs.1) as usize];
-        let wins = &self.wins[wins.0 as usize..(wins.0 + wins.1) as usize];
+        let wins = &self.wins[wins.0 as usize..wins.0 as usize + positions];
         let bases = &self.dup_bases[wsel.0 as usize..(wsel.0 + wsel.1) as usize];
-        let dups = wsel.2 as usize;
+        // The oracle's round-robin is `bases[(p % dups) % bases.len()]`.
+        let pstride = if bases.len() == 1 { 1 } else { wsel.2 as usize };
+        let rows = conv_rows(runs);
+        let woffs = grow(&mut mac.woffs, rows);
+        let xb = grow(&mut mac.xb, rows * self.simd.block());
         let mut skips = SkipTally::new();
-        for (p, win) in wins.iter().enumerate().take(positions as usize) {
-            let wbase = bases[(p % dups) % bases.len()];
-            let xbase = i64::from(x0) + i64::from(win.base);
-            let mut s0 = 0usize;
-            while s0 < batch {
-                let sb = (batch - s0).min(8);
-                mac.woffs.clear();
-                mac.xb.clear();
+        for class in 0..pstride.min(positions) {
+            let wbase = bases[class % bases.len()];
+            let mut p0 = class;
+            while p0 < positions {
+                let b = (positions - p0).div_ceil(pstride).min(self.simd.block());
+                // Window clipping runs once per block, not per element:
+                // bit `j` of `kym[ky]` / `kxm[kx]` says position `j` keeps
+                // that kernel row / column (the rest is the zero padding
+                // the oracle's `conv_input_index` rejects).
+                let (mut kym, mut kxm) = ([0u8; 256], [0u8; 256]);
+                let mut xbase = [0i64; kernels::MAX_BLOCK];
+                for j in 0..b {
+                    let win = &wins[p0 + j * pstride];
+                    xbase[j] = i64::from(x0) + i64::from(win.base);
+                    for m in &mut kym[usize::from(win.ky0)..usize::from(win.ky1)] {
+                        *m |= 1 << j;
+                    }
+                    for m in &mut kxm[usize::from(win.kx0)..usize::from(win.kx1)] {
+                        *m |= 1 << j;
+                    }
+                }
+                let full = u8::MAX >> (8 - b);
+                let contiguous = xbase[..b].windows(2).all(|x| x[1] == x[0] + 1);
+                let mut n = 0usize;
                 for run in runs {
-                    if run.ky < win.ky0 || run.ky >= win.ky1 {
+                    let keeps_ky = kym[usize::from(run.ky)];
+                    if keeps_ky == 0 {
                         continue;
                     }
-                    let lo = run.kx_lo.max(win.kx0);
-                    let hi = run.kx_hi.min(win.kx1);
-                    if lo >= hi {
-                        continue;
-                    }
-                    let xrun = xbase + i64::from(run.x_rel);
-                    let r = run.r0 + u32::from(lo - run.kx_lo);
-                    let mut woff = wbase + r * cols as u32;
-                    for kx in lo..hi {
-                        let x = (xrun + i64::from(kx)) as usize;
-                        self.gather_group_row(vals, s0, sb, x, woff, mac, &mut skips);
+                    let mut woff = wbase + run.r0 * cols as u32;
+                    for kx in run.kx_lo..run.kx_hi {
+                        let keeps = keeps_ky & kxm[usize::from(kx)];
+                        // A window origin alone can sit in the padded
+                        // border (negative); only a kept element is a valid
+                        // index, so stay in i64 until then.
+                        let at = i64::from(run.x_rel) + i64::from(kx);
+                        let xrow = &mut xb[n * b..(n + 1) * b];
+                        let mut any = false;
+                        if keeps == full && contiguous {
+                            let x = (xbase[0] + at) as usize;
+                            for (xs, &xv) in xrow.iter_mut().zip(&vals[x..x + b]) {
+                                any |= xv != 0.0;
+                                *xs = f64::from(xv);
+                            }
+                        } else {
+                            for (j, xs) in xrow.iter_mut().enumerate() {
+                                let xv = if keeps >> j & 1 != 0 {
+                                    vals[(xbase[j] + at) as usize]
+                                } else {
+                                    0.0
+                                };
+                                any |= xv != 0.0;
+                                *xs = f64::from(xv);
+                            }
+                        }
+                        woffs[n] = woff;
+                        if any {
+                            n += 1;
+                        } else if keeps != 0 {
+                            skips.hit();
+                        }
                         woff += cols as u32;
                     }
                 }
-                let acc = grow(&mut mac.acc_f, sb * cols);
-                kernels::mac_f_batch(self.simd, &self.wslab_f, cols, &mac.woffs, &mac.xb, sb, acc);
-                self.store_group(vals, parts, store, cols, positions as usize, p, s0, sb, mac);
-                s0 += sb;
+                let (woffs, xb) = (&woffs[..n], &xb[..n * b]);
+                if store.output {
+                    let acc = grow(&mut mac.acc_f, b * cols);
+                    kernels::mac_f_block(self.simd, &self.wslab_f, cols, woffs, xb, b, acc, cols);
+                    // Per column, the block's positions are `pstride` apart
+                    // in the node's `out[(col_offset + c) · positions + p]`
+                    // stripe: contiguous when the tile has one realization.
+                    for c in 0..cols {
+                        let base = store.dst as usize + c * positions + p0;
+                        for j in 0..b {
+                            let a = acc[j * cols + c];
+                            let a = if store.relu { a.max(0.0) } else { a };
+                            vals[base + j * pstride] = a as f32;
+                        }
+                    }
+                } else {
+                    // Partial stripes are per-tile-unique and written
+                    // exactly once, so the kernel's overwrite of
+                    // `part[p · cols ..]` is the oracle's scatter.
+                    let (dst, stride) = (store.dst as usize + p0 * cols, pstride * cols);
+                    let out = &mut parts[dst..dst + (b - 1) * stride + cols];
+                    kernels::mac_f_block(self.simd, &self.wslab_f, cols, woffs, xb, b, out, stride);
+                }
+                p0 += b * pstride;
             }
         }
         skips.flush(profile::OP_CONV_F);
@@ -683,37 +721,26 @@ impl Lowered {
                 } => {
                     let runs = &self.dense_runs[runs.0 as usize..(runs.0 + runs.1) as usize];
                     let cols = cols as usize;
+                    let rows = grow(&mut mac.rows_f, dense_rows(runs));
                     let mut skips = SkipTally::new();
-                    mac.rows_f.clear();
+                    let mut n = 0usize;
                     for run in runs {
-                        let mut woff = w + run.r * cols as u32;
-                        for x in run.x..run.x + run.n {
-                            let xv = vals[x as usize];
-                            if xv != 0.0 {
-                                mac.rows_f.push((woff, f64::from(xv)));
-                            } else {
-                                skips.hit();
-                            }
-                            woff += cols as u32;
-                        }
+                        let src = &vals[run.x as usize..(run.x + run.n) as usize];
+                        let woff = w + run.r * cols as u32;
+                        keep_rows(rows, &mut n, src, woff, cols as u32, &mut skips, f64::from);
                     }
                     skips.flush(profile::OP_DENSE_F);
                     if store.output {
                         let acc = grow(&mut mac.acc_f, cols);
-                        kernels::mac_f(self.simd, &self.wslab_f, cols, &mac.rows_f, acc);
-                        scatter_out_f(vals, store, &mac.acc_f[..cols], 1, 0);
+                        kernels::mac_f(self.simd, &self.wslab_f, cols, &rows[..n], acc);
+                        scatter_out_f(vals, store, acc, 1, 0);
                     } else {
                         // Partial stripes are per-tile-unique and written
                         // exactly once, so the kernel's overwrite is the
-                        // interpreter's scatter.
+                        // oracle's scatter.
                         let dst = store.dst as usize;
-                        kernels::mac_f(
-                            self.simd,
-                            &self.wslab_f,
-                            cols,
-                            &mac.rows_f,
-                            &mut parts[dst..dst + cols],
-                        );
+                        let out = &mut parts[dst..dst + cols];
+                        kernels::mac_f(self.simd, &self.wslab_f, cols, &rows[..n], out);
                     }
                 }
                 Inst::ConvF {
@@ -724,61 +751,18 @@ impl Lowered {
                     cols,
                     positions,
                     store,
-                } => {
-                    let runs = &self.conv_runs[runs.0 as usize..(runs.0 + runs.1) as usize];
-                    let wins = &self.wins[wins.0 as usize..(wins.0 + wins.1) as usize];
-                    let bases = &self.dup_bases[wsel.0 as usize..(wsel.0 + wsel.1) as usize];
-                    let dups = wsel.2 as usize;
-                    let cols = cols as usize;
-                    let mut skips = SkipTally::new();
-                    for (p, win) in wins.iter().enumerate().take(positions as usize) {
-                        let wbase = bases[(p % dups) % bases.len()];
-                        let xbase = i64::from(x0) + i64::from(win.base);
-                        // Window clipping runs once per position (the
-                        // interpreter re-derived it per element).
-                        mac.rows_f.clear();
-                        for run in runs {
-                            if run.ky < win.ky0 || run.ky >= win.ky1 {
-                                continue;
-                            }
-                            let lo = run.kx_lo.max(win.kx0);
-                            let hi = run.kx_hi.min(win.kx1);
-                            if lo >= hi {
-                                continue;
-                            }
-                            // The row base alone can sit in the padded
-                            // border (negative); only base + kx is a
-                            // valid index, so stay in i64 until then.
-                            let xrun = xbase + i64::from(run.x_rel);
-                            let r = run.r0 + u32::from(lo - run.kx_lo);
-                            let mut woff = wbase + r * cols as u32;
-                            for kx in lo..hi {
-                                let xv = vals[(xrun + i64::from(kx)) as usize];
-                                if xv != 0.0 {
-                                    mac.rows_f.push((woff, f64::from(xv)));
-                                } else {
-                                    skips.hit();
-                                }
-                                woff += cols as u32;
-                            }
-                        }
-                        if store.output {
-                            let acc = grow(&mut mac.acc_f, cols);
-                            kernels::mac_f(self.simd, &self.wslab_f, cols, &mac.rows_f, acc);
-                            scatter_out_f(vals, store, &mac.acc_f[..cols], positions as usize, p);
-                        } else {
-                            let dst = store.dst as usize + p * cols;
-                            kernels::mac_f(
-                                self.simd,
-                                &self.wslab_f,
-                                cols,
-                                &mac.rows_f,
-                                &mut parts[dst..dst + cols],
-                            );
-                        }
-                    }
-                    skips.flush(profile::OP_CONV_F);
-                }
+                } => self.conv_f(
+                    runs,
+                    wins,
+                    x0,
+                    wsel,
+                    cols as usize,
+                    positions as usize,
+                    store,
+                    vals,
+                    parts,
+                    mac,
+                ),
                 Inst::ReduceF {
                     srcs,
                     cols,
@@ -803,25 +787,19 @@ impl Lowered {
                     store,
                     div,
                 } => {
-                    pool_loop(geom, |p, c, base| {
-                        let x = x0 as usize + c * geom.chan as usize + base;
-                        let mut sum = 0.0f64;
-                        for ky in 0..geom.k as usize {
-                            let row = x + ky * geom.iw as usize;
-                            for kx in 0..geom.k as usize {
-                                sum += f64::from(vals[row + kx]);
+                    let (cols, positions) = (geom.cols as usize, geom.positions as usize);
+                    pool_loop(geom, |p, base| {
+                        for c in 0..cols {
+                            let x = x0 as usize + c * geom.chan as usize + base;
+                            let mut sum = 0.0f64;
+                            for ky in 0..geom.k as usize {
+                                let row = x + ky * geom.iw as usize;
+                                for kx in 0..geom.k as usize {
+                                    sum += f64::from(vals[row + kx]);
+                                }
                             }
+                            store_one_f(vals, parts, store, c, sum / div, positions, p, cols);
                         }
-                        store_one_f(
-                            vals,
-                            parts,
-                            store,
-                            c,
-                            sum / div,
-                            geom.positions as usize,
-                            p,
-                            geom.cols as usize,
-                        );
                     });
                 }
                 Inst::GapF {
@@ -843,25 +821,19 @@ impl Lowered {
                     }
                 }
                 Inst::MaxPoolF { x0, geom, store } => {
-                    pool_loop(geom, |p, c, base| {
-                        let x = x0 as usize + c * geom.chan as usize + base;
-                        let mut max = f64::NEG_INFINITY;
-                        for ky in 0..geom.k as usize {
-                            let row = x + ky * geom.iw as usize;
-                            for kx in 0..geom.k as usize {
-                                max = max.max(f64::from(vals[row + kx]));
+                    let (cols, positions) = (geom.cols as usize, geom.positions as usize);
+                    pool_loop(geom, |p, base| {
+                        for c in 0..cols {
+                            let x = x0 as usize + c * geom.chan as usize + base;
+                            let mut max = f64::NEG_INFINITY;
+                            for ky in 0..geom.k as usize {
+                                let row = x + ky * geom.iw as usize;
+                                for kx in 0..geom.k as usize {
+                                    max = max.max(f64::from(vals[row + kx]));
+                                }
                             }
+                            store_one_f(vals, parts, store, c, max, positions, p, cols);
                         }
-                        store_one_f(
-                            vals,
-                            parts,
-                            store,
-                            c,
-                            max,
-                            geom.positions as usize,
-                            p,
-                            geom.cols as usize,
-                        );
                     });
                 }
                 Inst::MaxFwdF {
@@ -945,6 +917,7 @@ impl Lowered {
         mac: &mut MacScratch,
     ) {
         profile::retire(inst.opcode(), 1);
+        let simd = self.simd;
         {
             match *inst {
                 Inst::RescaleI {
@@ -981,34 +954,26 @@ impl Lowered {
                 } => {
                     let runs = &self.dense_runs[runs.0 as usize..(runs.0 + runs.1) as usize];
                     let cols = cols as usize;
+                    let rows = grow(&mut mac.rows_i, dense_rows(runs));
                     let mut skips = SkipTally::new();
-                    mac.rows_i.clear();
+                    let mut n = 0usize;
                     for run in runs {
-                        let mut woff = w + run.r * cols as u32;
-                        for x in run.x..run.x + run.n {
-                            let xv = vals[x as usize];
-                            if xv != 0 {
-                                mac.rows_i.push((woff, lane_code(xv, alevels)));
-                            } else {
-                                skips.hit();
-                            }
-                            woff += cols as u32;
-                        }
+                        let src = &vals[run.x as usize..(run.x + run.n) as usize];
+                        let woff = w + run.r * cols as u32;
+                        keep_rows(rows, &mut n, src, woff, cols as u32, &mut skips, |c| {
+                            lane_code(c, alevels)
+                        });
                     }
                     skips.flush(profile::OP_DENSE_I);
                     if store.output {
                         let acc = grow(&mut mac.acc_i, cols);
-                        kernels::mac_i(self.simd, &self.wslab_q, cols, &mac.rows_i, acc);
-                        scatter_out_i(vals, store, rq, alevels, &mac.acc_i[..cols], 1, 0);
+                        kernels::mac_i(simd, &self.wslab_q, cols, &rows[..n], acc);
+                        let code = requant(rq, store.relu, alevels);
+                        store_codes_i(simd, vals, store, acc, 1, 0, code);
                     } else {
                         let dst = store.dst as usize;
-                        kernels::mac_i(
-                            self.simd,
-                            &self.wslab_q,
-                            cols,
-                            &mac.rows_i,
-                            &mut parts[dst..dst + cols],
-                        );
+                        let out = &mut parts[dst..dst + cols];
+                        kernels::mac_i(simd, &self.wslab_q, cols, &rows[..n], out);
                     }
                 }
                 Inst::ConvI {
@@ -1022,13 +987,22 @@ impl Lowered {
                     rq,
                 } => {
                     let runs = &self.conv_runs[runs.0 as usize..(runs.0 + runs.1) as usize];
-                    let wins = &self.wins[wins.0 as usize..(wins.0 + wins.1) as usize];
-                    let cols = cols as usize;
+                    let (cols, positions) = (cols as usize, positions as usize);
+                    let wins = &self.wins[wins.0 as usize..wins.0 as usize + positions];
+                    let rows = grow(&mut mac.rows_i, conv_rows(runs));
+                    let acc = grow(&mut mac.acc_i, cols);
+                    let code = requant(rq, store.relu, alevels);
                     let mut skips = SkipTally::new();
-                    for (p, win) in wins.iter().enumerate().take(positions as usize) {
+                    // One GEMV per position: the `i32` lanes are
+                    // multiply-bound, so blocking positions buys them
+                    // nothing (PR 15's measurement).
+                    for (p, win) in wins.iter().enumerate() {
                         let xbase = i64::from(x0) + i64::from(win.base);
-                        mac.rows_i.clear();
+                        let mut n = 0usize;
                         for run in runs {
+                            // Rows clipped here are exactly the rows the
+                            // oracle's `conv_input_index` rejects as zero
+                            // padding.
                             if run.ky < win.ky0 || run.ky >= win.ky1 {
                                 continue;
                             }
@@ -1037,40 +1011,24 @@ impl Lowered {
                             if lo >= hi {
                                 continue;
                             }
+                            // The run base alone can sit in the padded
+                            // border (negative); only base + kx is a valid
+                            // index, so stay in i64 until then.
                             let xrun = xbase + i64::from(run.x_rel);
-                            let r = run.r0 + u32::from(lo - run.kx_lo);
-                            let mut woff = w + r * cols as u32;
-                            for kx in lo..hi {
-                                let xv = vals[(xrun + i64::from(kx)) as usize];
-                                if xv != 0 {
-                                    mac.rows_i.push((woff, lane_code(xv, alevels)));
-                                } else {
-                                    skips.hit();
-                                }
-                                woff += cols as u32;
-                            }
+                            let src =
+                                &vals[(xrun + i64::from(lo)) as usize..][..usize::from(hi - lo)];
+                            let woff = w + (run.r0 + u32::from(lo - run.kx_lo)) * cols as u32;
+                            keep_rows(rows, &mut n, src, woff, cols as u32, &mut skips, |c| {
+                                lane_code(c, alevels)
+                            });
                         }
                         if store.output {
-                            let acc = grow(&mut mac.acc_i, cols);
-                            kernels::mac_i(self.simd, &self.wslab_q, cols, &mac.rows_i, acc);
-                            scatter_out_i(
-                                vals,
-                                store,
-                                rq,
-                                alevels,
-                                &mac.acc_i[..cols],
-                                positions as usize,
-                                p,
-                            );
+                            kernels::mac_i(simd, &self.wslab_q, cols, &rows[..n], acc);
+                            store_codes_i(simd, vals, store, acc, positions, p, code);
                         } else {
                             let dst = store.dst as usize + p * cols;
-                            kernels::mac_i(
-                                self.simd,
-                                &self.wslab_q,
-                                cols,
-                                &mac.rows_i,
-                                &mut parts[dst..dst + cols],
-                            );
+                            let out = &mut parts[dst..dst + cols];
+                            kernels::mac_i(simd, &self.wslab_q, cols, &rows[..n], out);
                         }
                     }
                     skips.flush(profile::OP_CONV_I);
@@ -1084,24 +1042,21 @@ impl Lowered {
                 } => {
                     let srcs = &self.reduce_srcs[srcs.0 as usize..(srcs.0 + srcs.1) as usize];
                     let (cols, positions) = (cols as usize, positions as usize);
+                    let code = requant(rq, store.relu, alevels);
+                    let acc = grow(&mut mac.acc_i, cols);
                     for p in 0..positions {
-                        for c in 0..cols {
-                            let mut sum = 0i64;
-                            for s in srcs {
-                                sum += parts[s.base as usize + p * s.stride as usize + c];
+                        acc.fill(0);
+                        for s in srcs {
+                            let src = s.base as usize + p * s.stride as usize;
+                            for (a, &part) in acc.iter_mut().zip(&parts[src..src + cols]) {
+                                *a += part;
                             }
-                            store_one_i(
-                                vals,
-                                parts,
-                                store,
-                                Some(rq),
-                                alevels,
-                                c,
-                                sum,
-                                positions,
-                                p,
-                                cols,
-                            );
+                        }
+                        if store.output {
+                            store_codes_i(simd, vals, store, acc, positions, p, code);
+                        } else {
+                            let dst = store.dst as usize + p * cols;
+                            parts[dst..dst + cols].copy_from_slice(acc);
                         }
                     }
                 }
@@ -1113,30 +1068,24 @@ impl Lowered {
                     ostep,
                 } => {
                     let div = f64::from(geom.k * geom.k);
-                    pool_loop(geom, |p, c, base| {
-                        let x = x0 as usize + c * geom.chan as usize + base;
-                        let mut sum = 0i64;
-                        for ky in 0..geom.k as usize {
-                            let row = x + ky * geom.iw as usize;
-                            for kx in 0..geom.k as usize {
-                                sum += vals[row + kx];
+                    let (cols, positions) = (geom.cols as usize, geom.positions as usize);
+                    // Identical composition to `pooled_window_real`.
+                    let code =
+                        move |sum: i64| quantize_code(sum as f64 * gstep / div, ostep, alevels);
+                    let acc = grow(&mut mac.acc_i, cols);
+                    pool_loop(geom, |p, base| {
+                        for (c, a) in acc.iter_mut().enumerate() {
+                            let x = x0 as usize + c * geom.chan as usize + base;
+                            let mut sum = 0i64;
+                            for ky in 0..geom.k as usize {
+                                let row = x + ky * geom.iw as usize;
+                                for kx in 0..geom.k as usize {
+                                    sum += vals[row + kx];
+                                }
                             }
+                            *a = sum;
                         }
-                        // Identical composition to `pooled_window_real`.
-                        let real = sum as f64 * gstep / div;
-                        let code = quantize_code(real, ostep, alevels);
-                        store_one_i(
-                            vals,
-                            parts,
-                            store,
-                            None,
-                            alevels,
-                            c,
-                            code,
-                            geom.positions as usize,
-                            p,
-                            geom.cols as usize,
-                        );
+                        store_codes_i(simd, vals, store, acc, positions, p, code);
                     });
                 }
                 Inst::GapI {
@@ -1150,40 +1099,35 @@ impl Lowered {
                 } => {
                     let (cols, positions, window) =
                         (cols as usize, positions as usize, window as usize);
+                    let code = move |sum: i64| {
+                        quantize_code(sum as f64 * gstep / window as f64, ostep, alevels)
+                    };
+                    let acc = grow(&mut mac.acc_i, cols);
                     for p in 0..positions {
-                        for c in 0..cols {
+                        for (c, a) in acc.iter_mut().enumerate() {
                             let x = x0 as usize + c * window;
-                            let sum: i64 = vals[x..x + window].iter().sum();
-                            let real = sum as f64 * gstep / window as f64;
-                            let code = quantize_code(real, ostep, alevels);
-                            store_one_i(
-                                vals, parts, store, None, alevels, c, code, positions, p, cols,
-                            );
+                            *a = vals[x..x + window].iter().sum();
                         }
+                        store_codes_i(simd, vals, store, acc, positions, p, code);
                     }
                 }
                 Inst::MaxPoolI { x0, geom, store } => {
-                    pool_loop(geom, |p, c, base| {
-                        let x = x0 as usize + c * geom.chan as usize + base;
-                        let mut max = i64::MIN;
-                        for ky in 0..geom.k as usize {
-                            let row = x + ky * geom.iw as usize;
-                            for kx in 0..geom.k as usize {
-                                max = max.max(vals[row + kx]);
+                    // Stage 1 hands raw code maxima to stage 2 through the
+                    // partial slab.
+                    debug_assert!(!store.output);
+                    let cols = geom.cols as usize;
+                    pool_loop(geom, |p, base| {
+                        for c in 0..cols {
+                            let x = x0 as usize + c * geom.chan as usize + base;
+                            let mut max = i64::MIN;
+                            for ky in 0..geom.k as usize {
+                                let row = x + ky * geom.iw as usize;
+                                for kx in 0..geom.k as usize {
+                                    max = max.max(vals[row + kx]);
+                                }
                             }
+                            parts[store.dst as usize + p * cols + c] = max;
                         }
-                        store_one_i(
-                            vals,
-                            parts,
-                            store,
-                            None,
-                            alevels,
-                            c,
-                            max,
-                            geom.positions as usize,
-                            p,
-                            geom.cols as usize,
-                        );
                     });
                 }
                 Inst::MaxFwdI {
@@ -1195,14 +1139,10 @@ impl Lowered {
                     ostep,
                 } => {
                     let (cols, positions) = (cols as usize, positions as usize);
+                    let code = move |max: i64| quantize_code(max as f64 * gstep, ostep, alevels);
                     for p in 0..positions {
-                        for c in 0..cols {
-                            let real = parts[src as usize + p * cols + c] as f64 * gstep;
-                            let code = quantize_code(real, ostep, alevels);
-                            store_one_i(
-                                vals, parts, store, None, alevels, c, code, positions, p, cols,
-                            );
-                        }
+                        let row = &parts[src as usize + p * cols..][..cols];
+                        store_codes_i(simd, vals, store, row, positions, p, code);
                     }
                 }
                 Inst::EltwiseI {
@@ -1214,6 +1154,7 @@ impl Lowered {
                     gstep,
                     ostep,
                 } => {
+                    debug_assert!(store.output);
                     let sides = &self.side_bases[sides.0 as usize..(sides.0 + sides.1) as usize];
                     let (cols, positions) = (cols as usize, positions as usize);
                     for p in 0..positions {
@@ -1224,10 +1165,8 @@ impl Lowered {
                                 sum += vals[side as usize + idx];
                             }
                             let sum = if store.relu { sum.max(0) } else { sum };
-                            let code = rescale_code(sum, gstep, ostep, alevels);
-                            store_one_i(
-                                vals, parts, store, None, alevels, c, code, positions, p, cols,
-                            );
+                            vals[store.dst as usize + c * positions + p] =
+                                rescale_code(sum, gstep, ostep, alevels);
                         }
                     }
                 }
@@ -1256,9 +1195,10 @@ impl Lowered {
 }
 
 /// Iterate a pooling instruction's output positions without any run-time
-/// shape math: `base` walks the window origins incrementally.
+/// shape math: `body(p, base)` with `base` walking the window origins
+/// incrementally.
 #[inline(always)]
-fn pool_loop(geom: PoolLoop, mut body: impl FnMut(usize, usize, usize)) {
+fn pool_loop(geom: PoolLoop, mut body: impl FnMut(usize, usize)) {
     let (positions, ow) = (geom.positions as usize, geom.ow as usize);
     let (stride, iw) = (geom.stride as usize, geom.iw as usize);
     let mut p = 0;
@@ -1266,9 +1206,7 @@ fn pool_loop(geom: PoolLoop, mut body: impl FnMut(usize, usize, usize)) {
     'outer: loop {
         let mut base = row_base;
         for _ in 0..ow {
-            for c in 0..geom.cols as usize {
-                body(p, c, base);
-            }
+            body(p, base);
             p += 1;
             if p >= positions {
                 break 'outer;
@@ -1276,6 +1214,46 @@ fn pool_loop(geom: PoolLoop, mut body: impl FnMut(usize, usize, usize)) {
             base += stride;
         }
         row_base += stride * iw;
+    }
+}
+
+/// Tile rows a dense instruction's runs cover: the most a gather can keep.
+fn dense_rows(runs: &[RowRun]) -> usize {
+    runs.iter().map(|run| run.n as usize).sum()
+}
+
+/// Tile rows a convolution instruction's runs cover (before any window
+/// clipping): the most a gather can keep.
+fn conv_rows(runs: &[ConvRun]) -> usize {
+    runs.iter()
+        .map(|run| usize::from(run.kx_hi - run.kx_lo))
+        .sum()
+}
+
+/// Compact one run of consecutive tile rows into a position's surviving-row
+/// list: `rows[*n..]` receives `(weight offset, activation)` for every row
+/// of `src` whose activation is non-zero (the run-time sparsity skip).
+/// Branch-free — every row is written and the cursor only advances past a
+/// kept one — because which post-ReLU activations are zero is not
+/// predictable. `rows` must hold one slot per row of the tile.
+#[inline(always)]
+fn keep_rows<T: Copy + PartialEq + Default, X>(
+    rows: &mut [(u32, X)],
+    n: &mut usize,
+    src: &[T],
+    mut woff: u32,
+    cols: u32,
+    skips: &mut SkipTally,
+    lane: impl Fn(T) -> X,
+) {
+    for &xv in src {
+        rows[*n] = (woff, lane(xv));
+        let keep = xv != T::default();
+        *n += usize::from(keep);
+        if !keep {
+            skips.hit();
+        }
+        woff += cols;
     }
 }
 
@@ -1332,51 +1310,35 @@ fn scatter_out_f(vals: &mut [f32], store: MacStore, acc: &[f64], positions: usiz
     }
 }
 
-/// Store one integer result. MAC outputs (`rq = Some`) requantize through
-/// `requantize_mac`; non-MAC stores receive an already-final code. Partial
-/// stores keep the raw accumulation.
+/// Store one position's integer output row into the node's
+/// `out[(col_offset + c) · positions + p]` stripe, each raw value through
+/// `code` — a composition of the reference's own quantization functions,
+/// instantiated for the bind-time family by [`kernels::map_store`].
 #[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn store_one_i(
+fn store_codes_i(
+    simd: Simd,
     vals: &mut [i64],
-    parts: &mut [i64],
     store: MacStore,
-    rq: Option<Requant>,
-    alevels: i64,
-    c: usize,
-    a: i64,
+    row: &[i64],
     positions: usize,
     p: usize,
-    cols: usize,
+    code: impl Fn(i64) -> i64,
 ) {
-    if store.output {
-        let code = match rq {
-            Some(rq) => requantize_mac(a, rq.wstep, rq.gstep, store.relu, rq.ostep, alevels),
-            None => a,
-        };
-        vals[store.dst as usize + c * positions + p] = code;
-    } else {
-        parts[store.dst as usize + p * cols + c] = a;
-    }
+    debug_assert!(store.output);
+    kernels::map_store(
+        simd,
+        row,
+        &mut vals[store.dst as usize + p..],
+        positions,
+        code,
+    );
 }
 
-/// Scatter an integer MAC output row: `requantize_mac` per column into the
-/// node's value-slab stripe, like the interpreter's store.
+/// The Integer MAC store's requantization: the reference's own
+/// `requantize_mac` composition over the producing node's constants.
 #[inline(always)]
-fn scatter_out_i(
-    vals: &mut [i64],
-    store: MacStore,
-    rq: Requant,
-    alevels: i64,
-    acc: &[i64],
-    positions: usize,
-    p: usize,
-) {
-    let base = store.dst as usize + p;
-    for (c, &a) in acc.iter().enumerate() {
-        vals[base + c * positions] =
-            requantize_mac(a, rq.wstep, rq.gstep, store.relu, rq.ostep, alevels);
-    }
+fn requant(rq: Requant, relu: bool, alevels: i64) -> impl Fn(i64) -> i64 + Copy {
+    move |a| requantize_mac(a, rq.wstep, rq.gstep, relu, rq.ostep, alevels)
 }
 
 impl fmt::Display for Inst {

@@ -33,7 +33,9 @@ impl Executor {
     ///   or a [`Precision::Integer`] plan outside the integer datapath:
     ///   weight codes wider than the `i8` slab, or a deepest tile whose
     ///   `rows · weight_levels · activation_levels` could overflow the MAC
-    ///   kernels' `i32` lanes;
+    ///   kernels' `i32` lanes; or a float-domain weight that realizes as
+    ///   `±inf` / `NaN` (the kernels' zero-term skipping is exact only over
+    ///   finite weights);
     /// * [`ExecError::ModelMismatch`] — artifacts disagree with the graph or
     ///   parameters;
     /// * [`ExecError::ScheduleOrder`] / [`ExecError::MissingTransport`] —
@@ -348,15 +350,21 @@ impl Executor {
                     )));
                 }
                 let exact = weights::vmm_tile_matrix(g, layer, input_dim);
+                // Fallible: `Quantizer::new` asserts a finite range.
                 let mut range = || {
-                    *weight_ranges
+                    let range = *weight_ranges
                         .entry(g.source_node)
-                        .or_insert_with(|| params.max_abs_weight(g.source_node).max(1e-6))
+                        .or_insert_with(|| params.max_abs_weight(g.source_node).max(1e-6));
+                    if range.is_finite() {
+                        Ok(range)
+                    } else {
+                        Err(non_finite_weight(&g.name, &node.name))
+                    }
                 };
                 match precision {
                     Precision::Float => (vec![exact], Vec::new()),
                     Precision::QuantizedWeights => {
-                        let q = Quantizer::weights_8bit(range());
+                        let q = Quantizer::weights_8bit(range()?);
                         (
                             vec![exact.iter().map(|&w| q.round_trip(w)).collect()],
                             Vec::new(),
@@ -382,7 +390,7 @@ impl Executor {
                         variation,
                         seed,
                     } => {
-                        let range = range();
+                        let range = range()?;
                         let q = Quantizer::weights_8bit(range);
                         let per_dup = (0..duplicates)
                             .map(|dup| {
@@ -411,6 +419,12 @@ impl Executor {
                 (vec![Vec::new()], Vec::new())
             };
 
+            // The dispatch loops drop `0 · w` terms and add others as
+            // `±0.0` (sample groups, position blocks); the two agree only
+            // while every realized weight is finite.
+            if weights_f.iter().flatten().any(|w| !w.is_finite()) {
+                return Err(non_finite_weight(&g.name, &node.name));
+            }
             // Pack the realizations into the shared weight slabs; the program
             // keeps only `(offset, len)` spans.
             let w_f = weights_f
@@ -538,6 +552,12 @@ fn check_integer_datapath(plan: &QuantizationPlan, core: &CoreOpGraph) -> Result
         ));
     }
     Ok(())
+}
+
+fn non_finite_weight(tile: &str, node: &str) -> ExecError {
+    ExecError::Unsupported {
+        reason: format!("tile {tile} of node {node} realizes a non-finite weight"),
+    }
 }
 
 /// Append one realized tile to a weight slab, returning its `(offset, len)`

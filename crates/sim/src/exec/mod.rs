@@ -71,6 +71,8 @@
 //!   pe_index(group, duplicate))`).
 
 mod bind;
+#[cfg(test)]
+mod family_tests;
 mod oracle;
 mod run;
 mod verify;
@@ -394,6 +396,21 @@ impl Executor {
     /// The element count the graph's input node expects.
     pub fn input_len(&self) -> Option<usize> {
         self.input.map(|(_, len)| len)
+    }
+}
+
+#[cfg(test)]
+impl Executor {
+    /// Re-target the lowered stream at another kernel family. Block sizes
+    /// and kernels follow the family at dispatch, so this is all it takes
+    /// to run the whole stack as a narrower CPU would — for the crate's own
+    /// tests only: production binds always take [`Simd::detect`].
+    ///
+    /// [`Simd::detect`]: crate::kernels::Simd::detect
+    pub(crate) fn with_family(mut self, simd: crate::kernels::Simd) -> Self {
+        assert!(crate::kernels::Simd::supported().contains(&simd));
+        self.lowered.simd = simd;
+        self
     }
 }
 

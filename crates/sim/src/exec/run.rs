@@ -3,6 +3,7 @@
 
 use super::oracle::Oracle;
 use super::{mismatch, traced, ExecArena, ExecError, Executor};
+use crate::kernels;
 use fpsa_nn::quant::quantize_code;
 use fpsa_nn::NodeId;
 use rayon::prelude::*;
@@ -97,16 +98,23 @@ impl Executor {
     fn run_integer_bc(&self, input: &[f32], arena: &mut ExecArena) -> Result<(), ExecError> {
         let in_node = self.checked_input_node(input)?;
         let region = self.lowered.node_regions[in_node].expect("input region is lowered");
-        let step = self.node_steps[in_node];
         let alevels = self.activation_levels;
         let vals = grab(&mut arena.val_i, self.lowered.val_len);
         let parts = grab(&mut arena.part_i, self.lowered.part_len);
-        for (dst, &v) in vals[region.range()].iter_mut().zip(input) {
-            *dst = quantize_code(f64::from(v), step, alevels);
-        }
+        self.quantize_input(in_node, input, &mut vals[region.range()]);
         self.lowered
             .exec_integer(vals, parts, alevels, &mut arena.mac);
         Ok(())
+    }
+
+    /// Quantize one sample into the input node's code region — an Integer
+    /// store like any other, so it runs through the family-compiled
+    /// [`kernels::map_store`].
+    fn quantize_input(&self, in_node: NodeId, input: &[f32], codes: &mut [i64]) {
+        let (step, alevels) = (self.node_steps[in_node], self.activation_levels);
+        kernels::map_store(self.lowered.simd, input, codes, 1, move |v| {
+            quantize_code(f64::from(v), step, alevels)
+        });
     }
 
     /// Execute a batch of samples sequentially on one replica's arena,
@@ -172,15 +180,12 @@ impl Executor {
         let (val_len, part_len) = (self.lowered.val_len, self.lowered.part_len);
         outputs.resize_with(b, Vec::new);
         if self.precision_integer {
-            let step = self.node_steps[in_node];
             let alevels = self.activation_levels;
             let vals = grab(&mut arena.val_i, b * val_len);
             let parts = grab(&mut arena.part_i, b * part_len);
             for (s, input) in inputs.iter().enumerate() {
                 let dst = s * val_len + region.off as usize;
-                for (dst, &v) in vals[dst..dst + region.len as usize].iter_mut().zip(input) {
-                    *dst = quantize_code(f64::from(v), step, alevels);
-                }
+                self.quantize_input(in_node, input, &mut vals[dst..dst + region.len as usize]);
             }
             self.lowered
                 .exec_integer_batch(vals, parts, b, alevels, &mut arena.mac);

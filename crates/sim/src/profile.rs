@@ -18,10 +18,14 @@
 //!   sequential execution it is bit-identical to).
 //! * **skipped** — crossbar rows elided by the run-time sparsity skip in
 //!   the MAC gather loops (a row whose activation is exactly zero never
-//!   reaches the MAC kernel). In the sample-blocked batch kernels a row is
-//!   skipped only when *all* samples in the group are zero, so batch skip
-//!   counts are legitimately lower than sequential ones for the same
-//!   inputs.
+//!   reaches the MAC kernel). Where a weight tile is shared by a block —
+//!   the positions of a float convolution block, the samples of a dense
+//!   batch group — one row is skipped, and counted once, only when *every*
+//!   member of the block is zero on it (rows that are padding for the whole
+//!   block were never candidates and are not counted). Block skip counts
+//!   are therefore legitimately lower than per-position or sequential ones
+//!   for the same inputs; the Integer MACs and a dense tile at batch 1
+//!   still count per position.
 
 use core::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
