@@ -55,7 +55,9 @@ pub struct FleetConfig {
     pub replicas_per_fabric: usize,
     /// Largest batch a worker claims at once (per tenant lane).
     pub max_batch: usize,
-    /// How long a lone request may wait for company, in microseconds.
+    /// How long a part-full batch may wait for company while some worker of
+    /// the fleet is executing, in microseconds. An idle fleet serves a lone
+    /// request at once.
     pub batch_window_us: u64,
     /// Bound-executor slots in each fabric's LRU cache (clamped ≥ 1).
     pub bind_cache: usize,

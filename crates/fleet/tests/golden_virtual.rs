@@ -1,11 +1,15 @@
 //! Virtual-clock replays are pinned bit for bit.
 //!
 //! The discrete-event loop behind `simulate` / `simulate_fleet` may be
-//! restructured, but what it computes may not move: every digest below was
-//! recorded from the two separate loops (`simulate_inner`,
-//! `simulate_fleet_inner`) the unified loop replaced, over every field of
-//! the replay result (per-tenant counters included) and over the bytes of
-//! the traced replay's Chrome export, for every checked-in scenario. The
+//! restructured, but what it computes may not move: every digest below
+//! covers every field of the replay result (per-tenant counters included)
+//! and the bytes of the traced replay's Chrome export, for every checked-in
+//! scenario. The digests were first recorded from the two separate loops
+//! (`simulate_inner`, `simulate_fleet_inner`) the unified loop replaced, and
+//! re-recorded once for one policy change: a part-full batch pops as soon
+//! as no virtual worker of any fabric is busy, instead of always waiting
+//! out its window (`bursty-coalesce`, whose batches always fill, kept its
+//! digests). The hand-built trace test pins that rule directly, and the
 //! proptest pins the claim the design rests on: `simulate` *is* the fleet
 //! loop run as one fabric with one lane.
 
@@ -111,8 +115,8 @@ fn single_engine_scenarios_match_the_recorded_digests() {
         (
             "adversarial-herd",
             0x9cce_6478_1def_b64c_u64,
-            0xccef_acc6_ff15_d87c_u64,
-            0x2024_32ed_023b_cec4_u64,
+            0xb2b5_85e5_62d5_5c0b_u64,
+            0x4b36_b704_0670_1fb0_u64,
         ),
         (
             "bursty-coalesce",
@@ -123,14 +127,14 @@ fn single_engine_scenarios_match_the_recorded_digests() {
         (
             "diurnal-mix",
             0x9b0f_5ba8_2659_6ebe,
-            0xc4ea_a022_5b59_43f4,
-            0x578d_0927_7dd4_2efc,
+            0xaf24_d1e1_32ca_193c,
+            0x735d_9cb3_1559_91fe,
         ),
         (
             "steady-poisson",
             0x6d2e_d8b9_9b0e_79b8,
-            0xb792_7687_bff3_eef8,
-            0x06fe_ae8f_48e8_ebbb,
+            0xb15b_c9cd_044b_608c,
+            0x59a5_11ac_b526_1b86,
         ),
     ];
     let got = golden.map(|(name, ..)| {
@@ -168,7 +172,7 @@ fn the_fleet_zoo_and_its_dedicated_baseline_match_the_recorded_digests() {
     );
     assert_eq!(
         got,
-        (0xa11c_86e4_2d3d_4f95, 0x2f95_d97f_4dec_b42c),
+        (0xa688_db4a_b051_660b, 0x9872_8375_56e3_8a47),
         "fleet-zoo: got {got:#x?}"
     );
 
@@ -189,9 +193,58 @@ fn the_fleet_zoo_and_its_dedicated_baseline_match_the_recorded_digests() {
     });
     assert_eq!(
         dedicated,
-        [0x9643_3354_ee37_b2e1, 0x538c_5de9_7941_625d],
+        [0x854c_cb15_b3fe_582d, 0xc11e_9185_e3ce_1512],
         "dedicated: got {dedicated:#x?}"
     );
+}
+
+#[test]
+fn the_virtual_clock_batches_only_while_a_worker_is_busy() {
+    // Fabric 0 hosts model 0, fabric 1 model 1, one worker each, a window
+    // no arrival waits out. The engine is idle at 0, 10 000 and 20 000 µs;
+    // the two model-1 arrivals at 10 and 20 µs land on an idle fabric while
+    // fabric 0 executes, so they wait for it and leave as one batch.
+    let event = |at_us, model| TraceEvent {
+        at_us,
+        tenant: 0,
+        model,
+        group: 0,
+    };
+    let trace = Trace {
+        scenario: "idle-rule".into(),
+        seed: 0,
+        events: vec![
+            event(0, 0),
+            event(10, 1),
+            event(20, 1),
+            event(10_000, 0),
+            event(20_000, 1),
+        ],
+    };
+    let policy = FleetPolicy {
+        per_fabric: ReplayPolicy {
+            replicas: 1,
+            max_batch: 8,
+            window_us: 5_000,
+        },
+        hosted: vec![vec![0], vec![1]],
+        tenant_weights: Vec::new(),
+    };
+    let service = ServiceModel {
+        base_us: 100,
+        per_request_us: 10,
+    };
+    let stats = simulate_fleet(&trace, &policy, service).aggregate.stats;
+    assert_eq!((stats.completed, stats.batches), (5, 4));
+    assert_eq!(
+        stats.largest_batch(),
+        2,
+        "the busy-period arrivals coalesce"
+    );
+    assert_eq!(stats.batch_sizes.buckets()[1], 3, "idle arrivals run alone");
+    // The pair pops the instant fabric 0 frees (110 µs), not at its
+    // deadline: the earlier one's latency is 110 + 120 - 10.
+    assert_eq!(stats.max_latency_us(), 220);
 }
 
 proptest! {

@@ -2,20 +2,24 @@
 //!
 //! The batcher owns the serving engine's admission discipline and nothing
 //! else — no threads, no condvars, no `Instant`. Time enters exclusively as
-//! `now_us` arguments, which is what makes the machine exhaustively testable:
-//! the property suite (`tests/batcher_properties.rs`) drives it with
-//! synthetic clocks through arbitrary arrival/poll interleavings and checks
-//! the invariants the serving engine's correctness rests on:
+//! `now_us` arguments and the engine's load as an `idle` flag, which is what
+//! makes the machine exhaustively testable: the property suite
+//! (`tests/batcher_properties.rs`) drives it with synthetic clocks and idle
+//! flags through arbitrary arrival/poll interleavings and checks the
+//! invariants the serving engine's correctness rests on:
 //!
 //! * **FIFO, lossless, duplicate-free** — the concatenation of every popped
 //!   batch is exactly the arrival sequence;
 //! * **bounded** — no batch exceeds `max_batch` (and none is empty);
 //! * **deadline-keeping** — a non-empty queue is ready no later than
 //!   `oldest arrival + window_us`, so a worker polling at
-//!   [`DynamicBatcher::next_deadline_us`] always flushes it.
+//!   [`DynamicBatcher::next_deadline_us`] always flushes it;
+//! * **work-conserving** — a non-empty queue polled with `idle` is ready.
 //!
-//! A batch becomes ready when it *fills* (`max_batch` pending) or when it
-//! *ages out* (the oldest entry has waited `window_us`). A zero window means
+//! A batch becomes ready when it *fills* (`max_batch` pending), when it
+//! *ages out* (the oldest entry has waited `window_us`), or at once when
+//! the caller reports the engine `idle` (no worker executing): waiting for
+//! company only pays while the hardware is busy anyway. A zero window means
 //! "never wait": any non-empty queue is ready, and batching then only
 //! happens when requests arrive faster than workers drain them.
 
@@ -28,13 +32,14 @@ pub struct BatchPolicy {
     /// Hard upper bound on batch size (at least 1).
     pub max_batch: usize,
     /// How long the oldest request may wait before the batch is flushed
-    /// part-full, in microseconds.
+    /// part-full while the engine is busy, in microseconds (an idle engine
+    /// serves a part-full batch at once).
     pub window_us: u64,
 }
 
 impl BatchPolicy {
-    /// A policy flushing at `max_batch` (clamped to at least 1) or after
-    /// `window_us`, whichever comes first.
+    /// A policy flushing at `max_batch` (clamped to at least 1) or, while
+    /// the engine is busy, after `window_us`, whichever comes first.
     pub fn new(max_batch: usize, window_us: u64) -> Self {
         BatchPolicy {
             max_batch: max_batch.max(1),
@@ -93,18 +98,20 @@ impl<T> DynamicBatcher<T> {
     }
 
     /// Whether a batch can be popped at `now_us`: the queue has filled a
-    /// whole batch, or the oldest entry's window has expired.
-    pub fn ready(&self, now_us: u64) -> bool {
-        self.pending.len() >= self.policy.max_batch
+    /// whole batch, the oldest entry's window has expired, or the engine is
+    /// `idle` and anything is queued.
+    pub fn ready(&self, now_us: u64, idle: bool) -> bool {
+        (idle && !self.pending.is_empty())
+            || self.pending.len() >= self.policy.max_batch
             || self
                 .next_deadline_us()
                 .is_some_and(|deadline| deadline <= now_us)
     }
 
-    /// Pop the next batch if one is ready at `now_us`: the oldest pending
-    /// items, FIFO, at most `max_batch` of them.
-    pub fn pop_ready(&mut self, now_us: u64) -> Option<Vec<T>> {
-        if self.ready(now_us) {
+    /// Pop the next batch if one is ready at `now_us` given `idle`: the
+    /// oldest pending items, FIFO, at most `max_batch` of them.
+    pub fn pop_ready(&mut self, now_us: u64, idle: bool) -> Option<Vec<T>> {
+        if self.ready(now_us, idle) {
             self.pop_now()
         } else {
             None
@@ -133,12 +140,15 @@ mod tests {
             b.push(i, 10 + u64::from(i));
         }
         assert!(
-            b.ready(12),
+            b.ready(12, false),
             "a full batch is ready regardless of the window"
         );
-        assert_eq!(b.pop_ready(12), Some(vec![0, 1, 2]));
-        assert!(!b.ready(12), "two stragglers inside the window are not");
-        assert_eq!(b.pop_ready(12), None);
+        assert_eq!(b.pop_ready(12, false), Some(vec![0, 1, 2]));
+        assert!(
+            !b.ready(12, false),
+            "two stragglers inside the window are not"
+        );
+        assert_eq!(b.pop_ready(12, false), None);
         assert_eq!(b.len(), 2);
     }
 
@@ -148,18 +158,28 @@ mod tests {
         b.push('a', 100);
         b.push('b', 300);
         assert_eq!(b.next_deadline_us(), Some(600));
-        assert!(!b.ready(599));
-        assert!(b.ready(600));
-        assert_eq!(b.pop_ready(600), Some(vec!['a', 'b']));
+        assert!(!b.ready(599, false));
+        assert!(b.ready(600, false));
+        assert_eq!(b.pop_ready(600, false), Some(vec!['a', 'b']));
         assert_eq!(b.next_deadline_us(), None);
+    }
+
+    #[test]
+    fn an_idle_engine_pops_a_part_full_batch_at_once() {
+        let mut b = DynamicBatcher::new(BatchPolicy::new(8, u64::MAX));
+        assert!(!b.ready(0, true), "an empty queue is never ready");
+        b.push('a', 5);
+        b.push('b', 6);
+        assert!(!b.ready(6, false), "a busy engine waits for company");
+        assert_eq!(b.pop_ready(6, true), Some(vec!['a', 'b']));
     }
 
     #[test]
     fn zero_window_never_waits() {
         let mut b = DynamicBatcher::new(BatchPolicy::new(4, 0));
         b.push(1u8, 7);
-        assert!(b.ready(7));
-        assert_eq!(b.pop_ready(7), Some(vec![1]));
+        assert!(b.ready(7, false));
+        assert_eq!(b.pop_ready(7, false), Some(vec![1]));
     }
 
     #[test]
@@ -188,6 +208,6 @@ mod tests {
         let mut b = DynamicBatcher::new(BatchPolicy::new(4, u64::MAX));
         b.push(0u8, 123);
         assert_eq!(b.next_deadline_us(), Some(u64::MAX));
-        assert!(!b.ready(u64::MAX - 1));
+        assert!(!b.ready(u64::MAX - 1, false));
     }
 }

@@ -19,8 +19,13 @@
 //! | `ShardedEngine` | a chain, one per stage | 1, at the entry | fixed per stage | input length |
 //! | `FleetEngine` | one per fabric, routed | one per tenant, weighted | bind-handle LRU | model, length, SLO shed |
 //!
-//! A closed station drains without waiting out the batch window, and a
-//! chain closes front to back, so every admitted ticket resolves.
+//! Batching is work-conserving: the core counts the batches in flight
+//! engine-wide, and a part-full batch waits for company (up to the
+//! policy's `window_us`) only while that count is non-zero. The worker whose
+//! finish brings it to zero wakes a waiter at every other station with
+//! queued work, so an idle engine serves a lone request at once. A closed
+//! station drains without waiting out the batch window, and a chain closes
+//! front to back, so every admitted ticket resolves.
 
 use crate::batcher::BatchPolicy;
 use crate::engine::{Response, ServeError, ServeStats, Ticket};
@@ -28,8 +33,9 @@ use crate::wfq::WeightedFairBatcher;
 use fpsa_obs::{Counter, Registry, Span, SpanId, Tracer};
 use fpsa_sim::exec::{ExecArena, Executor};
 use std::collections::VecDeque;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::Sender;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -169,23 +175,31 @@ impl Station {
     }
 
     /// Block until a batch is ready (`None`: drained out, the worker
-    /// ends). Wakes on new work and on the oldest request's deadline; the
-    /// `notify_one` after a pop hands leftover work to another replica —
-    /// that hand-off is the batch pipeline.
-    fn next_batch(&self, shared: &Shared) -> Option<(u16, Vec<Job>)> {
+    /// ends), returned with the guard that counts it in flight. Wakes on
+    /// new work, on the engine going idle and on the oldest request's
+    /// deadline; the `notify_one` after a pop hands leftover work to another
+    /// replica — that hand-off is the batch pipeline.
+    fn next_batch<'a>(
+        &self,
+        shared: &'a Shared,
+        station: usize,
+    ) -> Option<(u16, Vec<Job>, Busy<'a>)> {
         let mut state = self.lock();
         loop {
             let now = shared.now_us();
+            let idle = shared.in_flight.load(Ordering::Acquire) == 0;
             let relayed = state.relayed.pop_front();
-            if let Some(batch) = relayed.or_else(|| state.lanes.pop_ready(now)) {
+            if let Some((lane, batch)) = relayed.or_else(|| state.lanes.pop_ready(now, idle)) {
+                let busy = Busy::start(shared, station);
                 if !state.relayed.is_empty() || !state.lanes.is_empty() {
                     self.work.notify_one();
                 }
-                return Some(batch);
+                return Some((lane, batch, busy));
             }
             if state.closed {
                 // Drain without waiting out the window.
-                return state.lanes.pop_now();
+                let (lane, batch) = state.lanes.pop_now()?;
+                return Some((lane, batch, Busy::start(shared, station)));
             }
             state = match state.lanes.next_deadline_us() {
                 Some(deadline) => {
@@ -220,11 +234,51 @@ impl EngineCounters {
     }
 }
 
+/// One popped batch in flight, from its pop until its run or relay ends —
+/// dropped on every exit path, a failed or panicking run included, so the
+/// engine-wide count cannot leak.
+struct Busy<'a> {
+    shared: &'a Shared,
+    station: usize,
+}
+
+impl<'a> Busy<'a> {
+    fn start(shared: &'a Shared, station: usize) -> Busy<'a> {
+        shared.in_flight.fetch_add(1, Ordering::AcqRel);
+        Busy { shared, station }
+    }
+}
+
+impl Drop for Busy<'_> {
+    /// The last batch out wakes one waiter at every other station holding
+    /// queued work: its part-full batch stops waiting for company. (This
+    /// station's own worker is about to look for work itself.) Taking the
+    /// station lock orders the wake after a waiter's idle check.
+    fn drop(&mut self) {
+        if self.shared.in_flight.fetch_sub(1, Ordering::AcqRel) != 1 {
+            return;
+        }
+        let stations = self.shared.stations.iter().enumerate();
+        for (_, station) in stations.filter(|&(index, _)| index != self.station) {
+            let state = station.state.lock().unwrap_or_else(PoisonError::into_inner);
+            if !state.lanes.is_empty() {
+                station.work.notify_one();
+            }
+        }
+    }
+}
+
 /// Everything the workers share.
 struct Shared {
     tier: Tier,
     chain: bool,
     stations: Vec<Station>,
+    /// Batches popped and not yet finished or relayed, engine-wide. It
+    /// publishes no other data; waiters read it under their station lock,
+    /// and the finish that takes it to 0 then takes each other station's
+    /// lock before waking it, so a waiter either sees 0 or is already
+    /// waiting when the wake comes.
+    in_flight: AtomicUsize,
     stats: Mutex<Vec<ServeStats>>,
     resolve: Resolver,
     counters: EngineCounters,
@@ -334,7 +388,8 @@ fn worker_loop(shared: &Shared, station: usize) {
     let mut inputs: Vec<Vec<f32>> = Vec::new();
     let mut outputs: Vec<Vec<f32>> = Vec::new();
     let mut hop_spans: Vec<Span> = Vec::new();
-    while let Some((lane, mut batch)) = shared.stations[station].next_batch(shared) {
+    while let Some((lane, mut batch, _busy)) = shared.stations[station].next_batch(shared, station)
+    {
         if tracer.enabled() {
             let ts = tracer.now_us();
             for job in &batch {
@@ -414,6 +469,7 @@ impl Core {
             tier: config.tier,
             chain: config.chain,
             stations,
+            in_flight: AtomicUsize::new(0),
             stats: Mutex::new(Vec::new()),
             resolve,
             counters: EngineCounters::for_tier(config.tier.name),
@@ -538,5 +594,171 @@ impl Core {
 impl Drop for Core {
     fn drop(&mut self) {
         self.shutdown_and_join();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use fpsa_core::Compiler;
+    use fpsa_nn::params::mlp_graph;
+    use fpsa_nn::{ComputationalGraph, GraphParameters};
+    use fpsa_sim::Precision;
+    use std::sync::Barrier;
+
+    /// A window no test waits out: a request resolving promptly was served
+    /// because the engine was idle (or its batch filled).
+    const FOREVER_US: u64 = 30_000_000;
+
+    fn bind(graph: &ComputationalGraph) -> Arc<Executor> {
+        let params = GraphParameters::seeded(graph, 7);
+        let compiled = Compiler::fpsa().compile(graph).unwrap();
+        Arc::new(
+            compiled
+                .executor(graph, &params, &Precision::Float)
+                .unwrap(),
+        )
+    }
+
+    /// A 16-input model.
+    fn executor() -> Arc<Executor> {
+        bind(&mlp_graph("whole", &[16, 8, 4]))
+    }
+
+    /// `stations` stations (a chain when `chain`) of `replicas` workers.
+    fn start_chain(stations: usize, chain: bool, replicas: usize, resolve: Resolver) -> Core {
+        let config = CoreConfig {
+            tier: Tier {
+                name: "core-test",
+                hop: "execute",
+                station_arg: "",
+                depth_counter: "core-test.queue_depth",
+            },
+            stations,
+            chain,
+            replicas,
+            policy: BatchPolicy::new(4, FOREVER_US),
+            lane_weights: Vec::new(),
+        };
+        Core::start(config, resolve)
+    }
+
+    fn start(replicas: usize, resolve: Resolver) -> Core {
+        start_chain(1, false, replicas, resolve)
+    }
+
+    /// A resolver whose first call at `station` blocks until `gate` is
+    /// passed a second time: the batch it resolves for keeps the engine
+    /// busy for as long as the test likes.
+    fn held(station: usize, gate: &Arc<Barrier>, stages: Vec<Arc<Executor>>) -> Resolver {
+        let gate = Arc::clone(gate);
+        let calls = AtomicUsize::new(0);
+        Box::new(move |at, _| {
+            if at == station && calls.fetch_add(1, Ordering::Relaxed) == 0 {
+                gate.wait();
+            }
+            Ok(Arc::clone(&stages[at]))
+        })
+    }
+
+    /// Block until nothing is queued at `station`.
+    fn until_popped(core: &Core, station: usize) {
+        while core.queued(station, None) > 0 {
+            thread::yield_now();
+        }
+    }
+
+    fn request(core: &Core, len: usize) -> Ticket {
+        core.submit(0, &[], Ok((0, 0, vec![0.5; len])))
+    }
+
+    /// A lone request resolves far inside the window: nothing is in flight.
+    fn assert_served_at_once(core: &Core) {
+        let start = Instant::now();
+        request(core, 16).wait().expect("served");
+        let waited = start.elapsed();
+        assert!(
+            waited < Duration::from_secs(1),
+            "lone request waited {waited:?}"
+        );
+    }
+
+    #[test]
+    fn a_failed_resolve_does_not_leave_the_engine_busy() {
+        let exec = executor();
+        let calls = AtomicUsize::new(0);
+        let core = start(
+            1,
+            Box::new(
+                move |_, model| match calls.fetch_add(1, Ordering::Relaxed) {
+                    0 => Err(ServeError::UnknownModel { model }),
+                    _ => Ok(Arc::clone(&exec)),
+                },
+            ),
+        );
+        let failed = request(&core, 16).wait();
+        assert_eq!(failed, Err(ServeError::UnknownModel { model: 0 }));
+        assert_served_at_once(&core);
+    }
+
+    #[test]
+    fn a_failed_batch_does_not_leave_the_engine_busy() {
+        let exec = executor();
+        let core = start(1, Box::new(move |_, _| Ok(Arc::clone(&exec))));
+        // The core trusts its engines to validate lengths, so a short
+        // payload reaches the executor and fails the batch.
+        let failed = request(&core, 3).wait();
+        assert!(matches!(failed, Err(ServeError::Exec(_))), "{failed:?}");
+        assert_served_at_once(&core);
+        let stats = ServeStats::merged(&core.stats());
+        assert_eq!((stats.failed, stats.completed), (1, 1));
+    }
+
+    #[test]
+    fn a_busy_engine_still_waits_for_company() {
+        let gate = Arc::new(Barrier::new(2));
+        let core = start(2, held(0, &gate, vec![executor()]));
+        let first = request(&core, 16);
+        until_popped(&core, 0);
+        // One worker is executing, so three stragglers wait for company
+        // instead of running at once.
+        let stragglers: Vec<Ticket> = (0..3).map(|_| request(&core, 16)).collect();
+        thread::sleep(Duration::from_millis(50));
+        assert_eq!(
+            core.queued(0, None),
+            3,
+            "a busy engine popped a part-full batch"
+        );
+        // The fourth fills the batch, which pops without the window.
+        let fourth = request(&core, 16);
+        for ticket in stragglers.into_iter().chain([fourth]) {
+            ticket.wait().expect("served");
+        }
+        gate.wait();
+        first.wait().expect("served");
+        let stats = ServeStats::merged(&core.stats());
+        assert_eq!((stats.batches, stats.largest_batch()), (2, 4));
+    }
+
+    #[test]
+    fn a_full_batch_crosses_a_chain_as_one_unit() {
+        let stages = vec![
+            bind(&mlp_graph("front", &[16, 8])),
+            bind(&mlp_graph("back", &[8, 4])),
+        ];
+        let gate = Arc::new(Barrier::new(2));
+        let core = start_chain(2, true, 1, held(0, &gate, stages));
+        let first = request(&core, 16);
+        until_popped(&core, 0);
+        // The entry's only worker is held, so these four fill one batch.
+        let tickets: Vec<Ticket> = (0..4).map(|_| request(&core, 16)).collect();
+        gate.wait();
+        for ticket in tickets.into_iter().chain([first]) {
+            assert_eq!(ticket.wait().expect("served").len(), 4);
+        }
+        // Counted at the exit station: the lone first request, then the
+        // four as one batch — the relay never split it.
+        let stats = ServeStats::merged(&core.stats());
+        assert_eq!((stats.batches, stats.largest_batch()), (2, 4));
     }
 }

@@ -12,7 +12,8 @@
 //! no scratch allocation. Workers pop ready batches under the queue lock
 //! and execute them *outside* it — which is what pipelines consecutive
 //! batches across replicas: while one replica computes a batch, the next
-//! batch fills and is claimed by another.
+//! batch fills and is claimed by another. A request that finds no replica
+//! executing is served at once; the batch window only applies while one is.
 //!
 //! # Shutdown
 //!
@@ -48,8 +49,9 @@ pub struct ServeConfig {
     pub replicas: usize,
     /// Largest batch one replica executes in one go (clamped to ≥ 1).
     pub max_batch: usize,
-    /// How long a part-full batch may wait for stragglers, in microseconds
-    /// (0 = serve immediately, batch only under backlog).
+    /// How long a part-full batch may wait for stragglers while some worker
+    /// of the engine is executing, in microseconds (0 = never wait). An idle
+    /// engine serves a part-full batch at once, whatever the window.
     pub batch_window_us: u64,
 }
 
@@ -511,8 +513,10 @@ mod tests {
 
     #[test]
     fn a_full_batch_flushes_before_its_window_expires() {
-        // Window far beyond the test's patience: the only way these four
-        // requests complete promptly is the size trigger.
+        // Window far beyond the test's patience: these four requests
+        // complete promptly through the size trigger or because the lone
+        // worker finds the engine idle — which one depends on when it wakes.
+        // (`core`'s tests pin the size trigger on a busy engine.)
         let config = ServeConfig {
             replicas: 1,
             max_batch: 4,
@@ -524,8 +528,9 @@ mod tests {
             ticket.wait().unwrap();
         }
         let stats = engine.shutdown();
-        assert_eq!(stats.batches, 1, "four submissions must coalesce");
-        assert_eq!(stats.largest_batch(), 4);
+        assert_eq!(stats.completed, 4);
+        assert!((1..=4).contains(&stats.batches), "{stats:?}");
+        assert!(stats.largest_batch() <= 4);
     }
 
     #[test]

@@ -10,9 +10,10 @@
 //! * **bind once, serve forever** — a [`ServeEngine`] owns one pre-bound
 //!   executor shared read-only across a pool of replica worker threads, so
 //!   no request ever pays the bind cost again;
-//! * **dynamic batching** — queued requests coalesce FIFO up to a size /
-//!   deadline window ([`DynamicBatcher`], a pure state machine with its own
-//!   property suite);
+//! * **dynamic batching** — while the engine is busy, queued requests
+//!   coalesce FIFO up to a size / deadline window; an idle engine serves
+//!   what is queued at once ([`DynamicBatcher`], a pure state machine with
+//!   its own property suite);
 //! * **replica sharding** — ready batches are claimed by whichever replica
 //!   frees up first and executed outside the queue lock, pipelining
 //!   consecutive batches across replicas; each replica recycles one

@@ -6,7 +6,7 @@
 //! serving-side half of multi-fabric model parallelism:
 //!
 //! ```text
-//!  clients ──submit──► stage 0 (DynamicBatcher: coalesce, window)
+//!  clients ──submit──► stage 0 (DynamicBatcher: coalesce while busy)
 //!                         │ replicas × worker, own ExecArena
 //!                         ▼ batch, payloads rewritten to stage outputs
 //!                      stage 1 relay queue ──► workers ──► …
@@ -63,7 +63,8 @@ impl ShardedEngine {
     /// Start serving over a chain of stage executors. `config.replicas`
     /// workers are spawned **per stage** (each stage is its own chip with
     /// its own worker pool); `max_batch` / `batch_window_us` set the
-    /// coalescing policy at the entry stage.
+    /// coalescing policy at the entry stage, where the window applies only
+    /// while some stage is executing.
     ///
     /// # Panics
     ///
@@ -174,12 +175,14 @@ mod tests {
             ticket.wait().unwrap();
         }
         let stats = engine.shutdown();
-        // Counted at the exit stage: the four requests crossed the pipeline
-        // as a single batch.
-        assert_eq!(stats.batches, 1);
-        assert_eq!(stats.largest_batch(), 4);
-        // Bucket [4,7]'s upper bound, capped at the tracked maximum (4).
-        assert_eq!(stats.batch_size_percentile(0.5), 4);
+        // Whether the first request reached an idle engine and ran alone
+        // depends on when the entry worker woke; either way every batch
+        // crossed the pipeline whole and was counted once, at the exit.
+        // (`core`'s tests pin a full batch crossing a chain as one unit.)
+        assert_eq!(stats.completed, 4);
+        assert!((1..=4).contains(&stats.batches), "{stats:?}");
+        assert_eq!(stats.batch_sizes.count(), stats.batches);
+        assert!(stats.largest_batch() <= 4);
     }
 
     #[test]

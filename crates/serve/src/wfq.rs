@@ -12,8 +12,10 @@
 //! its credit, so idle tenants cannot bank service.
 //!
 //! Like the underlying batcher, the machine is **pure and clock-free**:
-//! time enters only as `now_us` arguments, no threads or `Instant` anywhere,
-//! so the property suite (`tests/wfq_properties.rs`) can drive it through
+//! time enters only as `now_us` arguments and the engine's load as an
+//! `idle` flag (an idle engine makes every non-empty lane flushable; DRR
+//! still chooses which one pops), no threads or `Instant` anywhere, so the
+//! property suite (`tests/wfq_properties.rs`) can drive it through
 //! arbitrary multi-tenant interleavings with a synthetic clock and check:
 //!
 //! * **lossless, duplicate-free** — concatenating every popped batch is a
@@ -22,7 +24,7 @@
 //! * **bounded deficit** — no lane's credit ever exceeds
 //!   `max_batch + weight`, the DRR fairness bound;
 //! * **deadline-keeping** — a non-empty machine is ready no later than
-//!   [`WeightedFairBatcher::next_deadline_us`].
+//!   [`WeightedFairBatcher::next_deadline_us`], and at once when `idle`.
 
 use crate::batcher::{BatchPolicy, DynamicBatcher};
 
@@ -147,13 +149,13 @@ impl<T> WeightedFairBatcher<T> {
             .min()
     }
 
-    /// Whether some lane has a flushable batch at `now_us`.
-    pub fn ready(&self, now_us: u64) -> bool {
-        self.lanes.iter().any(|lane| lane.queue.ready(now_us))
+    /// Whether some lane has a flushable batch at `now_us` given `idle`.
+    pub fn ready(&self, now_us: u64, idle: bool) -> bool {
+        self.lanes.iter().any(|lane| lane.queue.ready(now_us, idle))
     }
 
     /// Pop the next batch under deficit round-robin if any lane is ready at
-    /// `now_us`, returning `(tenant, batch)`.
+    /// `now_us` given `idle`, returning `(tenant, batch)`.
     ///
     /// Classic DRR visit semantics, spread across calls: when the scan
     /// reaches a ready lane it earns its `weight` quantum once, then keeps
@@ -163,22 +165,25 @@ impl<T> WeightedFairBatcher<T> {
     /// remaining credit. Every full scan cycle re-credits each still-ready
     /// lane, so whenever [`Self::ready`] holds some lane is served within
     /// `max_batch` cycles — the call never spins.
-    pub fn pop_ready(&mut self, now_us: u64) -> Option<(u16, Vec<T>)> {
-        if !self.ready(now_us) {
+    pub fn pop_ready(&mut self, now_us: u64, idle: bool) -> Option<(u16, Vec<T>)> {
+        if !self.ready(now_us, idle) {
             return None;
         }
         let lanes = self.lanes.len();
         loop {
             let index = self.cursor % lanes;
             let lane = &mut self.lanes[index];
-            if lane.queue.ready(now_us) {
+            if lane.queue.ready(now_us, idle) {
                 if !self.visit_credited {
                     lane.deficit = lane.deficit.saturating_add(lane.weight);
                     self.visit_credited = true;
                 }
                 let cost = lane.queue.len().min(self.policy.max_batch) as u64;
                 if lane.deficit >= cost {
-                    let batch = lane.queue.pop_ready(now_us).expect("lane checked ready");
+                    let batch = lane
+                        .queue
+                        .pop_ready(now_us, idle)
+                        .expect("lane checked ready");
                     lane.deficit -= batch.len() as u64;
                     if lane.queue.is_empty() {
                         lane.deficit = 0;
@@ -190,7 +195,7 @@ impl<T> WeightedFairBatcher<T> {
                 }
             } else {
                 // A lane that cannot flush right now — empty, or all its
-                // stragglers still inside the batching window — is not
+                // stragglers still inside a busy engine's window — is not
                 // contending: it forfeits its credit like an idle lane in
                 // classic DRR. Letting it bank credit across windows is
                 // what would break the `max_batch + weight` deficit bound.
@@ -236,9 +241,13 @@ mod tests {
         for i in 0..5u32 {
             q.push(0, i, 10);
         }
-        assert_eq!(q.pop_ready(10), Some((0, vec![0, 1, 2])));
-        assert_eq!(q.pop_ready(10), None, "stragglers wait out the window");
-        assert_eq!(q.pop_ready(1_010), Some((0, vec![3, 4])));
+        assert_eq!(q.pop_ready(10, false), Some((0, vec![0, 1, 2])));
+        assert_eq!(
+            q.pop_ready(10, false),
+            None,
+            "stragglers wait out the window"
+        );
+        assert_eq!(q.pop_ready(1_010, false), Some((0, vec![3, 4])));
         assert!(q.is_empty());
     }
 
@@ -250,7 +259,7 @@ mod tests {
             q.push(1, 100 + i, 0);
         }
         let mut served = Vec::new();
-        while let Some((tenant, batch)) = q.pop_ready(0) {
+        while let Some((tenant, batch)) = q.pop_ready(0, false) {
             served.push((tenant, batch));
         }
         assert_eq!(
@@ -273,7 +282,7 @@ mod tests {
             q.push(0, i, 0);
             q.push(1, 100 + i, 0);
         }
-        let first_eight: Vec<u16> = (0..8).map(|_| q.pop_ready(0).unwrap().0).collect();
+        let first_eight: Vec<u16> = (0..8).map(|_| q.pop_ready(0, false).unwrap().0).collect();
         let heavy = first_eight.iter().filter(|&&t| t == 1).count();
         assert_eq!(heavy, 6, "weight-3 tenant got {heavy}/8 of early slots");
     }
@@ -283,7 +292,7 @@ mod tests {
         let mut q = wfq(4, 0);
         q.set_weight(0, 100);
         q.push(0, 1u32, 0);
-        assert_eq!(q.pop_ready(0), Some((0, vec![1])));
+        assert_eq!(q.pop_ready(0, false), Some((0, vec![1])));
         assert_eq!(q.deficit(0), 0, "credit must not bank while idle");
     }
 
@@ -293,9 +302,20 @@ mod tests {
         q.push(3, 'a', 400);
         q.push(1, 'b', 100);
         assert_eq!(q.next_deadline_us(), Some(600));
-        assert!(!q.ready(599));
-        assert!(q.ready(600));
-        assert_eq!(q.pop_ready(600), Some((1, vec!['b'])));
+        assert!(!q.ready(599, false));
+        assert!(q.ready(600, false));
+        assert_eq!(q.pop_ready(600, false), Some((1, vec!['b'])));
+    }
+
+    #[test]
+    fn an_idle_engine_serves_every_non_empty_lane_under_drr() {
+        let mut q = wfq(8, u64::MAX);
+        q.push(2, 7u32, 0);
+        q.push(0, 1u32, 0);
+        assert!(!q.ready(0, false), "a busy engine waits for company");
+        assert_eq!(q.pop_ready(0, true), Some((0, vec![1])));
+        assert_eq!(q.pop_ready(0, true), Some((2, vec![7])));
+        assert!(!q.ready(0, true), "an empty machine is never ready");
     }
 
     #[test]
@@ -320,6 +340,6 @@ mod tests {
         q.push(40_000, 7u32, 0);
         assert_eq!(q.len(), 1);
         assert_eq!(q.tenant_len(40_000), 1);
-        assert_eq!(q.pop_ready(0), Some((40_000, vec![7])));
+        assert_eq!(q.pop_ready(0, false), Some((40_000, vec![7])));
     }
 }

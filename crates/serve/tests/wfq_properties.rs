@@ -1,15 +1,17 @@
 //! Property suite for the weighted-fair batcher.
 //!
 //! Mirrors `tests/batcher_properties.rs` one arbiter up: the machine is
-//! still pure (time is an argument), so arbitrary multi-tenant
-//! arrival/poll interleavings run under a synthetic clock and check the
-//! invariants the fleet engine's fairness rests on:
+//! still pure (time and the engine's idleness are arguments), so arbitrary
+//! multi-tenant arrival/poll interleavings run under a synthetic clock and
+//! drawn idle flags, and check the invariants the fleet engine's fairness
+//! rests on:
 //!
 //! * no request is ever dropped or duplicated across tenants;
 //! * each tenant's stream pops in arrival order (per-tenant FIFO);
 //! * no batch exceeds `max_batch`, none is empty, and every popped batch
 //!   holds one tenant only;
-//! * a non-empty machine flushes within its deadline;
+//! * a non-empty machine flushes within its deadline while the engine is
+//!   busy, and at once while it is idle;
 //! * no lane's unspent deficit ever reaches `max_batch + weight` — the
 //!   classic DRR fairness bound, which is what makes the weight a real
 //!   service-share guarantee rather than a hint.
@@ -25,6 +27,7 @@ fn replay(
     tenants: &[u16],
     gaps_us: &[u64],
     polls: &[bool],
+    idle: &[bool],
 ) -> Vec<(u16, Vec<u32>)> {
     let mut q: WeightedFairBatcher<u32> = WeightedFairBatcher::new(policy);
     for (tenant, &weight) in weights.iter().enumerate() {
@@ -42,21 +45,26 @@ fn replay(
     };
     let mut batches = Vec::new();
     let mut now = 0u64;
-    for (i, ((&tenant, &gap), &poll)) in tenants.iter().zip(gaps_us).zip(polls).enumerate() {
+    let arrivals = tenants.iter().zip(gaps_us).zip(polls).zip(idle);
+    for (i, (((&tenant, &gap), &poll), &idle)) in arrivals.enumerate() {
         now += gap;
         q.push(tenant, i as u32, now);
         if poll {
-            while let Some(popped) = q.pop_ready(now) {
+            if idle {
+                assert!(q.ready(now, true), "an idle engine waited");
+            }
+            while let Some(popped) = q.pop_ready(now, idle) {
                 batches.push(popped);
                 check_deficits(&q);
             }
         }
     }
-    // Final drain exactly like an idle worker: sleep to each deadline, poll.
+    // Final drain exactly like a worker of a busy engine: sleep to each
+    // deadline, poll.
     while let Some(deadline) = q.next_deadline_us() {
         now = now.max(deadline);
         let popped = q
-            .pop_ready(now)
+            .pop_ready(now, false)
             .expect("a non-empty machine must flush at its deadline");
         batches.push(popped);
         check_deficits(&q);
@@ -77,13 +85,15 @@ proptest! {
         tenant_picks in proptest::collection::vec(0u32..5, 1..80),
         gaps_us in proptest::collection::vec(0u64..1_500, 1..80),
         poll_bits in proptest::collection::vec(0u32..2, 1..80),
+        idle_bits in proptest::collection::vec(0u32..2, 80),
     ) {
         let n = tenant_picks.len().min(gaps_us.len()).min(poll_bits.len());
         let lanes = weights.len() as u32;
         let tenants: Vec<u16> = tenant_picks[..n].iter().map(|&t| (t % lanes) as u16).collect();
         let polls: Vec<bool> = poll_bits[..n].iter().map(|&b| b == 1).collect();
+        let idle: Vec<bool> = idle_bits[..n].iter().map(|&b| b == 1).collect();
         let policy = BatchPolicy::new(max_batch, window_us);
-        let batches = replay(policy, &weights, &tenants, &gaps_us[..n], &polls);
+        let batches = replay(policy, &weights, &tenants, &gaps_us[..n], &polls, &idle);
 
         for (_, batch) in &batches {
             prop_assert!(!batch.is_empty(), "the machine must never emit an empty batch");
@@ -135,7 +145,7 @@ proptest! {
         }
         let mut heavy_served = 0u64;
         let mut total = 0u64;
-        while let Some((tenant, batch)) = q.pop_ready(0) {
+        while let Some((tenant, batch)) = q.pop_ready(0, false) {
             heavy_served += u64::from(tenant) * batch.len() as u64;
             total += batch.len() as u64;
             // While both lanes still contend, the heavy tenant's share of

@@ -115,8 +115,8 @@ pub struct ReplayPolicy {
     pub replicas: usize,
     /// Largest batch one replica executes in one go (≥ 1).
     pub max_batch: usize,
-    /// How long a part-full batch may wait for stragglers, in virtual
-    /// microseconds.
+    /// How long a part-full batch may wait for stragglers while some
+    /// virtual worker is busy, in virtual microseconds.
     pub window_us: u64,
 }
 

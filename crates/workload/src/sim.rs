@@ -9,8 +9,11 @@
 //! core runs — under a discrete-event virtual clock: arrivals land at their trace timestamps,
 //! ready batches are claimed by the earliest-free of `replicas` virtual
 //! workers, and each batch occupies its worker for the scenario's
-//! [`ServiceModel`] cost. Everything is integer microseconds, the
-//! simulation is single-threaded, and ties break by index — so the
+//! [`ServiceModel`] cost. Batching follows the core's work-conserving
+//! rule: a part-full batch pops as soon as no virtual worker of any fabric
+//! is busy, and waits out its window only while one is. Everything is
+//! integer microseconds, the simulation is single-threaded, and ties break
+//! by index — so the
 //! resulting [`ServeStats`] (built through the engine's own recording
 //! methods, bucket for bucket) is **identical across runs, host thread
 //! counts and real-engine replica configurations**, which is exactly the
@@ -166,17 +169,19 @@ fn run(
 
     loop {
         // The earliest instant any fabric could pop a batch: its earliest
-        // free worker's time (clamped to the global clock), or the oldest
-        // lane's deadline if nothing is ready yet. Ties go to the lowest
-        // fabric index.
+        // free worker's time (clamped to the global clock) if a batch is
+        // ready then; otherwise the earlier of the oldest lane's deadline and
+        // the instant the engine goes idle (its last busy worker frees).
+        // Ties go to the lowest fabric index.
+        let idle_from = free.iter().flatten().copied().max().unwrap_or(0);
         let mut action: Option<(u64, usize)> = None;
         for (fabric, queue) in queues.iter().enumerate() {
             let worker_free = *free[fabric].iter().min().expect("replicas >= 1");
             let base = worker_free.max(clock);
-            let at = if queue.ready(base) {
+            let at = if queue.ready(base, idle_from <= base) {
                 Some(base)
             } else {
-                queue.next_deadline_us().map(|d| d.max(base))
+                queue.next_deadline_us().map(|d| d.min(idle_from).max(base))
             };
             if let Some(at) = at {
                 if action.is_none_or(|(best, _)| at < best) {
@@ -231,7 +236,7 @@ fn run(
             .min_by_key(|&(i, t)| (t, i))
             .expect("replicas >= 1");
         let (lane, batch) = queues[fabric]
-            .pop_ready(now)
+            .pop_ready(now, idle_from <= now)
             .expect("a fabric's action instant has a ready batch");
         clock = now;
         let blen = batch.len();
