@@ -111,7 +111,9 @@ impl Bitstream {
             return None;
         }
         let count = data.get_u32() as usize;
-        let mut sections = Vec::with_capacity(count);
+        // Each section takes at least its 9-byte header, so a count the
+        // image cannot hold never reaches the allocator.
+        let mut sections = Vec::with_capacity(count.min(data.remaining() / 9));
         for _ in 0..count {
             if data.remaining() < 9 {
                 return None;
@@ -188,6 +190,13 @@ mod tests {
         let bytes = b.to_bytes();
         let truncated = bytes.slice(0..bytes.len() - 10);
         assert!(Bitstream::from_bytes(truncated).is_none());
+    }
+
+    #[test]
+    fn an_impossible_section_count_is_rejected_without_allocating() {
+        let mut header = MAGIC.to_be_bytes().to_vec();
+        header.extend_from_slice(&u32::MAX.to_be_bytes());
+        assert!(Bitstream::from_bytes(Bytes::from(header)).is_none());
     }
 
     #[test]

@@ -1,14 +1,12 @@
-//! The workload scenario suite: replay every checked-in scenario, compare
-//! full-trace vs phase-sampled statistics, and write the per-scenario
-//! reports plus the CI-pinned `BENCH_workload.json`.
+//! The workload scenario suite: replay every checked-in scenario under the
+//! virtual clock and write the per-scenario reports plus the CI-checked
+//! `BENCH_workload.json`.
 //!
 //! Per scenario (`scenarios/*.scenario`): record the trace, replay it in
-//! full under the deterministic virtual clock, cluster it SimPoint-style and
-//! replay only the weighted representatives, then render markdown + JSON
+//! full under the deterministic virtual clock, then render markdown + JSON
 //! reports into `target/experiment-data/workload/`. The root artifact
-//! aggregates one row per scenario; the `workload` CI job parses it and pins
-//! that every scenario stays within the phase-sampling tolerance and that
-//! every ≥100k-request scenario samples ≤ 1/10 of its events.
+//! aggregates one row per scenario; the `workload` CI job checks that every
+//! row carries its full-replay throughput.
 //!
 //! One real-engine smoke replay (MLP-500-100 behind a `ServeEngine`) keeps
 //! the measured path exercised — its wall-clock throughput is recorded as
@@ -20,10 +18,7 @@ use fpsa_core::Compiler;
 use fpsa_nn::{zoo, GraphParameters};
 use fpsa_serve::{ServeConfig, ServeEngine};
 use fpsa_sim::Precision;
-use fpsa_workload::{
-    check_tolerance, plan, scenario_report, simulate, simulate_phased, PhaseConfig, Scenario,
-    TraceRecorder, TraceReplayer, PERCENTILE_TOLERANCE_FACTOR, THROUGHPUT_TOLERANCE,
-};
+use fpsa_workload::{scenario_report, simulate, Scenario, TraceRecorder, TraceReplayer};
 use std::fmt::Write as _;
 
 struct ScenarioRow {
@@ -31,14 +26,8 @@ struct ScenarioRow {
     requests: usize,
     fingerprint: u64,
     full_rps: f64,
-    phased_rps: f64,
-    rel_err: f64,
     full_p50: u64,
-    phased_p50: u64,
     full_p99: u64,
-    phased_p99: u64,
-    sampled_fraction: f64,
-    within_tolerance: bool,
 }
 
 fn load_scenarios() -> Vec<Scenario> {
@@ -63,10 +52,8 @@ fn measure(scenario: &Scenario) -> ScenarioRow {
         .record()
         .expect("scenario is valid");
     let full = simulate(&trace, scenario.policy, scenario.service);
-    let phase_plan = plan(&trace, PhaseConfig::default());
-    let phased = simulate_phased(&trace, &phase_plan, scenario.policy, scenario.service);
 
-    let report = scenario_report(scenario, &trace, &full, &phase_plan, &phased);
+    let report = scenario_report(scenario, &trace, &full);
     save_text(&format!("workload/{}.md", scenario.name), &report.markdown);
     save_text(&format!("workload/{}.json", scenario.name), &report.json);
 
@@ -75,15 +62,8 @@ fn measure(scenario: &Scenario) -> ScenarioRow {
         requests: trace.len(),
         fingerprint: trace.fingerprint(),
         full_rps: full.throughput_rps,
-        phased_rps: phased.throughput_rps,
-        rel_err: (phased.throughput_rps - full.throughput_rps).abs()
-            / full.throughput_rps.max(1e-9),
         full_p50: full.stats.latency_percentile_us(0.5),
-        phased_p50: phased.latency_percentile_us(0.5),
         full_p99: full.stats.latency_percentile_us(0.99),
-        phased_p99: phased.latency_percentile_us(0.99),
-        sampled_fraction: phase_plan.sampled_fraction(),
-        within_tolerance: check_tolerance(&full, &phased).is_ok(),
     }
 }
 
@@ -114,41 +94,22 @@ fn real_engine_smoke() -> (String, usize, f64) {
 }
 
 fn to_table(rows: &[ScenarioRow]) -> String {
-    let mut t = String::from(
-        "| scenario | requests | full req/s | phased req/s | rel err | p99 full/phased us | sampled | ok |\n|---|---|---|---|---|---|---|---|\n",
-    );
+    let mut t =
+        String::from("| scenario | requests | req/s | p50 us | p99 us |\n|---|---|---|---|---|\n");
     for r in rows {
         let _ = writeln!(
             t,
-            "| {} | {} | {:.0} | {:.0} | {:.1}% | {}/{} | {:.1}% | {} |",
-            r.name,
-            r.requests,
-            r.full_rps,
-            r.phased_rps,
-            r.rel_err * 100.0,
-            r.full_p99,
-            r.phased_p99,
-            r.sampled_fraction * 100.0,
-            if r.within_tolerance { "yes" } else { "NO" }
+            "| {} | {} | {:.0} | {} | {} |",
+            r.name, r.requests, r.full_rps, r.full_p50, r.full_p99
         );
     }
     t
 }
 
 /// Hand-rendered JSON (the vendored serde facade cannot produce strict
-/// JSON), parsed and pinned by the `workload` CI job.
+/// JSON), parsed and checked by the `workload` CI job.
 fn to_json(rows: &[ScenarioRow], smoke: &(String, usize, f64)) -> String {
     let mut j = String::from("{\n");
-    let _ = writeln!(j, "  \"throughput_tolerance\": {THROUGHPUT_TOLERANCE},");
-    let _ = writeln!(
-        j,
-        "  \"percentile_tolerance_factor\": {PERCENTILE_TOLERANCE_FACTOR},"
-    );
-    let _ = writeln!(
-        j,
-        "  \"all_within_tolerance\": {},",
-        rows.iter().all(|r| r.within_tolerance)
-    );
     let _ = writeln!(
         j,
         "  \"real_engine_smoke\": {{\"model\": \"{}\", \"requests\": {}, \"throughput_rps\": {:.1}}},",
@@ -165,14 +126,8 @@ fn to_json(rows: &[ScenarioRow], smoke: &(String, usize, f64)) -> String {
             r.fingerprint
         );
         let _ = writeln!(j, "      \"full_throughput_rps\": {:.3},", r.full_rps);
-        let _ = writeln!(j, "      \"phased_throughput_rps\": {:.3},", r.phased_rps);
-        let _ = writeln!(j, "      \"throughput_rel_err\": {:.5},", r.rel_err);
         let _ = writeln!(j, "      \"full_p50_us\": {},", r.full_p50);
-        let _ = writeln!(j, "      \"phased_p50_us\": {},", r.phased_p50);
-        let _ = writeln!(j, "      \"full_p99_us\": {},", r.full_p99);
-        let _ = writeln!(j, "      \"phased_p99_us\": {},", r.phased_p99);
-        let _ = writeln!(j, "      \"sampled_fraction\": {:.5},", r.sampled_fraction);
-        let _ = writeln!(j, "      \"within_tolerance\": {}", r.within_tolerance);
+        let _ = writeln!(j, "      \"full_p99_us\": {}", r.full_p99);
         let _ = writeln!(j, "    }}{}", if i + 1 < rows.len() { "," } else { "" });
     }
     j.push_str("  ]\n}\n");
@@ -188,14 +143,12 @@ fn bench(c: &mut Criterion) {
     let rows: Vec<ScenarioRow> = scenarios.iter().map(measure).collect();
     let smoke = real_engine_smoke();
     print_experiment(
-        "Workload scenarios: full-trace vs phase-sampled virtual replay",
+        "Workload scenarios: full-trace virtual replay",
         &to_table(&rows),
     );
     save_bench_artifact("BENCH_workload.json", &to_json(&rows, &smoke));
 
-    // Criterion timing: the full virtual replay of the largest scenario vs
-    // the phased replay of its precomputed plan — the speedup the sampling
-    // exists to buy.
+    // Criterion timing: the full virtual replay of the largest scenario.
     let largest = scenarios
         .iter()
         .max_by_key(|s| s.requests)
@@ -203,14 +156,10 @@ fn bench(c: &mut Criterion) {
     let trace = TraceRecorder::new(largest)
         .record()
         .expect("scenario is valid");
-    let phase_plan = plan(&trace, PhaseConfig::default());
     let mut group = c.benchmark_group("workload_scenarios");
     group.sample_size(10);
     group.bench_function(format!("{}_full_sim", largest.name).as_str(), |b| {
         b.iter(|| simulate(&trace, largest.policy, largest.service))
-    });
-    group.bench_function(format!("{}_phased_sim", largest.name).as_str(), |b| {
-        b.iter(|| simulate_phased(&trace, &phase_plan, largest.policy, largest.service))
     });
     group.finish();
 }

@@ -77,8 +77,8 @@ pub struct FleetComparison {
 /// The checked-in mixed-zoo scenario (`scenarios/fleet/fleet-zoo.scenario`
 /// at the workspace root). It lives under `scenarios/fleet/` — not
 /// `scenarios/` — because its arrival rate deliberately saturates a
-/// dedicated single-model engine, which the workload phase-sampling bench
-/// pins against for its own (unsaturated) scenarios.
+/// dedicated single-model engine, while the workload scenarios bench
+/// replays every file under `scenarios/` as an unsaturated workload.
 ///
 /// # Panics
 ///

@@ -59,10 +59,6 @@ pub const STREAM_MIX: u64 = 0x0057_4C4D_4958; // "WLMIX"
 /// replayer can regenerate any request without scanning the stream.
 pub const STREAM_REQUEST: u64 = 0x0052_4551_5545_5354; // "REQUEST"
 
-/// Stream tag: phase-clustering initialization (`fpsa_workload`); `index`
-/// is the k-means restart number.
-pub const STREAM_PHASE: u64 = 0x0050_4841_5345; // "PHASE"
-
 /// Derive the seed for `(base, stream, index)` per the convention above.
 pub fn derive(base: u64, stream: u64, index: u64) -> u64 {
     mix(mix(mix(base) ^ stream) ^ index)

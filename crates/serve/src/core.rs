@@ -1,17 +1,19 @@
 //! The one serving core: stations, workers, the submit / reject / shutdown
 //! path and the router. [`crate::ServeEngine`], [`crate::ShardedEngine`]
 //! and `fpsa_fleet::FleetEngine` are configurations of it, and the
-//! virtual-clock twin in `fpsa_workload` runs the same [`Router`],
-//! per-lane stats and batcher types under a simulated clock.
+//! virtual-clock twin in `fpsa_workload` drives the same [`StationState`],
+//! [`Router`] and per-lane stats under a simulated clock.
 //!
-//! A **station** is one queue behind a mutex, with a condvar and a closed
-//! flag: weighted-fair lanes that coalesce admitted requests into batches,
-//! plus a FIFO of whole batches relayed from an upstream station. Each
-//! station has `replicas` **workers** running one loop: claim a batch under
-//! the station lock, close its queue spans, resolve the executor, execute
-//! *outside every lock* on the worker's own arena, count the run before
-//! answering it, then answer the tickets — or, in a chain, hand the batch
-//! to the next station as a unit.
+//! A **station** is a [`StationState`] behind a mutex, with a condvar:
+//! weighted-fair lanes that coalesce admitted requests into batches, a FIFO
+//! of whole batches relayed from an upstream station, and a closed flag.
+//! [`StationState::decide`] is the one batching decision — pop now, wait
+//! until a deadline, park, or end — and it reads no lock or clock, so both
+//! drivers share it. Each station has `replicas` **workers** running one
+//! loop: claim a batch under the station lock, close its queue spans,
+//! resolve the executor, execute *outside every lock* on the worker's own
+//! arena, count the run before answering it, then answer the tickets — or,
+//! in a chain, hand the batch to the next station as a unit.
 //!
 //! | engine | stations | lanes | executor | admission check |
 //! |---|---|---|---|---|
@@ -150,27 +152,100 @@ struct Job {
     queue_span: Span,
 }
 
-struct StationState {
-    lanes: WeightedFairBatcher<Job>,
+/// What a station's worker does next ([`StationState::decide`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Decision {
+    /// A batch is ready: [`StationState::take`] yields it.
+    Now,
+    /// Nothing pops before this deadline unless work arrives or the engine
+    /// goes idle.
+    Until(u64),
+    /// Nothing is queued: wait for work.
+    Park,
+    /// Closed with nothing queued or relayed: the worker ends.
+    Drained,
+}
+
+/// One station's pure state (see the module docs): no lock, clock or
+/// condvar — time and the engine's idleness are arguments.
+#[derive(Debug)]
+pub struct StationState<T> {
+    lanes: WeightedFairBatcher<T>,
     /// Whole batches handed over by the previous station of a chain.
-    relayed: VecDeque<(u16, Vec<Job>)>,
+    relayed: VecDeque<(u16, Vec<T>)>,
     /// No more work will arrive: admissions are refused (entry) or every
     /// upstream worker has exited (relay), so an empty queue ends workers.
     closed: bool,
 }
 
+impl<T> StationState<T> {
+    /// An open, empty station; unlisted lanes weigh 1.
+    pub fn new(policy: BatchPolicy, lane_weights: &[(u16, u64)]) -> Self {
+        StationState {
+            lanes: WeightedFairBatcher::with_weights(policy, lane_weights),
+            relayed: VecDeque::new(),
+            closed: false,
+        }
+    }
+
+    /// Requests queued in `lane`, or in all lanes (`None`), relays aside.
+    pub fn queued(&self, lane: Option<u16>) -> usize {
+        lane.map_or(self.lanes.len(), |lane| self.lanes.tenant_len(lane))
+    }
+
+    /// Admit `item` to `lane`, observed at `now_us` (monotone stamps).
+    pub fn push(&mut self, lane: u16, item: T, now_us: u64) {
+        self.lanes.push(lane, item, now_us);
+    }
+
+    /// Queue a whole batch from an upstream station, ahead of lane work.
+    pub fn relay(&mut self, lane: u16, batch: Vec<T>) {
+        self.relayed.push_back((lane, batch));
+    }
+
+    /// No more work will arrive: drain without waiting out the window.
+    pub fn close(&mut self) {
+        self.closed = true;
+    }
+
+    /// The one batching decision at `now_us`; `idle`: no worker of the
+    /// engine is executing.
+    pub fn decide(&self, now_us: u64, idle: bool) -> Decision {
+        if !self.relayed.is_empty() || self.lanes.ready(now_us, idle) {
+            return Decision::Now;
+        }
+        match (self.closed, self.lanes.next_deadline_us()) {
+            (true, Some(_)) => Decision::Now,
+            (true, None) => Decision::Drained,
+            (false, Some(deadline)) => Decision::Until(deadline),
+            (false, None) => Decision::Park,
+        }
+    }
+
+    /// Pop the batch a [`Decision::Now`] promised (else `None`): relayed
+    /// first, then the lanes, then — once closed — whatever is left.
+    pub fn take(&mut self, now_us: u64, idle: bool) -> Option<(u16, Vec<T>)> {
+        let ready = self.relayed.pop_front();
+        let ready = ready.or_else(|| self.lanes.pop_ready(now_us, idle));
+        if ready.is_some() || !self.closed {
+            return ready;
+        }
+        self.lanes.pop_now()
+    }
+}
+
 struct Station {
-    state: Mutex<StationState>,
+    state: Mutex<StationState<Job>>,
     work: Condvar,
 }
 
 impl Station {
-    fn lock(&self) -> MutexGuard<'_, StationState> {
+    fn lock(&self) -> MutexGuard<'_, StationState<Job>> {
         self.state.lock().expect("station lock")
     }
 
     fn close(&self) {
-        self.lock().closed = true;
+        self.lock().close();
         self.work.notify_all();
     }
 
@@ -188,25 +263,21 @@ impl Station {
         loop {
             let now = shared.now_us();
             let idle = shared.in_flight.load(Ordering::Acquire) == 0;
-            let relayed = state.relayed.pop_front();
-            if let Some((lane, batch)) = relayed.or_else(|| state.lanes.pop_ready(now, idle)) {
-                let busy = Busy::start(shared, station);
-                if !state.relayed.is_empty() || !state.lanes.is_empty() {
-                    self.work.notify_one();
+            state = match state.decide(now, idle) {
+                Decision::Now => {
+                    let (lane, batch) = state.take(now, idle).expect("a decided batch pops");
+                    let busy = Busy::start(shared, station);
+                    if !state.relayed.is_empty() || !state.lanes.is_empty() {
+                        self.work.notify_one();
+                    }
+                    return Some((lane, batch, busy));
                 }
-                return Some((lane, batch, busy));
-            }
-            if state.closed {
-                // Drain without waiting out the window.
-                let (lane, batch) = state.lanes.pop_now()?;
-                return Some((lane, batch, Busy::start(shared, station)));
-            }
-            state = match state.lanes.next_deadline_us() {
-                Some(deadline) => {
+                Decision::Until(deadline) => {
                     let wait = Duration::from_micros(deadline.saturating_sub(now).max(1));
                     self.work.wait_timeout(state, wait).expect("station lock").0
                 }
-                None => self.work.wait(state).expect("station lock"),
+                Decision::Park => self.work.wait(state).expect("station lock"),
+                Decision::Drained => return None,
             };
         }
     }
@@ -438,7 +509,7 @@ fn worker_loop(shared: &Shared, station: usize) {
                 job.payload = std::mem::take(out);
                 job.queue_span = shared.queue_span(tracer, next, &job.span, ts);
             }
-            shared.stations[next].lock().relayed.push_back((lane, run));
+            shared.stations[next].lock().relay(lane, run);
             shared.stations[next].work.notify_one();
         }
     }
@@ -457,11 +528,7 @@ impl Core {
     /// clamped to at least 1).
     pub fn start(config: CoreConfig, resolve: Resolver) -> Core {
         let station = |_| Station {
-            state: Mutex::new(StationState {
-                lanes: WeightedFairBatcher::with_weights(config.policy, &config.lane_weights),
-                relayed: VecDeque::new(),
-                closed: false,
-            }),
+            state: Mutex::new(StationState::new(config.policy, &config.lane_weights)),
             work: Condvar::new(),
         };
         let stations = (0..config.stations.max(1)).map(station).collect();
@@ -494,8 +561,7 @@ impl Core {
     /// Requests queued at `station` — by `lane`, or in all lanes (`None`:
     /// the router's load signal).
     pub fn queued(&self, station: usize, lane: Option<u16>) -> usize {
-        let state = self.shared.stations[station].lock();
-        lane.map_or(state.lanes.len(), |lane| state.lanes.tenant_len(lane))
+        self.shared.stations[station].lock().queued(lane)
     }
 
     /// `lane`'s observed p99 latency in microseconds (0 before any
@@ -551,8 +617,8 @@ impl Core {
             span,
             queue_span,
         };
-        state.lanes.push(lane, job, now);
-        let depth = state.lanes.len();
+        state.push(lane, job, now);
+        let depth = state.queued(None);
         // Counted while the station lock is still held: a worker cannot
         // pop (let alone complete) this request before the lock drops, so
         // `completed + failed <= submitted` holds in every stats snapshot.

@@ -50,7 +50,7 @@ pub mod sharded;
 pub mod wfq;
 
 pub use batcher::{BatchPolicy, DynamicBatcher};
-pub use core::{lane_mut, Core, CoreConfig, Resolver, Router, Tier};
+pub use core::{lane_mut, Core, CoreConfig, Decision, Resolver, Router, StationState, Tier};
 pub use engine::{
     Engine, Response, ServeConfig, ServeEngine, ServeError, ServeStats, Ticket, STATS_BUCKETS,
 };

@@ -1,5 +1,4 @@
-//! `fpsa_workload` — trace-driven workload replay and phase-sampled
-//! benchmarking for the serving engines.
+//! `fpsa_workload` — trace-driven workload replay for the serving engines.
 //!
 //! The serving experiments used to hard-code their own arrival loops (a
 //! burst here, a fixed-gap dribble there), which made workloads impossible
@@ -22,15 +21,10 @@
 //!    their public submit/ticket APIs — outputs are bit-identical across
 //!    replays, replica counts and client thread counts, wall-clock numbers
 //!    are advisory. [`simulate`] replays the trace under a deterministic
-//!    virtual clock over the engines' own [`fpsa_serve::DynamicBatcher`] —
-//!    its [`fpsa_serve::ServeStats`] is identical on every run and so safe
-//!    to pin in CI.
-//! 4. **Sample** long traces SimPoint-style: [`phases::plan`] clusters
-//!    fixed-size windows by workload features and [`phases::simulate_phased`]
-//!    replays one weighted representative per cluster, reproducing
-//!    full-trace throughput and tail percentiles within
-//!    [`phases::THROUGHPUT_TOLERANCE`] at a fraction of the events.
-//! 5. **Report**: [`report::scenario_report`] renders per-scenario markdown
+//!    virtual clock that drives the serving core's own
+//!    [`fpsa_serve::StationState`] — its [`fpsa_serve::ServeStats`] is
+//!    identical on every run and so safe to pin in CI.
+//! 4. **Report**: [`report::scenario_report`] renders per-scenario markdown
 //!    and strict JSON for the bench harness to write under
 //!    `target/experiment-data/workload/`.
 //!
@@ -48,17 +42,12 @@
 //! assert_eq!(replay, again);
 //! ```
 
-pub mod phases;
 pub mod replay;
 pub mod report;
 pub mod scenario;
 pub mod sim;
 pub mod trace;
 
-pub use phases::{
-    check_tolerance, plan, simulate_phased, Phase, PhaseConfig, PhasePlan, PhasedReplay,
-    PERCENTILE_TOLERANCE_FACTOR, THROUGHPUT_TOLERANCE,
-};
 pub use replay::{Pacing, ReplayOutcome, ReplayTarget, RoutedReplayTarget, TraceReplayer};
 pub use report::{scenario_report, ScenarioReport};
 pub use scenario::{

@@ -8,7 +8,6 @@
 //! not for the CI job that parses `BENCH_workload.json` with a real JSON
 //! parser — so every emitter here produces strict JSON by construction.
 
-use crate::phases::{PhasePlan, PhasedReplay, THROUGHPUT_TOLERANCE};
 use crate::scenario::Scenario;
 use crate::sim::VirtualReplay;
 use crate::trace::Trace;
@@ -51,20 +50,10 @@ pub fn json_str(value: &str) -> String {
     out
 }
 
-/// Render one scenario's full-trace vs phase-sampled comparison.
-pub fn scenario_report(
-    scenario: &Scenario,
-    trace: &Trace,
-    full: &VirtualReplay,
-    plan: &PhasePlan,
-    phased: &PhasedReplay,
-) -> ScenarioReport {
+/// Render one scenario's full virtual replay.
+pub fn scenario_report(scenario: &Scenario, trace: &Trace, full: &VirtualReplay) -> ScenarioReport {
     let full_p50 = full.stats.latency_percentile_us(0.5);
     let full_p99 = full.stats.latency_percentile_us(0.99);
-    let phased_p50 = phased.latency_percentile_us(0.5);
-    let phased_p99 = phased.latency_percentile_us(0.99);
-    let rel_err =
-        (phased.throughput_rps - full.throughput_rps).abs() / full.throughput_rps.max(1e-9);
 
     let mut markdown = String::new();
     markdown.push_str(&format!("# Workload scenario `{}`\n\n", scenario.name));
@@ -75,63 +64,18 @@ pub fn scenario_report(
         scenario.arrival,
         trace.fingerprint()
     ));
-    markdown.push_str("| metric | full replay | phase-sampled | note |\n");
-    markdown.push_str("|---|---:|---:|---|\n");
+    markdown.push_str("| metric | virtual replay |\n");
+    markdown.push_str("|---|---:|\n");
     markdown.push_str(&format!(
-        "| throughput (req/s) | {:.0} | {:.0} | rel err {:.1}% (tol {:.0}%) |\n",
-        full.throughput_rps,
-        phased.throughput_rps,
-        rel_err * 100.0,
-        THROUGHPUT_TOLERANCE * 100.0
+        "| throughput (req/s) | {:.0} |\n",
+        full.throughput_rps
     ));
-    markdown.push_str(&format!(
-        "| p50 latency (µs) | {full_p50} | {phased_p50} | within one bucket |\n"
-    ));
-    markdown.push_str(&format!(
-        "| p99 latency (µs) | {full_p99} | {phased_p99} | within one bucket |\n"
-    ));
-    markdown.push_str(&format!(
-        "| events simulated | {} | {} | {:.1}% of trace |\n",
-        plan.total_events,
-        plan.sampled_events,
-        plan.sampled_fraction() * 100.0
-    ));
-    markdown.push_str(&format!(
-        "\n{} phases over {} windows of {} events:\n\n",
-        plan.phases.len(),
-        plan.windows,
-        plan.window_events
-    ));
-    markdown.push_str("| phase | representative events | windows | events covered | weight |\n");
-    markdown.push_str("|---:|---|---:|---:|---:|\n");
-    for (i, phase) in plan.phases.iter().enumerate() {
-        markdown.push_str(&format!(
-            "| {} | {}..{} | {} | {} | {:.2} |\n",
-            i,
-            phase.representative.start,
-            phase.representative.end,
-            phase.windows,
-            phase.events,
-            phase.weight
-        ));
-    }
+    markdown.push_str(&format!("| p50 latency (µs) | {full_p50} |\n"));
+    markdown.push_str(&format!("| p99 latency (µs) | {full_p99} |\n"));
+    markdown.push_str(&format!("| batches | {} |\n", full.stats.batches));
 
-    let phases_json: Vec<String> = plan
-        .phases
-        .iter()
-        .map(|p| {
-            format!(
-                "{{\"representative_start\": {}, \"representative_end\": {}, \"windows\": {}, \"events\": {}, \"weight\": {}}}",
-                p.representative.start,
-                p.representative.end,
-                p.windows,
-                p.events,
-                json_f64(p.weight)
-            )
-        })
-        .collect();
     let json = format!(
-        "{{\n  \"scenario\": {},\n  \"seed\": {},\n  \"requests\": {},\n  \"trace_fingerprint\": {},\n  \"trace_duration_us\": {},\n  \"full\": {{\"throughput_rps\": {}, \"p50_us\": {full_p50}, \"p99_us\": {full_p99}, \"max_latency_us\": {}, \"makespan_us\": {}, \"batches\": {}, \"largest_batch\": {}}},\n  \"phased\": {{\"throughput_rps\": {}, \"p50_us\": {phased_p50}, \"p99_us\": {phased_p99}, \"sampled_events\": {}, \"sampled_fraction\": {}, \"throughput_rel_err\": {}}},\n  \"phases\": [{}]\n}}\n",
+        "{{\n  \"scenario\": {},\n  \"seed\": {},\n  \"requests\": {},\n  \"trace_fingerprint\": {},\n  \"trace_duration_us\": {},\n  \"full\": {{\"throughput_rps\": {}, \"p50_us\": {full_p50}, \"p99_us\": {full_p99}, \"max_latency_us\": {}, \"makespan_us\": {}, \"batches\": {}, \"largest_batch\": {}}}\n}}\n",
         json_str(&scenario.name),
         scenario.seed,
         trace.len(),
@@ -142,11 +86,6 @@ pub fn scenario_report(
         full.makespan_us,
         full.stats.batches,
         full.stats.largest_batch(),
-        json_f64(phased.throughput_rps),
-        phased.sampled_events,
-        json_f64(plan.sampled_fraction()),
-        json_f64(rel_err),
-        phases_json.join(", ")
     );
     ScenarioReport { markdown, json }
 }
@@ -154,7 +93,6 @@ pub fn scenario_report(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::phases::{plan, simulate_phased, PhaseConfig};
     use crate::sim::simulate;
     use crate::trace::TraceRecorder;
 
@@ -162,15 +100,7 @@ mod tests {
         let scenario = Scenario::steady("report \"quoted\"", "m", 17, 3_000);
         let trace = TraceRecorder::new(&scenario).record().unwrap();
         let full = simulate(&trace, scenario.policy, scenario.service);
-        let p = plan(
-            &trace,
-            PhaseConfig {
-                window_events: 512,
-                ..PhaseConfig::default()
-            },
-        );
-        let phased = simulate_phased(&trace, &p, scenario.policy, scenario.service);
-        scenario_report(&scenario, &trace, &full, &p, &phased)
+        scenario_report(&scenario, &trace, &full)
     }
 
     #[test]
@@ -209,7 +139,6 @@ mod tests {
         assert!(r.markdown.contains("# Workload scenario"));
         assert!(r.markdown.contains("| throughput (req/s) |"));
         assert!(r.markdown.contains("| p99 latency (µs) |"));
-        assert!(r.markdown.contains("phases over"));
     }
 
     #[test]

@@ -4,26 +4,24 @@
 //! and timer resolution — none of which belongs in a CI pin. Following the
 //! record → simulate → report methodology (measure against a model you can
 //! hold fixed, not an ad-hoc probe), [`simulate`] replays a recorded
-//! [`Trace`] through the *real* batcher state machines and [`Router`] — the
-//! same pure, clock-free admission discipline and routing rule the serving
-//! core runs — under a discrete-event virtual clock: arrivals land at their trace timestamps,
-//! ready batches are claimed by the earliest-free of `replicas` virtual
-//! workers, and each batch occupies its worker for the scenario's
-//! [`ServiceModel`] cost. Batching follows the core's work-conserving
-//! rule: a part-full batch pops as soon as no virtual worker of any fabric
-//! is busy, and waits out its window only while one is. Everything is
+//! [`Trace`] through the serving core's own [`StationState`] and [`Router`]
+//! under a discrete-event virtual clock: the threaded workers and this loop
+//! are two drivers of one batching decision ([`StationState::decide`]).
+//! Arrivals land at their trace timestamps, ready batches are claimed by
+//! the earliest-free of `replicas` virtual workers, and each batch occupies
+//! its worker for the scenario's [`ServiceModel`] cost; the engine is idle
+//! once no virtual worker of any fabric is busy. This module keeps only
+//! event ordering, the service model, stats and spans. Everything is
 //! integer microseconds, the simulation is single-threaded, and ties break
-//! by index — so the
-//! resulting [`ServeStats`] (built through the engine's own recording
-//! methods, bucket for bucket) is **identical across runs, host thread
-//! counts and real-engine replica configurations**, which is exactly the
-//! property the phase-sampling tolerance pin and the determinism suite
-//! stand on.
+//! by index — so the resulting [`ServeStats`] (built through the engine's
+//! own recording methods, bucket for bucket) is **identical across runs,
+//! host thread counts and real-engine replica configurations**, which is
+//! the property the golden digests and the determinism suite stand on.
 
 use crate::scenario::{ReplayPolicy, ServiceModel};
 use crate::trace::Trace;
 use fpsa_obs::{Span, SpanId, Tracer};
-use fpsa_serve::{lane_mut, BatchPolicy, Router, ServeStats, WeightedFairBatcher};
+use fpsa_serve::{lane_mut, BatchPolicy, Decision, Router, ServeStats, StationState};
 use serde::{Deserialize, Serialize};
 
 /// The result of one virtual-time replay.
@@ -34,16 +32,10 @@ pub struct VirtualReplay {
     pub stats: ServeStats,
     /// Virtual time from the first arrival to the last batch completion.
     /// Measured from the first event's `at_us`, not virtual t=0, so a
-    /// non-rebased slice reports the same makespan as its rebased twin.
+    /// trace that starts late reports the same makespan as its shift to 0.
     pub makespan_us: u64,
     /// Requests per *virtual* second: `requests / makespan`.
     pub throughput_rps: f64,
-}
-
-impl VirtualReplay {
-    fn empty() -> VirtualReplay {
-        VirtualReplay::default()
-    }
 }
 
 /// Replay `trace` under the virtual clock (see the module docs): the
@@ -142,17 +134,13 @@ fn run(
     service: ServiceModel,
     tracer: Option<&Tracer>,
 ) -> FleetVirtualReplay {
-    if trace.is_empty() {
-        return FleetVirtualReplay {
-            aggregate: VirtualReplay::empty(),
-            per_tenant: Vec::new(),
-        };
-    }
     let router = Router::new(&plan.hosted);
     let fabrics = router.stations();
     let policy = BatchPolicy::new(plan.per_fabric.max_batch, plan.per_fabric.window_us);
-    let mut queues: Vec<WeightedFairBatcher<usize>> = (0..fabrics)
-        .map(|_| WeightedFairBatcher::with_weights(policy, &plan.tenant_weights))
+    // Never closed or relayed to: a fabric's decision is `Now`, `Until` or
+    // `Park`.
+    let mut stations: Vec<StationState<usize>> = (0..fabrics)
+        .map(|_| StationState::new(policy, &plan.tenant_weights))
         .collect();
     let mut free = vec![vec![0u64; plan.per_fabric.replicas.max(1)]; fabrics];
     let mut lanes: Vec<ServeStats> = Vec::new();
@@ -169,19 +157,19 @@ fn run(
 
     loop {
         // The earliest instant any fabric could pop a batch: its earliest
-        // free worker's time (clamped to the global clock) if a batch is
-        // ready then; otherwise the earlier of the oldest lane's deadline and
-        // the instant the engine goes idle (its last busy worker frees).
-        // Ties go to the lowest fabric index.
+        // free worker's time (clamped to the global clock) if the station
+        // decides `Now` then; on `Until(t)`, the earlier of `t` and the
+        // instant the engine goes idle (its last busy worker frees). Ties go
+        // to the lowest fabric index.
         let idle_from = free.iter().flatten().copied().max().unwrap_or(0);
         let mut action: Option<(u64, usize)> = None;
-        for (fabric, queue) in queues.iter().enumerate() {
+        for (fabric, station) in stations.iter().enumerate() {
             let worker_free = *free[fabric].iter().min().expect("replicas >= 1");
             let base = worker_free.max(clock);
-            let at = if queue.ready(base, idle_from <= base) {
-                Some(base)
-            } else {
-                queue.next_deadline_us().map(|d| d.min(idle_from).max(base))
+            let at = match station.decide(base, idle_from <= base) {
+                Decision::Now => Some(base),
+                Decision::Until(t) => Some(t.min(idle_from).max(base)),
+                Decision::Park | Decision::Drained => None,
             };
             if let Some(at) = at {
                 if action.is_none_or(|(best, _)| at < best) {
@@ -196,16 +184,16 @@ fn run(
         let horizon = action.map_or(u64::MAX, |(at, _)| at);
         if next < events.len() && events[next].at_us <= horizon {
             let event = &events[next];
-            let fabric = router.route(event.model, |f| queues[f].len());
+            let fabric = router.route(event.model, |f| stations[f].queued(None));
             let lane = if fleet { event.tenant } else { 0 };
-            queues[fabric].push(lane, next, event.at_us);
+            stations[fabric].push(lane, next, event.at_us);
             // Admission advances the global clock to the arrival instant.
             // Without this, a count-full queue is "ready" at the stale
             // clock and a batch can be popped *before* its items arrived,
             // underflowing `finish - at_us`. Safe to advance:
             // `at_us <= horizon` means no fabric had an earlier action.
             clock = clock.max(event.at_us);
-            let depth = queues[fabric].len();
+            let depth = stations[fabric].queued(None);
             let lane_stats = lane_mut(&mut lanes, lane);
             lane_stats.submitted += 1;
             lane_stats.record_queue_depth(depth);
@@ -235,8 +223,8 @@ fn run(
             .enumerate()
             .min_by_key(|&(i, t)| (t, i))
             .expect("replicas >= 1");
-        let (lane, batch) = queues[fabric]
-            .pop_ready(now, idle_from <= now)
+        let (lane, batch) = stations[fabric]
+            .take(now, idle_from <= now)
             .expect("a fabric's action instant has a ready batch");
         clock = now;
         let blen = batch.len();
@@ -263,10 +251,9 @@ fn run(
         }
     }
 
-    // Makespan runs from the first *arrival*, not virtual t=0: a trace
-    // slice that was not rebased starts deep into virtual time, and
-    // counting that dead lead-in would deflate throughput_rps.
-    let makespan_us = last_finish.saturating_sub(events[0].at_us);
+    // Makespan runs from the first *arrival*, not virtual t=0: counting a
+    // late-starting trace's dead lead-in would deflate throughput_rps.
+    let makespan_us = last_finish.saturating_sub(events.first().map_or(0, |e| e.at_us));
     FleetVirtualReplay {
         aggregate: VirtualReplay {
             stats: ServeStats::merged(&lanes),
@@ -377,12 +364,20 @@ mod tests {
             events: trace.events[mid..].to_vec(),
         };
         assert!(tail.events[0].at_us > 0, "tail must not start at t=0");
+        let base = tail.events[0].at_us;
+        let rebased = Trace {
+            events: tail
+                .events
+                .iter()
+                .map(|e| TraceEvent {
+                    at_us: e.at_us - base,
+                    ..*e
+                })
+                .collect(),
+            ..tail.clone()
+        };
         let raw = simulate(&tail, scenario.policy, scenario.service);
-        let rebased = simulate(
-            &trace.slice_rebased(mid..trace.len()),
-            scenario.policy,
-            scenario.service,
-        );
+        let rebased = simulate(&rebased, scenario.policy, scenario.service);
         assert_eq!(raw.makespan_us, rebased.makespan_us);
         assert_eq!(raw.throughput_rps, rebased.throughput_rps);
     }
@@ -596,6 +591,6 @@ mod tests {
         };
         let scenario = Scenario::steady("empty", "m", 1, 1);
         let result = simulate(&trace, scenario.policy, scenario.service);
-        assert_eq!(result, VirtualReplay::empty());
+        assert_eq!(result, VirtualReplay::default());
     }
 }

@@ -94,31 +94,6 @@ impl Trace {
         }
         h
     }
-
-    /// Clone the events in `range` rebased so the slice's first arrival is
-    /// at virtual time 0 — the unit the phase clusterer replays. An empty
-    /// range yields an empty trace (same scenario and seed, no events).
-    pub fn slice_rebased(&self, range: std::ops::Range<usize>) -> Trace {
-        if range.is_empty() {
-            return Trace {
-                scenario: self.scenario.clone(),
-                seed: self.seed,
-                events: Vec::new(),
-            };
-        }
-        let base = self.events[range.start].at_us;
-        Trace {
-            scenario: self.scenario.clone(),
-            seed: self.seed,
-            events: self.events[range]
-                .iter()
-                .map(|e| TraceEvent {
-                    at_us: e.at_us - base,
-                    ..*e
-                })
-                .collect(),
-        }
-    }
 }
 
 /// Draw an index from a cumulative-weight table.
@@ -360,31 +335,6 @@ mod tests {
         assert_eq!(x, trace.input_for(42, 16));
         assert_ne!(x, trace.input_for(43, 16));
         assert!(x.iter().all(|v| (0.0..1.0).contains(v)));
-    }
-
-    #[test]
-    fn rebased_slices_start_at_zero_and_preserve_gaps() {
-        let trace = TraceRecorder::new(&scenario()).record().unwrap();
-        let slice = trace.slice_rebased(100..200);
-        assert_eq!(slice.len(), 100);
-        assert_eq!(slice.events[0].at_us, 0);
-        for (a, b) in trace.events[100..200]
-            .windows(2)
-            .zip(slice.events.windows(2))
-        {
-            assert_eq!(a[1].at_us - a[0].at_us, b[1].at_us - b[0].at_us);
-        }
-    }
-
-    #[test]
-    fn empty_slices_rebase_to_empty_traces() {
-        let trace = TraceRecorder::new(&scenario()).record().unwrap();
-        for range in [0..0, 250..250, trace.len()..trace.len()] {
-            let empty = trace.slice_rebased(range);
-            assert!(empty.is_empty());
-            assert_eq!(empty.scenario, trace.scenario);
-            assert_eq!(empty.seed, trace.seed);
-        }
     }
 
     #[test]

@@ -1,8 +1,6 @@
-//! Record a declarative workload scenario into a deterministic trace,
-//! replay it two ways — against a real `ServeEngine` (bit-identical
-//! outputs) and under the deterministic virtual clock (identical
-//! `ServeStats`) — then phase-sample the trace SimPoint-style and show the
-//! sampled estimate tracking the full replay.
+//! Record a declarative workload scenario into a deterministic trace and
+//! replay it two ways: under the deterministic virtual clock (identical
+//! `ServeStats`) and against a real `ServeEngine` (bit-identical outputs).
 //!
 //! ```sh
 //! cargo run --release --example workload_replay
@@ -12,10 +10,7 @@ use fpsa::core::Compiler;
 use fpsa::nn::{zoo, GraphParameters};
 use fpsa::serve::{ServeConfig, ServeEngine};
 use fpsa::sim::Precision;
-use fpsa::workload::{
-    check_tolerance, plan, simulate, simulate_phased, ArrivalProcess, PhaseConfig, Scenario,
-    TraceRecorder, TraceReplayer,
-};
+use fpsa::workload::{simulate, ArrivalProcess, Scenario, TraceRecorder, TraceReplayer};
 
 fn main() {
     // --- 1. Describe the workload and record it into a trace. ---------
@@ -49,19 +44,7 @@ fn main() {
     // Same trace in, bit-identical stats out — every time.
     assert_eq!(full, simulate(&trace, scenario.policy, scenario.service));
 
-    // --- 3. Phase-sample: replay representatives only. ----------------
-    let phase_plan = plan(&trace, PhaseConfig::default());
-    let phased = simulate_phased(&trace, &phase_plan, scenario.policy, scenario.service);
-    println!(
-        "phase-sampled ({} phases, {:.1}% of events): {:.0} req/s, p99 {} us",
-        phase_plan.phases.len(),
-        phase_plan.sampled_fraction() * 100.0,
-        phased.throughput_rps,
-        phased.latency_percentile_us(0.99)
-    );
-    check_tolerance(&full, &phased).expect("sampled estimate tracks the full replay");
-
-    // --- 4. Real-engine replay: bit-identical outputs. ----------------
+    // --- 3. Real-engine replay: bit-identical outputs. ----------------
     let graph = zoo::mlp_500_100();
     let params = GraphParameters::seeded(&graph, 42);
     let compiled = Compiler::fpsa().compile(&graph).expect("MLP compiles");

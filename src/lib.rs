@@ -20,7 +20,7 @@
 //! * [`shard`] — multi-fabric model parallelism: partition, compile and
 //!   pipeline-serve models across chips
 //! * [`workload`] — declarative workload scenarios, deterministic trace
-//!   record/replay and SimPoint-style phase-sampled benchmarking
+//!   record/replay on the real engines and under a virtual clock
 //! * [`fleet`] — multi-tenant model-fleet serving: compile-once registry,
 //!   co-location packing, weighted-fair tenant queues, per-tenant SLOs
 //! * [`obs`] — unified telemetry: structured spans over wall or virtual
