@@ -78,8 +78,9 @@ impl StableHasher {
 /// A stable 128-bit content address for one compilation.
 ///
 /// The hash covers the `Debug` rendering of the [`Compiler`] (architecture,
-/// duplication degree and the full [`PlaceRouteConfig`]
-/// (crate::PlaceRouteConfig), including placer seed and effort) and of the
+/// duplication degree and the full
+/// [`PlaceRouteConfig`](crate::pipeline::PlaceRouteConfig), including
+/// placer seed and effort) and of the
 /// [`ComputationalGraph`] (name, operators, shapes, wiring). `Debug` is the
 /// same canonical encoding the vendored serde facade serializes through, and
 /// Rust renders floats shortest-roundtrip, so distinct values always render

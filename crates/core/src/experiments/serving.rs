@@ -11,7 +11,7 @@
 //!   pays `CompiledModel::executor` (a fresh `Executor::bind`: weight
 //!   realization plus artifact verification) and then one `run`, exactly
 //!   what calling the execution engine per request costs;
-//! * **engine** — a [`ServeEngine`] that binds once and serves forever,
+//! * **engine** — a [`ServeEngine`](fpsa_serve::ServeEngine) that binds once and serves forever,
 //!   for every (replica count × batch config) point of the sweep grid.
 //!
 //! Outputs are required to be **bit-identical** between the two paths for

@@ -18,7 +18,7 @@
 //!   utilization;
 //! * [`sweep`] — the unified rayon-backed parallel sweep engine every
 //!   experiment driver and `Evaluator::evaluate_many` fan out through;
-//! * [`validate`] — the differential validation path: compile a model, run
+//! * [`validate`](mod@validate) — the differential validation path: compile a model, run
 //!   it on the simulated fabric via `fpsa_sim::exec` and diff the outputs
 //!   against the golden-model reference (float tolerance + integer
 //!   bit-exactness);

@@ -17,7 +17,7 @@
 //! * quantization helpers ([`quant`]) for the 8-bit weights / 6-bit
 //!   activations used on the accelerator;
 //! * numeric graph parameters ([`params`]) and the golden-model reference
-//!   executor ([`reference`]) — float and integer-exact forward passes that
+//!   executor ([`reference`](mod@reference)) — float and integer-exact forward passes that
 //!   the compiled-model execution engine is differentially tested against;
 //! * the repository-wide seeded-RNG convention ([`seeds`]).
 //!

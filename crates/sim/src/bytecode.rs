@@ -1,4 +1,4 @@
-//! The bind-time tile-program bytecode and its dispatch loops.
+//! The bind-time tile-program bytecode and its dispatch loop.
 //!
 //! [`crate::exec::Executor::bind`] used to *interpret* bound tile programs:
 //! every schedule entry re-dispatched on its program kind, re-resolved its
@@ -10,9 +10,19 @@
 //!
 //! * the **value slab** — every node activation buffer, gather buffer and
 //!   element-wise side buffer, laid out back to back (`f32` in the float
-//!   domains, `i64` codes in the integer domain);
+//!   domain, `i64` codes in the integer domain);
 //! * the **partial slab** — raw tile accumulations awaiting a reduction or a
 //!   max-pool stage 2 (`f64` / `i64`).
+//!
+//! There is one instruction set. The numeric domain is not a property of an
+//! instruction but the type parameter of the dispatch loop
+//! ([`Lowered::exec`] / [`Lowered::exec_batch`] over a
+//! [`crate::domain::Domain`]): every instruction body is written once, and
+//! monomorphization — not a second loop — produces the float and integer
+//! executors. What differs between domains (slab element types, the output
+//! map of each store, the MAC kernels) is the domain's to supply; the only
+//! per-domain operand an instruction carries is its node's [`Requant`]
+//! steps, which the float domain ignores.
 //!
 //! Executing a sample is a single dispatch loop over the stream — no hash
 //! lookups, no op-kind matches per element, no shape math. VMM work is
@@ -25,8 +35,8 @@
 //!   all), and
 //! * **dynamic** — a row whose activation is exactly `0.0` (or code `0`) is
 //!   skipped at run time; where a weight tile is shared by a *block* (the
-//!   positions of a float convolution, the samples of a dense batch), a row
-//!   is skipped when the whole block is zero on it.
+//!   positions of a convolution, the samples of a dense batch), a row is
+//!   skipped when the whole block is zero on it.
 //!
 //! Both skips remove only terms that are exactly zero in the same f64/i64
 //! arithmetic the oracle performs (`0 · x` and `w · 0` with finite operands
@@ -36,67 +46,72 @@
 //! differential suite asserts per node.
 //!
 //! A VMM tile is the paper's weight-stationary crossbar: programmed once,
-//! reused by every output position of its layer. The float dispatch mirrors
-//! that reuse instead of re-streaming the tile per position. A convolution
-//! runs by **blocks of positions** ([`Lowered::conv_f`]): up to
-//! [`Simd::block`] positions that share a weight realization gather their
-//! im2col windows once — window clipping is two bit tables per block, not a
-//! test per element — into a row-major activation block, and one pass of the
-//! 2-D register-blocked kernel ([`kernels::mac_f_block`]) over the tile's
-//! surviving rows produces all their outputs, stored `b` contiguous values
-//! per column. A dense tile has one position, so its block is the *samples*
-//! of a batch ([`Lowered::exec_float_batch`]); at batch 1 it is a plain GEMV
-//! ([`kernels::mac_f`]). Batched entry points run instruction-major over a
-//! batch of slabs, so a tile is also cache-resident across the samples it
-//! cannot block. None of this touches per-accumulator summation order: terms
-//! arrive in ascending row order whatever the blocking, a block member's
-//! own zero contributes a `±0.0` that cannot move an accumulator, and
-//! multiplies and adds stay unfused.
+//! reused by every output position of its layer. The dispatch mirrors that
+//! reuse instead of re-streaming the tile per position. A convolution runs
+//! by **blocks of positions** ([`Lowered::conv`]): up to [`Simd::block`]
+//! positions that share a weight realization gather their im2col windows
+//! once — window clipping is two bit tables per block, not a test per
+//! element — into a row-major activation block over the tile's surviving
+//! rows. A dense tile has one position, so its block is the *samples* of a
+//! batch in the float domain ([`Lowered::exec_batch`]); at batch 1, and in
+//! the integer domain, it is a plain GEMV per sample. Batched
+//! entry points run instruction-major over a batch of slabs, so a tile is
+//! also cache-resident across the samples it cannot block.
+//!
+//! The float domain hands a block to the 2-D register-blocked kernel
+//! ([`kernels::mac_f_block`]), which loads each weight row once for the whole
+//! block. None of this touches per-accumulator summation order: terms arrive
+//! in ascending row order whatever the blocking, a block member's own zero
+//! contributes a `±0.0` that cannot move an accumulator, and multiplies and
+//! adds stay unfused.
 //!
 //! The integer domain keeps `i64` everywhere a caller can see — value slab,
 //! partial slab, accumulator row, `requantize_mac` — but its MAC datapath is
-//! narrow: the weight slab holds one `i8` per code, the surviving-row list
-//! carries `i32` activation codes, and [`kernels::mac_i`] accumulates in
-//! `i32` lanes, widening at the store. That is exact because value-slab
-//! codes are clamped to ±`activation_levels` by every writer and bind
-//! rejects any plan whose deepest tile could overflow a lane. Its MAC stays
-//! one GEMV per position (the `i32` multiply is the limiter, not weight
-//! traffic); what it shares with the float side is the *store*: every
+//! narrow: the weight slab holds one `i8` per code, the block carries `i32`
+//! activation codes, and [`kernels::mac_i`] accumulates in `i32` lanes,
+//! widening at the store. That is exact because value-slab codes are clamped
+//! to ±`activation_levels` by every writer and bind rejects any plan whose
+//! deepest tile could overflow a lane. It splits a block into one GEMV per
+//! member (the `i32` multiply is the limiter, not weight traffic), and every
 //! requantizing store runs the reference's own `requantize_mac` /
 //! `quantize_code` through [`kernels::map_store`], instantiated for the
 //! bind-time family so `round` is an instruction, not a libm call.
 
-use crate::kernels::{self, RowF, RowI, Simd};
-use crate::profile::{self, SkipTally};
-use fpsa_nn::quant::{quantize_code, rescale_code};
-use fpsa_nn::reference::requantize_mac;
+use crate::domain::Domain;
+use crate::kernels::{self, Simd};
+use crate::profile::{self, Op, SkipTally};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-/// Reusable MAC scratch: the per-position surviving-row lists the GEMV
-/// kernels take, the row list and activation block the blocked kernel takes,
-/// and the f64/i64 accumulators that output-carrying stores compute into
-/// before scattering (partial stores accumulate straight into their slab
-/// stripe). All buffers grow to their high-water mark on the first run and
-/// are reused allocation-free afterwards.
+/// One domain's reusable MAC scratch: the surviving-row list the GEMV
+/// kernels take, the row list and activation block of a blocked pass, and
+/// the accumulator rows output-carrying stores compute into before
+/// scattering (partial stores accumulate straight into their slab stripe).
 #[derive(Debug, Default)]
-pub(crate) struct MacScratch {
-    pub acc_f: Vec<f64>,
-    pub acc_i: Vec<i64>,
-    pub rows_f: Vec<RowF>,
-    pub rows_i: Vec<RowI>,
+pub(crate) struct Scratch<L, A> {
+    pub rows: Vec<(u32, L)>,
     /// Blocked-MAC row list: weight-row offsets of the rows that survive
     /// the whole-block zero check.
     pub woffs: Vec<u32>,
     /// Blocked-MAC activation block: `b` positions' / samples' activations
     /// per surviving row, row-major (see [`kernels::mac_f_block`]).
-    pub xb: Vec<f64>,
+    pub xb: Vec<L>,
+    pub acc: Vec<A>,
+}
+
+/// Reusable MAC scratch of both domains. All buffers grow to their
+/// high-water mark on the first run and are reused allocation-free
+/// afterwards.
+#[derive(Debug, Default)]
+pub(crate) struct MacScratch {
+    pub f: Scratch<f64, f64>,
+    pub i: Scratch<i32, i64>,
 }
 
 /// Ensure `buf` exposes `len` elements (growing once; steady state is a
 /// no-op) and return them. Contents are overwritten by every kernel call, so
 /// no zeroing is needed.
-fn grow<T: Copy + Default>(buf: &mut Vec<T>, len: usize) -> &mut [T] {
+pub(crate) fn grow<T: Copy + Default>(buf: &mut Vec<T>, len: usize) -> &mut [T] {
     if buf.len() < len {
         buf.resize(len, T::default());
     }
@@ -118,6 +133,11 @@ impl Region {
 
 /// A span into one of the side tables (`(offset, len)`).
 pub(crate) type Span = (u32, u32);
+
+/// The slice of side table `table` a span names.
+fn span<T>(table: &[T], span: Span) -> &[T] {
+    &table[span.0 as usize..(span.0 + span.1) as usize]
+}
 
 /// One dense MAC row run: `n` consecutive tile rows, reading activations at
 /// absolute value-slab indices `x, x+1, …` and weight rows `r, r+1, …` of
@@ -172,14 +192,18 @@ pub(crate) struct MacStore {
     /// positions` for output-carrying tiles, the tile's partial region
     /// otherwise.
     pub dst: u32,
-    /// `true` → value slab (f32 cast / integer requantization applies);
-    /// `false` → raw accumulation into the partial slab.
+    /// `true` → value slab (the domain's output map applies); `false` →
+    /// raw accumulation into the partial slab, which only MAC tiles ahead
+    /// of a reduction and max-pool stage 1 do.
     pub output: bool,
-    /// Fused ReLU at the output boundary (float store path).
+    /// The tile's fused ReLU, applied by the domain's output map.
     pub relu: bool,
 }
 
-/// Integer MAC requantization constants of the producing node.
+/// The producing node's quantization steps: weight, gather and output.
+/// The integer domain's output maps compose the reference's quantization
+/// functions over them; the float domain binds them as `1.0` and ignores
+/// them.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Requant {
     pub wstep: f64,
@@ -201,29 +225,27 @@ pub(crate) struct PoolLoop {
     pub chan: u32,
 }
 
-/// One lowered instruction. Float and integer domains get separate variants
-/// because their store paths differ (f32 cast + fused ReLU vs `requantize_mac`
-/// / `rescale_code` compositions); an executor stream only ever contains the
-/// variants of its bound domain.
+/// One lowered instruction, in no particular numeric domain: the stream
+/// executes in whichever domain [`Lowered::exec`] is instantiated for, and
+/// each variant's [`Op`] is its profiling index.
 // The MAC variants carry their full preresolved operand set inline — boxing
 // them would put a pointer chase in the dispatch loop, which is exactly what
 // this module exists to remove.
 #[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone)]
 pub(crate) enum Inst {
-    /// Float gather/eltwise segment copy within the value slab.
-    CopyF { src: u32, dst: u32, len: u32 },
-    /// Integer gather segment: `dst[i] = rescale_code(v[src+i], from, to)`.
-    RescaleI {
+    /// Gather segment copy within the value slab, rescaled from the
+    /// producer's step to the gather step.
+    Copy {
         src: u32,
         dst: u32,
         len: u32,
         from: f64,
         to: f64,
     },
-    /// Integer eltwise side segment: the reference's double rescale through
-    /// the side's own gather step.
-    RescaleI2 {
+    /// Element-wise side segment copy: the reference's double rescale
+    /// through the side's own gather step.
+    CopySide {
         src: u32,
         dst: u32,
         len: u32,
@@ -232,14 +254,7 @@ pub(crate) enum Inst {
         to: f64,
     },
     /// Dense VMM tile (feature vectors: exactly one output position).
-    DenseF {
-        runs: Span,
-        w: u32,
-        cols: u32,
-        store: MacStore,
-    },
-    /// Integer dense VMM tile.
-    DenseI {
+    Dense {
         runs: Span,
         w: u32,
         cols: u32,
@@ -248,36 +263,20 @@ pub(crate) enum Inst {
     },
     /// Convolution VMM tile: loops its output positions over the node's
     /// precomputed windows, round-robin over duplicate weight realizations.
-    ConvF {
+    Conv {
         runs: Span,
         wins: Span,
         x0: u32,
-        /// Duplicate weight bases: span into `dup_bases` + duplicate count.
+        /// Weight bases: span into `dup_bases` + duplicate count (one base
+        /// when every duplicate shares the realization).
         wsel: (u32, u32, u32),
-        cols: u32,
-        positions: u32,
-        store: MacStore,
-    },
-    /// Integer convolution VMM tile (codes are shared across duplicates).
-    ConvI {
-        runs: Span,
-        wins: Span,
-        x0: u32,
-        w: u32,
         cols: u32,
         positions: u32,
         store: MacStore,
         rq: Requant,
     },
     /// Partial-sum reduction over predecessor tiles.
-    ReduceF {
-        srcs: Span,
-        cols: u32,
-        positions: u32,
-        store: MacStore,
-    },
-    /// Integer partial-sum reduction.
-    ReduceI {
+    Reduce {
         srcs: Span,
         cols: u32,
         positions: u32,
@@ -285,110 +284,60 @@ pub(crate) enum Inst {
         rq: Requant,
     },
     /// Average pooling over `k × k` windows.
-    AvgPoolF {
+    AvgPool {
         x0: u32,
         geom: PoolLoop,
         store: MacStore,
-        div: f64,
-    },
-    /// Integer average pooling (window sum → real → requantize).
-    AvgPoolI {
-        x0: u32,
-        geom: PoolLoop,
-        store: MacStore,
-        gstep: f64,
-        ostep: f64,
+        rq: Requant,
     },
     /// Global average pooling over the full spatial window.
-    GapF {
+    Gap {
         x0: u32,
         cols: u32,
         positions: u32,
         window: u32,
         store: MacStore,
-        div: f64,
+        rq: Requant,
     },
-    /// Integer global average pooling.
-    GapI {
-        x0: u32,
-        cols: u32,
-        positions: u32,
-        window: u32,
-        store: MacStore,
-        gstep: f64,
-        ostep: f64,
-    },
-    /// Max-pool stage 1: window maxima into the partial slab.
-    MaxPoolF {
-        x0: u32,
-        geom: PoolLoop,
-        store: MacStore,
-    },
-    /// Integer max-pool stage 1 (raw code maxima).
-    MaxPoolI {
+    /// Max-pool stage 1: raw window maxima into the partial slab.
+    MaxPool {
         x0: u32,
         geom: PoolLoop,
         store: MacStore,
     },
     /// Max-pool stage 2: forward the stage-1 tile's partial values.
-    MaxFwdF {
+    MaxFwd {
         src: u32,
         cols: u32,
         positions: u32,
         store: MacStore,
-    },
-    /// Integer max-pool stage 2 (real value → requantize).
-    MaxFwdI {
-        src: u32,
-        cols: u32,
-        positions: u32,
-        store: MacStore,
-        gstep: f64,
-        ostep: f64,
+        rq: Requant,
     },
     /// Element-wise addition across the node's gathered sides.
-    EltwiseF {
+    Eltwise {
         sides: Span,
         x_off: u32,
         cols: u32,
         positions: u32,
         store: MacStore,
-    },
-    /// Integer element-wise addition (code-domain ReLU, then rescale).
-    EltwiseI {
-        sides: Span,
-        x_off: u32,
-        cols: u32,
-        positions: u32,
-        store: MacStore,
-        gstep: f64,
-        ostep: f64,
+        rq: Requant,
     },
 }
 
 impl Inst {
-    /// Stable opcode index, aligned with [`profile::OPCODE_NAMES`].
-    pub(crate) fn opcode(&self) -> usize {
+    /// The instruction's opcode: its index in the profiling counters.
+    pub(crate) fn op(&self) -> Op {
         match self {
-            Inst::CopyF { .. } => 0,
-            Inst::RescaleI { .. } => 1,
-            Inst::RescaleI2 { .. } => 2,
-            Inst::DenseF { .. } => 3,
-            Inst::DenseI { .. } => 4,
-            Inst::ConvF { .. } => 5,
-            Inst::ConvI { .. } => 6,
-            Inst::ReduceF { .. } => 7,
-            Inst::ReduceI { .. } => 8,
-            Inst::AvgPoolF { .. } => 9,
-            Inst::AvgPoolI { .. } => 10,
-            Inst::GapF { .. } => 11,
-            Inst::GapI { .. } => 12,
-            Inst::MaxPoolF { .. } => 13,
-            Inst::MaxPoolI { .. } => 14,
-            Inst::MaxFwdF { .. } => 15,
-            Inst::MaxFwdI { .. } => 16,
-            Inst::EltwiseF { .. } => 17,
-            Inst::EltwiseI { .. } => 18,
+            Inst::Copy { .. } => Op::Copy,
+            Inst::CopySide { .. } => Op::CopySide,
+            Inst::Dense { .. } => Op::Dense,
+            Inst::Conv { .. } => Op::Conv,
+            Inst::Reduce { .. } => Op::Reduce,
+            Inst::AvgPool { .. } => Op::AvgPool,
+            Inst::Gap { .. } => Op::Gap,
+            Inst::MaxPool { .. } => Op::MaxPool,
+            Inst::MaxFwd { .. } => Op::MaxFwd,
+            Inst::Eltwise { .. } => Op::Eltwise,
         }
     }
 }
@@ -418,7 +367,7 @@ pub struct LowerStats {
     pub partial_slab: usize,
     /// Weight-slab length in **elements**, not bytes: one element per
     /// realized weight (per duplicate, in the noisy domain). An element is a
-    /// 4-byte `f32` in the float domains and a 1-byte `i8` code in the
+    /// 4-byte `f32` in the float domain and a 1-byte `i8` code in the
     /// integer domain.
     pub weight_slab: usize,
 }
@@ -448,62 +397,285 @@ pub(crate) struct Lowered {
     pub node_regions: Vec<Option<Region>>,
     /// MAC kernel family selected once at bind time for this CPU.
     pub simd: Simd,
+    /// Integer activation clamp `±alevels` (0 outside Integer precision).
+    pub alevels: i64,
     pub stats: LowerStats,
 }
 
 impl Lowered {
-    /// Execute the float-domain stream over the arena's flat slabs. The
+    /// Execute the stream in domain `D` over the arena's flat slabs. The
     /// input node's region must already hold the sample; slabs must be
     /// zeroed (the executor's `run_into` does both).
-    pub fn exec_float(&self, vals: &mut [f32], parts: &mut [f64], mac: &mut MacScratch) {
+    pub fn exec<D: Domain>(&self, vals: &mut [D::Val], parts: &mut [D::Acc], mac: &mut MacScratch) {
         for inst in &self.insts {
-            self.exec_float_inst(inst, vals, parts, mac);
+            self.step::<D>(inst, vals, parts, mac);
         }
     }
 
-    /// Execute the float stream over a *batch* of `batch` samples laid out
-    /// back to back in the slabs, instruction-major: every instruction
-    /// sweeps all samples while its weight tile is cache-resident, which is
-    /// what amortizes weight streaming across the batch. Each sample still
-    /// sees exactly the per-sample instruction order (samples are
-    /// independent), so results are bit-identical to `batch` sequential
-    /// [`Lowered::exec_float`] calls.
+    /// Execute the stream over a *batch* of `batch` samples laid out back
+    /// to back in the slabs, instruction-major: every instruction sweeps all
+    /// samples while its weight tile is cache-resident, which is what
+    /// amortizes weight streaming across the batch. Each sample still sees
+    /// exactly the per-sample instruction order (samples are independent),
+    /// so results are bit-identical to `batch` sequential
+    /// [`Lowered::exec`] calls.
     ///
-    /// Dense tiles additionally block *samples* through the 2-D register
-    /// kernel ([`kernels::mac_f_block`]): groups of up to
-    /// [`Simd::block`] samples share every weight-row load, so the tile is
-    /// not just cache-resident but loaded once per group. A sample whose
-    /// activation is zero on a row another group member keeps contributes a
-    /// `±0.0` product, which cannot change an accumulator that starts at
-    /// `+0.0` (exact cancellation rounds to `+0.0` under round-to-nearest,
-    /// so the accumulator is never `-0.0`; bind rejects non-finite weights,
-    /// the one case where `0 · w` is not `±0.0`) — bits stay identical to
-    /// the per-sample skip path. Convolution tiles already reuse their
-    /// weights across the *positions* of one sample (see
-    /// [`Lowered::conv_f`]), so a conv batch is just that, per sample.
-    pub fn exec_float_batch(
+    /// In a domain whose kernel shares weight loads across a block
+    /// ([`Domain::BLOCKS_SAMPLES`]), dense tiles additionally block
+    /// *samples* ([`Lowered::dense_batch`]): groups of up to
+    /// [`Simd::block`] samples share one gather of the tile's rows and one
+    /// pass of the block kernel over them. A sample whose activation is zero on a row another group
+    /// member keeps contributes a `±0.0` product, which cannot change an
+    /// accumulator that starts at `+0.0` (exact cancellation rounds to
+    /// `+0.0` under round-to-nearest, so the accumulator is never `-0.0`;
+    /// bind rejects non-finite weights, the one case where `0 · w` is not
+    /// `±0.0`) — bits stay identical to the per-sample skip path.
+    /// Convolution tiles already reuse their weights across the *positions*
+    /// of one sample (see [`Lowered::conv`]), so a conv batch is just that,
+    /// per sample.
+    pub fn exec_batch<D: Domain>(
         &self,
-        vals: &mut [f32],
-        parts: &mut [f64],
+        vals: &mut [D::Val],
+        parts: &mut [D::Acc],
         batch: usize,
         mac: &mut MacScratch,
     ) {
         for inst in &self.insts {
-            if let Inst::DenseF {
+            if let Inst::Dense {
                 runs,
                 w,
                 cols,
                 store,
+                rq,
             } = *inst
             {
-                profile::retire(inst.opcode(), batch as u64);
-                self.dense_f_batch(runs, w, cols as usize, store, vals, parts, batch, mac);
-                continue;
+                if D::BLOCKS_SAMPLES {
+                    profile::retire(Op::Dense, batch as u64);
+                    let cols = cols as usize;
+                    self.dense_batch::<D>(runs, w, cols, store, rq, vals, parts, batch, mac);
+                    continue;
+                }
             }
             for s in 0..batch {
                 let v = &mut vals[s * self.val_len..(s + 1) * self.val_len];
                 let p = &mut parts[s * self.part_len..(s + 1) * self.part_len];
-                self.exec_float_inst(inst, v, p, mac);
+                self.step::<D>(inst, v, p, mac);
+            }
+        }
+    }
+
+    fn step<D: Domain>(
+        &self,
+        inst: &Inst,
+        vals: &mut [D::Val],
+        parts: &mut [D::Acc],
+        mac: &mut MacScratch,
+    ) {
+        profile::retire(inst.op(), 1);
+        let (simd, alevels) = (self.simd, self.alevels);
+        match *inst {
+            Inst::Copy {
+                src,
+                dst,
+                len,
+                from,
+                to,
+            } => {
+                for i in 0..len as usize {
+                    let v = vals[src as usize + i];
+                    vals[dst as usize + i] = D::rescale(v, from, to, alevels);
+                }
+            }
+            Inst::CopySide {
+                src,
+                dst,
+                len,
+                from,
+                side,
+                to,
+            } => {
+                for i in 0..len as usize {
+                    let gathered = D::rescale(vals[src as usize + i], from, side, alevels);
+                    vals[dst as usize + i] = D::rescale(gathered, side, to, alevels);
+                }
+            }
+            Inst::Dense {
+                runs,
+                w,
+                cols,
+                store,
+                rq,
+            } => {
+                let runs = span(&self.dense_runs, runs);
+                let cols = cols as usize;
+                let s = D::scratch(mac);
+                let rows = grow(&mut s.rows, dense_rows(runs));
+                let mut skips = SkipTally::new();
+                let mut n = 0usize;
+                for run in runs {
+                    let src = &vals[run.x as usize..(run.x + run.n) as usize];
+                    let woff = w + run.r * cols as u32;
+                    keep_rows(rows, &mut n, src, woff, cols as u32, &mut skips, |v| {
+                        D::lane(v, alevels)
+                    });
+                }
+                skips.flush(Op::Dense);
+                if store.output {
+                    let acc = grow(&mut s.acc, cols);
+                    D::gemv(self, cols, &rows[..n], acc);
+                    let map = D::mac_map(rq, store.relu, alevels);
+                    D::store_row(simd, vals, store.dst as usize, acc, 1, map);
+                } else {
+                    // Partial stripes are per-tile-unique and written
+                    // exactly once, so the kernel's overwrite is the
+                    // oracle's scatter.
+                    let dst = store.dst as usize;
+                    D::gemv(self, cols, &rows[..n], &mut parts[dst..dst + cols]);
+                }
+            }
+            Inst::Conv {
+                runs,
+                wins,
+                x0,
+                wsel,
+                cols,
+                positions,
+                store,
+                rq,
+            } => self.conv::<D>(
+                runs,
+                wins,
+                x0,
+                wsel,
+                cols as usize,
+                positions as usize,
+                store,
+                rq,
+                vals,
+                parts,
+                mac,
+            ),
+            Inst::Reduce {
+                srcs,
+                cols,
+                positions,
+                store,
+                rq,
+            } => {
+                let srcs = span(&self.reduce_srcs, srcs);
+                let (cols, positions) = (cols as usize, positions as usize);
+                let map = D::mac_map(rq, store.relu, alevels);
+                let acc = grow(&mut D::scratch(mac).acc, cols);
+                for p in 0..positions {
+                    acc.fill(D::Acc::default());
+                    for s in srcs {
+                        let src = s.base as usize + p * s.stride as usize;
+                        for (a, &part) in acc.iter_mut().zip(&parts[src..src + cols]) {
+                            *a += part;
+                        }
+                    }
+                    D::store_row(simd, vals, store.dst as usize + p, acc, positions, map);
+                }
+            }
+            Inst::AvgPool {
+                x0,
+                geom,
+                store,
+                rq,
+            } => {
+                let positions = geom.positions as usize;
+                let map = D::avg_map(rq, store.relu, f64::from(geom.k * geom.k), alevels);
+                let acc = grow(&mut D::scratch(mac).acc, geom.cols as usize);
+                pool_loop(geom, |p, base| {
+                    for (c, a) in acc.iter_mut().enumerate() {
+                        let x = x0 as usize + c * geom.chan as usize + base;
+                        let mut sum = D::Acc::default();
+                        for ky in 0..geom.k as usize {
+                            let row = x + ky * geom.iw as usize;
+                            for kx in 0..geom.k as usize {
+                                sum += D::Acc::from(vals[row + kx]);
+                            }
+                        }
+                        *a = sum;
+                    }
+                    D::store_row(simd, vals, store.dst as usize + p, acc, positions, map);
+                });
+            }
+            Inst::Gap {
+                x0,
+                cols,
+                positions,
+                window,
+                store,
+                rq,
+            } => {
+                let map = D::avg_map(rq, store.relu, f64::from(window), alevels);
+                let (positions, window) = (positions as usize, window as usize);
+                let acc = grow(&mut D::scratch(mac).acc, cols as usize);
+                for p in 0..positions {
+                    for (c, a) in acc.iter_mut().enumerate() {
+                        let x = x0 as usize + c * window;
+                        *a = vals[x..x + window].iter().map(|&v| D::Acc::from(v)).sum();
+                    }
+                    D::store_row(simd, vals, store.dst as usize + p, acc, positions, map);
+                }
+            }
+            Inst::MaxPool { x0, geom, store } => {
+                // Stage 1 hands raw maxima to stage 2 through the partial
+                // slab.
+                debug_assert!(!store.output);
+                let cols = geom.cols as usize;
+                pool_loop(geom, |p, base| {
+                    for c in 0..cols {
+                        let x = x0 as usize + c * geom.chan as usize + base;
+                        let mut max = D::MAX_IDENTITY;
+                        for ky in 0..geom.k as usize {
+                            let row = x + ky * geom.iw as usize;
+                            for kx in 0..geom.k as usize {
+                                max = D::max(max, D::Acc::from(vals[row + kx]));
+                            }
+                        }
+                        parts[store.dst as usize + p * cols + c] = max;
+                    }
+                });
+            }
+            Inst::MaxFwd {
+                src,
+                cols,
+                positions,
+                store,
+                rq,
+            } => {
+                let (cols, positions) = (cols as usize, positions as usize);
+                let map = D::max_map(rq, store.relu, alevels);
+                for p in 0..positions {
+                    let row = &parts[src as usize + p * cols..][..cols];
+                    D::store_row(simd, vals, store.dst as usize + p, row, positions, map);
+                }
+            }
+            Inst::Eltwise {
+                sides,
+                x_off,
+                cols,
+                positions,
+                store,
+                rq,
+            } => {
+                let sides = span(&self.side_bases, sides);
+                let positions = positions as usize;
+                let map = D::eltwise_map(rq, store.relu, alevels);
+                let acc = grow(&mut D::scratch(mac).acc, cols as usize);
+                for p in 0..positions {
+                    for (c, a) in acc.iter_mut().enumerate() {
+                        let idx = x_off as usize + c * positions + p;
+                        let mut sum = D::Acc::default();
+                        for &side in sides {
+                            sum += D::Acc::from(vals[side as usize + idx]);
+                        }
+                        *a = sum;
+                    }
+                    D::store_row(simd, vals, store.dst as usize + p, acc, positions, map);
+                }
             }
         }
     }
@@ -513,22 +685,25 @@ impl Lowered {
     /// if *any* sample of the group drives it) and share one blocked pass
     /// over the tile.
     #[allow(clippy::too_many_arguments)]
-    fn dense_f_batch(
+    fn dense_batch<D: Domain>(
         &self,
         runs: Span,
         w: u32,
         cols: usize,
         store: MacStore,
-        vals: &mut [f32],
-        parts: &mut [f64],
+        rq: Requant,
+        vals: &mut [D::Val],
+        parts: &mut [D::Acc],
         batch: usize,
         mac: &mut MacScratch,
     ) {
-        let runs = &self.dense_runs[runs.0 as usize..(runs.0 + runs.1) as usize];
-        let (val_len, part_len) = (self.val_len, self.part_len);
+        let runs = span(&self.dense_runs, runs);
+        let (val_len, part_len, alevels) = (self.val_len, self.part_len, self.alevels);
+        let s = D::scratch(mac);
         let rows = dense_rows(runs);
-        let woffs = grow(&mut mac.woffs, rows);
-        let xb = grow(&mut mac.xb, rows * self.simd.block());
+        let woffs = grow(&mut s.woffs, rows);
+        let xb = grow(&mut s.xb, rows * self.simd.block());
+        let map = D::mac_map(rq, store.relu, alevels);
         let mut skips = SkipTally::new();
         let mut s0 = 0usize;
         while s0 < batch {
@@ -538,10 +713,10 @@ impl Lowered {
                 let mut woff = w + run.r * cols as u32;
                 for x in run.x..run.x + run.n {
                     let mut any = false;
-                    for (s, xs) in xb[n * sb..(n + 1) * sb].iter_mut().enumerate() {
-                        let xv = vals[(s0 + s) * val_len + x as usize];
-                        any |= xv != 0.0;
-                        *xs = f64::from(xv);
+                    for (j, xs) in xb[n * sb..(n + 1) * sb].iter_mut().enumerate() {
+                        let xv = vals[(s0 + j) * val_len + x as usize];
+                        any |= xv != D::Val::default();
+                        *xs = D::lane(xv, alevels);
                     }
                     woffs[n] = woff;
                     if any {
@@ -554,22 +729,22 @@ impl Lowered {
             }
             let (woffs, xb) = (&woffs[..n], &xb[..n * sb]);
             if store.output {
-                let acc = grow(&mut mac.acc_f, sb * cols);
-                kernels::mac_f_block(self.simd, &self.wslab_f, cols, woffs, xb, sb, acc, cols);
-                for (s, row) in acc.chunks_exact(cols).enumerate() {
-                    let vo = (s0 + s) * val_len;
-                    scatter_out_f(&mut vals[vo..vo + val_len], store, row, 1, 0);
+                let acc = grow(&mut s.acc, sb * cols);
+                D::block_mac(self, cols, woffs, xb, sb, &mut s.rows, acc, cols);
+                for (j, row) in acc.chunks_exact(cols).enumerate() {
+                    let dst = (s0 + j) * val_len + store.dst as usize;
+                    D::store_row(self.simd, vals, dst, row, 1, map);
                 }
             } else {
                 // Each sample's partial stripe is a row of the block, one
                 // partial slab apart.
                 let dst = s0 * part_len + store.dst as usize;
                 let out = &mut parts[dst..dst + (sb - 1) * part_len + cols];
-                kernels::mac_f_block(self.simd, &self.wslab_f, cols, woffs, xb, sb, out, part_len);
+                D::block_mac(self, cols, woffs, xb, sb, &mut s.rows, out, part_len);
             }
             s0 += sb;
         }
-        skips.flush(profile::OP_DENSE_F);
+        skips.flush(Op::Dense);
     }
 
     /// A convolution tile over one sample, by **blocks of positions**: up to
@@ -577,15 +752,14 @@ impl Lowered {
     /// realization — consecutive positions when the tile has one, positions
     /// `p ≡ r (mod dups)` under Noisy duplicates — gather their windows
     /// once into the row-major activation block (a clipped entry is the
-    /// `+0.0` padding it stands for; a tile row survives if *any* position
-    /// of the block drives it), share one blocked pass over the surviving
-    /// rows and store `b` outputs per column. The crossbar the paper reuses
-    /// across a layer's positions is thereby streamed once per block, not
-    /// once per position; every accumulator still sees exactly its own
-    /// non-zero terms in ascending row order (the `±0.0` argument of
-    /// [`Lowered::exec_float_batch`]).
+    /// zero padding it stands for; a tile row survives if *any* position
+    /// of the block drives it) and share one blocked MAC over the surviving
+    /// rows. The crossbar the paper reuses across a layer's positions is
+    /// thereby gathered once per block, not once per position; every
+    /// accumulator still sees exactly its own non-zero terms in ascending
+    /// row order (the `±0.0` argument of [`Lowered::exec_batch`]).
     #[allow(clippy::too_many_arguments)]
-    fn conv_f(
+    fn conv<D: Domain>(
         &self,
         runs: Span,
         wins: Span,
@@ -594,18 +768,22 @@ impl Lowered {
         cols: usize,
         positions: usize,
         store: MacStore,
-        vals: &mut [f32],
-        parts: &mut [f64],
+        rq: Requant,
+        vals: &mut [D::Val],
+        parts: &mut [D::Acc],
         mac: &mut MacScratch,
     ) {
-        let runs = &self.conv_runs[runs.0 as usize..(runs.0 + runs.1) as usize];
+        let runs = span(&self.conv_runs, runs);
         let wins = &self.wins[wins.0 as usize..wins.0 as usize + positions];
-        let bases = &self.dup_bases[wsel.0 as usize..(wsel.0 + wsel.1) as usize];
+        let bases = span(&self.dup_bases, (wsel.0, wsel.1));
         // The oracle's round-robin is `bases[(p % dups) % bases.len()]`.
         let pstride = if bases.len() == 1 { 1 } else { wsel.2 as usize };
+        let alevels = self.alevels;
+        let s = D::scratch(mac);
         let rows = conv_rows(runs);
-        let woffs = grow(&mut mac.woffs, rows);
-        let xb = grow(&mut mac.xb, rows * self.simd.block());
+        let woffs = grow(&mut s.woffs, rows);
+        let xb = grow(&mut s.xb, rows * self.simd.block());
+        let map = D::mac_map(rq, store.relu, alevels);
         let mut skips = SkipTally::new();
         for class in 0..pstride.min(positions) {
             let wbase = bases[class % bases.len()];
@@ -630,6 +808,7 @@ impl Lowered {
                 }
                 let full = u8::MAX >> (8 - b);
                 let contiguous = xbase[..b].windows(2).all(|x| x[1] == x[0] + 1);
+                let zero = D::Val::default();
                 let mut n = 0usize;
                 for run in runs {
                     let keeps_ky = kym[usize::from(run.ky)];
@@ -648,18 +827,18 @@ impl Lowered {
                         if keeps == full && contiguous {
                             let x = (xbase[0] + at) as usize;
                             for (xs, &xv) in xrow.iter_mut().zip(&vals[x..x + b]) {
-                                any |= xv != 0.0;
-                                *xs = f64::from(xv);
+                                any |= xv != zero;
+                                *xs = D::lane(xv, alevels);
                             }
                         } else {
                             for (j, xs) in xrow.iter_mut().enumerate() {
                                 let xv = if keeps >> j & 1 != 0 {
                                     vals[(xbase[j] + at) as usize]
                                 } else {
-                                    0.0
+                                    zero
                                 };
-                                any |= xv != 0.0;
-                                *xs = f64::from(xv);
+                                any |= xv != zero;
+                                *xs = D::lane(xv, alevels);
                             }
                         }
                         woffs[n] = woff;
@@ -673,506 +852,24 @@ impl Lowered {
                 }
                 let (woffs, xb) = (&woffs[..n], &xb[..n * b]);
                 if store.output {
-                    let acc = grow(&mut mac.acc_f, b * cols);
-                    kernels::mac_f_block(self.simd, &self.wslab_f, cols, woffs, xb, b, acc, cols);
-                    // Per column, the block's positions are `pstride` apart
-                    // in the node's `out[(col_offset + c) · positions + p]`
-                    // stripe: contiguous when the tile has one realization.
-                    for c in 0..cols {
-                        let base = store.dst as usize + c * positions + p0;
-                        for j in 0..b {
-                            let a = acc[j * cols + c];
-                            let a = if store.relu { a.max(0.0) } else { a };
-                            vals[base + j * pstride] = a as f32;
-                        }
-                    }
+                    let acc = grow(&mut s.acc, b * cols);
+                    D::block_mac(self, cols, woffs, xb, b, &mut s.rows, acc, cols);
+                    // The block's positions are `pstride` apart in the
+                    // node's `out[(col_offset + c) · positions + p]` stripe.
+                    let (dst, strides) = (store.dst as usize + p0, (positions, pstride));
+                    D::store_block(self.simd, vals, dst, acc, cols, strides, map);
                 } else {
                     // Partial stripes are per-tile-unique and written
                     // exactly once, so the kernel's overwrite of
                     // `part[p · cols ..]` is the oracle's scatter.
                     let (dst, stride) = (store.dst as usize + p0 * cols, pstride * cols);
                     let out = &mut parts[dst..dst + (b - 1) * stride + cols];
-                    kernels::mac_f_block(self.simd, &self.wslab_f, cols, woffs, xb, b, out, stride);
+                    D::block_mac(self, cols, woffs, xb, b, &mut s.rows, out, stride);
                 }
                 p0 += b * pstride;
             }
         }
-        skips.flush(profile::OP_CONV_F);
-    }
-
-    fn exec_float_inst(
-        &self,
-        inst: &Inst,
-        vals: &mut [f32],
-        parts: &mut [f64],
-        mac: &mut MacScratch,
-    ) {
-        profile::retire(inst.opcode(), 1);
-        {
-            match *inst {
-                Inst::CopyF { src, dst, len } => {
-                    vals.copy_within(src as usize..(src + len) as usize, dst as usize);
-                }
-                Inst::DenseF {
-                    runs,
-                    w,
-                    cols,
-                    store,
-                } => {
-                    let runs = &self.dense_runs[runs.0 as usize..(runs.0 + runs.1) as usize];
-                    let cols = cols as usize;
-                    let rows = grow(&mut mac.rows_f, dense_rows(runs));
-                    let mut skips = SkipTally::new();
-                    let mut n = 0usize;
-                    for run in runs {
-                        let src = &vals[run.x as usize..(run.x + run.n) as usize];
-                        let woff = w + run.r * cols as u32;
-                        keep_rows(rows, &mut n, src, woff, cols as u32, &mut skips, f64::from);
-                    }
-                    skips.flush(profile::OP_DENSE_F);
-                    if store.output {
-                        let acc = grow(&mut mac.acc_f, cols);
-                        kernels::mac_f(self.simd, &self.wslab_f, cols, &rows[..n], acc);
-                        scatter_out_f(vals, store, acc, 1, 0);
-                    } else {
-                        // Partial stripes are per-tile-unique and written
-                        // exactly once, so the kernel's overwrite is the
-                        // oracle's scatter.
-                        let dst = store.dst as usize;
-                        let out = &mut parts[dst..dst + cols];
-                        kernels::mac_f(self.simd, &self.wslab_f, cols, &rows[..n], out);
-                    }
-                }
-                Inst::ConvF {
-                    runs,
-                    wins,
-                    x0,
-                    wsel,
-                    cols,
-                    positions,
-                    store,
-                } => self.conv_f(
-                    runs,
-                    wins,
-                    x0,
-                    wsel,
-                    cols as usize,
-                    positions as usize,
-                    store,
-                    vals,
-                    parts,
-                    mac,
-                ),
-                Inst::ReduceF {
-                    srcs,
-                    cols,
-                    positions,
-                    store,
-                } => {
-                    let srcs = &self.reduce_srcs[srcs.0 as usize..(srcs.0 + srcs.1) as usize];
-                    let (cols, positions) = (cols as usize, positions as usize);
-                    for p in 0..positions {
-                        for c in 0..cols {
-                            let mut sum = 0.0f64;
-                            for s in srcs {
-                                sum += parts[s.base as usize + p * s.stride as usize + c];
-                            }
-                            store_one_f(vals, parts, store, c, sum, positions, p, cols);
-                        }
-                    }
-                }
-                Inst::AvgPoolF {
-                    x0,
-                    geom,
-                    store,
-                    div,
-                } => {
-                    let (cols, positions) = (geom.cols as usize, geom.positions as usize);
-                    pool_loop(geom, |p, base| {
-                        for c in 0..cols {
-                            let x = x0 as usize + c * geom.chan as usize + base;
-                            let mut sum = 0.0f64;
-                            for ky in 0..geom.k as usize {
-                                let row = x + ky * geom.iw as usize;
-                                for kx in 0..geom.k as usize {
-                                    sum += f64::from(vals[row + kx]);
-                                }
-                            }
-                            store_one_f(vals, parts, store, c, sum / div, positions, p, cols);
-                        }
-                    });
-                }
-                Inst::GapF {
-                    x0,
-                    cols,
-                    positions,
-                    window,
-                    store,
-                    div,
-                } => {
-                    let (cols, positions, window) =
-                        (cols as usize, positions as usize, window as usize);
-                    for p in 0..positions {
-                        for c in 0..cols {
-                            let x = x0 as usize + c * window;
-                            let sum: f64 = vals[x..x + window].iter().map(|&v| f64::from(v)).sum();
-                            store_one_f(vals, parts, store, c, sum / div, positions, p, cols);
-                        }
-                    }
-                }
-                Inst::MaxPoolF { x0, geom, store } => {
-                    let (cols, positions) = (geom.cols as usize, geom.positions as usize);
-                    pool_loop(geom, |p, base| {
-                        for c in 0..cols {
-                            let x = x0 as usize + c * geom.chan as usize + base;
-                            let mut max = f64::NEG_INFINITY;
-                            for ky in 0..geom.k as usize {
-                                let row = x + ky * geom.iw as usize;
-                                for kx in 0..geom.k as usize {
-                                    max = max.max(f64::from(vals[row + kx]));
-                                }
-                            }
-                            store_one_f(vals, parts, store, c, max, positions, p, cols);
-                        }
-                    });
-                }
-                Inst::MaxFwdF {
-                    src,
-                    cols,
-                    positions,
-                    store,
-                } => {
-                    let (cols, positions) = (cols as usize, positions as usize);
-                    for p in 0..positions {
-                        for c in 0..cols {
-                            let a = parts[src as usize + p * cols + c];
-                            store_one_f(vals, parts, store, c, a, positions, p, cols);
-                        }
-                    }
-                }
-                Inst::EltwiseF {
-                    sides,
-                    x_off,
-                    cols,
-                    positions,
-                    store,
-                } => {
-                    let sides = &self.side_bases[sides.0 as usize..(sides.0 + sides.1) as usize];
-                    let (cols, positions) = (cols as usize, positions as usize);
-                    for p in 0..positions {
-                        for c in 0..cols {
-                            let idx = x_off as usize + c * positions + p;
-                            let mut sum = 0.0f64;
-                            for &side in sides {
-                                sum += f64::from(vals[side as usize + idx]);
-                            }
-                            store_one_f(vals, parts, store, c, sum, positions, p, cols);
-                        }
-                    }
-                }
-                // Integer variants never appear in a float stream.
-                _ => unreachable!("integer instruction in a float stream"),
-            }
-        }
-    }
-
-    /// Execute the integer-domain stream over the arena's flat slabs.
-    pub fn exec_integer(
-        &self,
-        vals: &mut [i64],
-        parts: &mut [i64],
-        alevels: i64,
-        mac: &mut MacScratch,
-    ) {
-        for inst in &self.insts {
-            self.exec_integer_inst(inst, vals, parts, alevels, mac);
-        }
-    }
-
-    /// Instruction-major integer batch execution (see
-    /// [`Lowered::exec_float_batch`] for the layout and identity argument).
-    pub fn exec_integer_batch(
-        &self,
-        vals: &mut [i64],
-        parts: &mut [i64],
-        batch: usize,
-        alevels: i64,
-        mac: &mut MacScratch,
-    ) {
-        for inst in &self.insts {
-            for s in 0..batch {
-                let v = &mut vals[s * self.val_len..(s + 1) * self.val_len];
-                let p = &mut parts[s * self.part_len..(s + 1) * self.part_len];
-                self.exec_integer_inst(inst, v, p, alevels, mac);
-            }
-        }
-    }
-
-    fn exec_integer_inst(
-        &self,
-        inst: &Inst,
-        vals: &mut [i64],
-        parts: &mut [i64],
-        alevels: i64,
-        mac: &mut MacScratch,
-    ) {
-        profile::retire(inst.opcode(), 1);
-        let simd = self.simd;
-        {
-            match *inst {
-                Inst::RescaleI {
-                    src,
-                    dst,
-                    len,
-                    from,
-                    to,
-                } => {
-                    for i in 0..len as usize {
-                        let c = vals[src as usize + i];
-                        vals[dst as usize + i] = rescale_code(c, from, to, alevels);
-                    }
-                }
-                Inst::RescaleI2 {
-                    src,
-                    dst,
-                    len,
-                    from,
-                    side,
-                    to,
-                } => {
-                    for i in 0..len as usize {
-                        let gathered = rescale_code(vals[src as usize + i], from, side, alevels);
-                        vals[dst as usize + i] = rescale_code(gathered, side, to, alevels);
-                    }
-                }
-                Inst::DenseI {
-                    runs,
-                    w,
-                    cols,
-                    store,
-                    rq,
-                } => {
-                    let runs = &self.dense_runs[runs.0 as usize..(runs.0 + runs.1) as usize];
-                    let cols = cols as usize;
-                    let rows = grow(&mut mac.rows_i, dense_rows(runs));
-                    let mut skips = SkipTally::new();
-                    let mut n = 0usize;
-                    for run in runs {
-                        let src = &vals[run.x as usize..(run.x + run.n) as usize];
-                        let woff = w + run.r * cols as u32;
-                        keep_rows(rows, &mut n, src, woff, cols as u32, &mut skips, |c| {
-                            lane_code(c, alevels)
-                        });
-                    }
-                    skips.flush(profile::OP_DENSE_I);
-                    if store.output {
-                        let acc = grow(&mut mac.acc_i, cols);
-                        kernels::mac_i(simd, &self.wslab_q, cols, &rows[..n], acc);
-                        let code = requant(rq, store.relu, alevels);
-                        store_codes_i(simd, vals, store, acc, 1, 0, code);
-                    } else {
-                        let dst = store.dst as usize;
-                        let out = &mut parts[dst..dst + cols];
-                        kernels::mac_i(simd, &self.wslab_q, cols, &rows[..n], out);
-                    }
-                }
-                Inst::ConvI {
-                    runs,
-                    wins,
-                    x0,
-                    w,
-                    cols,
-                    positions,
-                    store,
-                    rq,
-                } => {
-                    let runs = &self.conv_runs[runs.0 as usize..(runs.0 + runs.1) as usize];
-                    let (cols, positions) = (cols as usize, positions as usize);
-                    let wins = &self.wins[wins.0 as usize..wins.0 as usize + positions];
-                    let rows = grow(&mut mac.rows_i, conv_rows(runs));
-                    let acc = grow(&mut mac.acc_i, cols);
-                    let code = requant(rq, store.relu, alevels);
-                    let mut skips = SkipTally::new();
-                    // One GEMV per position: the `i32` lanes are
-                    // multiply-bound, so blocking positions buys them
-                    // nothing (PR 15's measurement).
-                    for (p, win) in wins.iter().enumerate() {
-                        let xbase = i64::from(x0) + i64::from(win.base);
-                        let mut n = 0usize;
-                        for run in runs {
-                            // Rows clipped here are exactly the rows the
-                            // oracle's `conv_input_index` rejects as zero
-                            // padding.
-                            if run.ky < win.ky0 || run.ky >= win.ky1 {
-                                continue;
-                            }
-                            let lo = run.kx_lo.max(win.kx0);
-                            let hi = run.kx_hi.min(win.kx1);
-                            if lo >= hi {
-                                continue;
-                            }
-                            // The run base alone can sit in the padded
-                            // border (negative); only base + kx is a valid
-                            // index, so stay in i64 until then.
-                            let xrun = xbase + i64::from(run.x_rel);
-                            let src =
-                                &vals[(xrun + i64::from(lo)) as usize..][..usize::from(hi - lo)];
-                            let woff = w + (run.r0 + u32::from(lo - run.kx_lo)) * cols as u32;
-                            keep_rows(rows, &mut n, src, woff, cols as u32, &mut skips, |c| {
-                                lane_code(c, alevels)
-                            });
-                        }
-                        if store.output {
-                            kernels::mac_i(simd, &self.wslab_q, cols, &rows[..n], acc);
-                            store_codes_i(simd, vals, store, acc, positions, p, code);
-                        } else {
-                            let dst = store.dst as usize + p * cols;
-                            let out = &mut parts[dst..dst + cols];
-                            kernels::mac_i(simd, &self.wslab_q, cols, &rows[..n], out);
-                        }
-                    }
-                    skips.flush(profile::OP_CONV_I);
-                }
-                Inst::ReduceI {
-                    srcs,
-                    cols,
-                    positions,
-                    store,
-                    rq,
-                } => {
-                    let srcs = &self.reduce_srcs[srcs.0 as usize..(srcs.0 + srcs.1) as usize];
-                    let (cols, positions) = (cols as usize, positions as usize);
-                    let code = requant(rq, store.relu, alevels);
-                    let acc = grow(&mut mac.acc_i, cols);
-                    for p in 0..positions {
-                        acc.fill(0);
-                        for s in srcs {
-                            let src = s.base as usize + p * s.stride as usize;
-                            for (a, &part) in acc.iter_mut().zip(&parts[src..src + cols]) {
-                                *a += part;
-                            }
-                        }
-                        if store.output {
-                            store_codes_i(simd, vals, store, acc, positions, p, code);
-                        } else {
-                            let dst = store.dst as usize + p * cols;
-                            parts[dst..dst + cols].copy_from_slice(acc);
-                        }
-                    }
-                }
-                Inst::AvgPoolI {
-                    x0,
-                    geom,
-                    store,
-                    gstep,
-                    ostep,
-                } => {
-                    let div = f64::from(geom.k * geom.k);
-                    let (cols, positions) = (geom.cols as usize, geom.positions as usize);
-                    // Identical composition to `pooled_window_real`.
-                    let code =
-                        move |sum: i64| quantize_code(sum as f64 * gstep / div, ostep, alevels);
-                    let acc = grow(&mut mac.acc_i, cols);
-                    pool_loop(geom, |p, base| {
-                        for (c, a) in acc.iter_mut().enumerate() {
-                            let x = x0 as usize + c * geom.chan as usize + base;
-                            let mut sum = 0i64;
-                            for ky in 0..geom.k as usize {
-                                let row = x + ky * geom.iw as usize;
-                                for kx in 0..geom.k as usize {
-                                    sum += vals[row + kx];
-                                }
-                            }
-                            *a = sum;
-                        }
-                        store_codes_i(simd, vals, store, acc, positions, p, code);
-                    });
-                }
-                Inst::GapI {
-                    x0,
-                    cols,
-                    positions,
-                    window,
-                    store,
-                    gstep,
-                    ostep,
-                } => {
-                    let (cols, positions, window) =
-                        (cols as usize, positions as usize, window as usize);
-                    let code = move |sum: i64| {
-                        quantize_code(sum as f64 * gstep / window as f64, ostep, alevels)
-                    };
-                    let acc = grow(&mut mac.acc_i, cols);
-                    for p in 0..positions {
-                        for (c, a) in acc.iter_mut().enumerate() {
-                            let x = x0 as usize + c * window;
-                            *a = vals[x..x + window].iter().sum();
-                        }
-                        store_codes_i(simd, vals, store, acc, positions, p, code);
-                    }
-                }
-                Inst::MaxPoolI { x0, geom, store } => {
-                    // Stage 1 hands raw code maxima to stage 2 through the
-                    // partial slab.
-                    debug_assert!(!store.output);
-                    let cols = geom.cols as usize;
-                    pool_loop(geom, |p, base| {
-                        for c in 0..cols {
-                            let x = x0 as usize + c * geom.chan as usize + base;
-                            let mut max = i64::MIN;
-                            for ky in 0..geom.k as usize {
-                                let row = x + ky * geom.iw as usize;
-                                for kx in 0..geom.k as usize {
-                                    max = max.max(vals[row + kx]);
-                                }
-                            }
-                            parts[store.dst as usize + p * cols + c] = max;
-                        }
-                    });
-                }
-                Inst::MaxFwdI {
-                    src,
-                    cols,
-                    positions,
-                    store,
-                    gstep,
-                    ostep,
-                } => {
-                    let (cols, positions) = (cols as usize, positions as usize);
-                    let code = move |max: i64| quantize_code(max as f64 * gstep, ostep, alevels);
-                    for p in 0..positions {
-                        let row = &parts[src as usize + p * cols..][..cols];
-                        store_codes_i(simd, vals, store, row, positions, p, code);
-                    }
-                }
-                Inst::EltwiseI {
-                    sides,
-                    x_off,
-                    cols,
-                    positions,
-                    store,
-                    gstep,
-                    ostep,
-                } => {
-                    debug_assert!(store.output);
-                    let sides = &self.side_bases[sides.0 as usize..(sides.0 + sides.1) as usize];
-                    let (cols, positions) = (cols as usize, positions as usize);
-                    for p in 0..positions {
-                        for c in 0..cols {
-                            let idx = x_off as usize + c * positions + p;
-                            let mut sum = 0i64;
-                            for &side in sides {
-                                sum += vals[side as usize + idx];
-                            }
-                            let sum = if store.relu { sum.max(0) } else { sum };
-                            vals[store.dst as usize + c * positions + p] =
-                                rescale_code(sum, gstep, ostep, alevels);
-                        }
-                    }
-                }
-                _ => unreachable!("float instruction in an integer stream"),
-            }
-        }
+        skips.flush(Op::Conv);
     }
 
     /// Human-readable dump of the first `limit` instructions.
@@ -1257,90 +954,6 @@ fn keep_rows<T: Copy + PartialEq + Default, X>(
     }
 }
 
-/// Narrow a value-slab activation code to the MAC kernels' `i32` lane width.
-/// Lossless: every value-slab writer (input quantization, `rescale_code`,
-/// `requantize_mac`, `quantize_code`) clamps to ±`alevels`, and bind rejects
-/// plans whose `alevels` does not fit the lane bound.
-#[inline(always)]
-fn lane_code(code: i64, alevels: i64) -> i32 {
-    debug_assert!(
-        code.abs() <= alevels,
-        "value-slab code {code} escaped ±{alevels}"
-    );
-    code as i32
-}
-
-/// Store one float result: fused ReLU + f32 cast at output boundaries
-/// (`out[(col_offset + c) · positions + p]`), raw f64 into the partial slab
-/// (`part[p · cols + c]`) otherwise — exactly the interpreter's store paths.
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn store_one_f(
-    vals: &mut [f32],
-    parts: &mut [f64],
-    store: MacStore,
-    c: usize,
-    a: f64,
-    positions: usize,
-    p: usize,
-    cols: usize,
-) {
-    if store.output {
-        let a = if store.relu { a.max(0.0) } else { a };
-        vals[store.dst as usize + c * positions + p] = a as f32;
-    } else {
-        parts[store.dst as usize + p * cols + c] = a;
-    }
-}
-
-/// Scatter a MAC output row into the value slab: fused ReLU + f32 cast into
-/// the node's `out[(col_offset + c) · positions + p]` stripe — exactly the
-/// interpreter's output store.
-#[inline(always)]
-fn scatter_out_f(vals: &mut [f32], store: MacStore, acc: &[f64], positions: usize, p: usize) {
-    let base = store.dst as usize + p;
-    if store.relu {
-        for (c, &a) in acc.iter().enumerate() {
-            vals[base + c * positions] = a.max(0.0) as f32;
-        }
-    } else {
-        for (c, &a) in acc.iter().enumerate() {
-            vals[base + c * positions] = a as f32;
-        }
-    }
-}
-
-/// Store one position's integer output row into the node's
-/// `out[(col_offset + c) · positions + p]` stripe, each raw value through
-/// `code` — a composition of the reference's own quantization functions,
-/// instantiated for the bind-time family by [`kernels::map_store`].
-#[inline(always)]
-fn store_codes_i(
-    simd: Simd,
-    vals: &mut [i64],
-    store: MacStore,
-    row: &[i64],
-    positions: usize,
-    p: usize,
-    code: impl Fn(i64) -> i64,
-) {
-    debug_assert!(store.output);
-    kernels::map_store(
-        simd,
-        row,
-        &mut vals[store.dst as usize + p..],
-        positions,
-        code,
-    );
-}
-
-/// The Integer MAC store's requantization: the reference's own
-/// `requantize_mac` composition over the producing node's constants.
-#[inline(always)]
-fn requant(rq: Requant, relu: bool, alevels: i64) -> impl Fn(i64) -> i64 + Copy {
-    move |a| requantize_mac(a, rq.wstep, rq.gstep, relu, rq.ostep, alevels)
-}
-
 impl fmt::Display for Inst {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         fn st(s: &MacStore) -> String {
@@ -1352,14 +965,17 @@ impl fmt::Display for Inst {
             )
         }
         match self {
-            Inst::CopyF { src, dst, len } => {
-                write!(f, "copy.f      val[{src}..+{len}] -> val[{dst}]")
-            }
-            Inst::RescaleI { src, dst, len, from, to } => write!(
+            Inst::Copy {
+                src,
+                dst,
+                len,
+                from,
+                to,
+            } => write!(
                 f,
-                "rescale.i   val[{src}..+{len}] -> val[{dst}]  step {from:.3e}->{to:.3e}"
+                "copy       val[{src}..+{len}] -> val[{dst}]  step {from:.3e}->{to:.3e}"
             ),
-            Inst::RescaleI2 {
+            Inst::CopySide {
                 src,
                 dst,
                 len,
@@ -1368,23 +984,22 @@ impl fmt::Display for Inst {
                 to,
             } => write!(
                 f,
-                "rescale2.i  val[{src}..+{len}] -> val[{dst}]  step {from:.3e}->{side:.3e}->{to:.3e}"
+                "copy.side  val[{src}..+{len}] -> val[{dst}]  step {from:.3e}->{side:.3e}->{to:.3e}"
             ),
-            Inst::DenseF { runs, w, cols, store } => write!(
+            Inst::Dense {
+                runs,
+                w,
+                cols,
+                store,
+                ..
+            } => write!(
                 f,
-                "mac.dense.f runs {}+{} w[{w}] cols {cols} -> {}",
+                "mac.dense  runs {}+{} w[{w}] cols {cols} -> {}",
                 runs.0,
                 runs.1,
                 st(store)
             ),
-            Inst::DenseI { runs, w, cols, store, .. } => write!(
-                f,
-                "mac.dense.i runs {}+{} w[{w}] cols {cols} -> {}",
-                runs.0,
-                runs.1,
-                st(store)
-            ),
-            Inst::ConvF {
+            Inst::Conv {
                 runs,
                 wins,
                 x0,
@@ -1392,101 +1007,76 @@ impl fmt::Display for Inst {
                 cols,
                 positions,
                 store,
+                ..
             } => write!(
                 f,
-                "mac.conv.f  runs {}+{} wins {}+{} x0 {x0} dups {} cols {cols} pos {positions} -> {}",
+                "mac.conv   runs {}+{} wins {}+{} x0 {x0} dups {} cols {cols} pos {positions} -> {}",
                 runs.0, runs.1, wins.0, wins.1, wsel.2, st(store)
             ),
-            Inst::ConvI {
-                runs,
-                wins,
-                x0,
-                w,
+            Inst::Reduce {
+                srcs,
                 cols,
                 positions,
                 store,
                 ..
             } => write!(
                 f,
-                "mac.conv.i  runs {}+{} wins {}+{} x0 {x0} w[{w}] cols {cols} pos {positions} -> {}",
-                runs.0, runs.1, wins.0, wins.1, st(store)
-            ),
-            Inst::ReduceF { srcs, cols, positions, store } => write!(
-                f,
-                "reduce.f    srcs {}+{} cols {cols} pos {positions} -> {}",
+                "reduce     srcs {}+{} cols {cols} pos {positions} -> {}",
                 srcs.0,
                 srcs.1,
                 st(store)
             ),
-            Inst::ReduceI { srcs, cols, positions, store, .. } => write!(
+            Inst::AvgPool {
+                x0, geom, store, ..
+            } => write!(
                 f,
-                "reduce.i    srcs {}+{} cols {cols} pos {positions} -> {}",
-                srcs.0,
-                srcs.1,
-                st(store)
-            ),
-            Inst::AvgPoolF { x0, geom, store, .. } => write!(
-                f,
-                "avgpool.f   x0 {x0} k {} cols {} pos {} -> {}",
+                "avgpool    x0 {x0} k {} cols {} pos {} -> {}",
                 geom.k,
                 geom.cols,
                 geom.positions,
                 st(store)
             ),
-            Inst::AvgPoolI { x0, geom, store, .. } => write!(
+            Inst::Gap {
+                x0,
+                cols,
+                positions,
+                window,
+                store,
+                ..
+            } => write!(
                 f,
-                "avgpool.i   x0 {x0} k {} cols {} pos {} -> {}",
+                "gap        x0 {x0} window {window} cols {cols} pos {positions} -> {}",
+                st(store)
+            ),
+            Inst::MaxPool { x0, geom, store } => write!(
+                f,
+                "maxpool    x0 {x0} k {} cols {} pos {} -> {}",
                 geom.k,
                 geom.cols,
                 geom.positions,
                 st(store)
             ),
-            Inst::GapF { x0, cols, positions, window, store, .. } => write!(
+            Inst::MaxFwd {
+                src,
+                cols,
+                positions,
+                store,
+                ..
+            } => write!(
                 f,
-                "gap.f       x0 {x0} window {window} cols {cols} pos {positions} -> {}",
+                "maxfwd     part[{src}] cols {cols} pos {positions} -> {}",
                 st(store)
             ),
-            Inst::GapI { x0, cols, positions, window, store, .. } => write!(
+            Inst::Eltwise {
+                sides,
+                x_off,
+                cols,
+                positions,
+                store,
+                ..
+            } => write!(
                 f,
-                "gap.i       x0 {x0} window {window} cols {cols} pos {positions} -> {}",
-                st(store)
-            ),
-            Inst::MaxPoolF { x0, geom, store } => write!(
-                f,
-                "maxpool.f   x0 {x0} k {} cols {} pos {} -> {}",
-                geom.k,
-                geom.cols,
-                geom.positions,
-                st(store)
-            ),
-            Inst::MaxPoolI { x0, geom, store } => write!(
-                f,
-                "maxpool.i   x0 {x0} k {} cols {} pos {} -> {}",
-                geom.k,
-                geom.cols,
-                geom.positions,
-                st(store)
-            ),
-            Inst::MaxFwdF { src, cols, positions, store } => write!(
-                f,
-                "maxfwd.f    part[{src}] cols {cols} pos {positions} -> {}",
-                st(store)
-            ),
-            Inst::MaxFwdI { src, cols, positions, store, .. } => write!(
-                f,
-                "maxfwd.i    part[{src}] cols {cols} pos {positions} -> {}",
-                st(store)
-            ),
-            Inst::EltwiseF { sides, x_off, cols, positions, store } => write!(
-                f,
-                "eltwise.f   sides {}+{} x_off {x_off} cols {cols} pos {positions} -> {}",
-                sides.0,
-                sides.1,
-                st(store)
-            ),
-            Inst::EltwiseI { sides, x_off, cols, positions, store, .. } => write!(
-                f,
-                "eltwise.i   sides {}+{} x_off {x_off} cols {cols} pos {positions} -> {}",
+                "eltwise    sides {}+{} x_off {x_off} cols {cols} pos {positions} -> {}",
                 sides.0,
                 sides.1,
                 st(store)

@@ -363,13 +363,6 @@ impl Executor {
                 };
                 match precision {
                     Precision::Float => (vec![exact], Vec::new()),
-                    Precision::QuantizedWeights => {
-                        let q = Quantizer::weights_8bit(range()?);
-                        (
-                            vec![exact.iter().map(|&w| q.round_trip(w)).collect()],
-                            Vec::new(),
-                        )
-                    }
                     Precision::Integer(plan) => {
                         let wstep = plan.weight_step(g.source_node);
                         let wlevels = plan.weight_levels();
@@ -419,7 +412,7 @@ impl Executor {
                 (vec![Vec::new()], Vec::new())
             };
 
-            // The dispatch loops drop `0 · w` terms and add others as
+            // The dispatch loop drops `0 · w` terms and adds others as
             // `±0.0` (sample groups, position blocks); the two agree only
             // while every realized weight is finite.
             if weights_f.iter().flatten().any(|w| !w.is_finite()) {
@@ -491,9 +484,10 @@ impl Executor {
             wslab_f,
             wslab_q,
         })?;
-        // Pick the MAC kernel family once per bind; the dispatch loops just
-        // match on the stored selector.
+        // Pick the MAC kernel family once per bind; the dispatch loop just
+        // matches on the stored selector.
         lowered.simd = crate::kernels::Simd::detect();
+        lowered.alevels = activation_levels;
         let outputs = output_view
             .iter()
             .map(|segment| {
@@ -507,7 +501,6 @@ impl Executor {
             nodes,
             input: Some(input),
             precision_integer: plan.is_some(),
-            activation_levels,
             node_steps,
             lowered,
             outputs,
@@ -593,32 +586,6 @@ mod tests {
     use fpsa_device::variation::{CellVariation, WeightScheme};
     use fpsa_nn::reference::Reference;
     use fpsa_nn::zoo;
-
-    #[test]
-    fn quantized_weights_match_the_quantizer_reference_bit_for_bit() {
-        let graph = zoo::tiny_wide_mlp();
-        let params = GraphParameters::seeded(&graph, 5);
-        let (core, mapping) = compile(&graph, 1);
-        let exec = Executor::bind(
-            &graph,
-            &params,
-            &core,
-            &mapping,
-            &Precision::QuantizedWeights,
-        )
-        .unwrap();
-        for g in core.groups().iter().filter(|g| g.kind == CoreOpKind::Vmm) {
-            let bound = exec.tile_weights(g.id, 0).expect("VMM tiles carry weights");
-            let layer = params.weights(g.source_node).unwrap();
-            let input_dim =
-                weights::weight_input_dim(&graph.node(g.source_node).unwrap().op).unwrap();
-            let exact = weights::vmm_tile_matrix(g, layer, input_dim);
-            let q = Quantizer::weights_8bit(params.max_abs_weight(g.source_node).max(1e-6));
-            for (b, e) in bound.iter().zip(&exact) {
-                assert_eq!(*b, q.round_trip(*e), "weight realization diverged");
-            }
-        }
-    }
 
     #[test]
     fn noisy_execution_is_seed_deterministic_and_ideal_noise_is_exact() {

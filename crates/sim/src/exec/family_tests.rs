@@ -5,6 +5,7 @@
 use super::testutil::{compile, samples, three_precisions};
 use super::{ExecError, Executor, Precision};
 use crate::kernels::Simd;
+use crate::profile::{NUM_OPCODES, OPCODE_NAMES};
 use fpsa_device::variation::{CellVariation, WeightScheme};
 use fpsa_nn::reference::QuantizationPlan;
 use fpsa_nn::{zoo, ComputationalGraph, GraphParameters, Operator, TensorShape};
@@ -166,7 +167,6 @@ fn non_finite_weights_are_a_typed_bind_error() {
     });
     for precision in [
         Precision::Float,
-        Precision::QuantizedWeights,
         Precision::Noisy {
             scheme: WeightScheme::fpsa_add(),
             variation: CellVariation::measured(),
@@ -187,4 +187,112 @@ fn non_finite_weights_are_a_typed_bind_error() {
     let precision = Precision::Integer(plan);
     let exec = Executor::bind(&graph, &poisoned, &core, &mapping, &precision).expect("binds");
     exec.run_checked(&inputs[0]).expect("integer run");
+}
+
+/// `LowerStats` of `zoo::differential_suite()` × duplication {1, 4} ×
+/// {Float, Integer, Noisy}, recorded before the float and integer opcode
+/// twins were merged into one instruction set: `[instructions, row_runs,
+/// mac_rows, skipped_zero_rows, skipped_zero_tiles, aliased_views,
+/// copied_segments, value_slab, partial_slab, weight_slab]`.
+#[rustfmt::skip]
+const RECORDED_STATS: [(&str, u64, &str, [usize; 10]); 36] = [
+    ("Tiny-MLP", 1, "Float", [3, 3, 56, 0, 0, 3, 0, 60, 0, 800]),
+    ("Tiny-MLP", 1, "Integer", [3, 3, 56, 0, 0, 3, 0, 60, 0, 800]),
+    ("Tiny-MLP", 1, "Noisy", [3, 3, 56, 0, 0, 3, 0, 60, 0, 800]),
+    ("Tiny-MLP", 4, "Float", [3, 3, 56, 0, 0, 3, 0, 60, 0, 800]),
+    ("Tiny-MLP", 4, "Integer", [3, 3, 56, 0, 0, 3, 0, 60, 0, 800]),
+    ("Tiny-MLP", 4, "Noisy", [3, 3, 56, 0, 0, 3, 0, 60, 0, 800]),
+    ("Tiny-WideMLP", 1, "Float", [14, 8, 1500, 0, 0, 2, 0, 910, 920, 183000]),
+    ("Tiny-WideMLP", 1, "Integer", [14, 8, 1500, 0, 0, 2, 0, 910, 920, 183000]),
+    ("Tiny-WideMLP", 1, "Noisy", [14, 8, 1500, 0, 0, 2, 0, 910, 920, 183000]),
+    ("Tiny-WideMLP", 4, "Float", [14, 8, 1500, 0, 0, 2, 0, 910, 920, 183000]),
+    ("Tiny-WideMLP", 4, "Integer", [14, 8, 1500, 0, 0, 2, 0, 910, 920, 183000]),
+    ("Tiny-WideMLP", 4, "Noisy", [14, 8, 1500, 0, 0, 2, 0, 910, 920, 183000]),
+    ("Tiny-CNN", 1, "Float", [5, 34, 291, 0, 0, 4, 0, 2074, 288, 3000]),
+    ("Tiny-CNN", 1, "Integer", [5, 34, 291, 0, 0, 4, 0, 2074, 288, 3000]),
+    ("Tiny-CNN", 1, "Noisy", [5, 34, 291, 0, 0, 4, 0, 2074, 288, 3000]),
+    ("Tiny-CNN", 4, "Float", [5, 34, 291, 0, 0, 4, 0, 2074, 288, 3000]),
+    ("Tiny-CNN", 4, "Integer", [5, 34, 291, 0, 0, 4, 0, 2074, 288, 3000]),
+    ("Tiny-CNN", 4, "Noisy", [5, 34, 291, 0, 0, 4, 0, 2074, 288, 3648]),
+    ("Tiny-AvgPoolCNN", 1, "Float", [5, 37, 116, 0, 0, 5, 0, 1037, 0, 904]),
+    ("Tiny-AvgPoolCNN", 1, "Integer", [5, 37, 116, 0, 0, 5, 0, 1037, 0, 904]),
+    ("Tiny-AvgPoolCNN", 1, "Noisy", [5, 37, 116, 0, 0, 5, 0, 1037, 0, 904]),
+    ("Tiny-AvgPoolCNN", 4, "Float", [5, 37, 116, 0, 0, 5, 0, 1037, 0, 904]),
+    ("Tiny-AvgPoolCNN", 4, "Integer", [5, 37, 116, 0, 0, 5, 0, 1037, 0, 904]),
+    ("Tiny-AvgPoolCNN", 4, "Noisy", [5, 37, 116, 0, 0, 5, 0, 1037, 0, 1768]),
+    ("Tiny-ResNet", 1, "Float", [6, 37, 116, 0, 0, 6, 0, 1804, 0, 896]),
+    ("Tiny-ResNet", 1, "Integer", [7, 37, 116, 0, 0, 5, 1, 2316, 0, 896]),
+    ("Tiny-ResNet", 1, "Noisy", [6, 37, 116, 0, 0, 6, 0, 1804, 0, 896]),
+    ("Tiny-ResNet", 4, "Float", [6, 37, 116, 0, 0, 6, 0, 1804, 0, 896]),
+    ("Tiny-ResNet", 4, "Integer", [7, 37, 116, 0, 0, 5, 1, 2316, 0, 896]),
+    ("Tiny-ResNet", 4, "Noisy", [6, 37, 116, 0, 0, 6, 0, 1804, 0, 3488]),
+    ("Tiny-Concat", 1, "Float", [7, 9, 110, 0, 0, 3, 2, 888, 90, 624]),
+    ("Tiny-Concat", 1, "Integer", [7, 9, 110, 0, 0, 3, 2, 888, 90, 624]),
+    ("Tiny-Concat", 1, "Noisy", [7, 9, 110, 0, 0, 3, 2, 888, 90, 624]),
+    ("Tiny-Concat", 4, "Float", [7, 9, 110, 0, 0, 3, 2, 888, 90, 624]),
+    ("Tiny-Concat", 4, "Integer", [7, 9, 110, 0, 0, 3, 2, 888, 90, 624]),
+    ("Tiny-Concat", 4, "Noisy", [7, 9, 110, 0, 0, 3, 2, 888, 90, 876]),
+];
+
+/// The instruction bodies are written once over both numeric domains, so
+/// the bit-identity suites prove them only for the opcodes they reach in
+/// each domain. This pins that `zoo::differential_suite()` reaches every
+/// opcode under Integer and every one but `CopySide` under Float (no float
+/// side view of the suite has to be copied rather than aliased), and that
+/// lowering is domain-neutral: the stream's shape per model and precision is
+/// what it was before the merge.
+#[test]
+fn the_differential_suite_lowers_every_opcode_in_both_domains() {
+    let mut recorded = RECORDED_STATS.iter();
+    let (mut float_ops, mut integer_ops) = ([false; NUM_OPCODES], [false; NUM_OPCODES]);
+    for graph in zoo::differential_suite() {
+        let params = GraphParameters::seeded(&graph, 21);
+        let inputs = samples(&graph, 2);
+        for duplication in [1, 4] {
+            let (core, mapping) = compile(&graph, duplication);
+            for (name, precision) in ["Float", "Integer", "Noisy"]
+                .into_iter()
+                .zip(three_precisions(&graph, &params, &inputs))
+            {
+                let exec = Executor::bind(&graph, &params, &core, &mapping, &precision)
+                    .unwrap_or_else(|e| panic!("{} x{duplication}: {e}", graph.name));
+                let seen = if exec.is_integer() {
+                    &mut integer_ops
+                } else {
+                    &mut float_ops
+                };
+                for inst in &exec.lowered.insts {
+                    seen[inst.op() as usize] = true;
+                }
+                let s = exec.lowering_stats();
+                let got = [
+                    s.instructions,
+                    s.row_runs,
+                    s.mac_rows,
+                    s.skipped_zero_rows,
+                    s.skipped_zero_tiles,
+                    s.aliased_views,
+                    s.copied_segments,
+                    s.value_slab,
+                    s.partial_slab,
+                    s.weight_slab,
+                ];
+                let want = recorded.next().expect("a recorded row per bind");
+                assert_eq!(
+                    (graph.name.as_str(), duplication, name, got),
+                    *want,
+                    "lowering stats moved"
+                );
+            }
+        }
+    }
+    assert!(recorded.next().is_none(), "the suite lost a model");
+    let missing = |seen: [bool; NUM_OPCODES]| -> Vec<&str> {
+        (0..NUM_OPCODES)
+            .filter(|&op| !seen[op])
+            .map(|op| OPCODE_NAMES[op])
+            .collect()
+    };
+    assert_eq!(missing(integer_ops), Vec::<&str>::new());
+    assert_eq!(missing(float_ops), vec!["CopySide"]);
 }

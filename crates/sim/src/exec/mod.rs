@@ -52,9 +52,6 @@
 //! * [`Precision::Float`] — f32 tile weights straight from the parameters,
 //!   f64 accumulation, f32 at node boundaries: matches the float reference
 //!   within summation-order tolerance (see DESIGN.md for the bound).
-//! * [`Precision::QuantizedWeights`] — weights round-tripped through the
-//!   8-bit `Quantizer` per layer; bit-for-bit the quantizer's reference
-//!   values, float math otherwise.
 //! * [`Precision::Integer`] — full integer-code execution on a calibrated
 //!   [`QuantizationPlan`]: weight codes at the plan's `weight_bits` (8 by
 //!   default, one `i8` each in the bound slab), 6-bit activation codes, MAC
@@ -90,9 +87,6 @@ use std::fmt;
 pub enum Precision {
     /// Full-precision f32 weights, f64 accumulation.
     Float,
-    /// Weights round-tripped through the per-layer 8-bit quantizer
-    /// (`Quantizer::weights_8bit(layer range)`), float math otherwise.
-    QuantizedWeights,
     /// Integer-code execution on a calibrated plan; bit-for-bit against the
     /// quantized golden reference.
     Integer(QuantizationPlan),
@@ -319,16 +313,16 @@ pub(crate) struct NodeInfo {
 /// between models or batches.
 #[derive(Debug, Default)]
 pub struct ExecArena {
-    /// Bytecode value slab, float domains.
-    val_f: Vec<f32>,
-    /// Bytecode partial slab, float domains.
-    part_f: Vec<f64>,
+    /// Bytecode value slab, float domain.
+    pub(crate) val_f: Vec<f32>,
+    /// Bytecode partial slab, float domain.
+    pub(crate) part_f: Vec<f64>,
     /// Bytecode value slab, integer domain.
-    val_i: Vec<i64>,
+    pub(crate) val_i: Vec<i64>,
     /// Bytecode partial slab, integer domain.
-    part_i: Vec<i64>,
-    /// Kernel scratch: per-position row lists + output accumulator rows.
-    mac: crate::bytecode::MacScratch,
+    pub(crate) part_i: Vec<i64>,
+    /// Kernel scratch: row lists, activation blocks, accumulator rows.
+    pub(crate) mac: crate::bytecode::MacScratch,
 }
 
 impl ExecArena {
@@ -347,7 +341,6 @@ pub struct Executor {
     nodes: Vec<Option<NodeInfo>>,
     input: Option<(NodeId, usize)>,
     precision_integer: bool,
-    activation_levels: i64,
     node_steps: Vec<f64>,
     /// The lowered bytecode artifact every run dispatches over.
     lowered: Lowered,

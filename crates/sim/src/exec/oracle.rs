@@ -436,7 +436,7 @@ mod tests {
                     let exec = Executor::bind(&graph, &params, &core, &mapping, &precision)
                         .unwrap_or_else(|e| panic!("{} x{duplication}: {e}", graph.name));
                     selected_duplicates |= exec.lowered.insts.iter().any(
-                        |inst| matches!(inst, Inst::ConvF { wsel, positions, .. } if wsel.1 > 1 && *positions > 1),
+                        |inst| matches!(inst, Inst::Conv { wsel, positions, .. } if wsel.1 > 1 && *positions > 1),
                     );
                     for x in &inputs {
                         let checked = exec.run_checked(x).unwrap();
@@ -478,7 +478,7 @@ mod tests {
     /// The `n`-th dense instruction's row-run span, mutably.
     fn dense_runs(lowered: &mut Lowered, n: usize) -> &mut (u32, u32) {
         let mut dense = lowered.insts.iter_mut().filter_map(|inst| match inst {
-            Inst::DenseF { runs, .. } => Some(runs),
+            Inst::Dense { runs, .. } => Some(runs),
             _ => None,
         });
         dense.nth(n).expect("dense instruction")
@@ -518,7 +518,7 @@ mod tests {
             noisy_cnn: false,
             apply: |l| {
                 let last = l.insts.last_mut().expect("instructions");
-                let Inst::DenseF { store, .. } = last else {
+                let Inst::Dense { store, .. } = last else {
                     panic!("the MLP ends in a dense tile");
                 };
                 store.relu = !store.relu;
@@ -552,7 +552,7 @@ mod tests {
             noisy_cnn: true,
             apply: |l| {
                 let conv = l.insts.iter().find_map(|inst| match inst {
-                    Inst::ConvF { wsel, .. } if wsel.1 > 1 => Some(wsel.0 as usize),
+                    Inst::Conv { wsel, .. } if wsel.1 > 1 => Some(wsel.0 as usize),
                     _ => None,
                 });
                 let first = conv.expect("duplicated conv tile");

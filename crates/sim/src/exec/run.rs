@@ -3,8 +3,7 @@
 
 use super::oracle::Oracle;
 use super::{mismatch, traced, ExecArena, ExecError, Executor};
-use crate::kernels;
-use fpsa_nn::quant::quantize_code;
+use crate::domain::{Domain, Float, Integer};
 use fpsa_nn::NodeId;
 use rayon::prelude::*;
 use std::fmt::Debug;
@@ -53,68 +52,43 @@ impl Executor {
     ) -> Result<(), ExecError> {
         out.clear();
         if self.precision_integer {
-            self.run_integer_bc(input, arena)?;
-            self.output_from_i(&arena.val_i, out);
+            self.run_bc::<Integer>(input, arena, out)
         } else {
-            self.run_float_bc(input, arena)?;
-            self.output_from_f(&arena.val_f, out);
+            self.run_bc::<Float>(input, arena, out)
         }
+    }
+
+    /// Dispatch the bytecode stream in domain `D` over the arena's flat
+    /// slabs: load the sample into the input node's region, run the stream,
+    /// then read the output segments.
+    fn run_bc<D: Domain>(
+        &self,
+        input: &[f32],
+        arena: &mut ExecArena,
+        out: &mut Vec<f32>,
+    ) -> Result<(), ExecError> {
+        let in_node = self.checked_input_node(input)?;
+        let region = self.lowered.node_regions[in_node].expect("input region is lowered");
+        let (vals, parts, mac) = D::arena(arena);
+        let vals = grab(vals, self.lowered.val_len);
+        let parts = grab(parts, self.lowered.part_len);
+        self.load_input::<D>(in_node, input, &mut vals[region.range()]);
+        self.lowered.exec::<D>(vals, parts, mac);
+        self.read_output::<D>(vals, out);
         Ok(())
     }
 
-    /// Extract the float output segments from one value slab.
-    fn output_from_f(&self, vals: &[f32], out: &mut Vec<f32>) {
-        out.clear();
-        for &(_, region, _) in &self.outputs {
-            out.extend_from_slice(&vals[region.range()]);
-        }
+    fn load_input<D: Domain>(&self, in_node: NodeId, input: &[f32], dst: &mut [D::Val]) {
+        let (simd, alevels) = (self.lowered.simd, self.lowered.alevels);
+        D::load_input(simd, self.node_steps[in_node], alevels, input, dst);
     }
 
-    /// Extract + dequantize the integer output segments from one value slab.
-    fn output_from_i(&self, vals: &[i64], out: &mut Vec<f32>) {
+    /// Extract the (dequantized) output segments from one value slab.
+    fn read_output<D: Domain>(&self, vals: &[D::Val], out: &mut Vec<f32>) {
         out.clear();
         for &(_, region, step) in &self.outputs {
-            out.extend(
-                vals[region.range()]
-                    .iter()
-                    .map(|&c| (c as f64 * step) as f32),
-            );
+            out.extend(vals[region.range()].iter().map(|&v| D::real(v, step)));
         }
-    }
-
-    /// Dispatch the float bytecode stream over the arena's flat slabs.
-    fn run_float_bc(&self, input: &[f32], arena: &mut ExecArena) -> Result<(), ExecError> {
-        let in_node = self.checked_input_node(input)?;
-        let region = self.lowered.node_regions[in_node].expect("input region is lowered");
-        let vals = grab(&mut arena.val_f, self.lowered.val_len);
-        let parts = grab(&mut arena.part_f, self.lowered.part_len);
-        vals[region.range()].copy_from_slice(input);
-        self.lowered.exec_float(vals, parts, &mut arena.mac);
-        Ok(())
-    }
-
-    /// Dispatch the integer bytecode stream: quantize the sample into the
-    /// input node's region, then run the code-domain stream.
-    fn run_integer_bc(&self, input: &[f32], arena: &mut ExecArena) -> Result<(), ExecError> {
-        let in_node = self.checked_input_node(input)?;
-        let region = self.lowered.node_regions[in_node].expect("input region is lowered");
-        let alevels = self.activation_levels;
-        let vals = grab(&mut arena.val_i, self.lowered.val_len);
-        let parts = grab(&mut arena.part_i, self.lowered.part_len);
-        self.quantize_input(in_node, input, &mut vals[region.range()]);
-        self.lowered
-            .exec_integer(vals, parts, alevels, &mut arena.mac);
-        Ok(())
-    }
-
-    /// Quantize one sample into the input node's code region — an Integer
-    /// store like any other, so it runs through the family-compiled
-    /// [`kernels::map_store`].
-    fn quantize_input(&self, in_node: NodeId, input: &[f32], codes: &mut [i64]) {
-        let (step, alevels) = (self.node_steps[in_node], self.activation_levels);
-        kernels::map_store(self.lowered.simd, input, codes, 1, move |v| {
-            quantize_code(f64::from(v), step, alevels)
-        });
     }
 
     /// Execute a batch of samples sequentially on one replica's arena,
@@ -169,41 +143,39 @@ impl Executor {
             return Ok(());
         }
 
-        // Weight-stationary batch execution: all samples' slabs are laid out
-        // back to back and the stream runs instruction-major, so each weight
-        // tile streams from memory once per batch instead of once per
-        // sample. Per-sample arithmetic and ordering are untouched —
-        // bit-identical to sequential `run_into` calls.
+        if self.precision_integer {
+            self.run_batch_bc::<Integer>(inputs, arena, outputs)
+        } else {
+            self.run_batch_bc::<Float>(inputs, arena, outputs)
+        }
+    }
+
+    /// Weight-stationary batch execution: all samples' slabs are laid out
+    /// back to back and the stream runs instruction-major, so each weight
+    /// tile streams from memory once per batch instead of once per sample.
+    /// Per-sample arithmetic and ordering are untouched — bit-identical to
+    /// sequential `run_into` calls.
+    fn run_batch_bc<D: Domain>(
+        &self,
+        inputs: &[Vec<f32>],
+        arena: &mut ExecArena,
+        outputs: &mut Vec<Vec<f32>>,
+    ) -> Result<(), ExecError> {
         let b = inputs.len();
         let in_node = self.checked_input_node(&inputs[0])?;
         let region = self.lowered.node_regions[in_node].expect("input region is lowered");
         let (val_len, part_len) = (self.lowered.val_len, self.lowered.part_len);
         outputs.resize_with(b, Vec::new);
-        if self.precision_integer {
-            let alevels = self.activation_levels;
-            let vals = grab(&mut arena.val_i, b * val_len);
-            let parts = grab(&mut arena.part_i, b * part_len);
-            for (s, input) in inputs.iter().enumerate() {
-                let dst = s * val_len + region.off as usize;
-                self.quantize_input(in_node, input, &mut vals[dst..dst + region.len as usize]);
-            }
-            self.lowered
-                .exec_integer_batch(vals, parts, b, alevels, &mut arena.mac);
-            for (s, out) in outputs.iter_mut().enumerate() {
-                self.output_from_i(&arena.val_i[s * val_len..(s + 1) * val_len], out);
-            }
-        } else {
-            let vals = grab(&mut arena.val_f, b * val_len);
-            let parts = grab(&mut arena.part_f, b * part_len);
-            for (s, input) in inputs.iter().enumerate() {
-                let dst = s * val_len + region.off as usize;
-                vals[dst..dst + region.len as usize].copy_from_slice(input);
-            }
-            self.lowered
-                .exec_float_batch(vals, parts, b, &mut arena.mac);
-            for (s, out) in outputs.iter_mut().enumerate() {
-                self.output_from_f(&arena.val_f[s * val_len..(s + 1) * val_len], out);
-            }
+        let (vals, parts, mac) = D::arena(arena);
+        let vals = grab(vals, b * val_len);
+        let parts = grab(parts, b * part_len);
+        for (s, input) in inputs.iter().enumerate() {
+            let dst = s * val_len + region.off as usize;
+            self.load_input::<D>(in_node, input, &mut vals[dst..dst + region.len as usize]);
+        }
+        self.lowered.exec_batch::<D>(vals, parts, b, mac);
+        for (s, out) in outputs.iter_mut().enumerate() {
+            self.read_output::<D>(&vals[s * val_len..(s + 1) * val_len], out);
         }
         Ok(())
     }
@@ -213,7 +185,7 @@ impl Executor {
     ///
     /// # Errors
     ///
-    /// [`ExecError::Unsupported`] outside [`Precision::Integer`].
+    /// [`ExecError::Unsupported`] outside [`crate::Precision::Integer`].
     pub fn run_codes(&self, input: &[f32]) -> Result<Vec<i64>, ExecError> {
         if !self.precision_integer {
             return Err(ExecError::Unsupported {
@@ -221,7 +193,7 @@ impl Executor {
             });
         }
         let mut arena = ExecArena::new();
-        self.run_integer_bc(input, &mut arena)?;
+        self.run_bc::<Integer>(input, &mut arena, &mut Vec::new())?;
         let mut out = Vec::new();
         for &(_, region, _) in &self.outputs {
             out.extend_from_slice(&arena.val_i[region.range()]);
@@ -236,28 +208,28 @@ impl Executor {
     ///
     /// Mirrors [`Executor::run`].
     pub fn run_nodes(&self, input: &[f32]) -> Result<Vec<Option<Vec<f32>>>, ExecError> {
-        let mut arena = ExecArena::new();
         if self.precision_integer {
-            self.run_integer_bc(input, &mut arena)?;
-            Ok((0..self.nodes.len())
-                .map(|node| {
-                    self.lowered.node_regions[node].map(|region| {
-                        arena.val_i[region.range()]
-                            .iter()
-                            .map(|&c| (c as f64 * self.node_steps[node]) as f32)
-                            .collect()
-                    })
-                })
-                .collect())
+            self.nodes_of::<Integer>(input)
         } else {
-            self.run_float_bc(input, &mut arena)?;
-            Ok((0..self.nodes.len())
-                .map(|node| {
-                    self.lowered.node_regions[node]
-                        .map(|region| arena.val_f[region.range()].to_vec())
-                })
-                .collect())
+            self.nodes_of::<Float>(input)
         }
+    }
+
+    fn nodes_of<D: Domain>(&self, input: &[f32]) -> Result<Vec<Option<Vec<f32>>>, ExecError> {
+        let mut arena = ExecArena::new();
+        self.run_bc::<D>(input, &mut arena, &mut Vec::new())?;
+        let vals = D::arena(&mut arena).0;
+        Ok((0..self.nodes.len())
+            .map(|node| {
+                let step = self.node_steps[node];
+                self.lowered.node_regions[node].map(|region| {
+                    vals[region.range()]
+                        .iter()
+                        .map(|&v| D::real(v, step))
+                        .collect()
+                })
+            })
+            .collect())
     }
 
     /// Execute one sample on the tile-program oracle (`oracle.rs`) instead of
@@ -345,7 +317,7 @@ impl Executor {
             nodes: &self.nodes,
             input_node,
             node_steps: &self.node_steps,
-            activation_levels: self.activation_levels,
+            activation_levels: self.lowered.alevels,
             wslab_f: &self.lowered.wslab_f,
             wslab_q: &self.lowered.wslab_q,
         }
@@ -499,7 +471,7 @@ mod tests {
             exec.run_batch_into(&inputs, &mut arena, &mut outputs)
                 .unwrap();
             let slab = &arena.val_i[..inputs.len() * exec.lowered.val_len];
-            let alevels = exec.activation_levels;
+            let alevels = exec.lowered.alevels;
             assert!(slab.iter().any(|c| c.abs() == alevels), "{}", graph.name);
             assert!(slab.iter().all(|c| c.abs() <= alevels), "{}", graph.name);
         }

@@ -29,6 +29,7 @@
 //! where compile time went.
 
 mod bytecode;
+mod domain;
 pub mod exec;
 pub mod functional;
 mod kernels;

@@ -190,6 +190,10 @@ impl<'a> LowerPass<'a> {
                 relu: prog.relu,
             }
         } else {
+            debug_assert!(matches!(
+                prog.kind,
+                ProgramKind::Dense | ProgramKind::Conv(_) | ProgramKind::MaxStage1(_)
+            ));
             let region = self.alloc_part(prog.positions * prog.cols)?;
             self.partials.insert(prog.group, region);
             MacStore {
@@ -204,7 +208,6 @@ impl<'a> LowerPass<'a> {
             gstep: info.gather_step,
             ostep: info.out_step,
         };
-        let integer = self.ctx.integer;
         let cols = prog.cols as u32;
         let positions = prog.positions as u32;
 
@@ -217,22 +220,15 @@ impl<'a> LowerPass<'a> {
                     self.finish_program(prog);
                     return Ok(());
                 }
-                let w = self.weight_base(prog);
-                if integer {
-                    Inst::DenseI {
-                        runs,
-                        w,
-                        cols,
-                        store,
-                        rq,
-                    }
-                } else {
-                    Inst::DenseF {
-                        runs,
-                        w,
-                        cols,
-                        store,
-                    }
+                // Dense tiles have one position, so realization 0 is the
+                // only one the oracle ever selects.
+                let w = self.weight_bases(prog)[0];
+                Inst::Dense {
+                    runs,
+                    w,
+                    cols,
+                    store,
+                    rq,
                 }
             }
             ProgramKind::Conv(geom) => {
@@ -244,33 +240,19 @@ impl<'a> LowerPass<'a> {
                     self.finish_program(prog);
                     return Ok(());
                 }
-                if integer {
-                    let w = self.weight_base(prog);
-                    Inst::ConvI {
-                        runs,
-                        wins,
-                        x0,
-                        w,
-                        cols,
-                        positions,
-                        store,
-                        rq,
-                    }
-                } else {
-                    let start = self.out.dup_bases.len() as u32;
-                    for span in &prog.w_f {
-                        self.out.dup_bases.push(span.0);
-                    }
-                    let wsel = (start, prog.w_f.len() as u32, prog.duplicates as u32);
-                    Inst::ConvF {
-                        runs,
-                        wins,
-                        x0,
-                        wsel,
-                        cols,
-                        positions,
-                        store,
-                    }
+                let start = self.out.dup_bases.len() as u32;
+                let bases = self.weight_bases(prog);
+                let wsel = (start, bases.len() as u32, prog.duplicates as u32);
+                self.out.dup_bases.extend(bases);
+                Inst::Conv {
+                    runs,
+                    wins,
+                    x0,
+                    wsel,
+                    cols,
+                    positions,
+                    store,
+                    rq,
                 }
             }
             ProgramKind::Reduce(sources) => {
@@ -286,126 +268,53 @@ impl<'a> LowerPass<'a> {
                         stride: pred_cols as u32,
                     });
                 }
-                let srcs = (start, sources.len() as u32);
-                if integer {
-                    Inst::ReduceI {
-                        srcs,
-                        cols,
-                        positions,
-                        store,
-                        rq,
-                    }
-                } else {
-                    Inst::ReduceF {
-                        srcs,
-                        cols,
-                        positions,
-                        store,
-                    }
+                Inst::Reduce {
+                    srcs: (start, sources.len() as u32),
+                    cols,
+                    positions,
+                    store,
+                    rq,
                 }
             }
-            ProgramKind::AvgPool(g) => {
-                let x0 = gather.expect("pools gather") + (prog.col_offset * g.ih * g.iw) as u32;
-                let geom = pool_loop(g, cols, positions);
-                if integer {
-                    Inst::AvgPoolI {
-                        x0,
-                        geom,
-                        store,
-                        gstep: info.gather_step,
-                        ostep: info.out_step,
-                    }
-                } else {
-                    let div = (g.kernel * g.kernel) as f64;
-                    Inst::AvgPoolF {
-                        x0,
-                        geom,
-                        store,
-                        div,
-                    }
-                }
-            }
-            ProgramKind::GlobalAvgPool { window } => {
-                let x0 = gather.expect("pools gather") + (prog.col_offset * window) as u32;
-                let window = *window as u32;
-                if integer {
-                    Inst::GapI {
-                        x0,
-                        cols,
-                        positions,
-                        window,
-                        store,
-                        gstep: info.gather_step,
-                        ostep: info.out_step,
-                    }
-                } else {
-                    Inst::GapF {
-                        x0,
-                        cols,
-                        positions,
-                        window,
-                        store,
-                        div: f64::from(window),
-                    }
-                }
-            }
-            ProgramKind::MaxStage1(g) => {
-                let x0 = gather.expect("pools gather") + (prog.col_offset * g.ih * g.iw) as u32;
-                let geom = pool_loop(g, cols, positions);
-                if integer {
-                    Inst::MaxPoolI { x0, geom, store }
-                } else {
-                    Inst::MaxPoolF { x0, geom, store }
-                }
-            }
-            ProgramKind::MaxStage2 { source } => {
-                let src = self
+            ProgramKind::AvgPool(g) => Inst::AvgPool {
+                x0: gather.expect("pools gather") + (prog.col_offset * g.ih * g.iw) as u32,
+                geom: pool_loop(g, cols, positions),
+                store,
+                rq,
+            },
+            ProgramKind::GlobalAvgPool { window } => Inst::Gap {
+                x0: gather.expect("pools gather") + (prog.col_offset * window) as u32,
+                cols,
+                positions,
+                window: *window as u32,
+                store,
+                rq,
+            },
+            ProgramKind::MaxStage1(g) => Inst::MaxPool {
+                x0: gather.expect("pools gather") + (prog.col_offset * g.ih * g.iw) as u32,
+                geom: pool_loop(g, cols, positions),
+                store,
+            },
+            ProgramKind::MaxStage2 { source } => Inst::MaxFwd {
+                src: self
                     .partials
                     .get(source)
                     .copied()
                     .ok_or_else(|| mismatch("max-pool stage 2 ran before stage 1"))?
-                    .off;
-                if integer {
-                    Inst::MaxFwdI {
-                        src,
-                        cols,
-                        positions,
-                        store,
-                        gstep: info.gather_step,
-                        ostep: info.out_step,
-                    }
-                } else {
-                    Inst::MaxFwdF {
-                        src,
-                        cols,
-                        positions,
-                        store,
-                    }
-                }
-            }
-            ProgramKind::Eltwise(_) => {
-                let sides = sides.expect("eltwise resolves sides");
-                let x_off = (prog.col_offset * prog.positions) as u32;
-                if integer {
-                    Inst::EltwiseI {
-                        sides,
-                        x_off,
-                        cols,
-                        positions,
-                        store,
-                        gstep: info.gather_step,
-                        ostep: info.out_step,
-                    }
-                } else {
-                    Inst::EltwiseF {
-                        sides,
-                        x_off,
-                        cols,
-                        positions,
-                        store,
-                    }
-                }
-            }
+                    .off,
+                cols,
+                positions,
+                store,
+                rq,
+            },
+            ProgramKind::Eltwise(_) => Inst::Eltwise {
+                sides: sides.expect("eltwise resolves sides"),
+                x_off: (prog.col_offset * prog.positions) as u32,
+                cols,
+                positions,
+                store,
+                rq,
+            },
         };
         self.out.insts.push(inst);
         self.finish_program(prog);
@@ -487,9 +396,9 @@ impl<'a> LowerPass<'a> {
         Ok(span)
     }
 
-    /// Materialize a view into a fresh region via copy (float) or rescale
-    /// (integer) instructions at the current stream position, returning the
-    /// region's base.
+    /// Materialize a view into a fresh region via copy instructions at the
+    /// current stream position (rescaling in the integer domain), returning
+    /// the region's base.
     fn copy_view(
         &mut self,
         view: &InputView,
@@ -505,30 +414,22 @@ impl<'a> LowerPass<'a> {
         for segment in view.iter() {
             let src = self.source_region(segment.source)?;
             let from = self.ctx.node_steps[segment.source];
-            let inst = if !self.ctx.integer {
-                Inst::CopyF {
+            let inst = match kind {
+                CopyKind::Gather => Inst::Copy {
                     src: src.off,
                     dst,
                     len: src.len,
-                }
-            } else {
-                match kind {
-                    CopyKind::Gather => Inst::RescaleI {
-                        src: src.off,
-                        dst,
-                        len: src.len,
-                        from,
-                        to: gather_step,
-                    },
-                    CopyKind::Side { sstep } => Inst::RescaleI2 {
-                        src: src.off,
-                        dst,
-                        len: src.len,
-                        from,
-                        side: sstep,
-                        to: gather_step,
-                    },
-                }
+                    from,
+                    to: gather_step,
+                },
+                CopyKind::Side { sstep } => Inst::CopySide {
+                    src: src.off,
+                    dst,
+                    len: src.len,
+                    from,
+                    side: sstep,
+                    to: gather_step,
+                },
             };
             self.out.insts.push(inst);
             self.out.stats.copied_segments += 1;
@@ -537,16 +438,14 @@ impl<'a> LowerPass<'a> {
         Ok(region.off)
     }
 
-    /// The weight-slab base a MAC instruction reads: the shared code span in
-    /// the integer domain, the first duplicate realization otherwise (dense
-    /// tiles have one position, so instance 0 is the only one the
-    /// interpreter ever selects; convolution tiles carry their full
-    /// duplicate table separately).
-    fn weight_base(&self, prog: &TileProgram) -> u32 {
+    /// The weight-slab bases a MAC instruction reads, one per realization:
+    /// the shared code span in the integer domain, every duplicate's float
+    /// realization otherwise.
+    fn weight_bases(&self, prog: &TileProgram) -> Vec<u32> {
         if self.ctx.integer {
-            prog.w_q.0
+            vec![prog.w_q.0]
         } else {
-            prog.w_f[0].0
+            prog.w_f.iter().map(|span| span.0).collect()
         }
     }
 
@@ -692,7 +591,7 @@ impl<'a> LowerPass<'a> {
     }
 }
 
-/// What a copied view feeds (integer instructions differ).
+/// What a copied view feeds (the integer domain rescales side views twice).
 #[derive(Clone, Copy)]
 enum CopyKind {
     Gather,

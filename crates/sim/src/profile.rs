@@ -15,53 +15,43 @@
 //!
 //! * **retired** — executions of each opcode, counted per sample (a batch
 //!   of `b` samples retires every instruction `b` times, matching the
-//!   sequential execution it is bit-identical to).
+//!   sequential execution it is bit-identical to). Opcodes carry no numeric
+//!   domain: a Float and an Integer dense tile both retire `Dense`.
 //! * **skipped** — crossbar rows elided by the run-time sparsity skip in
 //!   the MAC gather loops (a row whose activation is exactly zero never
 //!   reaches the MAC kernel). Where a weight tile is shared by a block —
-//!   the positions of a float convolution block, the samples of a dense
-//!   batch group — one row is skipped, and counted once, only when *every*
-//!   member of the block is zero on it (rows that are padding for the whole
-//!   block were never candidates and are not counted). Block skip counts
-//!   are therefore legitimately lower than per-position or sequential ones
-//!   for the same inputs; the Integer MACs and a dense tile at batch 1
-//!   still count per position.
+//!   the positions of a convolution block, the samples of a dense batch
+//!   group, in either domain — one row is skipped, and counted once, only
+//!   when *every* member of the block is zero on it (rows that are padding
+//!   for the whole block were never candidates and are not counted). Block
+//!   skip counts are therefore legitimately lower than per-position or
+//!   sequential ones for the same inputs; only a dense tile at batch 1
+//!   counts per sample. The Integer domain's per-member split of a block
+//!   drops the remaining zeros without counting them.
 
 use core::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-/// Number of bytecode opcodes ([`OPCODE_NAMES`] is index-aligned with
-/// `Inst::opcode`).
-pub const NUM_OPCODES: usize = 19;
+/// The opcode table: one definition of the bytecode's opcodes from which
+/// [`NUM_OPCODES`], [`OPCODE_NAMES`] and the `Op` enum the counters are
+/// indexed by all follow, so they cannot drift apart.
+macro_rules! opcodes {
+    ($($op:ident),+ $(,)?) => {
+        /// A bytecode opcode: `Inst::op` of every lowered instruction, and
+        /// the index of its counters.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub(crate) enum Op {
+            $($op),+
+        }
 
-/// Display names, index-aligned with `Inst::opcode`.
-pub const OPCODE_NAMES: [&str; NUM_OPCODES] = [
-    "CopyF",
-    "RescaleI",
-    "RescaleI2",
-    "DenseF",
-    "DenseI",
-    "ConvF",
-    "ConvI",
-    "ReduceF",
-    "ReduceI",
-    "AvgPoolF",
-    "AvgPoolI",
-    "GapF",
-    "GapI",
-    "MaxPoolF",
-    "MaxPoolI",
-    "MaxFwdF",
-    "MaxFwdI",
-    "EltwiseF",
-    "EltwiseI",
-];
+        /// Display names, index-aligned with `Op`.
+        pub const OPCODE_NAMES: [&str; NUM_OPCODES] = [$(stringify!($op)),+];
 
-/// Opcode indices of the four MAC instructions, for flush sites that do not
-/// hold an `Inst` (the batch gather kernels).
-pub(crate) const OP_DENSE_F: usize = 3;
-pub(crate) const OP_DENSE_I: usize = 4;
-pub(crate) const OP_CONV_F: usize = 5;
-pub(crate) const OP_CONV_I: usize = 6;
+        /// Number of bytecode opcodes.
+        pub const NUM_OPCODES: usize = [$(Op::$op),+].len();
+    };
+}
+
+opcodes!(Copy, CopySide, Dense, Conv, Reduce, AvgPool, Gap, MaxPool, MaxFwd, Eltwise);
 
 #[allow(clippy::declare_interior_mutable_const)]
 const ZERO: AtomicU64 = AtomicU64::new(0);
@@ -139,10 +129,10 @@ pub fn snapshot() -> ProfileSnapshot {
 /// Count `n` retirements of `op`. Compiled out without `obs-profile`.
 #[inline(always)]
 #[allow(unused_variables)]
-pub(crate) fn retire(op: usize, n: u64) {
+pub(crate) fn retire(op: Op, n: u64) {
     #[cfg(feature = "obs-profile")]
     if SAMPLING.load(Ordering::Relaxed) {
-        RETIRED[op].fetch_add(n, Ordering::Relaxed);
+        RETIRED[op as usize].fetch_add(n, Ordering::Relaxed);
     }
 }
 
@@ -175,10 +165,10 @@ impl SkipTally {
     /// `fetch_add`, and only when sampling is on and something was elided).
     #[inline(always)]
     #[allow(unused_variables)]
-    pub fn flush(self, op: usize) {
+    pub fn flush(self, op: Op) {
         #[cfg(feature = "obs-profile")]
         if self.n != 0 && SAMPLING.load(Ordering::Relaxed) {
-            SKIPPED[op].fetch_add(self.n, Ordering::Relaxed);
+            SKIPPED[op as usize].fetch_add(self.n, Ordering::Relaxed);
         }
     }
 }
@@ -196,16 +186,16 @@ mod tests {
         let _g = LOCK.lock().unwrap();
         reset();
         set_sampling(true);
-        retire(OP_DENSE_F, 3);
+        retire(Op::Dense, 3);
         let mut t = SkipTally::new();
         t.hit();
         t.hit();
-        t.flush(OP_DENSE_F);
+        t.flush(Op::Dense);
         let s = snapshot();
         if compiled_in() {
-            assert_eq!(s.retired[OP_DENSE_F], 3);
-            assert_eq!(s.skipped[OP_DENSE_F], 2);
-            assert_eq!(s.rows(), vec![("DenseF", 3, 2)]);
+            assert_eq!(s.retired[Op::Dense as usize], 3);
+            assert_eq!(s.skipped[Op::Dense as usize], 2);
+            assert_eq!(s.rows(), vec![("Dense", 3, 2)]);
         } else {
             assert_eq!(s.total_retired(), 0);
             assert_eq!(s.total_skipped(), 0);
@@ -222,10 +212,10 @@ mod tests {
         let _g = LOCK.lock().unwrap();
         reset();
         set_sampling(false);
-        retire(OP_CONV_F, 10);
+        retire(Op::Conv, 10);
         let mut t = SkipTally::new();
         t.hit();
-        t.flush(OP_CONV_F);
+        t.flush(Op::Conv);
         assert_eq!(snapshot().total_retired(), 0);
         assert_eq!(snapshot().total_skipped(), 0);
     }

@@ -33,7 +33,7 @@ fn profiling_counts_retires_and_sparsity_skips() {
     assert_eq!(profile::snapshot().total_skipped(), 0);
 
     // Sampling on, sequential run: every instruction retires once and the
-    // dead activations show up as skipped DenseF rows.
+    // dead activations show up as skipped Dense rows.
     profile::set_sampling(true);
     exec.run(&input).unwrap();
     let seq = profile::snapshot();
@@ -42,8 +42,8 @@ fn profiling_counts_retires_and_sparsity_skips() {
         seq.total_retired(),
         exec.lowering_stats().instructions as u64
     );
-    let dense_f = fpsa_sim::OPCODE_NAMES.iter().position(|&n| n == "DenseF");
-    let dense_f = dense_f.expect("DenseF opcode exists");
+    let dense_f = fpsa_sim::OPCODE_NAMES.iter().position(|&n| n == "Dense");
+    let dense_f = dense_f.expect("Dense opcode exists");
     assert!(seq.retired[dense_f] > 0, "{seq:?}");
     assert!(
         seq.skipped[dense_f] > 0,
