@@ -21,15 +21,6 @@ impl BlockKind {
     pub fn all() -> [BlockKind; 3] {
         [BlockKind::Pe, BlockKind::Smb, BlockKind::Clb]
     }
-
-    /// Short mnemonic used in netlists and reports.
-    pub fn mnemonic(&self) -> &'static str {
-        match self {
-            BlockKind::Pe => "pe",
-            BlockKind::Smb => "smb",
-            BlockKind::Clb => "clb",
-        }
-    }
 }
 
 /// A concrete function-block specification.
@@ -44,11 +35,6 @@ pub enum FunctionBlock {
 }
 
 impl FunctionBlock {
-    /// Default PE block.
-    pub fn default_pe() -> Self {
-        FunctionBlock::Pe(ProcessingElementSpec::fpsa_default())
-    }
-
     /// Default SMB block.
     pub fn default_smb() -> Self {
         FunctionBlock::Smb(SpikingMemoryBlockSpec::fpsa_16kb())
@@ -59,15 +45,6 @@ impl FunctionBlock {
         FunctionBlock::Clb(ConfigurableLogicBlockSpec::fpsa_128lut())
     }
 
-    /// The block's kind.
-    pub fn kind(&self) -> BlockKind {
-        match self {
-            FunctionBlock::Pe(_) => BlockKind::Pe,
-            FunctionBlock::Smb(_) => BlockKind::Smb,
-            FunctionBlock::Clb(_) => BlockKind::Clb,
-        }
-    }
-
     /// Silicon area in µm².
     pub fn area_um2(&self) -> f64 {
         match self {
@@ -76,44 +53,16 @@ impl FunctionBlock {
             FunctionBlock::Clb(clb) => clb.area_um2(),
         }
     }
-
-    /// Intrinsic block latency in ns (one pipeline clock for a PE, one access
-    /// for an SMB, one LUT evaluation for a CLB).
-    pub fn latency_ns(&self) -> f64 {
-        match self {
-            FunctionBlock::Pe(pe) => pe.clock_period_ns(),
-            FunctionBlock::Smb(smb) => smb.access_latency_ns(),
-            FunctionBlock::Clb(clb) => clb.latency_ns(),
-        }
-    }
-
-    /// Number of routing pins the block exposes to its connection boxes.
-    pub fn pin_count(&self) -> usize {
-        match self {
-            FunctionBlock::Pe(pe) => pe.pin_count(),
-            FunctionBlock::Smb(smb) => smb.pin_count(),
-            FunctionBlock::Clb(clb) => clb.pin_count(),
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn kinds_round_trip() {
-        assert_eq!(FunctionBlock::default_pe().kind(), BlockKind::Pe);
-        assert_eq!(FunctionBlock::default_smb().kind(), BlockKind::Smb);
-        assert_eq!(FunctionBlock::default_clb().kind(), BlockKind::Clb);
-        assert_eq!(BlockKind::all().len(), 3);
-    }
-
-    #[test]
-    fn mnemonics_are_distinct() {
-        let m: std::collections::HashSet<_> =
-            BlockKind::all().iter().map(|k| k.mnemonic()).collect();
-        assert_eq!(m.len(), 3);
+    impl FunctionBlock {
+        fn default_pe() -> Self {
+            FunctionBlock::Pe(ProcessingElementSpec::fpsa_default())
+        }
     }
 
     #[test]
@@ -130,15 +79,5 @@ mod tests {
         let clb = FunctionBlock::default_clb();
         assert!(pe.area_um2() > smb.area_um2());
         assert!(pe.area_um2() > clb.area_um2());
-        assert!(pe.latency_ns() > clb.latency_ns());
-    }
-
-    #[test]
-    fn pin_counts_are_balanced_across_block_kinds() {
-        // The paper sizes CLBs so that their pin count is comparable to a PE.
-        let pe = FunctionBlock::default_pe().pin_count();
-        let clb = FunctionBlock::default_clb().pin_count();
-        assert_eq!(pe, clb);
-        assert!(FunctionBlock::default_smb().pin_count() > 0);
     }
 }

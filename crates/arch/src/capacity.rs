@@ -7,7 +7,6 @@
 //! per-chip budget expressed in the same units.
 
 use crate::config::ArchitectureConfig;
-use crate::fabric::Fabric;
 use serde::{Deserialize, Serialize};
 
 /// A count of function-block slots, by kind.
@@ -25,15 +24,6 @@ impl FabricCapacity {
     /// A capacity with the given per-kind counts.
     pub fn new(pes: usize, smbs: usize, clbs: usize) -> Self {
         FabricCapacity { pes, smbs, clbs }
-    }
-
-    /// The capacity a concrete fabric instance offers.
-    pub fn of(fabric: &Fabric) -> Self {
-        FabricCapacity {
-            pes: fabric.pe_count(),
-            smbs: fabric.smb_count(),
-            clbs: fabric.clb_count(),
-        }
     }
 
     /// The largest capacity whose total block count stays within `blocks`
@@ -87,17 +77,6 @@ impl std::fmt::Display for FabricCapacity {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fabric_capacity_matches_the_instantiated_fabric() {
-        let config = ArchitectureConfig::fpsa();
-        let fabric = Fabric::with_pe_count(config, 100);
-        let cap = FabricCapacity::of(&fabric);
-        assert_eq!(cap.pes, fabric.pe_count());
-        assert_eq!(cap.smbs, fabric.smb_count());
-        assert_eq!(cap.clbs, fabric.clb_count());
-        assert!(cap.pes >= 100);
-    }
 
     #[test]
     fn block_budget_splits_at_the_interleave_ratio() {

@@ -33,11 +33,6 @@ impl FabricDimensions {
         a.0.abs_diff(b.0) + a.1.abs_diff(b.1)
     }
 
-    /// Linear index of a coordinate.
-    pub fn index(&self, coord: (usize, usize)) -> usize {
-        coord.0 * self.cols + coord.1
-    }
-
     /// Coordinate of a linear index.
     pub fn coord(&self, index: usize) -> (usize, usize) {
         (index / self.cols, index % self.cols)
@@ -92,18 +87,6 @@ impl Fabric {
         }
     }
 
-    /// Build the largest fabric that fits in `area_mm2` of silicon.
-    pub fn with_area(config: ArchitectureConfig, area_mm2: f64) -> Self {
-        let per_pe_mm2 = config.area_per_pe_um2() * 1e-6;
-        let pe_count = ((area_mm2 / per_pe_mm2).floor() as usize).max(1);
-        Self::with_pe_count(config, pe_count)
-    }
-
-    /// The block kind at each slot, in row-major order.
-    pub fn slots(&self) -> &[BlockKind] {
-        &self.slots
-    }
-
     /// Slots of a given kind, as linear indices.
     pub fn slots_of(&self, kind: BlockKind) -> Vec<usize> {
         self.slots
@@ -113,51 +96,40 @@ impl Fabric {
             .map(|(i, _)| i)
             .collect()
     }
-
-    /// Number of PEs on the fabric.
-    pub fn pe_count(&self) -> usize {
-        self.slots.iter().filter(|k| **k == BlockKind::Pe).count()
-    }
-
-    /// Number of SMBs on the fabric.
-    pub fn smb_count(&self) -> usize {
-        self.slots.iter().filter(|k| **k == BlockKind::Smb).count()
-    }
-
-    /// Number of CLBs on the fabric.
-    pub fn clb_count(&self) -> usize {
-        self.slots.iter().filter(|k| **k == BlockKind::Clb).count()
-    }
-
-    /// Total silicon area in mm² (function blocks plus routing drivers; the
-    /// mrFPGA routing network itself sits in the metal stack above).
-    pub fn area_mm2(&self) -> f64 {
-        let (smb, clb) = self.config.support_blocks();
-        let blocks = self.pe_count() as f64 * self.config.pe.area_um2
-            + self.smb_count() as f64 * smb.area_um2()
-            + self.clb_count() as f64 * clb.area_um2();
-        let drivers = if self.config.kind.uses_reconfigurable_routing() {
-            self.dims.slots() as f64 * self.config.routing.driver_area_um2_per_tile()
-        } else {
-            0.0
-        };
-        (blocks + drivers) * 1e-6
-    }
-
-    /// Peak computational throughput in operations per second.
-    pub fn peak_ops(&self) -> f64 {
-        self.pe_count() as f64 * self.config.pe.peak_ops()
-    }
-
-    /// Peak computational density in TOPS/mm².
-    pub fn peak_density_tops_mm2(&self) -> f64 {
-        self.peak_ops() * 1e-12 / self.area_mm2()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl FabricDimensions {
+        /// Linear index of a coordinate.
+        pub(crate) fn index(&self, coord: (usize, usize)) -> usize {
+            coord.0 * self.cols + coord.1
+        }
+    }
+
+    impl Fabric {
+        /// The block kind at each slot, in row-major order.
+        pub(crate) fn slots(&self) -> &[BlockKind] {
+            &self.slots
+        }
+
+        /// Number of PEs on the fabric.
+        pub(crate) fn pe_count(&self) -> usize {
+            self.slots.iter().filter(|k| **k == BlockKind::Pe).count()
+        }
+
+        /// Number of SMBs on the fabric.
+        pub(crate) fn smb_count(&self) -> usize {
+            self.slots.iter().filter(|k| **k == BlockKind::Smb).count()
+        }
+
+        /// Number of CLBs on the fabric.
+        pub(crate) fn clb_count(&self) -> usize {
+            self.slots.iter().filter(|k| **k == BlockKind::Clb).count()
+        }
+    }
 
     #[test]
     fn dimensions_round_up_to_squares() {
@@ -190,34 +162,6 @@ mod tests {
         let f = Fabric::with_pe_count(ArchitectureConfig::fpsa(), 512);
         let ratio = f.pe_count() as f64 / f.smb_count() as f64;
         assert!(ratio > 5.0 && ratio < 11.0, "PE/SMB ratio {ratio}");
-    }
-
-    #[test]
-    fn area_grows_with_pe_count() {
-        let small = Fabric::with_pe_count(ArchitectureConfig::fpsa(), 64);
-        let large = Fabric::with_pe_count(ArchitectureConfig::fpsa(), 1024);
-        assert!(large.area_mm2() > small.area_mm2() * 10.0);
-    }
-
-    #[test]
-    fn with_area_respects_the_budget() {
-        let cfg = ArchitectureConfig::fpsa();
-        let f = Fabric::with_area(cfg, 50.0);
-        // The realized area stays within ~20% of the requested budget
-        // (grid rounding adds a few extra slots).
-        assert!(f.area_mm2() < 60.0, "area {}", f.area_mm2());
-        assert!(f.area_mm2() > 35.0, "area {}", f.area_mm2());
-        assert!(f.pe_count() > 1000);
-    }
-
-    #[test]
-    fn peak_density_approaches_pe_density() {
-        let f = Fabric::with_pe_count(ArchitectureConfig::fpsa(), 256);
-        let pe_density = f.config.pe.density_tops_mm2();
-        let fabric_density = f.peak_density_tops_mm2();
-        // Support blocks and drivers cost some density, but not more than 40%.
-        assert!(fabric_density < pe_density);
-        assert!(fabric_density > 0.6 * pe_density);
     }
 
     #[test]

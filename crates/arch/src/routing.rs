@@ -60,23 +60,6 @@ impl RoutingArchitecture {
         2.0 * self.connection_delay_ns + hops as f64 * self.hop_delay_ns()
     }
 
-    /// Energy of moving `bits` bits across `hops` block pitches, in pJ.
-    pub fn transfer_energy_pj(&self, bits: u64, hops: usize) -> f64 {
-        bits as f64 * hops as f64 * self.energy_per_bit_hop_pj
-    }
-
-    /// Number of configuration bits per fabric tile: the switch box holds
-    /// `6 x W x L` programmable cross points (Wilton-style, three output
-    /// directions per incoming track) and four connection boxes hold
-    /// `flexibility x W` bits per block pin side.
-    pub fn config_bits_per_tile(&self, block_pins: usize) -> usize {
-        let sb = 6 * self.channel_width * self.segment_length;
-        let cb = (self.connection_flexibility * self.channel_width as f64).ceil() as usize
-            * block_pins.max(1)
-            / 4;
-        sb + cb
-    }
-
     /// Area of the per-tile routing circuitry that cannot be stacked above
     /// the block (the switch drivers), in µm². mrFPGA places the ReRAM
     /// switches in the metal stack; the remaining driver overhead is modelled as a
@@ -122,24 +105,6 @@ mod tests {
         let r = RoutingArchitecture::fpsa_default();
         let d = r.path_delay_ns(60);
         assert!(d > 2.0 && d < 20.0, "path delay {d}");
-    }
-
-    #[test]
-    fn transfer_energy_scales_with_bits_and_distance() {
-        let r = RoutingArchitecture::fpsa_default();
-        let e1 = r.transfer_energy_pj(64, 10);
-        let e2 = r.transfer_energy_pj(128, 10);
-        let e3 = r.transfer_energy_pj(64, 20);
-        assert!((e2 / e1 - 2.0).abs() < 1e-12);
-        assert!((e3 / e1 - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn config_bits_grow_with_channel_width() {
-        let mut narrow = RoutingArchitecture::fpsa_default();
-        narrow.channel_width = 128;
-        let wide = RoutingArchitecture::fpsa_default();
-        assert!(wide.config_bits_per_tile(512) > narrow.config_bits_per_tile(512));
     }
 
     #[test]

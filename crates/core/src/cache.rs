@@ -6,10 +6,8 @@
 //! makes compiled artifacts content-addressed and reusable:
 //!
 //! * [`CompileKey`] — a stable 128-bit structural hash of (graph +
-//!   `Compiler` configuration), optionally extended with every raw weight
-//!   bit ([`CompileKey::for_bind`]). Two bit-identical rebuilds of a model
-//!   hash equal; perturbing any weight, shape or config field hashes
-//!   different.
+//!   `Compiler` configuration). Two bit-identical rebuilds of a model hash
+//!   equal; perturbing any shape or config field hashes different.
 //! * [`CompileCache`] — a bounded, thread-safe, single-flight store of
 //!   `CompileKey → Arc<CompiledModel>`. Concurrent requests for the same key
 //!   run exactly one compile (the rest block and share the artifact), which
@@ -21,25 +19,17 @@
 //!   shared with the donor keep their slots and the annealer runs a short
 //!   polish schedule instead of a cold anneal. Opt-in because the warm
 //!   result is legal but not bit-identical to a cold anneal.
-//! * **Disk seeds** (opt-in, [`CompileCache::with_disk_store`]) — misses
-//!   with a recorded placement-seed file under the store directory re-run
-//!   the cheap deterministic front half of the pipeline and skip annealing
-//!   entirely (the seed *is* the final placement; routing re-derives
-//!   deterministically). The vendored serde facade cannot deserialize full
-//!   artifacts, so the on-disk tier stores exactly what is expensive to
-//!   recompute: the final block positions (see DESIGN.md).
 //!
 //! Every outcome is recorded in [`CacheStats`] and stamped on the artifact's
 //! [`StageTrace`](fpsa_sim::StageTrace) as a [`CacheInfo`], so performance
 //! reports show amortized compile cost honestly.
 
 use crate::compiler::{CompileError, CompiledModel, Compiler};
-use fpsa_nn::{ComputationalGraph, GraphParameters};
+use fpsa_nn::ComputationalGraph;
 use fpsa_placeroute::WarmStart;
 use fpsa_sim::{CacheInfo, CacheOutcome, StageKind};
 use std::collections::HashMap;
 use std::fmt;
-use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// Version tag mixed into every key: bump to invalidate all cached
@@ -68,10 +58,6 @@ impl StableHasher {
             self.a = (self.a ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
             self.b = (self.b.rotate_left(23) ^ u64::from(byte)).wrapping_mul(0xc2b2_ae3d_27d4_eb4f);
         }
-    }
-
-    fn write_u64(&mut self, v: u64) {
-        self.write(&v.to_le_bytes());
     }
 }
 
@@ -102,35 +88,6 @@ impl CompileKey {
         CompileKey { hi: h.a, lo: h.b }
     }
 
-    /// The key of a bind-level compilation: [`CompileKey::for_compile`]
-    /// extended with the raw bit pattern of every weight tensor, so
-    /// perturbing a single weight changes the key.
-    pub fn for_bind(
-        compiler: &Compiler,
-        graph: &ComputationalGraph,
-        params: &GraphParameters,
-    ) -> Self {
-        let base = Self::for_compile(compiler, graph);
-        let mut h = StableHasher::new();
-        h.write_u64(base.hi);
-        h.write_u64(base.lo);
-        h.write(b"/params/");
-        h.write_u64(params.len() as u64);
-        for node in 0..params.len() {
-            match params.weights(node) {
-                None => h.write(&[0u8]),
-                Some(weights) => {
-                    h.write(&[1u8]);
-                    h.write_u64(weights.len() as u64);
-                    for &w in weights {
-                        h.write(&w.to_bits().to_le_bytes());
-                    }
-                }
-            }
-        }
-        CompileKey { hi: h.a, lo: h.b }
-    }
-
     /// A fingerprint of the compiler configuration alone (architecture,
     /// duplication, P&R config) — the compatibility class for warm-start
     /// donors: only entries compiled under the same fingerprint may donate
@@ -142,7 +99,7 @@ impl CompileKey {
         h.a
     }
 
-    /// Lowercase-hex rendering (32 digits), used as the on-disk file stem.
+    /// Lowercase-hex rendering (32 digits).
     pub fn hex(&self) -> String {
         format!("{:016x}{:016x}", self.hi, self.lo)
     }
@@ -154,7 +111,7 @@ impl fmt::Display for CompileKey {
     }
 }
 
-/// The cache's running counters. One of the four outcome counters is bumped
+/// The cache's running counters. One of the three outcome counters is bumped
 /// per [`CompileCache::compile`] request; `saved_wall_ns` accumulates the
 /// wall-clock the cache avoided versus cold compiles.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -165,9 +122,6 @@ pub struct CacheStats {
     pub misses: u64,
     /// Requests that ran the pipeline with a donor-seeded short anneal.
     pub warm_starts: u64,
-    /// Requests that ran the pipeline with annealing skipped via an on-disk
-    /// placement seed.
-    pub disk_seeds: u64,
     /// Completed entries dropped by LRU eviction.
     pub evictions: u64,
     /// Total wall-clock saved versus cold compiles, in nanoseconds.
@@ -177,24 +131,23 @@ pub struct CacheStats {
 impl CacheStats {
     /// Total requests served.
     pub fn requests(&self) -> u64 {
-        self.hits + self.misses + self.warm_starts + self.disk_seeds
+        self.hits + self.misses + self.warm_starts
     }
 
     /// Compiles that actually executed pipeline stages (everything but
     /// in-memory hits).
     pub fn compiles_executed(&self) -> u64 {
-        self.misses + self.warm_starts + self.disk_seeds
+        self.misses + self.warm_starts
     }
 
     /// One-line human-readable summary.
     pub fn summary(&self) -> String {
         format!(
-            "{} requests: {} hits, {} misses, {} warm-starts, {} disk-seeds ({:.1} ms saved)",
+            "{} requests: {} hits, {} misses, {} warm-starts ({:.1} ms saved)",
             self.requests(),
             self.hits,
             self.misses,
             self.warm_starts,
-            self.disk_seeds,
             self.saved_wall_ns * 1e-6
         )
     }
@@ -219,12 +172,11 @@ struct State {
 ///
 /// Shareable by reference across sweep workers (or as an `Arc` across
 /// drivers via [`CompileCache::global`]). See the module docs for the
-/// hit / warm-start / disk-seed semantics.
+/// hit / warm-start semantics.
 pub struct CompileCache {
     state: Mutex<State>,
     capacity: usize,
     warm_start: bool,
-    disk_dir: Option<PathBuf>,
 }
 
 impl fmt::Debug for CompileCache {
@@ -232,7 +184,6 @@ impl fmt::Debug for CompileCache {
         f.debug_struct("CompileCache")
             .field("capacity", &self.capacity)
             .field("warm_start", &self.warm_start)
-            .field("disk_dir", &self.disk_dir)
             .field("stats", &self.stats())
             .finish()
     }
@@ -240,13 +191,12 @@ impl fmt::Debug for CompileCache {
 
 impl CompileCache {
     /// A cache retaining up to `capacity` completed artifacts (LRU beyond
-    /// that). Warm starts and the disk tier are off by default.
+    /// that). Warm starts are off by default.
     pub fn new(capacity: usize) -> Self {
         CompileCache {
             state: Mutex::default(),
             capacity: capacity.max(1),
             warm_start: false,
-            disk_dir: None,
         }
     }
 
@@ -259,18 +209,9 @@ impl CompileCache {
         self
     }
 
-    /// Opt in to the on-disk placement-seed tier under `dir` (conventionally
-    /// `target/compile-cache/`). Misses whose key has a recorded seed file
-    /// skip annealing entirely; cold compiles with physical design record
-    /// their seed for future processes.
-    pub fn with_disk_store(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.disk_dir = Some(dir.into());
-        self
-    }
-
     /// The process-wide shared cache used by the experiment drivers, so
     /// repeated drivers (and repeated tests in one binary) stop recompiling
-    /// the same models. Exact-key reuse only: no warm starts, no disk tier.
+    /// the same models. Exact-key reuse only: no warm starts.
     pub fn global() -> Arc<CompileCache> {
         static GLOBAL: OnceLock<Arc<CompileCache>> = OnceLock::new();
         GLOBAL
@@ -354,7 +295,7 @@ impl CompileCache {
         // block inside `get_or_init` and share the artifact.
         let mut ran: Option<CacheOutcome> = None;
         let result = slot.get_or_init(|| {
-            let (model, outcome) = self.compile_slot(compiler, graph, &key, donor);
+            let (model, outcome) = Self::compile_slot(compiler, graph, &key, donor);
             ran = Some(outcome);
             model.map(Arc::new)
         });
@@ -385,7 +326,6 @@ impl CompileCache {
                 CacheOutcome::Hit => state.stats.hits += 1,
                 CacheOutcome::Miss => state.stats.misses += 1,
                 CacheOutcome::WarmStart => state.stats.warm_starts += 1,
-                CacheOutcome::DiskSeed => state.stats.disk_seeds += 1,
             }
             state.stats.saved_wall_ns += info.saved_wall_ns;
         }
@@ -397,7 +337,6 @@ impl CompileCache {
             CacheOutcome::Hit => "compile.cache.hits",
             CacheOutcome::Miss => "compile.cache.misses",
             CacheOutcome::WarmStart => "compile.cache.warm_starts",
-            CacheOutcome::DiskSeed => "compile.cache.disk_seeds",
         });
         registry.inc(metric);
 
@@ -407,49 +346,35 @@ impl CompileCache {
         }
     }
 
-    /// The compile that fills one slot: disk seed if recorded, else donor
-    /// warm start, else cold. Stamps the outcome on the artifact's trace and
-    /// records the disk seed of fresh physical designs.
+    /// The compile that fills one slot: donor warm start if physical design
+    /// runs and a donor exists, else cold. Stamps the outcome on the
+    /// artifact's trace.
     fn compile_slot(
-        &self,
         compiler: &Compiler,
         graph: &ComputationalGraph,
         key: &CompileKey,
         donor: Option<Arc<CompiledModel>>,
     ) -> (Result<CompiledModel, CompileError>, CacheOutcome) {
-        let physical_design_possible = !compiler.place_route.skip;
-        let disk_seed = if physical_design_possible {
-            self.load_disk_seed(key)
-        } else {
-            None
-        };
-
-        let (result, outcome, donor_pr_ns) = if let Some((positions, cold_pr_ns)) = disk_seed {
-            let warm = WarmStart::exact_positions(positions);
-            (
-                compiler.compile_warm(graph, Some(warm)),
-                CacheOutcome::DiskSeed,
-                cold_pr_ns,
-            )
-        } else if let Some(donor) = donor.filter(|_| physical_design_possible) {
-            let physical = donor
-                .physical
-                .as_ref()
-                .expect("donors are selected with physical designs");
-            let warm = WarmStart::from_placement(&donor.mapping.netlist, &physical.placement);
-            (
-                compiler.compile_warm(graph, Some(warm)),
-                CacheOutcome::WarmStart,
-                donor.trace.wall_ns(StageKind::PlaceRoute).unwrap_or(0.0),
-            )
-        } else {
-            (compiler.compile(graph), CacheOutcome::Miss, 0.0)
-        };
+        let (result, outcome, donor_pr_ns) =
+            if let Some(donor) = donor.filter(|_| !compiler.place_route.skip) {
+                let physical = donor
+                    .physical
+                    .as_ref()
+                    .expect("donors are selected with physical designs");
+                let warm = WarmStart::from_placement(&donor.mapping.netlist, &physical.placement);
+                (
+                    compiler.compile_warm(graph, Some(warm)),
+                    CacheOutcome::WarmStart,
+                    donor.trace.wall_ns(StageKind::PlaceRoute).unwrap_or(0.0),
+                )
+            } else {
+                (compiler.compile(graph), CacheOutcome::Miss, 0.0)
+            };
 
         let result = result.map(|mut model| {
             let saved_wall_ns = match outcome {
                 CacheOutcome::Miss => 0.0,
-                // Seeded compiles save the donor's anneal-dominated P&R time
+                // Warm starts save the donor's anneal-dominated P&R time
                 // minus the (short) P&R time they still paid.
                 _ => (donor_pr_ns - model.trace.wall_ns(StageKind::PlaceRoute).unwrap_or(0.0))
                     .max(0.0),
@@ -459,9 +384,6 @@ impl CompileCache {
                 key: key.hex(),
                 saved_wall_ns,
             });
-            if outcome != CacheOutcome::DiskSeed {
-                self.store_disk_seed(key, &model);
-            }
             model
         });
         (result, outcome)
@@ -504,85 +426,6 @@ impl CompileCache {
             }
         }
     }
-
-    // --- on-disk placement-seed tier -----------------------------------
-
-    fn seed_path(&self, key: &CompileKey) -> Option<PathBuf> {
-        self.disk_dir
-            .as_ref()
-            .map(|d| d.join(format!("{}.seed", key.hex())))
-    }
-
-    /// Parse a recorded placement seed: `(positions, recorded cold P&R ns)`.
-    fn load_disk_seed(&self, key: &CompileKey) -> Option<(Vec<(usize, usize)>, f64)> {
-        let path = self.seed_path(key)?;
-        parse_seed_file(&std::fs::read_to_string(path).ok()?, &key.hex())
-    }
-
-    /// Record the final placement of a freshly compiled physical design.
-    /// Best-effort: IO failures only cost future processes the seed.
-    fn store_disk_seed(&self, key: &CompileKey, model: &CompiledModel) {
-        let (Some(path), Some(physical)) = (self.seed_path(key), model.physical.as_ref()) else {
-            return;
-        };
-        let Some(dir) = path.parent() else { return };
-        if std::fs::create_dir_all(dir).is_err() {
-            return;
-        }
-        let mut out = String::from("fpsa-compile-cache v1\n");
-        out.push_str(&format!("key {}\n", key.hex()));
-        out.push_str(&format!("model {}\n", model.core_graph.model));
-        out.push_str(&format!(
-            "pr_wall_ns {:.1}\n",
-            model.trace.wall_ns(StageKind::PlaceRoute).unwrap_or(0.0)
-        ));
-        let positions = physical.placement.positions();
-        out.push_str(&format!("blocks {}\n", positions.len()));
-        for &(r, c) in positions {
-            out.push_str(&format!("pos {r} {c}\n"));
-        }
-        let _ = std::fs::write(path, out);
-    }
-}
-
-/// Parse the line-based seed format written by `store_disk_seed`. Returns
-/// `None` on any malformed or mismatched content (the cache treats a bad
-/// seed as a plain miss).
-fn parse_seed_file(contents: &str, expected_key: &str) -> Option<(Vec<(usize, usize)>, f64)> {
-    let mut lines = contents.lines();
-    if lines.next()? != "fpsa-compile-cache v1" {
-        return None;
-    }
-    let key = lines.next()?.strip_prefix("key ")?;
-    if key != expected_key {
-        return None;
-    }
-    let _model = lines.next()?.strip_prefix("model ")?;
-    let pr_wall_ns: f64 = lines.next()?.strip_prefix("pr_wall_ns ")?.parse().ok()?;
-    let blocks: usize = lines.next()?.strip_prefix("blocks ")?.parse().ok()?;
-    let mut positions = Vec::with_capacity(blocks);
-    for _ in 0..blocks {
-        let mut parts = lines.next()?.strip_prefix("pos ")?.split(' ');
-        let r: usize = parts.next()?.parse().ok()?;
-        let c: usize = parts.next()?.parse().ok()?;
-        positions.push((r, c));
-    }
-    Some((positions, pr_wall_ns))
-}
-
-/// The conventional on-disk seed directory for a workspace: `<root>/target/
-/// compile-cache/`, discovered by walking up from `start` to the directory
-/// holding `Cargo.lock`. Falls back to `<start>/target/compile-cache`.
-pub fn default_disk_dir(start: impl AsRef<Path>) -> PathBuf {
-    let start = start.as_ref();
-    let mut dir = Some(start);
-    while let Some(d) = dir {
-        if d.join("Cargo.lock").is_file() {
-            return d.join("target").join("compile-cache");
-        }
-        dir = d.parent();
-    }
-    start.join("target").join("compile-cache")
 }
 
 #[cfg(test)]
@@ -663,21 +506,5 @@ mod tests {
             warmed.trace.cache().unwrap().outcome,
             CacheOutcome::WarmStart
         );
-    }
-
-    #[test]
-    fn seed_files_round_trip_through_the_parser() {
-        let key = CompileKey::for_compile(&Compiler::fpsa(), &zoo::lenet());
-        let contents = format!(
-            "fpsa-compile-cache v1\nkey {}\nmodel lenet\npr_wall_ns 1234.5\nblocks 2\npos 1 2\npos 3 4\n",
-            key.hex()
-        );
-        let (positions, ns) = parse_seed_file(&contents, &key.hex()).unwrap();
-        assert_eq!(positions, vec![(1, 2), (3, 4)]);
-        assert_eq!(ns, 1234.5);
-        // Wrong key, truncated body, bad header -> rejected.
-        assert!(parse_seed_file(&contents, "0000").is_none());
-        assert!(parse_seed_file("fpsa-compile-cache v1\n", &key.hex()).is_none());
-        assert!(parse_seed_file("junk", &key.hex()).is_none());
     }
 }

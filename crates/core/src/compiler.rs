@@ -168,8 +168,8 @@ impl Compiler {
     }
 
     /// [`Compiler::compile`] with an optional warm start for the annealer:
-    /// a prior placement (a compile-cache near-miss donor, or an exact
-    /// on-disk seed) handed to the PlaceRoute stage, which seeds matching
+    /// a prior placement (a compile-cache near-miss donor) handed to the
+    /// PlaceRoute stage, which seeds matching
     /// blocks and runs a cut anneal schedule instead of a cold anneal. See
     /// [`fpsa_placeroute::WarmStart`] and `crate::cache::CompileCache`.
     ///

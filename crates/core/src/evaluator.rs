@@ -4,9 +4,8 @@
 //! degree and collects everything the paper's figures report: the measured
 //! performance, the peak and the spatial/temporal utilization bounds, and the
 //! compute/communication latency breakdown. Evaluations of independent
-//! (model, duplication) points are embarrassingly parallel;
-//! [`Evaluator::evaluate_many`] routes them through the unified
-//! [`crate::sweep::Sweep`] engine.
+//! (model, duplication) points are embarrassingly parallel and fan out
+//! through the unified [`crate::sweep::Sweep`] engine.
 
 use crate::cache::CompileCache;
 use crate::compiler::{CompiledModel, Compiler};
@@ -45,11 +44,6 @@ impl ModelEvaluation {
     /// The real computational density in OPS/mm².
     pub fn density_ops_mm2(&self) -> f64 {
         self.performance.ops_per_mm2
-    }
-
-    /// The peak computational density in OPS/mm².
-    pub fn peak_density_ops_mm2(&self) -> f64 {
-        self.peak_ops / self.performance.area_mm2.max(1e-9)
     }
 }
 
@@ -131,12 +125,6 @@ impl Evaluator {
             measured_ops: stats.total_ops,
         }
     }
-
-    /// Evaluate several (benchmark, duplication) points in parallel through
-    /// the unified sweep engine; results keep the input order.
-    pub fn evaluate_many(&self, points: &[(Benchmark, u64)]) -> Vec<ModelEvaluation> {
-        crate::sweep::Sweep::over_points(&self.arch, points).run()
-    }
 }
 
 #[cfg(test)]
@@ -151,7 +139,6 @@ mod tests {
         assert!(eval.performance.throughput_samples_per_s > 0.0);
         assert!(eval.spatial_utilization > 0.0 && eval.spatial_utilization <= 1.0);
         assert!(eval.temporal_utilization > 0.0 && eval.temporal_utilization <= 1.0 + 1e-9);
-        assert!(eval.peak_density_ops_mm2() >= eval.density_ops_mm2());
     }
 
     #[test]
@@ -170,18 +157,6 @@ mod tests {
             (m16.performance.throughput_samples_per_s / m1.performance.throughput_samples_per_s)
                 < 1.5
         );
-    }
-
-    #[test]
-    fn parallel_sweep_matches_sequential_results() {
-        let evaluator = Evaluator::fpsa();
-        let points = [(Benchmark::Mlp500x100, 1), (Benchmark::LeNet, 4)];
-        let parallel = evaluator.evaluate_many(&points);
-        let sequential: Vec<ModelEvaluation> = points
-            .iter()
-            .map(|&(b, d)| evaluator.evaluate(b, d))
-            .collect();
-        assert_eq!(parallel, sequential);
     }
 
     #[test]

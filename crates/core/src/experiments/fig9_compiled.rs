@@ -71,11 +71,6 @@ pub fn reference_network() -> (ComputationalGraph, GraphParameters, Dataset) {
     (graph, params, test)
 }
 
-/// Regenerate the sweep with the measured cell variation.
-pub fn run() -> CompiledFigure9 {
-    run_with(CellVariation::measured(), &[1, 2, 4, 8, 16], 3)
-}
-
 /// Regenerate for an arbitrary variation, cell counts and Monte-Carlo trial
 /// count. Each (method, cells) point binds `trials` independently-seeded
 /// executors (`seeds::derive(base, STREAM_TRIAL, trial)` base seeds, per-PE

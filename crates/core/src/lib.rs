@@ -6,8 +6,8 @@
 //!   deploy a network on the FPSA fabric;
 //! * [`cache`] — the content-addressed compile cache: stable structural
 //!   keys over (graph + compiler config), single-flight artifact reuse
-//!   across sweep workers, opt-in warm-started annealing from near-miss
-//!   donors, and an opt-in on-disk placement-seed tier;
+//!   across sweep workers, and opt-in warm-started annealing from
+//!   near-miss donors;
 //! * [`pipeline`] — the instrumented stage pipeline beneath the compiler
 //!   (`Synthesize → Map → PlaceRoute → Estimate`), each stage a typed
 //!   artifact transform whose wall-clock time and sizes land in a
@@ -17,7 +17,7 @@
 //!   communication critical path, and reports throughput, latency, area and
 //!   utilization;
 //! * [`sweep`] — the unified rayon-backed parallel sweep engine every
-//!   experiment driver and `Evaluator::evaluate_many` fan out through;
+//!   experiment driver fans out through;
 //! * [`validate`](mod@validate) — the differential validation path: compile a model, run
 //!   it on the simulated fabric via `fpsa_sim::exec` and diff the outputs
 //!   against the golden-model reference (float tolerance + integer

@@ -231,12 +231,6 @@ impl PlaceRouteConfig {
         self
     }
 
-    /// Force-skip physical design.
-    pub fn skipped(mut self) -> Self {
-        self.skip = true;
-        self
-    }
-
     /// Opt in to the silent analytic-model fallback for over-limit netlists.
     pub fn with_analytic_fallback(mut self) -> Self {
         self.over_limit = OverLimitPolicy::AnalyticFallback;
@@ -269,7 +263,7 @@ impl PlaceRouteStage {
     }
 
     /// Seed the annealer from a prior placement (a compile-cache near-miss
-    /// donor or an exact on-disk seed). See [`fpsa_placeroute::WarmStart`].
+    /// donor). See [`fpsa_placeroute::WarmStart`].
     pub fn with_warm_start(mut self, warm: WarmStart) -> Self {
         self.warm = Some(warm);
         self
@@ -584,7 +578,13 @@ mod tests {
         let mapping = pipeline.run_stage(&MapStage::new(&arch, 1), &core).unwrap();
         let physical = pipeline
             .run_stage(
-                &PlaceRouteStage::new(arch.clone(), PlaceRouteConfig::fast().skipped()),
+                &PlaceRouteStage::new(
+                    arch.clone(),
+                    PlaceRouteConfig {
+                        skip: true,
+                        ..PlaceRouteConfig::fast()
+                    },
+                ),
                 &mapping,
             )
             .unwrap();

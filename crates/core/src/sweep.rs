@@ -1,11 +1,10 @@
 //! The unified parallel sweep engine.
 //!
-//! Every experiment driver used to hand-roll its own loop, and
-//! `Evaluator::evaluate_many` hand-rolled `crossbeam::scope` threading. This
-//! module replaces all of that with one rayon-backed engine:
+//! Every experiment driver used to hand-roll its own loop. This module
+//! replaces all of that with one rayon-backed engine:
 //!
 //! * [`Sweep`] — the typed grid of (model × architecture × duplication)
-//!   points behind Figure 8, Table 3 and `Evaluator::evaluate_many`;
+//!   points behind Figure 8 and Table 3;
 //! * [`parallel_map`] — the order-preserving parallel primitive under
 //!   [`Sweep::run`], shared by drivers whose grids are not model-shaped
 //!   (area sweeps, per-architecture bars, variation trials);
@@ -92,16 +91,6 @@ impl Sweep {
         sweep
     }
 
-    /// Explicit (model, duplication) pairs on one architecture — the shape
-    /// `Evaluator::evaluate_many` asks for.
-    pub fn over_points(architecture: &ArchitectureConfig, pairs: &[(Benchmark, u64)]) -> Self {
-        let mut sweep = Sweep::new();
-        for &(benchmark, duplication) in pairs {
-            sweep = sweep.point(benchmark, architecture.clone(), duplication);
-        }
-        sweep
-    }
-
     /// Append one point.
     pub fn point(
         mut self,
@@ -115,21 +104,6 @@ impl Sweep {
             duplication,
         });
         self
-    }
-
-    /// The points in evaluation order.
-    pub fn points(&self) -> &[SweepPoint] {
-        &self.points
-    }
-
-    /// Number of points.
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    /// Whether the sweep has no points.
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
     }
 
     /// Evaluate every point in parallel; results keep the point order.
@@ -160,6 +134,30 @@ impl Sweep {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Sweep {
+        /// Explicit (model, duplication) pairs on one architecture.
+        pub(crate) fn over_points(
+            architecture: &ArchitectureConfig,
+            pairs: &[(Benchmark, u64)],
+        ) -> Self {
+            let mut sweep = Sweep::new();
+            for &(benchmark, duplication) in pairs {
+                sweep = sweep.point(benchmark, architecture.clone(), duplication);
+            }
+            sweep
+        }
+
+        /// The points in evaluation order.
+        pub(crate) fn points(&self) -> &[SweepPoint] {
+            &self.points
+        }
+
+        /// Number of points.
+        pub(crate) fn len(&self) -> usize {
+            self.points.len()
+        }
+    }
 
     #[test]
     fn parallel_map_preserves_order() {

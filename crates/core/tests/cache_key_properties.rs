@@ -2,18 +2,17 @@
 //!
 //! The cache's correctness rests on two sides of the same coin:
 //!
-//! * **stability** — rebuilding the same (graph, parameters, compiler
-//!   configuration) from scratch derives the identical key, so the cache
-//!   can be consulted across independently constructed inputs;
+//! * **stability** — rebuilding the same (graph, compiler configuration)
+//!   from scratch derives the identical key, so the cache can be consulted
+//!   across independently constructed inputs;
 //! * **sensitivity** — perturbing any field that affects the compiled
 //!   artifact (a layer width, the duplication degree, the placer seed, the
-//!   P&R skip policy, a single weight bit) derives a different key, so a
-//!   stale artifact can never be returned for changed inputs.
+//!   P&R skip policy) derives a different key, so a stale artifact can
+//!   never be returned for changed inputs.
 
 use fpsa_core::compiler::PlaceRouteConfig;
 use fpsa_core::{CompileKey, Compiler};
 use fpsa_nn::params::mlp_graph;
-use fpsa_nn::GraphParameters;
 use proptest::prelude::*;
 
 proptest! {
@@ -23,7 +22,6 @@ proptest! {
     fn bit_identical_rebuilds_hash_identically(
         sizes in proptest::collection::vec(2usize..64, 2..5),
         duplication in 1u64..8,
-        seed in 0u64..u64::MAX,
     ) {
         let graph_a = mlp_graph("prop", &sizes);
         let graph_b = mlp_graph("prop", &sizes);
@@ -32,12 +30,6 @@ proptest! {
         prop_assert_eq!(
             CompileKey::for_compile(&compiler_a, &graph_a),
             CompileKey::for_compile(&compiler_b, &graph_b)
-        );
-        let params_a = GraphParameters::seeded(&graph_a, seed);
-        let params_b = GraphParameters::seeded(&graph_b, seed);
-        prop_assert_eq!(
-            CompileKey::for_bind(&compiler_a, &graph_a, &params_a),
-            CompileKey::for_bind(&compiler_b, &graph_b, &params_b)
         );
     }
 
@@ -85,32 +77,5 @@ proptest! {
             .with_duplication(duplication)
             .without_place_and_route();
         prop_assert_ne!(key, CompileKey::for_compile(&skipped, &graph));
-    }
-
-    #[test]
-    fn perturbing_one_weight_bit_changes_the_bind_key(
-        sizes in proptest::collection::vec(2usize..16, 2..4),
-        seed in 0u64..u64::MAX,
-        which in 0usize..1024,
-    ) {
-        let graph = mlp_graph("prop", &sizes);
-        let compiler = Compiler::fpsa();
-        let params = GraphParameters::seeded(&graph, seed);
-        let key = CompileKey::for_bind(&compiler, &graph, &params);
-
-        // Flip the low mantissa bit of one weight of one parameterized node.
-        let mut tensors: Vec<Option<Vec<f32>>> = (0..params.len())
-            .map(|n| params.weights(n).map(|w| w.to_vec()))
-            .collect();
-        let holders: Vec<usize> = (0..tensors.len())
-            .filter(|&n| tensors[n].as_ref().is_some_and(|w| !w.is_empty()))
-            .collect();
-        prop_assert!(!holders.is_empty(), "MLPs always carry weights");
-        let node = holders[which % holders.len()];
-        let tensor = tensors[node].as_mut().unwrap();
-        let j = which % tensor.len();
-        tensor[j] = f32::from_bits(tensor[j].to_bits() ^ 1);
-        let perturbed = GraphParameters::from_parts(tensors);
-        prop_assert_ne!(key, CompileKey::for_bind(&compiler, &graph, &perturbed));
     }
 }

@@ -47,16 +47,6 @@ impl CircuitCost {
             latency_ns: self.latency_ns,
         }
     }
-
-    /// Compose two components that operate in series within one clock cycle:
-    /// areas and energies add and latencies add.
-    pub fn in_series(&self, other: &CircuitCost) -> CircuitCost {
-        CircuitCost {
-            area_um2: self.area_um2 + other.area_um2,
-            energy_pj: self.energy_pj + other.energy_pj,
-            latency_ns: self.latency_ns + other.latency_ns,
-        }
-    }
 }
 
 /// The single-transistor row driver of the FPSA PE.
@@ -136,25 +126,6 @@ impl NeuronUnit {
     pub fn cost(&self) -> CircuitCost {
         CircuitCost::new(self.area_um2, self.energy_pj, self.latency_ns)
     }
-
-    /// The constant η of Equation 2: the total conductance-time product that
-    /// must be accumulated for the membrane to travel from the reset voltage
-    /// to the threshold voltage, given charging voltage `vdd` and per-cycle
-    /// charging time `tau_ns`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `vdd <= v_threshold`, which would make the neuron unable to
-    /// ever reach its threshold.
-    pub fn eta(&self, vdd: f64, tau_ns: f64) -> f64 {
-        assert!(
-            vdd > self.v_threshold,
-            "charging voltage must exceed the neuron threshold"
-        );
-        let c = self.capacitance_ff * 1e-15;
-        let tau = tau_ns * 1e-9;
-        (c / tau) * ((vdd - self.v_reset) / (vdd - self.v_threshold)).ln()
-    }
 }
 
 impl Default for NeuronUnit {
@@ -192,12 +163,6 @@ impl SpikeSubtracter {
     pub fn cost(&self) -> CircuitCost {
         CircuitCost::new(self.area_um2, self.energy_pj, self.latency_ns)
     }
-
-    /// Functional model: output spike count for positive/negative input
-    /// counts (saturating subtraction, i.e. ReLU on spike counts).
-    pub fn subtract(&self, positive: u32, negative: u32) -> u32 {
-        positive.saturating_sub(negative)
-    }
 }
 
 impl Default for SpikeSubtracter {
@@ -216,14 +181,6 @@ mod tests {
         assert!((c.area_um2 - 8.0).abs() < 1e-12);
         assert!((c.energy_pj - 2.0).abs() < 1e-12);
         assert!((c.latency_ns - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn in_series_adds_everything() {
-        let a = CircuitCost::new(1.0, 2.0, 3.0);
-        let b = CircuitCost::new(10.0, 20.0, 30.0);
-        let c = a.in_series(&b);
-        assert_eq!(c, CircuitCost::new(11.0, 22.0, 33.0));
     }
 
     #[test]
@@ -253,30 +210,5 @@ mod tests {
             + NeuronUnit::n45().latency_ns
             + SpikeSubtracter::n45().latency_ns;
         assert!((clock - 2.443).abs() < 1e-9);
-    }
-
-    #[test]
-    fn neuron_eta_is_positive_and_monotone_in_capacitance() {
-        let mut n = NeuronUnit::n45();
-        let eta1 = n.eta(1.0, 2.443);
-        n.capacitance_ff *= 2.0;
-        let eta2 = n.eta(1.0, 2.443);
-        assert!(eta1 > 0.0);
-        assert!(eta2 > eta1);
-    }
-
-    #[test]
-    #[should_panic(expected = "charging voltage must exceed")]
-    fn neuron_eta_panics_for_unreachable_threshold() {
-        let n = NeuronUnit::n45();
-        let _ = n.eta(0.1, 2.443);
-    }
-
-    #[test]
-    fn subtracter_is_relu_on_counts() {
-        let s = SpikeSubtracter::n45();
-        assert_eq!(s.subtract(10, 3), 7);
-        assert_eq!(s.subtract(3, 10), 0);
-        assert_eq!(s.subtract(0, 0), 0);
     }
 }

@@ -7,7 +7,6 @@
 //! paper integrates 128 LUTs per CLB so that a CLB's area and pin count are
 //! comparable to one PE.
 
-use crate::error::DeviceError;
 use crate::sram::SramMacro;
 use serde::{Deserialize, Serialize};
 
@@ -51,96 +50,11 @@ impl ConfigurableLogicBlockSpec {
     pub fn latency_ns(&self) -> f64 {
         self.lut_latency_ns
     }
-
-    /// Total configuration bits held by the block (LUT contents only).
-    pub fn configuration_bits(&self) -> usize {
-        self.lut_count * self.lut_sram.bits
-    }
-
-    /// Number of routing pins: each LUT has 6 inputs and 1 output, but pins
-    /// are shared at the block boundary; the paper sizes the CLB so its pin
-    /// count is similar to a PE's (512). We expose 4 pins per LUT
-    /// (3 block-level inputs + 1 output after internal sharing).
-    pub fn pin_count(&self) -> usize {
-        self.lut_count * 4
-    }
 }
 
 impl Default for ConfigurableLogicBlockSpec {
     fn default() -> Self {
         Self::fpsa_128lut()
-    }
-}
-
-/// A programmed lookup table: 6 inputs, 64 configuration bits.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct LookupTable {
-    inputs: u32,
-    truth_table: Vec<bool>,
-}
-
-impl LookupTable {
-    /// Create a LUT with `inputs` inputs, initialised to constant-zero.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DeviceError::InvalidParameter`] if `inputs` is zero or
-    /// larger than 20 (which would need a >1 Mbit truth table).
-    pub fn new(inputs: u32) -> Result<Self, DeviceError> {
-        if inputs == 0 || inputs > 20 {
-            return Err(DeviceError::InvalidParameter {
-                name: "inputs",
-                reason: format!("LUT input count {inputs} must be in 1..=20"),
-            });
-        }
-        Ok(LookupTable {
-            inputs,
-            truth_table: vec![false; 1usize << inputs],
-        })
-    }
-
-    /// A standard 6-input LUT.
-    pub fn six_input() -> Self {
-        Self::new(6).expect("6 is a valid LUT size")
-    }
-
-    /// Number of inputs.
-    pub fn inputs(&self) -> u32 {
-        self.inputs
-    }
-
-    /// Program the full truth table.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DeviceError::InvalidParameter`] if `bits` has the wrong length.
-    pub fn program(&mut self, bits: &[bool]) -> Result<(), DeviceError> {
-        if bits.len() != self.truth_table.len() {
-            return Err(DeviceError::InvalidParameter {
-                name: "bits",
-                reason: format!(
-                    "expected {} truth-table bits, got {}",
-                    self.truth_table.len(),
-                    bits.len()
-                ),
-            });
-        }
-        self.truth_table.copy_from_slice(bits);
-        Ok(())
-    }
-
-    /// Program the LUT from a boolean function of its input index.
-    pub fn program_fn<F: Fn(usize) -> bool>(&mut self, f: F) {
-        for (i, bit) in self.truth_table.iter_mut().enumerate() {
-            *bit = f(i);
-        }
-    }
-
-    /// Evaluate the LUT for a packed input vector (bit i of `input` is LUT
-    /// input i). Bits above `self.inputs` are ignored.
-    pub fn evaluate(&self, input: usize) -> bool {
-        let mask = (1usize << self.inputs) - 1;
-        self.truth_table[input & mask]
     }
 }
 
@@ -159,56 +73,5 @@ mod tests {
         let clb = ConfigurableLogicBlockSpec::fpsa_128lut();
         assert!((clb.latency_ns() - 0.229).abs() < 1e-12);
         assert!((clb.cycle_energy_pj - 3.106).abs() < 1e-12);
-    }
-
-    #[test]
-    fn clb_pin_count_is_comparable_to_a_pe() {
-        let clb = ConfigurableLogicBlockSpec::fpsa_128lut();
-        // The paper sizes the CLB so its pin count is similar to one PE (512).
-        assert_eq!(clb.pin_count(), 512);
-    }
-
-    #[test]
-    fn configuration_bits_are_lut_count_times_64() {
-        let clb = ConfigurableLogicBlockSpec::fpsa_128lut();
-        assert_eq!(clb.configuration_bits(), 128 * 64);
-    }
-
-    #[test]
-    fn lut_rejects_degenerate_sizes() {
-        assert!(LookupTable::new(0).is_err());
-        assert!(LookupTable::new(21).is_err());
-    }
-
-    #[test]
-    fn lut_program_and_evaluate_xor() {
-        let mut lut = LookupTable::new(2).unwrap();
-        lut.program(&[false, true, true, false]).unwrap();
-        assert!(!lut.evaluate(0b00));
-        assert!(lut.evaluate(0b01));
-        assert!(lut.evaluate(0b10));
-        assert!(!lut.evaluate(0b11));
-    }
-
-    #[test]
-    fn lut_program_rejects_wrong_length() {
-        let mut lut = LookupTable::six_input();
-        assert!(lut.program(&[true; 32]).is_err());
-    }
-
-    #[test]
-    fn lut_program_fn_implements_majority() {
-        let mut lut = LookupTable::new(3).unwrap();
-        lut.program_fn(|i| i.count_ones() >= 2);
-        assert!(!lut.evaluate(0b001));
-        assert!(lut.evaluate(0b011));
-        assert!(lut.evaluate(0b111));
-    }
-
-    #[test]
-    fn lut_evaluate_masks_high_bits() {
-        let mut lut = LookupTable::new(2).unwrap();
-        lut.program(&[true, false, false, false]).unwrap();
-        assert!(lut.evaluate(0b100)); // bit 2 ignored -> index 0
     }
 }

@@ -25,8 +25,6 @@
 
 pub mod circuits;
 pub mod clb;
-pub mod energy;
-pub mod error;
 pub mod pe;
 pub mod reram;
 pub mod smb;
@@ -35,6 +33,5 @@ pub mod sram;
 pub mod tech;
 pub mod variation;
 
-pub use error::DeviceError;
 pub use pe::ProcessingElementSpec;
 pub use tech::TechnologyNode;

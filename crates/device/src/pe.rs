@@ -129,11 +129,6 @@ impl ProcessingElementSpec {
         self.cost_breakdown().total().energy_pj
     }
 
-    /// Energy of one full VMM in pJ.
-    pub fn vmm_energy_pj(&self) -> f64 {
-        self.cycle_energy_pj() * self.sampling_window() as f64
-    }
-
     /// Number of arithmetic operations performed by one VMM
     /// (a multiply and an add per logical cross point).
     pub fn ops_per_vmm(&self) -> f64 {
@@ -148,20 +143,6 @@ impl ProcessingElementSpec {
     /// Computational density in TOPS per mm² — the headline Table 2 metric.
     pub fn computational_density_tops_per_mm2(&self) -> f64 {
         units::ops_to_tops(self.peak_ops_per_second()) / self.area_mm2()
-    }
-
-    /// Weight storage capacity of the PE in 8-bit weights (one logical
-    /// cross point stores one weight, regardless of how many physical cells
-    /// implement it).
-    pub fn weight_capacity(&self) -> usize {
-        self.logical_rows() * self.logical_cols()
-    }
-
-    /// Number of routing pins the PE exposes (one per logical input plus one
-    /// per logical output spike signal). Used by the routing architecture to
-    /// size connection boxes.
-    pub fn pin_count(&self) -> usize {
-        self.logical_rows() + self.logical_cols()
     }
 }
 
@@ -214,8 +195,6 @@ mod tests {
         assert_eq!(pe.logical_rows(), 256);
         assert_eq!(pe.logical_cols(), 256);
         assert_eq!(pe.sampling_window(), 64);
-        assert_eq!(pe.weight_capacity(), 256 * 256);
-        assert_eq!(pe.pin_count(), 512);
     }
 
     #[test]
@@ -279,12 +258,6 @@ mod tests {
         pe.io_bits = 4;
         let l4 = pe.vmm_latency_ns();
         assert!((l6 / l4 - 4.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn energy_scales_with_sampling_window() {
-        let pe = ProcessingElementSpec::fpsa_default();
-        assert!((pe.vmm_energy_pj() - pe.cycle_energy_pj() * 64.0).abs() < 1e-9);
     }
 
     #[test]

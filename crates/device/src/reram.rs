@@ -11,7 +11,6 @@
 //! 4-bit cells per weight, summed in parallel (the *add* method), to realise
 //! an 8-bit weight with low effective variation.
 
-use crate::error::DeviceError;
 use crate::tech::TechnologyNode;
 use serde::{Deserialize, Serialize};
 
@@ -38,40 +37,6 @@ impl ReramCell {
             g_max: 1.0 / 10_000.0,
             endurance_writes: 1e12,
         }
-    }
-
-    /// Number of bits a single cell stores.
-    pub fn bits(&self) -> u32 {
-        assert!(self.levels >= 2, "a cell needs at least two levels");
-        (self.levels as f64).log2().round() as u32
-    }
-
-    /// Conductance corresponding to a given level.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DeviceError::InvalidParameter`] if `level` is not smaller
-    /// than `self.levels`.
-    pub fn conductance_for_level(&self, level: u32) -> Result<f64, DeviceError> {
-        if level >= self.levels {
-            return Err(DeviceError::InvalidParameter {
-                name: "level",
-                reason: format!("level {level} exceeds cell levels {}", self.levels),
-            });
-        }
-        let step = (self.g_max - self.g_min) / (self.levels - 1) as f64;
-        Ok(self.g_min + step * level as f64)
-    }
-
-    /// The conductance step between adjacent levels.
-    pub fn level_step(&self) -> f64 {
-        (self.g_max - self.g_min) / (self.levels - 1) as f64
-    }
-
-    /// Quantize an unsigned normalized value in `[0, 1]` to the nearest level.
-    pub fn quantize(&self, normalized: f64) -> u32 {
-        let clamped = normalized.clamp(0.0, 1.0);
-        (clamped * (self.levels - 1) as f64).round() as u32
     }
 }
 
@@ -105,37 +70,6 @@ impl CrossbarSpec {
         }
     }
 
-    /// Create a crossbar specification with explicit dimensions.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DeviceError::InvalidParameter`] if either dimension is zero.
-    pub fn new(
-        rows: usize,
-        cols: usize,
-        cell: ReramCell,
-        tech: TechnologyNode,
-    ) -> Result<Self, DeviceError> {
-        if rows == 0 {
-            return Err(DeviceError::InvalidParameter {
-                name: "rows",
-                reason: "must be non-zero".into(),
-            });
-        }
-        if cols == 0 {
-            return Err(DeviceError::InvalidParameter {
-                name: "cols",
-                reason: "must be non-zero".into(),
-            });
-        }
-        Ok(CrossbarSpec {
-            rows,
-            cols,
-            cell,
-            tech,
-        })
-    }
-
     /// Number of cells in the array.
     pub fn cell_count(&self) -> usize {
         self.rows * self.cols
@@ -161,123 +95,11 @@ impl CrossbarSpec {
     pub fn rc_delay_ns(&self) -> f64 {
         0.01 * (self.rows.max(self.cols) as f64 / 100.0)
     }
-
-    /// Analog dot-product computed by the array for a dense input vector, as
-    /// a functional reference: `I_j = sum_i G[j][i] * V[i]`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DeviceError::InvalidParameter`] when the dimensions of
-    /// `conductance` or `voltages` do not match the array.
-    pub fn dot_product(
-        &self,
-        conductance: &[Vec<f64>],
-        voltages: &[f64],
-    ) -> Result<Vec<f64>, DeviceError> {
-        if voltages.len() != self.rows {
-            return Err(DeviceError::InvalidParameter {
-                name: "voltages",
-                reason: format!("expected {} rows, got {}", self.rows, voltages.len()),
-            });
-        }
-        if conductance.len() != self.cols {
-            return Err(DeviceError::InvalidParameter {
-                name: "conductance",
-                reason: format!("expected {} columns, got {}", self.cols, conductance.len()),
-            });
-        }
-        let mut currents = Vec::with_capacity(self.cols);
-        for column in conductance {
-            if column.len() != self.rows {
-                return Err(DeviceError::InvalidParameter {
-                    name: "conductance",
-                    reason: format!(
-                        "expected {} rows per column, got {}",
-                        self.rows,
-                        column.len()
-                    ),
-                });
-            }
-            let i: f64 = column.iter().zip(voltages).map(|(g, v)| g * v).sum();
-            currents.push(i);
-        }
-        Ok(currents)
-    }
 }
 
 impl Default for CrossbarSpec {
     fn default() -> Self {
         Self::fpsa_256x512()
-    }
-}
-
-/// A programmed crossbar: a [`CrossbarSpec`] plus a conductance matrix,
-/// stored column-major (one vector of row conductances per physical column).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ProgrammedCrossbar {
-    spec: CrossbarSpec,
-    conductance: Vec<Vec<f64>>,
-}
-
-impl ProgrammedCrossbar {
-    /// Create a crossbar with all cells at the minimum conductance.
-    pub fn new(spec: CrossbarSpec) -> Self {
-        let conductance = vec![vec![spec.cell.g_min; spec.rows]; spec.cols];
-        ProgrammedCrossbar { spec, conductance }
-    }
-
-    /// The geometry of this crossbar.
-    pub fn spec(&self) -> &CrossbarSpec {
-        &self.spec
-    }
-
-    /// Program one cell to a given level.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DeviceError::IndexOutOfBounds`] for out-of-range indices and
-    /// propagates level errors from [`ReramCell::conductance_for_level`].
-    pub fn program_level(&mut self, row: usize, col: usize, level: u32) -> Result<(), DeviceError> {
-        if row >= self.spec.rows || col >= self.spec.cols {
-            return Err(DeviceError::IndexOutOfBounds {
-                row,
-                col,
-                dims: (self.spec.rows, self.spec.cols),
-            });
-        }
-        let g = self.spec.cell.conductance_for_level(level)?;
-        self.conductance[col][row] = g;
-        Ok(())
-    }
-
-    /// Read back the programmed conductance of a cell.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DeviceError::IndexOutOfBounds`] for out-of-range indices.
-    pub fn conductance(&self, row: usize, col: usize) -> Result<f64, DeviceError> {
-        if row >= self.spec.rows || col >= self.spec.cols {
-            return Err(DeviceError::IndexOutOfBounds {
-                row,
-                col,
-                dims: (self.spec.rows, self.spec.cols),
-            });
-        }
-        Ok(self.conductance[col][row])
-    }
-
-    /// The full conductance matrix (column-major).
-    pub fn conductance_matrix(&self) -> &[Vec<f64>] {
-        &self.conductance
-    }
-
-    /// Analog column currents for a row-voltage vector.
-    ///
-    /// # Errors
-    ///
-    /// See [`CrossbarSpec::dot_product`].
-    pub fn column_currents(&self, voltages: &[f64]) -> Result<Vec<f64>, DeviceError> {
-        self.spec.dot_product(&self.conductance, voltages)
     }
 }
 
@@ -289,34 +111,7 @@ mod tests {
     fn four_bit_cell_has_16_levels_and_4_bits() {
         let c = ReramCell::four_bit();
         assert_eq!(c.levels, 16);
-        assert_eq!(c.bits(), 4);
-    }
-
-    #[test]
-    fn conductance_levels_are_monotone() {
-        let c = ReramCell::four_bit();
-        let mut last = -1.0;
-        for level in 0..c.levels {
-            let g = c.conductance_for_level(level).unwrap();
-            assert!(g > last);
-            last = g;
-        }
-    }
-
-    #[test]
-    fn conductance_rejects_out_of_range_level() {
-        let c = ReramCell::four_bit();
-        assert!(c.conductance_for_level(16).is_err());
-    }
-
-    #[test]
-    fn quantize_clamps_and_rounds() {
-        let c = ReramCell::four_bit();
-        assert_eq!(c.quantize(-0.3), 0);
-        assert_eq!(c.quantize(0.0), 0);
-        assert_eq!(c.quantize(1.0), 15);
-        assert_eq!(c.quantize(2.0), 15);
-        assert_eq!(c.quantize(0.5), 8);
+        assert_eq!(c.levels.ilog2(), 4);
     }
 
     #[test]
@@ -336,53 +131,5 @@ mod tests {
     fn crossbar_rc_delay_is_negligible() {
         let xb = CrossbarSpec::fpsa_256x512();
         assert!(xb.rc_delay_ns() < 0.1);
-    }
-
-    #[test]
-    fn crossbar_rejects_zero_dimensions() {
-        assert!(CrossbarSpec::new(0, 4, ReramCell::four_bit(), TechnologyNode::n45()).is_err());
-        assert!(CrossbarSpec::new(4, 0, ReramCell::four_bit(), TechnologyNode::n45()).is_err());
-    }
-
-    #[test]
-    fn dot_product_matches_manual_computation() {
-        let spec = CrossbarSpec::new(2, 2, ReramCell::four_bit(), TechnologyNode::n45()).unwrap();
-        let g = vec![vec![1.0, 2.0], vec![3.0, 4.0]];
-        let v = vec![0.5, 0.25];
-        let i = spec.dot_product(&g, &v).unwrap();
-        assert!((i[0] - (1.0 * 0.5 + 2.0 * 0.25)).abs() < 1e-12);
-        assert!((i[1] - (3.0 * 0.5 + 4.0 * 0.25)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn dot_product_validates_dimensions() {
-        let spec = CrossbarSpec::new(2, 2, ReramCell::four_bit(), TechnologyNode::n45()).unwrap();
-        assert!(spec.dot_product(&[vec![1.0, 2.0]], &[0.5, 0.5]).is_err());
-        assert!(spec
-            .dot_product(&[vec![1.0, 2.0], vec![3.0, 4.0]], &[0.5])
-            .is_err());
-    }
-
-    #[test]
-    fn programmed_crossbar_program_and_read_back() {
-        let spec = CrossbarSpec::new(4, 4, ReramCell::four_bit(), TechnologyNode::n45()).unwrap();
-        let mut xb = ProgrammedCrossbar::new(spec);
-        xb.program_level(1, 2, 15).unwrap();
-        let g = xb.conductance(1, 2).unwrap();
-        assert!((g - ReramCell::four_bit().g_max).abs() < 1e-15);
-        assert!(xb.program_level(4, 0, 1).is_err());
-        assert!(xb.conductance(0, 4).is_err());
-    }
-
-    #[test]
-    fn programmed_crossbar_currents_scale_with_levels() {
-        let spec = CrossbarSpec::new(2, 1, ReramCell::four_bit(), TechnologyNode::n45()).unwrap();
-        let mut xb = ProgrammedCrossbar::new(spec);
-        let v = vec![1.0, 1.0];
-        let before = xb.column_currents(&v).unwrap()[0];
-        xb.program_level(0, 0, 15).unwrap();
-        xb.program_level(1, 0, 15).unwrap();
-        let after = xb.column_currents(&v).unwrap()[0];
-        assert!(after > before);
     }
 }

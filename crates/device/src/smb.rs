@@ -8,7 +8,6 @@
 //! entries. SRAM (not ReRAM) is used because buffer traffic would exhaust
 //! ReRAM's ~1e12 write endurance.
 
-use crate::error::DeviceError;
 use crate::sram::SramMacro;
 use serde::{Deserialize, Serialize};
 
@@ -52,31 +51,6 @@ impl SpikingMemoryBlockSpec {
     pub fn access_latency_ns(&self) -> f64 {
         self.sram.access_latency_ns() + self.port_latency_ns
     }
-
-    /// Capacity in bits.
-    pub fn capacity_bits(&self) -> usize {
-        self.sram.bits
-    }
-
-    /// How many values of `value_bits` precision the block can hold.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DeviceError::InvalidParameter`] if `value_bits` is zero.
-    pub fn capacity_values(&self, value_bits: u32) -> Result<usize, DeviceError> {
-        if value_bits == 0 {
-            return Err(DeviceError::InvalidParameter {
-                name: "value_bits",
-                reason: "stored values must have at least one bit".into(),
-            });
-        }
-        Ok(self.capacity_bits() / value_bits as usize)
-    }
-
-    /// Number of routing pins (spike inputs plus spike outputs).
-    pub fn pin_count(&self) -> usize {
-        2 * self.ports
-    }
 }
 
 impl Default for SpikingMemoryBlockSpec {
@@ -85,125 +59,9 @@ impl Default for SpikingMemoryBlockSpec {
     }
 }
 
-/// Functional model of an SMB: stores spike counts per logical entry and
-/// regenerates spike trains on demand.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SpikingMemoryBlock {
-    spec: SpikingMemoryBlockSpec,
-    value_bits: u32,
-    entries: Vec<u32>,
-}
-
-impl SpikingMemoryBlock {
-    /// Create a block that stores values of `value_bits` precision.
-    ///
-    /// # Errors
-    ///
-    /// Propagates capacity errors from [`SpikingMemoryBlockSpec::capacity_values`].
-    pub fn new(spec: SpikingMemoryBlockSpec, value_bits: u32) -> Result<Self, DeviceError> {
-        let capacity = spec.capacity_values(value_bits)?;
-        Ok(SpikingMemoryBlock {
-            spec,
-            value_bits,
-            entries: vec![0; capacity],
-        })
-    }
-
-    /// The specification this block was built from.
-    pub fn spec(&self) -> &SpikingMemoryBlockSpec {
-        &self.spec
-    }
-
-    /// Number of addressable entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the block has zero capacity (only possible for degenerate
-    /// configurations where a value does not fit at all).
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Count the spikes of `train` and store the count at `index`,
-    /// saturating at the maximum representable count.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DeviceError::InvalidParameter`] for an out-of-range index.
-    pub fn store_spike_train(&mut self, index: usize, train: &[bool]) -> Result<(), DeviceError> {
-        let count = train.iter().filter(|s| **s).count() as u32;
-        self.store_count(index, count)
-    }
-
-    /// Store a raw spike count at `index`, saturating at `2^value_bits - 1`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DeviceError::InvalidParameter`] for an out-of-range index.
-    pub fn store_count(&mut self, index: usize, count: u32) -> Result<(), DeviceError> {
-        let max = ((1u64 << self.value_bits) - 1) as u32;
-        let slot = self
-            .entries
-            .get_mut(index)
-            .ok_or(DeviceError::InvalidParameter {
-                name: "index",
-                reason: format!("index {index} out of range"),
-            })?;
-        *slot = count.min(max);
-        Ok(())
-    }
-
-    /// Read back a stored count.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DeviceError::InvalidParameter`] for an out-of-range index.
-    pub fn load_count(&self, index: usize) -> Result<u32, DeviceError> {
-        self.entries
-            .get(index)
-            .copied()
-            .ok_or(DeviceError::InvalidParameter {
-                name: "index",
-                reason: format!("index {index} out of range"),
-            })
-    }
-
-    /// Regenerate a spike train of length `window` with the stored count of
-    /// spikes spread evenly across the window.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DeviceError::InvalidParameter`] for an out-of-range index.
-    pub fn generate_spike_train(
-        &self,
-        index: usize,
-        window: usize,
-    ) -> Result<Vec<bool>, DeviceError> {
-        let count = self.load_count(index)? as usize;
-        let count = count.min(window);
-        let mut train = vec![false; window];
-        if count > 0 {
-            // Evenly spaced spike placement (rate coding).
-            for k in 0..count {
-                let pos = k * window / count;
-                train[pos] = true;
-            }
-        }
-        Ok(train)
-    }
-}
-
-/// Convenience constructor for the default 16 Kb SMB with 6-bit entries.
-pub fn default_smb() -> SpikingMemoryBlock {
-    SpikingMemoryBlock::new(SpikingMemoryBlockSpec::fpsa_16kb(), 6)
-        .expect("default SMB configuration is valid")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tech::TechnologyNode;
 
     #[test]
     fn smb_area_matches_table1() {
@@ -218,62 +76,12 @@ mod tests {
     }
 
     #[test]
-    fn capacity_depends_on_value_bits() {
-        let smb = SpikingMemoryBlockSpec::fpsa_16kb();
-        assert_eq!(smb.capacity_values(8).unwrap(), 2048);
-        assert_eq!(smb.capacity_values(6).unwrap(), 2730);
-        assert!(smb.capacity_values(0).is_err());
-    }
-
-    #[test]
-    fn store_and_load_round_trip() {
-        let mut smb = default_smb();
-        smb.store_count(10, 42).unwrap();
-        assert_eq!(smb.load_count(10).unwrap(), 42);
-    }
-
-    #[test]
-    fn store_saturates_at_value_bits() {
-        let mut smb = default_smb();
-        smb.store_count(0, 1000).unwrap();
-        assert_eq!(smb.load_count(0).unwrap(), 63);
-    }
-
-    #[test]
-    fn out_of_range_accesses_error() {
-        let mut smb = default_smb();
-        let n = smb.len();
-        assert!(smb.store_count(n, 1).is_err());
-        assert!(smb.load_count(n).is_err());
-        assert!(smb.generate_spike_train(n, 64).is_err());
-    }
-
-    #[test]
-    fn spike_train_round_trip_preserves_count() {
-        let mut smb = default_smb();
-        let train: Vec<bool> = (0..64).map(|i| i % 3 == 0).collect();
-        let expected = train.iter().filter(|s| **s).count() as u32;
-        smb.store_spike_train(5, &train).unwrap();
-        let regenerated = smb.generate_spike_train(5, 64).unwrap();
-        assert_eq!(regenerated.iter().filter(|s| **s).count() as u32, expected);
-    }
-
-    #[test]
-    fn generated_train_never_exceeds_window() {
-        let mut smb = default_smb();
-        smb.store_count(1, 63).unwrap();
-        let t = smb.generate_spike_train(1, 16).unwrap();
-        assert_eq!(t.len(), 16);
-        assert_eq!(t.iter().filter(|s| **s).count(), 16);
-    }
-
-    #[test]
     fn sram_macro_endurance_motivation_holds() {
         // ReRAM endurance is finite; SRAM is effectively unlimited for buffer
         // purposes — the block must therefore be SRAM-backed and its area
         // model must come from the SRAM macro model.
         let smb = SpikingMemoryBlockSpec::fpsa_16kb();
-        let standalone = SramMacro::new(16 * 1024, TechnologyNode::n45()).unwrap();
+        let standalone = SramMacro::kb16();
         assert!(smb.area_um2() > standalone.area_um2());
     }
 }

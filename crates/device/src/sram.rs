@@ -6,7 +6,6 @@
 //! poor (a 64-bit SRAM macro is 35.129 µm² versus 172.229 µm² for ReRAM under
 //! 45 nm, per NVSim).
 
-use crate::error::DeviceError;
 use crate::tech::TechnologyNode;
 use serde::{Deserialize, Serialize};
 
@@ -20,21 +19,6 @@ pub struct SramMacro {
 }
 
 impl SramMacro {
-    /// Create a macro of `bits` capacity.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DeviceError::InvalidParameter`] if `bits` is zero.
-    pub fn new(bits: usize, tech: TechnologyNode) -> Result<Self, DeviceError> {
-        if bits == 0 {
-            return Err(DeviceError::InvalidParameter {
-                name: "bits",
-                reason: "SRAM macro capacity must be non-zero".into(),
-            });
-        }
-        Ok(SramMacro { bits, tech })
-    }
-
     /// The 64-bit macro that backs one 6-input LUT.
     pub fn lut64() -> Self {
         SramMacro {
@@ -78,21 +62,11 @@ impl SramMacro {
     pub fn access_latency_ns(&self) -> f64 {
         0.15 + 0.003 * (self.bits as f64).sqrt()
     }
-
-    /// Per-access dynamic energy in pJ.
-    pub fn access_energy_pj(&self) -> f64 {
-        0.05 + 0.0002 * self.bits as f64 / 16.0
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn rejects_zero_capacity() {
-        assert!(SramMacro::new(0, TechnologyNode::n45()).is_err());
-    }
 
     #[test]
     fn lut64_macro_area_matches_nvsim_quote() {
@@ -106,7 +80,6 @@ mod tests {
         let big = SramMacro::kb16();
         assert!(big.area_um2() > small.area_um2());
         assert!(big.access_latency_ns() > small.access_latency_ns());
-        assert!(big.access_energy_pj() > small.access_energy_pj());
     }
 
     #[test]

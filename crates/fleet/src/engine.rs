@@ -94,12 +94,6 @@ impl FleetConfig {
         self
     }
 
-    /// Set the per-fabric bind-handle cache capacity.
-    pub fn with_bind_cache(mut self, slots: usize) -> Self {
-        self.bind_cache = slots;
-        self
-    }
-
     /// Give `tenant` a weighted-fair share.
     pub fn with_tenant_weight(mut self, tenant: u16, weight: u64) -> Self {
         self.tenant_weights.push((tenant, weight));
@@ -359,11 +353,6 @@ impl FleetEngine {
         &self.config
     }
 
-    /// The placement the fleet serves.
-    pub fn placement(&self) -> &FleetPlacement {
-        &self.placement
-    }
-
     /// The registry the fleet serves.
     pub fn registry(&self) -> &ModelRegistry {
         &self.binds.registry
@@ -569,7 +558,11 @@ mod tests {
         let engine = FleetEngine::start(
             registry,
             placement,
-            FleetConfig::default().with_replicas(1).with_bind_cache(1),
+            FleetConfig {
+                bind_cache: 1,
+                ..FleetConfig::default()
+            }
+            .with_replicas(1),
         );
         for i in 0..4u64 {
             let model = (i % 2) as ModelId;

@@ -110,13 +110,6 @@ impl FleetPlacement {
         self.hosted.len()
     }
 
-    /// The fabrics hosting `model`, in ascending index order.
-    pub fn hosts_of(&self, model: ModelId) -> Vec<usize> {
-        (0..self.hosted.len())
-            .filter(|&f| self.hosted[f].contains(&model))
-            .collect()
-    }
-
     /// Total placements (primaries plus replicas) across the fleet.
     pub fn replicas(&self) -> usize {
         self.hosted.iter().map(Vec::len).sum()
@@ -135,6 +128,15 @@ fn subtract(left: FabricCapacity, demand: FabricCapacity) -> FabricCapacity {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl FleetPlacement {
+        /// The fabrics hosting `model`, in ascending index order.
+        pub(crate) fn hosts_of(&self, model: ModelId) -> Vec<usize> {
+            (0..self.hosted.len())
+                .filter(|&f| self.hosted[f].contains(&model))
+                .collect()
+        }
+    }
     use fpsa_core::Compiler;
     use fpsa_nn::{zoo, GraphParameters};
     use fpsa_sim::Precision;

@@ -148,14 +148,6 @@ impl ModelRegistry {
     pub fn is_empty(&self) -> bool {
         self.models.is_empty()
     }
-
-    /// Look a model up by name.
-    pub fn id_of(&self, name: &str) -> Option<ModelId> {
-        self.models
-            .iter()
-            .position(|m| m.name == name)
-            .map(|i| i as ModelId)
-    }
 }
 
 impl fmt::Debug for ModelRegistry {
@@ -215,6 +207,5 @@ mod tests {
         assert_eq!(model.demand, FabricCapacity::new(pes, smbs, clbs));
         assert!(model.demand.total_blocks() > 0);
         assert_eq!(model.input_len(), Some(16));
-        assert_eq!(registry.id_of("mlp"), Some(id));
     }
 }

@@ -104,17 +104,6 @@ impl Allocation {
         self.iterations.iter().copied().max().unwrap_or(1)
     }
 
-    /// The model-level duplication degree actually realized (duplicates of
-    /// the group with the maximum reuse degree).
-    pub fn realized_duplication_degree(&self, graph: &CoreOpGraph) -> u64 {
-        graph
-            .groups()
-            .iter()
-            .max_by_key(|g| g.reuse_degree)
-            .map(|g| self.per_group[g.id])
-            .unwrap_or(1)
-    }
-
     /// The temporal utilization: average PE busy fraction if the pipeline
     /// runs at its bottleneck iteration count (Figure 8c's temporal bound).
     pub fn temporal_utilization(&self) -> f64 {
@@ -166,7 +155,7 @@ mod tests {
     fn duplication_degree_scales_the_busiest_group() {
         let g = graph_with_reuse(&[100, 10, 1]);
         let a = Allocation::allocate(&g, AllocationPolicy::DuplicationDegree(4));
-        assert_eq!(a.realized_duplication_degree(&g), 4);
+        assert_eq!(a.per_group[0], 4);
         assert_eq!(a.max_iterations(), 25);
         // The light groups do not get useless duplicates.
         assert_eq!(a.per_group[2], 1);

@@ -187,14 +187,6 @@ pub struct NetlistStats {
     pub total_fanout: usize,
 }
 
-impl NetlistStats {
-    /// Total function-block slots the netlist demands (the quantity the
-    /// compiler's block limit and the sharding capacity budget bound).
-    pub fn total_blocks(&self) -> usize {
-        self.pe_count + self.smb_count + self.clb_count
-    }
-}
-
 /// The net→block incidence index of a netlist: for every block, the indices
 /// of the nets it touches (as source or sink).
 ///

@@ -59,24 +59,9 @@ pub struct Schedule {
 }
 
 impl Schedule {
-    /// The pipeline period in cycles: the slowest stage bounds the rate at
-    /// which new samples can enter the pipeline.
-    pub fn pipeline_period_cycles(&self) -> u64 {
-        self.entries
-            .iter()
-            .map(ScheduleEntry::duration)
-            .max()
-            .unwrap_or(self.sampling_window)
-    }
-
     /// The end-to-end latency of one sample in cycles.
     pub fn latency_cycles(&self) -> u64 {
         self.entries.iter().map(|e| e.end_cycle).max().unwrap_or(0)
-    }
-
-    /// Number of pipeline stages (1 + number of buffer levels).
-    pub fn stage_count(&self) -> usize {
-        self.entries.iter().map(|e| e.stage + 1).max().unwrap_or(0)
     }
 
     /// The bottleneck iteration count across all groups.
@@ -313,6 +298,13 @@ fn topological_order(adjacency: &Adjacency) -> Vec<GroupId> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Schedule {
+        /// Number of pipeline stages (1 + number of buffer levels).
+        pub(crate) fn stage_count(&self) -> usize {
+            self.entries.iter().map(|e| e.stage + 1).max().unwrap_or(0)
+        }
+    }
     use crate::allocation::AllocationPolicy;
     use fpsa_synthesis::{CoreOpGraph, CoreOpGroup, CoreOpKind};
 
@@ -488,7 +480,6 @@ mod tests {
     #[test]
     fn pipeline_period_is_bottleneck_duration() {
         let (_, s) = schedule_chain(&[100, 10, 1]);
-        assert_eq!(s.pipeline_period_cycles(), 100 * 64);
         assert_eq!(s.max_stage_iterations(), 100);
     }
 
@@ -499,7 +490,6 @@ mod tests {
         let a16 = Allocation::allocate(&g, AllocationPolicy::DuplicationDegree(16));
         let s1 = Scheduler::new(64).schedule(&g.adjacency(), &a1);
         let s16 = Scheduler::new(64).schedule(&g.adjacency(), &a16);
-        assert!(s16.pipeline_period_cycles() < s1.pipeline_period_cycles());
         assert!(s16.latency_cycles() < s1.latency_cycles());
     }
 

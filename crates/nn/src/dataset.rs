@@ -34,11 +34,6 @@ impl Dataset {
         self.samples.is_empty()
     }
 
-    /// Number of features per sample.
-    pub fn features(&self) -> usize {
-        self.samples.first().map_or(0, Vec::len)
-    }
-
     /// Split into a training set and a test set; roughly `train_fraction` of
     /// the samples go to the former. The assignment is a deterministic hash
     /// of the sample index, so it is reproducible and does not systematically
@@ -103,37 +98,48 @@ impl Dataset {
             classes,
         }
     }
-
-    /// Generate concentric rings in 2-D, a mildly non-linear problem that
-    /// needs the hidden layer to be solved.
-    pub fn concentric_rings(classes: usize, samples_per_class: usize, seed: u64) -> Self {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut samples = Vec::new();
-        let mut labels = Vec::new();
-        for i in 0..samples_per_class {
-            for class in 0..classes {
-                let radius =
-                    0.25 + class as f64 * 0.5 / classes as f64 + rng.gen_range(-0.05..0.05);
-                let theta = (i as f64 / samples_per_class as f64) * std::f64::consts::TAU
-                    + rng.gen_range(-0.1..0.1);
-                samples.push(vec![
-                    (radius * theta.cos()) as f32,
-                    (radius * theta.sin()) as f32,
-                ]);
-                labels.push(class);
-            }
-        }
-        Dataset {
-            samples,
-            labels,
-            classes,
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Dataset {
+        /// Number of features per sample.
+        pub(crate) fn features(&self) -> usize {
+            self.samples.first().map_or(0, Vec::len)
+        }
+
+        /// Generate concentric rings in 2-D, a mildly non-linear problem that
+        /// needs the hidden layer to be solved.
+        pub(crate) fn concentric_rings(
+            classes: usize,
+            samples_per_class: usize,
+            seed: u64,
+        ) -> Self {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut samples = Vec::new();
+            let mut labels = Vec::new();
+            for i in 0..samples_per_class {
+                for class in 0..classes {
+                    let radius =
+                        0.25 + class as f64 * 0.5 / classes as f64 + rng.gen_range(-0.05..0.05);
+                    let theta = (i as f64 / samples_per_class as f64) * std::f64::consts::TAU
+                        + rng.gen_range(-0.1..0.1);
+                    samples.push(vec![
+                        (radius * theta.cos()) as f32,
+                        (radius * theta.sin()) as f32,
+                    ]);
+                    labels.push(class);
+                }
+            }
+            Dataset {
+                samples,
+                labels,
+                classes,
+            }
+        }
+    }
 
     #[test]
     fn blobs_have_requested_dimensions() {
@@ -179,12 +185,5 @@ mod tests {
         };
         assert_eq!(distinct(&train.labels), 4);
         assert_eq!(distinct(&test.labels), 4);
-    }
-
-    #[test]
-    fn rings_are_two_dimensional() {
-        let d = Dataset::concentric_rings(3, 40, 2);
-        assert_eq!(d.features(), 2);
-        assert_eq!(d.len(), 120);
     }
 }

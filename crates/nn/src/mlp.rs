@@ -250,11 +250,6 @@ impl Mlp {
             .flat_map(|l| l.weights.iter().flatten())
             .fold(0.0f32, |m, &w| m.max(w.abs()))
     }
-
-    /// Total number of weights.
-    pub fn weight_count(&self) -> usize {
-        self.layers.iter().map(|l| l.outputs() * l.inputs()).sum()
-    }
 }
 
 /// Index of the maximum element (0 for empty input).
@@ -280,6 +275,13 @@ pub fn softmax(logits: &[f32]) -> Vec<f32> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Mlp {
+        /// Total number of weights.
+        pub(crate) fn weight_count(&self) -> usize {
+            self.layers.iter().map(|l| l.outputs() * l.inputs()).sum()
+        }
+    }
 
     #[test]
     fn argmax_and_softmax_behave() {

@@ -98,15 +98,6 @@ impl Operator {
         }
     }
 
-    /// Whether this operator carries trainable weights that must be stored in
-    /// ReRAM crossbars.
-    pub fn has_weights(&self) -> bool {
-        matches!(
-            self,
-            Operator::Conv2d { .. } | Operator::Linear { .. } | Operator::BatchNorm { .. }
-        )
-    }
-
     /// Number of trainable weights (biases are folded into the weight count
     /// the same way the paper's Table 3 counts parameters).
     pub fn weight_count(&self) -> usize {
@@ -321,6 +312,17 @@ impl Operator {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Operator {
+        /// Whether this operator carries trainable weights that must be stored in
+        /// ReRAM crossbars.
+        pub(crate) fn has_weights(&self) -> bool {
+            matches!(
+                self,
+                Operator::Conv2d { .. } | Operator::Linear { .. } | Operator::BatchNorm { .. }
+            )
+        }
+    }
 
     fn chw(c: usize, h: usize, w: usize) -> TensorShape {
         TensorShape::chw(c, h, w)

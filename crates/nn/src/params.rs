@@ -175,14 +175,6 @@ impl GraphParameters {
             .map(|w| w.iter().fold(0.0f32, |m, &v| m.max(v.abs())))
             .unwrap_or(0.0)
     }
-
-    /// Total number of materialized weights.
-    pub fn weight_count(&self) -> usize {
-        self.tensors
-            .iter()
-            .map(|t| t.as_ref().map_or(0, Vec::len))
-            .sum()
-    }
 }
 
 /// Build the `Input → (Linear → Relu)* → Linear` computational graph matching
@@ -218,6 +210,16 @@ pub fn mlp_graph(name: impl Into<String>, sizes: &[usize]) -> ComputationalGraph
 mod tests {
     use super::*;
     use crate::zoo;
+
+    impl GraphParameters {
+        /// Total number of materialized weights.
+        pub(crate) fn weight_count(&self) -> usize {
+            self.tensors
+                .iter()
+                .map(|t| t.as_ref().map_or(0, Vec::len))
+                .sum()
+        }
+    }
 
     #[test]
     fn seeded_parameters_cover_every_weighted_node() {

@@ -33,11 +33,6 @@ impl Quantizer {
         Self::new(8, range)
     }
 
-    /// The 6-bit activation quantizer (64-cycle sampling window).
-    pub fn activations_6bit(range: f32) -> Self {
-        Self::new(6, range)
-    }
-
     /// Number of positive quantization levels.
     pub fn positive_levels(&self) -> i64 {
         (1i64 << (self.bits - 1)) - 1
@@ -146,7 +141,7 @@ mod tests {
     #[test]
     fn six_bit_quantizer_is_coarser_than_eight_bit() {
         let q8 = Quantizer::weights_8bit(1.0);
-        let q6 = Quantizer::activations_6bit(1.0);
+        let q6 = Quantizer::new(6, 1.0);
         assert!(q6.max_error() > q8.max_error());
     }
 

@@ -254,33 +254,6 @@ impl<'a> Reference<'a> {
         })
     }
 
-    /// The inferred shape of every node.
-    pub fn shapes(&self) -> &HashMap<NodeId, TensorShape> {
-        &self.shapes
-    }
-
-    /// The resolved input view of a compute node (`None` for pass-through
-    /// nodes).
-    pub fn view(&self, node: NodeId) -> Option<&InputView> {
-        self.plans
-            .get(node)
-            .and_then(|p| p.as_ref())
-            .map(|p| &p.view)
-    }
-
-    /// Whether the lowering-faithful semantics fuse a ReLU into `node`.
-    pub fn fused_relu(&self, node: NodeId) -> bool {
-        self.plans
-            .get(node)
-            .and_then(|p| p.as_ref())
-            .is_some_and(|p| p.fused_relu)
-    }
-
-    /// The output node's resolved view (for reading final logits).
-    pub fn output_view(&self) -> &InputView {
-        &self.output_view
-    }
-
     /// Gather a node's logical input vector from the per-node buffers.
     fn gather<T: Copy>(view: &InputView, buffers: &[Option<Vec<T>>]) -> Vec<T> {
         let mut out = Vec::with_capacity(view.iter().map(|s| s.elements).sum());
@@ -788,6 +761,25 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
+    impl Reference<'_> {
+        /// The resolved input view of a compute node (`None` for pass-through
+        /// nodes).
+        pub(crate) fn view(&self, node: NodeId) -> Option<&InputView> {
+            self.plans
+                .get(node)
+                .and_then(|p| p.as_ref())
+                .map(|p| &p.view)
+        }
+
+        /// Whether the lowering-faithful semantics fuse a ReLU into `node`.
+        pub(crate) fn fused_relu(&self, node: NodeId) -> bool {
+            self.plans
+                .get(node)
+                .and_then(|p| p.as_ref())
+                .is_some_and(|p| p.fused_relu)
+        }
+    }
+
     fn sample(len: usize, seed: u64) -> Vec<f32> {
         let mut rng = StdRng::seed_from_u64(seed);
         (0..len).map(|_| rng.gen_range(0.0f32..1.0)).collect()
@@ -869,7 +861,7 @@ mod tests {
         // reference.
         let float = r.logits(&samples[0]).unwrap();
         let out = g.outputs()[0];
-        let step = plan.activation_step(r.output_view()[0].source);
+        let step = plan.activation_step(r.output_view[0].source);
         let _ = out;
         for (&code, &f) in a.iter().zip(&float) {
             let real = code as f64 * step;

@@ -65,29 +65,6 @@ impl WorkloadStats {
         }
     }
 
-    /// The maximum reuse degree across all layers (the paper's duplication
-    /// degree is defined relative to this group).
-    pub fn max_reuse_degree(&self) -> u64 {
-        self.layers
-            .iter()
-            .map(|l| l.reuse_degree)
-            .max()
-            .unwrap_or(1)
-    }
-
-    /// Fraction of the total weights held by the `k` layers with the largest
-    /// weight counts. Used to reproduce the paper's motivation numbers
-    /// (e.g. "fully connected layers take 89.3% of VGG16's storage").
-    pub fn weight_share_of_top_layers(&self, k: usize) -> f64 {
-        if self.total_weights == 0 {
-            return 0.0;
-        }
-        let mut weights: Vec<u64> = self.layers.iter().map(|l| l.weights).collect();
-        weights.sort_unstable_by(|a, b| b.cmp(a));
-        let top: u64 = weights.into_iter().take(k).sum();
-        top as f64 / self.total_weights as f64
-    }
-
     /// Fraction of total weights held by layers whose mnemonic matches.
     pub fn weight_share_of(&self, mnemonic: &str) -> f64 {
         if self.total_weights == 0 {
@@ -137,6 +114,18 @@ impl WorkloadStats {
 mod tests {
     use super::*;
 
+    impl WorkloadStats {
+        /// The maximum reuse degree across all layers (the paper's duplication
+        /// degree is defined relative to this group).
+        pub(crate) fn max_reuse_degree(&self) -> u64 {
+            self.layers
+                .iter()
+                .map(|l| l.reuse_degree)
+                .max()
+                .unwrap_or(1)
+        }
+    }
+
     fn layer(name: &str, mnemonic: &str, weights: u64, macs: u64, reuse: u64) -> LayerStats {
         LayerStats {
             node_id: 0,
@@ -177,7 +166,6 @@ mod tests {
         );
         assert!((stats.weight_share_of("fc") - 0.9).abs() < 1e-12);
         assert!((stats.ops_share_of("conv") - 2000.0 / 3800.0).abs() < 1e-12);
-        assert!((stats.weight_share_of_top_layers(1) - 0.9).abs() < 1e-12);
         let (w, o) = stats.front_layer_imbalance(1);
         assert!((w - 0.1).abs() < 1e-12);
         assert!((o - 2000.0 / 3800.0).abs() < 1e-12);

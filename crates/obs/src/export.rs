@@ -177,30 +177,7 @@ pub fn markdown_summary(title: &str, snapshot: &MetricsSnapshot) -> String {
         }
         out.push('\n');
     }
-    if !snapshot.gauges.is_empty() {
-        out.push_str("## Gauges\n\n| gauge | value |\n|---|---:|\n");
-        for (name, value) in &snapshot.gauges {
-            out.push_str(&format!("| {name} | {value} |\n"));
-        }
-        out.push('\n');
-    }
-    if !snapshot.histograms.is_empty() {
-        out.push_str(
-            "## Histograms\n\n| histogram | count | p50 | p99 | max |\n|---|---:|---:|---:|---:|\n",
-        );
-        for (name, hist) in &snapshot.histograms {
-            out.push_str(&format!(
-                "| {name} | {} | {} | {} | {} |\n",
-                hist.count(),
-                hist.percentile(0.50),
-                hist.percentile(0.99),
-                hist.max()
-            ));
-        }
-        out.push('\n');
-    }
-    if snapshot.counters.is_empty() && snapshot.gauges.is_empty() && snapshot.histograms.is_empty()
-    {
+    if snapshot.counters.is_empty() {
         out.push_str("No metrics recorded.\n");
     }
     out
@@ -269,18 +246,12 @@ mod tests {
     }
 
     #[test]
-    fn markdown_summary_tabulates_all_three_kinds() {
+    fn markdown_summary_tabulates_counters() {
         let reg = crate::Registry::new();
         reg.inc(reg.counter("requests"));
-        reg.set_gauge(reg.gauge("hosts"), 4);
-        let h = reg.histogram("latency_us");
-        reg.observe(h, 100);
-        reg.observe(h, 900);
         let md = markdown_summary("Run", &reg.snapshot());
         assert!(md.contains("# Run"));
         assert!(md.contains("| requests | 1 |"));
-        assert!(md.contains("| hosts | 4 |"));
-        assert!(md.contains("| latency_us | 2 |"));
         assert!(markdown_summary("Empty", &Default::default()).contains("No metrics recorded."));
     }
 }

@@ -76,18 +76,6 @@ impl Histogram {
         &self.buckets
     }
 
-    /// Direct bucket access for the registry's shard fold, which
-    /// materializes counts loaded from atomics. Crate-internal so the
-    /// bucketing invariant stays private elsewhere.
-    pub(crate) fn bucket_mut(&mut self, bucket: usize) -> &mut u64 {
-        &mut self.buckets[bucket]
-    }
-
-    /// Companion to [`Histogram::bucket_mut`] for the tracked maximum.
-    pub(crate) fn set_max(&mut self, max: u64) {
-        self.max = max;
-    }
-
     /// Fold another histogram's samples into this one.
     pub fn merge(&mut self, other: &Histogram) {
         self.max = self.max.max(other.max);

@@ -10,10 +10,10 @@
 //!   the same API records wall-clock traces from live engines and
 //!   bit-identical virtual-clock traces from the deterministic replay.
 //! * **Metrics** ([`Registry`], [`Histogram`]): process-wide named
-//!   counters, gauges, and power-of-two histograms with lock-free sharded
-//!   recording. The [`Histogram`] type is the one bucketing contract the
-//!   whole stack shares (`fpsa_serve::ServeStats` and the fleet per-tenant
-//!   stats are built on it).
+//!   counters with lock-free sharded recording, and the power-of-two
+//!   [`Histogram`] — the one bucketing contract the whole stack shares
+//!   (`fpsa_serve::ServeStats` and the fleet per-tenant stats are built on
+//!   it).
 //! * **Exporters** ([`export`]): Chrome trace-event JSON under
 //!   `target/experiment-data/traces/`, per-run markdown summaries, and the
 //!   flight-recorder postmortems dumped when a typed error is constructed.
@@ -31,10 +31,7 @@ mod trace;
 pub mod export;
 
 pub use histogram::{bucket_of, bucket_upper, Histogram, HIST_BUCKETS};
-pub use registry::{
-    Counter, Gauge, HistogramId, MetricsSnapshot, Registry, MAX_COUNTERS, MAX_GAUGES,
-    MAX_HISTOGRAMS, NUM_SHARDS,
-};
+pub use registry::{Counter, MetricsSnapshot, Registry, MAX_COUNTERS, NUM_SHARDS};
 pub use trace::{Event, FlightDump, Mode, Phase, Span, SpanId, Tracer, DEFAULT_FLIGHT_CAPACITY};
 
 /// The typed-error hook: capture and persist a flight-recorder postmortem

@@ -1,10 +1,10 @@
-//! The process-wide metrics registry: named counters, gauges, and
-//! power-of-two histograms with lock-free recording.
+//! The process-wide metrics registry: named monotone counters with
+//! lock-free recording.
 //!
 //! # Sharding
 //!
 //! Recording must never serialize the engines' worker threads, so every
-//! metric's storage is split across [`NUM_SHARDS`] preallocated banks of
+//! counter's storage is split across [`NUM_SHARDS`] preallocated banks of
 //! atomics; a thread picks its bank once (by hashing its `ThreadId`) and
 //! then records with single relaxed atomic RMWs — no lock, no allocation,
 //! no cross-core cacheline ping-pong between workers that hash apart.
@@ -12,61 +12,37 @@
 //! (naming a metric) is the only locking operation and happens once per
 //! metric per process.
 //!
-//! Gauges are last-writer-wins and therefore live in a single bank —
-//! summing per-shard "current values" would be meaningless.
-//!
 //! # Capacity
 //!
 //! Banks are preallocated so recording never reallocates under a running
-//! engine: [`MAX_COUNTERS`] counters, [`MAX_GAUGES`] gauges,
-//! [`MAX_HISTOGRAMS`] histograms. Registrations beyond a capacity all
-//! alias the final "overflow" slot (and the snapshot labels it
+//! engine: [`MAX_COUNTERS`] counters. Registrations beyond the capacity
+//! all alias the final "overflow" slot (and the snapshot labels it
 //! `_overflow`), trading per-name fidelity for never blocking the hot
-//! path; the limits are far above what the stack registers.
+//! path; the limit is far above what the stack registers.
 
-use crate::histogram::{Histogram, HIST_BUCKETS};
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 
-/// Atomic banks per metric kind (see the module docs).
+/// Atomic counter banks (see the module docs).
 pub const NUM_SHARDS: usize = 8;
 /// Counter slots per bank.
 pub const MAX_COUNTERS: usize = 128;
-/// Gauge slots.
-pub const MAX_GAUGES: usize = 64;
-/// Histogram slots per bank.
-pub const MAX_HISTOGRAMS: usize = 64;
 
 /// Handle to a registered monotone counter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Counter(u32);
 
-/// Handle to a registered last-writer-wins gauge.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Gauge(u32);
-
-/// Handle to a registered power-of-two histogram.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HistogramId(u32);
-
-/// One bank of counter and histogram slots.
+/// One bank of counter slots.
 struct Shard {
     counters: Vec<AtomicU64>,
-    /// `MAX_HISTOGRAMS` histograms, each `HIST_BUCKETS` buckets.
-    hist_buckets: Vec<AtomicU64>,
-    hist_max: Vec<AtomicU64>,
 }
 
 impl Shard {
     fn new() -> Shard {
         Shard {
             counters: (0..MAX_COUNTERS).map(|_| AtomicU64::new(0)).collect(),
-            hist_buckets: (0..MAX_HISTOGRAMS * HIST_BUCKETS)
-                .map(|_| AtomicU64::new(0))
-                .collect(),
-            hist_max: (0..MAX_HISTOGRAMS).map(|_| AtomicU64::new(0)).collect(),
         }
     }
 }
@@ -75,27 +51,20 @@ impl Shard {
 #[derive(Default)]
 struct Names {
     counters: Vec<String>,
-    gauges: Vec<String>,
-    histograms: Vec<String>,
 }
 
-/// A fold of every registered metric at one moment, sorted by name so the
+/// A fold of every registered counter at one moment, sorted by name so the
 /// rendering (and any test pinning it) is deterministic.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricsSnapshot {
     /// Monotone counters: `(name, total)`.
     pub counters: Vec<(String, u64)>,
-    /// Gauges: `(name, last value)`.
-    pub gauges: Vec<(String, i64)>,
-    /// Histograms: `(name, merged histogram)`.
-    pub histograms: Vec<(String, Histogram)>,
 }
 
 /// The metrics registry (see the module docs). Engines use
 /// [`Registry::global`]; tests construct their own.
 pub struct Registry {
     shards: Vec<Shard>,
-    gauges: Vec<AtomicI64>,
     names: Mutex<Names>,
 }
 
@@ -144,7 +113,6 @@ impl Registry {
     pub fn new() -> Registry {
         Registry {
             shards: (0..NUM_SHARDS).map(|_| Shard::new()).collect(),
-            gauges: (0..MAX_GAUGES).map(|_| AtomicI64::new(0)).collect(),
             names: Mutex::new(Names::default()),
         }
     }
@@ -161,18 +129,6 @@ impl Registry {
         Counter(register(&mut names.counters, name, MAX_COUNTERS))
     }
 
-    /// Register (or look up) a gauge.
-    pub fn gauge(&self, name: &str) -> Gauge {
-        let mut names = self.names.lock().expect("registry lock");
-        Gauge(register(&mut names.gauges, name, MAX_GAUGES))
-    }
-
-    /// Register (or look up) a histogram.
-    pub fn histogram(&self, name: &str) -> HistogramId {
-        let mut names = self.names.lock().expect("registry lock");
-        HistogramId(register(&mut names.histograms, name, MAX_HISTOGRAMS))
-    }
-
     /// Add `delta` to a counter: one relaxed RMW on this thread's bank.
     #[inline]
     pub fn add(&self, counter: Counter, delta: u64) {
@@ -183,23 +139,6 @@ impl Registry {
     #[inline]
     pub fn inc(&self, counter: Counter) {
         self.add(counter, 1);
-    }
-
-    /// Set a gauge (last writer wins).
-    #[inline]
-    pub fn set_gauge(&self, gauge: Gauge, value: i64) {
-        self.gauges[gauge.0 as usize].store(value, Ordering::Relaxed);
-    }
-
-    /// Record one sample into a histogram: two relaxed RMWs on this
-    /// thread's bank (bucket increment + running max).
-    #[inline]
-    pub fn observe(&self, hist: HistogramId, value: u64) {
-        let shard = &self.shards[shard_index()];
-        let base = hist.0 as usize * HIST_BUCKETS;
-        shard.hist_buckets[base + crate::histogram::bucket_of(value)]
-            .fetch_add(1, Ordering::Relaxed);
-        shard.hist_max[hist.0 as usize].fetch_max(value, Ordering::Relaxed);
     }
 
     /// Fold every bank into plain values, sorted by metric name.
@@ -218,38 +157,8 @@ impl Registry {
                 (name.clone(), total)
             })
             .collect();
-        let mut gauges: Vec<(String, i64)> = names
-            .gauges
-            .iter()
-            .enumerate()
-            .map(|(i, name)| (name.clone(), self.gauges[i].load(Ordering::Relaxed)))
-            .collect();
-        let mut histograms: Vec<(String, Histogram)> = names
-            .histograms
-            .iter()
-            .enumerate()
-            .map(|(i, name)| {
-                let mut merged = Histogram::new();
-                for shard in &self.shards {
-                    let mut part = Histogram::new();
-                    for b in 0..HIST_BUCKETS {
-                        *part.bucket_mut(b) =
-                            shard.hist_buckets[i * HIST_BUCKETS + b].load(Ordering::Relaxed);
-                    }
-                    part.set_max(shard.hist_max[i].load(Ordering::Relaxed));
-                    merged.merge(&part);
-                }
-                (name.clone(), merged)
-            })
-            .collect();
         counters.sort_by(|a, b| a.0.cmp(&b.0));
-        gauges.sort_by(|a, b| a.0.cmp(&b.0));
-        histograms.sort_by(|a, b| a.0.cmp(&b.0));
-        MetricsSnapshot {
-            counters,
-            gauges,
-            histograms,
-        }
+        MetricsSnapshot { counters }
     }
 }
 
@@ -264,8 +173,6 @@ mod tests {
         let a = reg.counter("serve.requests");
         let b = reg.counter("serve.requests");
         assert_eq!(a, b);
-        let g = reg.gauge("fleet.hosts");
-        assert_eq!(g, reg.gauge("fleet.hosts"));
     }
 
     #[test]
@@ -290,48 +197,18 @@ mod tests {
     }
 
     #[test]
-    fn histograms_merge_shards_with_an_exact_maximum() {
-        let reg = Arc::new(Registry::new());
-        let hist = reg.histogram("latency_us");
-        let threads: Vec<_> = (0..4)
-            .map(|t| {
-                let reg = Arc::clone(&reg);
-                std::thread::spawn(move || {
-                    for i in 0..100u64 {
-                        reg.observe(hist, i + t * 1000);
-                    }
-                })
-            })
-            .collect();
-        for t in threads {
-            t.join().unwrap();
-        }
-        let snap = reg.snapshot();
-        let (name, merged) = &snap.histograms[0];
-        assert_eq!(name, "latency_us");
-        assert_eq!(merged.count(), 400);
-        assert_eq!(merged.max(), 3099);
-    }
-
-    #[test]
-    fn gauges_report_the_last_written_value() {
-        let reg = Registry::new();
-        let g = reg.gauge("queue.depth");
-        reg.set_gauge(g, 5);
-        reg.set_gauge(g, 2);
-        assert_eq!(reg.snapshot().gauges, vec![("queue.depth".to_string(), 2)]);
-    }
-
-    #[test]
     fn overflowing_the_name_table_aliases_the_overflow_slot() {
         let reg = Registry::new();
         let mut last = None;
-        for i in 0..(MAX_GAUGES + 10) {
-            last = Some(reg.gauge(&format!("g{i}")));
+        for i in 0..(MAX_COUNTERS + 10) {
+            last = Some(reg.counter(&format!("c{i}")));
         }
-        reg.set_gauge(last.unwrap(), 7);
+        reg.add(last.unwrap(), 7);
         let snap = reg.snapshot();
-        assert_eq!(snap.gauges.len(), MAX_GAUGES);
-        assert!(snap.gauges.iter().any(|(n, v)| n == "_overflow" && *v == 7));
+        assert_eq!(snap.counters.len(), MAX_COUNTERS);
+        assert!(snap
+            .counters
+            .iter()
+            .any(|(n, v)| n == "_overflow" && *v == 7));
     }
 }

@@ -147,16 +147,6 @@ impl Span {
         name: "",
         cat: "",
     };
-
-    /// The span's name.
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
-    /// The span's category.
-    pub fn cat(&self) -> &'static str {
-        self.cat
-    }
 }
 
 /// The flight-recorder ring: a preallocated, fixed-capacity circular buffer

@@ -35,33 +35,6 @@ pub fn fabric_for(netlist: &Netlist, config: &ArchitectureConfig) -> Fabric {
     Fabric::with_pe_count(config.clone(), netlist.len().max(stats.pe_count).max(1))
 }
 
-/// Run the full place-and-route flow for a netlist on an architecture with
-/// explicit placer and router configurations.
-///
-/// Builds a fabric just large enough for the netlist, places it, routes it
-/// with PathFinder negotiation and reports timing.
-pub fn place_and_route_with(
-    netlist: &Netlist,
-    config: &ArchitectureConfig,
-    placer_config: PlacerConfig,
-    router_config: RouterConfig,
-) -> (Placement, RoutingResult, TimingReport) {
-    let fabric = fabric_for(netlist, config);
-    let placement = Placer::new(placer_config).place(netlist, &fabric);
-    let routing = Router::with_config(config.routing, router_config).route(netlist, &placement);
-    let timing = TimingReport::analyze(&routing, &config.routing);
-    (placement, routing, timing)
-}
-
-/// [`place_and_route_with`] under the default negotiated router.
-pub fn place_and_route(
-    netlist: &Netlist,
-    config: &ArchitectureConfig,
-    placer_config: PlacerConfig,
-) -> (Placement, RoutingResult, TimingReport) {
-    place_and_route_with(netlist, config, placer_config, RouterConfig::negotiated())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -76,10 +49,13 @@ mod tests {
             .unwrap();
         let mapping = Mapper::new(64, AllocationPolicy::DuplicationDegree(1)).map(&graph);
         let config = ArchitectureConfig::fpsa();
-        let (placement, routing, timing) =
-            place_and_route(&mapping.netlist, &config, PlacerConfig::fast());
+        let fabric = fabric_for(&mapping.netlist, &config);
+        let placement = Placer::new(PlacerConfig::fast()).place(&mapping.netlist, &fabric);
+        let routing = Router::with_config(config.routing, RouterConfig::negotiated())
+            .route(&mapping.netlist, &placement);
+        let timing = TimingReport::analyze(&routing, &config.routing);
         assert_eq!(placement.positions().len(), mapping.netlist.len());
-        assert_eq!(routing.routed_nets(), mapping.netlist.nets().len());
+        assert_eq!(routing.nets_routed, mapping.netlist.nets().len());
         assert!(timing.critical_delay_ns > 0.0);
         assert!(
             timing.critical_delay_ns < 100.0,

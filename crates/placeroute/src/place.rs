@@ -157,22 +157,15 @@ impl Placement {
 
 /// A prior placement offered to the annealer as a starting point.
 ///
-/// Two flavours exist:
-///
-/// * **Near-miss seed** ([`WarmStart::from_placement`]): positions are
-///   matched to the new netlist's blocks *by block identity*, so a donor
-///   placement of an incrementally edited model seeds every surviving block;
-///   new or moved blocks fall back to the cold assignment and a short,
-///   low-temperature anneal polishes the result.
-/// * **Exact seed** ([`WarmStart::exact_positions`]): positions are applied
-///   *by block index* — callers assert the netlist is identical to the
-///   donor's (same compile key) — and annealing is skipped entirely, so
-///   deterministic routing re-derives the donor's physical design.
+/// Positions are matched to the new netlist's blocks *by block identity*
+/// ([`WarmStart::from_placement`]), so a donor placement of an
+/// incrementally edited model seeds every surviving block; new or moved
+/// blocks fall back to the cold assignment and a short, low-temperature
+/// anneal polishes the result.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct WarmStart {
     blocks: Vec<NetlistBlock>,
     positions: Vec<(usize, usize)>,
-    exact: bool,
 }
 
 impl WarmStart {
@@ -181,33 +174,7 @@ impl WarmStart {
         WarmStart {
             blocks: netlist.blocks().to_vec(),
             positions: placement.positions().to_vec(),
-            exact: false,
         }
-    }
-
-    /// An exact seed: `positions[i]` is block `i`'s final slot. Only valid
-    /// when the netlist being placed is identical to the donor's.
-    pub fn exact_positions(positions: Vec<(usize, usize)>) -> Self {
-        WarmStart {
-            blocks: Vec::new(),
-            positions,
-            exact: true,
-        }
-    }
-
-    /// Whether this seed claims to be the donor's exact final placement.
-    pub fn is_exact(&self) -> bool {
-        self.exact
-    }
-
-    /// The seed positions, in donor block order.
-    pub fn positions(&self) -> &[(usize, usize)] {
-        &self.positions
-    }
-
-    /// The donor's blocks (empty for an exact positional seed).
-    pub fn blocks(&self) -> &[NetlistBlock] {
-        &self.blocks
     }
 }
 
@@ -407,9 +374,7 @@ impl Placer {
     /// low-temperature anneal (1/8th of the cold step budget at 1/50th of
     /// the cold starting temperature) plus the usual greedy quench polishes
     /// the seams; the best placement seen is the one returned, so a warm
-    /// start never ends worse than its seed. With an exact seed covering
-    /// every block, annealing is skipped entirely and the seed *is* the
-    /// placement.
+    /// start never ends worse than its seed.
     ///
     /// # Panics
     ///
@@ -429,9 +394,8 @@ impl Placer {
         };
 
         // Seed pass: adopt donor positions that are legal on this fabric
-        // (inside the grid, on a real slot, not claimed twice). Near-miss
-        // seeds match donor blocks to this netlist's blocks by identity;
-        // exact seeds apply positions by index.
+        // (inside the grid, on a real slot, not claimed twice), matching
+        // donor blocks to this netlist's blocks by identity.
         const UNPLACED: (usize, usize) = (usize::MAX, usize::MAX);
         let mut positions: Vec<(usize, usize)> = vec![UNPLACED; netlist.len()];
         let mut taken: std::collections::HashSet<(usize, usize)> = Default::default();
@@ -442,30 +406,16 @@ impl Placer {
                 .flat_map(|&k| fabric.slots_of(k))
                 .map(|s| dims.coord(s))
                 .collect();
-            let mut claim = |i: usize,
-                             pos: (usize, usize),
-                             positions: &mut Vec<(usize, usize)>,
-                             seeded: &mut usize| {
-                if slot_coords.contains(&pos) && taken.insert(pos) {
-                    positions[i] = pos;
-                    *seeded += 1;
-                }
-            };
-            if warm.exact && warm.blocks.is_empty() {
-                if warm.positions.len() == netlist.len() {
-                    for (i, &pos) in warm.positions.iter().enumerate() {
-                        claim(i, pos, &mut positions, &mut seeded_blocks);
-                    }
-                }
-            } else {
-                let donor: std::collections::HashMap<&NetlistBlock, (usize, usize)> = warm
-                    .blocks
-                    .iter()
-                    .zip(warm.positions.iter().copied())
-                    .collect();
-                for (i, block) in netlist.blocks().iter().enumerate() {
-                    if let Some(&pos) = donor.get(block) {
-                        claim(i, pos, &mut positions, &mut seeded_blocks);
+            let donor: std::collections::HashMap<&NetlistBlock, (usize, usize)> = warm
+                .blocks
+                .iter()
+                .zip(warm.positions.iter().copied())
+                .collect();
+            for (i, block) in netlist.blocks().iter().enumerate() {
+                if let Some(&pos) = donor.get(block) {
+                    if slot_coords.contains(&pos) && taken.insert(pos) {
+                        positions[i] = pos;
+                        seeded_blocks += 1;
                     }
                 }
             }
@@ -544,18 +494,13 @@ impl Placer {
         }
         movable.sort_unstable();
 
-        // Warm-start schedule: an exact full seed needs no moves at all; a
-        // near-miss seed is already near the donor's optimum, so the anneal
-        // only has to polish the seams — 1/8th of the cold step budget at
-        // 1/50th of the cold starting temperature (hot enough to shake the
-        // re-assigned blocks loose, cold enough not to scramble the seed).
+        // Warm-start schedule: a seed is already near the donor's optimum,
+        // so the anneal only has to polish the seams — 1/8th of the cold
+        // step budget at 1/50th of the cold starting temperature (hot enough
+        // to shake the re-assigned blocks loose, cold enough not to scramble
+        // the seed).
         let warm_started = seeded_blocks > 0;
-        let exact_seed = warm_started
-            && warm.map(|w| w.exact).unwrap_or(false)
-            && seeded_blocks == netlist.len();
-        let (max_steps, temperature_fraction) = if exact_seed {
-            (0, 0.0)
-        } else if warm_started {
+        let (max_steps, temperature_fraction) = if warm_started {
             (
                 (self.config.max_temperature_steps / 8).max(2),
                 self.config.initial_temperature_fraction * 0.02,
@@ -582,7 +527,7 @@ impl Placer {
         // and restore it if the final state regressed. Cold anneals keep
         // their exact historical behavior.
         let mut best: Option<(f64, Vec<(usize, usize)>)> =
-            (warm_started && !exact_seed).then(|| (initial_wirelength, positions.clone()));
+            warm_started.then(|| (initial_wirelength, positions.clone()));
 
         let mut state = AnnealState {
             nets,
@@ -779,21 +724,6 @@ mod tests {
         );
         assert!(quality.moves_evaluated > 0);
         assert!((0.0..=1.0).contains(&quality.acceptance_rate()));
-    }
-
-    #[test]
-    fn exact_seed_reproduces_the_donor_placement_with_zero_moves() {
-        let netlist = lenet_netlist();
-        let fabric = Fabric::with_pe_count(ArchitectureConfig::fpsa(), netlist.len());
-        let placer = Placer::new(PlacerConfig::fast());
-        let donor = placer.place(&netlist, &fabric);
-        let seed = WarmStart::exact_positions(donor.positions().to_vec());
-        let seeded = placer.place_seeded(&netlist, &fabric, Some(&seed));
-        assert_eq!(seeded.positions(), donor.positions());
-        assert_eq!(seeded.wirelength(), donor.wirelength());
-        assert_eq!(seeded.quality().moves_evaluated, 0);
-        assert!(seeded.quality().warm_started);
-        assert_eq!(seeded.quality().seeded_blocks, netlist.len());
     }
 
     #[test]

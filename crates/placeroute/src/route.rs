@@ -129,22 +129,9 @@ pub struct RoutingResult {
 }
 
 impl RoutingResult {
-    /// Number of nets routed.
-    pub fn routed_nets(&self) -> usize {
-        self.nets_routed
-    }
-
     /// The longest connection in block hops (drives the critical path).
     pub fn critical_hops(&self) -> usize {
         self.connection_hops.iter().copied().max().unwrap_or(0)
-    }
-
-    /// Average connection length in hops.
-    pub fn average_hops(&self) -> f64 {
-        if self.connection_hops.is_empty() {
-            return 0.0;
-        }
-        self.connection_hops.iter().sum::<usize>() as f64 / self.connection_hops.len() as f64
     }
 
     /// Whether every channel stayed within its capacity.
@@ -774,7 +761,7 @@ mod tests {
     #[test]
     fn every_net_is_routed() {
         let (netlist, result) = routed_lenet();
-        assert_eq!(result.routed_nets(), netlist.nets().len());
+        assert_eq!(result.nets_routed, netlist.nets().len());
         assert_eq!(result.connection_hops.len(), netlist.connection_count());
         assert_eq!(result.trees.len(), netlist.nets().len());
     }
@@ -784,7 +771,6 @@ mod tests {
         let (_, result) = routed_lenet();
         // LeNet's fabric is small; no route should exceed a few dozen hops.
         assert!(result.critical_hops() < 200);
-        assert!(result.average_hops() <= result.critical_hops() as f64);
     }
 
     #[test]

@@ -51,24 +51,6 @@ impl TimingReport {
             routable: routing.is_routable(),
         }
     }
-
-    /// Per-value communication latency when values are serialized over
-    /// `bits_per_value` bits (spike counts use n bits, spike trains 2^n).
-    pub fn value_transfer_ns(&self, bits_per_value: u64) -> f64 {
-        self.critical_delay_ns * bits_per_value as f64
-    }
-
-    /// The `q`-quantile (0..=1) of the per-connection delay profile, in ns.
-    /// Returns the critical delay for an empty profile.
-    pub fn delay_quantile_ns(&self, q: f64) -> f64 {
-        if self.connection_delays_ns.is_empty() {
-            return self.critical_delay_ns;
-        }
-        let mut sorted = self.connection_delays_ns.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("delays are finite"));
-        let rank = (q.clamp(0.0, 1.0) * (sorted.len() - 1) as f64).round() as usize;
-        sorted[rank]
-    }
 }
 
 #[cfg(test)]
@@ -123,30 +105,6 @@ mod tests {
         for (delay, hops) in report.connection_delays_ns.iter().zip([3usize, 7, 11, 2]) {
             assert!((delay - arch.path_delay_ns(hops)).abs() < 1e-12);
         }
-        assert!((report.delay_quantile_ns(0.0) - arch.path_delay_ns(2)).abs() < 1e-12);
-        assert!((report.delay_quantile_ns(1.0) - arch.path_delay_ns(11)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn spike_trains_cost_more_transfer_time_than_counts() {
-        let arch = RoutingArchitecture::fpsa_default();
-        let report = TimingReport::analyze(&routing_with_hops(vec![40]), &arch);
-        let counts = report.value_transfer_ns(6);
-        let trains = report.value_transfer_ns(64);
-        assert!((trains / counts - 64.0 / 6.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn figure7_shape_spike_count_vs_train_latencies() {
-        // With a routed critical path of a few tens of hops, 6-bit counts
-        // land near tens of ns and 64-bit trains near several hundred ns —
-        // the FP-PRIME (59.4 ns) vs FPSA (633.9 ns) relationship of Figure 7.
-        let arch = RoutingArchitecture::fpsa_default();
-        let report = TimingReport::analyze(&routing_with_hops(vec![68]), &arch);
-        let counts = report.value_transfer_ns(6);
-        let trains = report.value_transfer_ns(64);
-        assert!(counts > 20.0 && counts < 120.0, "counts {counts}");
-        assert!(trains > 300.0 && trains < 1200.0, "trains {trains}");
     }
 
     #[test]

@@ -95,27 +95,6 @@ proptest! {
         prop_assert_eq!(warm.wirelength(), again.wirelength());
     }
 
-    /// Exact position seeds (the on-disk fast path) reproduce the donor
-    /// bit-for-bit with zero anneal moves.
-    #[test]
-    fn exact_seeds_reproduce_the_donor_with_zero_moves(
-        blocks in 4usize..24,
-        raw_nets in proptest::collection::vec(proptest::collection::vec(0usize..1000, 2..6), 1..12),
-    ) {
-        let netlist = netlist_from("exact-prop", blocks, &raw_nets);
-        let config = ArchitectureConfig::fpsa();
-        let fabric = Fabric::with_pe_count(config, netlist.len());
-        let placer = Placer::new(PlacerConfig::fast());
-        let cold = placer.place(&netlist, &fabric);
-
-        let seed = WarmStart::exact_positions(cold.positions().to_vec());
-        prop_assert!(seed.is_exact());
-        let replayed = placer.place_seeded(&netlist, &fabric, Some(&seed));
-        prop_assert_eq!(replayed.positions(), cold.positions());
-        prop_assert_eq!(replayed.quality().moves_evaluated, 0);
-        prop_assert_eq!(replayed.wirelength(), cold.wirelength());
-    }
-
     /// A donor from an *edited* netlist (some blocks gone) still seeds the
     /// surviving blocks and yields a legal, routable placement.
     #[test]

@@ -37,11 +37,6 @@ impl MemoryBus {
         let bytes = values * bits as f64 / 8.0 * 2.0;
         self.transfer_ns(bytes)
     }
-
-    /// Effective per-PE bandwidth when `pe_count` PEs contend, in GB/s.
-    pub fn per_pe_bandwidth_gbps(&self, pe_count: usize) -> f64 {
-        self.bandwidth_gbps / pe_count.max(1) as f64
-    }
 }
 
 impl Default for MemoryBus {
@@ -71,12 +66,5 @@ mod tests {
         };
         // 1000 values x 8 bits = 1000 bytes, doubled = 2000 bytes at 1 GB/s.
         assert!((bus.sample_transfer_ns(1000.0, 8) - 2000.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn contention_divides_bandwidth() {
-        let bus = MemoryBus::prime_default();
-        assert!((bus.per_pe_bandwidth_gbps(32) - bus.bandwidth_gbps / 32.0).abs() < 1e-12);
-        assert_eq!(bus.per_pe_bandwidth_gbps(0), bus.bandwidth_gbps);
     }
 }

@@ -8,7 +8,6 @@
 //! crossbars hold the positive/negative parts.
 
 use fpsa_device::reram::CrossbarSpec;
-use fpsa_device::variation::WeightScheme;
 use serde::{Deserialize, Serialize};
 
 /// Published Table 2 values for the PRIME PE, for regression tests.
@@ -60,14 +59,6 @@ impl PrimePeSpec {
             digital_logic_area_um2: 14_279.0,
             digital_latency_ns: 0.98,
             io_bits: 6,
-        }
-    }
-
-    /// The weight representation PRIME uses (two spliced 4-bit cells).
-    pub fn weight_scheme(&self) -> WeightScheme {
-        WeightScheme::Splice {
-            cells: self.cells_per_weight,
-            bits_per_cell: 4,
         }
     }
 
@@ -180,13 +171,8 @@ mod tests {
     #[test]
     fn prime_uses_the_splice_scheme() {
         let pe = PrimePeSpec::prime_default();
-        assert_eq!(
-            pe.weight_scheme(),
-            WeightScheme::Splice {
-                cells: 2,
-                bits_per_cell: 4
-            }
-        );
+        // Two spliced 4-bit cells per 8-bit weight.
+        assert_eq!(pe.cells_per_weight, 2);
         assert_eq!(pe.logical_rows(), 256);
         assert_eq!(pe.logical_cols(), 256);
     }

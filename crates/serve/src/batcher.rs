@@ -66,11 +66,6 @@ impl<T> DynamicBatcher<T> {
         }
     }
 
-    /// The active policy.
-    pub fn policy(&self) -> BatchPolicy {
-        self.policy
-    }
-
     /// Number of queued items.
     pub fn len(&self) -> usize {
         self.pending.len()
@@ -200,7 +195,7 @@ mod tests {
             max_batch: 0,
             window_us: 0,
         });
-        assert_eq!(b.policy().max_batch, 1);
+        assert_eq!(b.policy.max_batch, 1);
     }
 
     #[test]

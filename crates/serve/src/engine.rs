@@ -66,16 +66,6 @@ impl Default for ServeConfig {
 }
 
 impl ServeConfig {
-    /// The no-coalescing configuration: one replica, batch size 1, no wait —
-    /// the engine-shaped equivalent of calling `Executor::run` per request.
-    pub fn direct() -> Self {
-        ServeConfig {
-            replicas: 1,
-            max_batch: 1,
-            batch_window_us: 0,
-        }
-    }
-
     /// Set the replica count.
     pub fn with_replicas(mut self, replicas: usize) -> Self {
         self.replicas = replicas;
@@ -471,6 +461,18 @@ mod tests {
     use fpsa_core::Compiler;
     use fpsa_nn::{zoo, GraphParameters};
     use fpsa_sim::Precision;
+
+    impl ServeConfig {
+        /// The no-coalescing configuration: one replica, batch size 1, no wait —
+        /// the engine-shaped equivalent of calling `Executor::run` per request.
+        pub(crate) fn direct() -> Self {
+            ServeConfig {
+                replicas: 1,
+                max_batch: 1,
+                batch_window_us: 0,
+            }
+        }
+    }
 
     fn mlp_executor() -> Executor {
         let graph = zoo::tiny_mlp();

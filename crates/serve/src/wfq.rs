@@ -77,11 +77,6 @@ impl<T> WeightedFairBatcher<T> {
         queue
     }
 
-    /// The per-lane batch policy.
-    pub fn policy(&self) -> BatchPolicy {
-        self.policy
-    }
-
     /// Total queued items across all tenants.
     pub fn len(&self) -> usize {
         self.len
@@ -97,13 +92,6 @@ impl<T> WeightedFairBatcher<T> {
         self.lanes
             .get(usize::from(tenant))
             .map_or(0, |lane| lane.queue.len())
-    }
-
-    /// `tenant`'s scheduling weight (1 until configured).
-    pub fn weight(&self, tenant: u16) -> u64 {
-        self.lanes
-            .get(usize::from(tenant))
-            .map_or(1, |lane| lane.weight)
     }
 
     /// Set `tenant`'s weight (clamped to at least 1): credits earned per

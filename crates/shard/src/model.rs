@@ -396,30 +396,14 @@ impl ShardCompiler {
         self.compile_plan(graph, &core, plan, self.budget)
     }
 
-    /// Explicit mode: partition at the given boundary compute nodes.
-    ///
-    /// # Errors
-    ///
-    /// [`ShardError::IllegalCut`] for invalid boundaries, plus the compile
-    /// and capacity errors of the stages.
-    pub fn compile_with_cuts(
-        &self,
-        graph: &ComputationalGraph,
-        cuts: &[NodeId],
-    ) -> Result<ShardedModel, ShardError> {
-        let core = self.synthesize_full(graph)?;
-        let partitioner = self.partitioner(graph, &core)?;
-        let plan = partitioner.partition_at(cuts)?;
-        self.compile_plan(graph, &core, plan, self.budget)
-    }
-
     /// Convenience for sweeps: split into (up to) `stages` demand-balanced
     /// stages, sizing the effective per-fabric budget to the largest stage
     /// (the configured budget still applies when it is larger).
     ///
     /// # Errors
     ///
-    /// Mirrors [`ShardCompiler::compile_with_cuts`].
+    /// [`ShardError::IllegalCut`] for invalid boundaries, plus the compile
+    /// and capacity errors of the stages.
     pub fn compile_into_stages(
         &self,
         graph: &ComputationalGraph,
@@ -619,6 +603,25 @@ fn verify_stage_groups(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl ShardCompiler {
+        /// Explicit mode: partition at the given boundary compute nodes.
+        ///
+        /// # Errors
+        ///
+        /// [`ShardError::IllegalCut`] for invalid boundaries, plus the compile
+        /// and capacity errors of the stages.
+        pub(crate) fn compile_with_cuts(
+            &self,
+            graph: &ComputationalGraph,
+            cuts: &[NodeId],
+        ) -> Result<ShardedModel, ShardError> {
+            let core = self.synthesize_full(graph)?;
+            let partitioner = self.partitioner(graph, &core)?;
+            let plan = partitioner.partition_at(cuts)?;
+            self.compile_plan(graph, &core, plan, self.budget)
+        }
+    }
     use fpsa_nn::params::mlp_graph;
     use fpsa_sim::CommunicationEstimate;
 

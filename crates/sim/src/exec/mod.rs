@@ -350,25 +350,6 @@ pub struct Executor {
 }
 
 impl Executor {
-    /// Whether the executor runs in the integer-code domain.
-    pub fn is_integer(&self) -> bool {
-        self.precision_integer
-    }
-
-    /// The realized float weight matrix of a group's duplicate (`None` for
-    /// weight-free tiles, and in [`Precision::Integer`] where only the
-    /// codes are kept) — lets tests pin the realization bit for bit.
-    pub fn tile_weights(&self, group: GroupId, duplicate: u64) -> Option<&[f32]> {
-        self.programs
-            .iter()
-            .find(|p| p.group == group)
-            .map(|p| {
-                let (off, len) = p.w_f[(duplicate as usize) % p.w_f.len()];
-                &self.lowered.wslab_f[off as usize..(off + len) as usize]
-            })
-            .filter(|w| !w.is_empty())
-    }
-
     /// Human-readable disassembly of the first `limit` lowered bytecode
     /// instructions — the debug window into what [`Executor::bind`] compiled.
     pub fn disassemble(&self, limit: usize) -> String {
@@ -394,6 +375,11 @@ impl Executor {
 
 #[cfg(test)]
 impl Executor {
+    /// Whether the executor runs in the integer-code domain.
+    pub(crate) fn is_integer(&self) -> bool {
+        self.precision_integer
+    }
+
     /// Re-target the lowered stream at another kernel family. Block sizes
     /// and kernels follow the family at dispatch, so this is all it takes
     /// to run the whole stack as a narrower CPU would — for the crate's own

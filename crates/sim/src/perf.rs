@@ -103,11 +103,6 @@ pub struct PerformanceReport {
 }
 
 impl PerformanceReport {
-    /// Throughput expressed as operations per second divided by area.
-    pub fn density_tops_mm2(&self) -> f64 {
-        self.ops_per_mm2 * 1e-12
-    }
-
     /// Attach the compile-stage trace of the model this report measures.
     pub fn with_compile_trace(mut self, trace: crate::trace::StageTrace) -> Self {
         self.compile = Some(trace);
@@ -466,7 +461,7 @@ mod tests {
         assert!(report.area_mm2 > 0.0);
         assert!((report.ops_per_mm2 - report.ops_per_second / report.area_mm2).abs() < 1.0);
         assert!(
-            report.density_tops_mm2() < 40.0,
+            report.ops_per_mm2 * 1e-12 < 40.0,
             "density cannot exceed the PE peak"
         );
     }

@@ -65,12 +65,6 @@ pub fn set_sampling(enabled: bool) {
     SAMPLING.store(enabled, Ordering::Relaxed);
 }
 
-/// Whether the runtime sampling flag is set (regardless of whether the
-/// `obs-profile` hooks are compiled in).
-pub fn sampling_enabled() -> bool {
-    SAMPLING.load(Ordering::Relaxed)
-}
-
 /// Whether the profiling hooks are compiled into this build.
 pub const fn compiled_in() -> bool {
     cfg!(feature = "obs-profile")

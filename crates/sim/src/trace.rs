@@ -85,10 +85,6 @@ pub enum CacheOutcome {
     /// with its mapped-forward placement — the pipeline ran, with a cut
     /// anneal budget.
     WarmStart,
-    /// The exact key missed in memory but its on-disk placement seed was
-    /// found: the pipeline ran with annealing skipped entirely (the seed
-    /// *is* the final placement; routing re-derives deterministically).
-    DiskSeed,
 }
 
 impl CacheOutcome {
@@ -98,7 +94,6 @@ impl CacheOutcome {
             CacheOutcome::Miss => "miss",
             CacheOutcome::Hit => "hit",
             CacheOutcome::WarmStart => "warm-start",
-            CacheOutcome::DiskSeed => "disk-seed",
         }
     }
 }
@@ -118,8 +113,8 @@ pub struct CacheInfo {
     /// Wall-clock the cache saved versus a cold compile, in nanoseconds:
     /// the cached entry's full recorded compile time for a [`CacheOutcome::Hit`],
     /// the donor's PlaceRoute time minus the warm-started PlaceRoute time
-    /// for a [`CacheOutcome::WarmStart`] / [`CacheOutcome::DiskSeed`]
-    /// (clamped at zero), and `0` for a miss.
+    /// for a [`CacheOutcome::WarmStart`] (clamped at zero), and `0` for a
+    /// miss.
     pub saved_wall_ns: f64,
 }
 
@@ -186,11 +181,6 @@ impl StageTrace {
     /// The recorded stages in execution order.
     pub fn records(&self) -> &[StageRecord] {
         &self.records
-    }
-
-    /// Number of recorded stages.
-    pub fn len(&self) -> usize {
-        self.records.len()
     }
 
     /// Whether anything was recorded.

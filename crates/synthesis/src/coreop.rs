@@ -26,18 +26,6 @@ pub enum CoreOpKind {
     Eltwise,
 }
 
-impl CoreOpKind {
-    /// Short mnemonic for reports.
-    pub fn mnemonic(&self) -> &'static str {
-        match self {
-            CoreOpKind::Vmm => "vmm",
-            CoreOpKind::Reduction => "reduce",
-            CoreOpKind::Pooling => "pool",
-            CoreOpKind::Eltwise => "eltwise",
-        }
-    }
-}
-
 /// A group of core-ops sharing one weight tile.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CoreOpGroup {
@@ -90,16 +78,6 @@ impl CoreOpGroup {
     pub fn ops(&self) -> u64 {
         2 * self.weight_count() * self.reuse_degree
     }
-}
-
-/// One individual core-op, materialized from a group (used by the functional
-/// simulator and by tests on small networks).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub struct CoreOp {
-    /// The group this core-op belongs to.
-    pub group: GroupId,
-    /// Index of the core-op within its group (e.g. the output position).
-    pub instance: u64,
 }
 
 /// The synthesized graph of core-op groups.
@@ -180,16 +158,6 @@ impl CoreOpGraph {
         self.groups.iter().map(CoreOpGroup::ops).sum()
     }
 
-    /// Total weights stored across all tiles.
-    pub fn total_weights(&self) -> u64 {
-        self.groups.iter().map(CoreOpGroup::weight_count).sum()
-    }
-
-    /// The minimum number of PEs needed to hold every weight tile once.
-    pub fn minimum_pe_count(&self) -> usize {
-        self.groups.len()
-    }
-
     /// The maximum reuse degree over all groups (the paper's reference group
     /// for the model-level duplication degree).
     pub fn max_reuse_degree(&self) -> u64 {
@@ -219,44 +187,6 @@ impl CoreOpGraph {
             .map(|g| g.reuse_degree as f64 * capacity)
             .sum();
         used / allocated
-    }
-
-    /// Fraction of groups (and therefore minimum PEs) devoted to a given
-    /// kind of construct — reproduces the paper's observation that pooling
-    /// occupies 67% of GoogLeNet's PEs after synthesis.
-    pub fn group_share_of(&self, kind: CoreOpKind) -> f64 {
-        if self.groups.is_empty() {
-            return 0.0;
-        }
-        self.groups.iter().filter(|g| g.kind == kind).count() as f64 / self.groups.len() as f64
-    }
-
-    /// The number of pipeline levels (maximum layer depth + 1).
-    pub fn pipeline_depth(&self) -> usize {
-        self.groups
-            .iter()
-            .map(|g| g.layer_depth + 1)
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Materialize individual core-ops, up to `limit` instances (returns
-    /// `None` if the expansion would exceed the limit). Useful for
-    /// functional simulation of small models.
-    pub fn expand(&self, limit: u64) -> Option<Vec<CoreOp>> {
-        if self.total_core_ops() > limit {
-            return None;
-        }
-        let mut out = Vec::with_capacity(self.total_core_ops() as usize);
-        for g in &self.groups {
-            for instance in 0..g.reuse_degree {
-                out.push(CoreOp {
-                    group: g.id,
-                    instance,
-                });
-            }
-        }
-        Some(out)
     }
 }
 
@@ -450,6 +380,37 @@ pub fn bucket_by_key(
 mod tests {
     use super::*;
 
+    impl CoreOpGraph {
+        /// Total weights stored across all tiles.
+        pub(crate) fn total_weights(&self) -> u64 {
+            self.groups.iter().map(CoreOpGroup::weight_count).sum()
+        }
+
+        /// The minimum number of PEs needed to hold every weight tile once.
+        pub(crate) fn minimum_pe_count(&self) -> usize {
+            self.groups.len()
+        }
+
+        /// Fraction of groups (and therefore minimum PEs) devoted to a given
+        /// kind of construct — reproduces the paper's observation that pooling
+        /// occupies 67% of GoogLeNet's PEs after synthesis.
+        pub(crate) fn group_share_of(&self, kind: CoreOpKind) -> f64 {
+            if self.groups.is_empty() {
+                return 0.0;
+            }
+            self.groups.iter().filter(|g| g.kind == kind).count() as f64 / self.groups.len() as f64
+        }
+
+        /// The number of pipeline levels (maximum layer depth + 1).
+        pub(crate) fn pipeline_depth(&self) -> usize {
+            self.groups
+                .iter()
+                .map(|g| g.layer_depth + 1)
+                .max()
+                .unwrap_or(0)
+        }
+    }
+
     fn group(kind: CoreOpKind, rows: usize, cols: usize, reuse: u64, depth: usize) -> CoreOpGroup {
         CoreOpGroup {
             id: 0,
@@ -534,21 +495,6 @@ mod tests {
         let g = sample_graph();
         assert!((g.group_share_of(CoreOpKind::Pooling) - 1.0 / 3.0).abs() < 1e-12);
         assert_eq!(g.group_share_of(CoreOpKind::Reduction), 0.0);
-    }
-
-    #[test]
-    fn expand_respects_limit() {
-        let g = sample_graph();
-        assert!(g.expand(10).is_none());
-        let ops = g.expand(1000).unwrap();
-        assert_eq!(ops.len(), 201);
-        assert_eq!(
-            ops[0],
-            CoreOp {
-                group: 0,
-                instance: 0
-            }
-        );
     }
 
     #[test]

@@ -29,7 +29,7 @@ pub mod synthesizer;
 pub mod weights;
 
 pub use coreop::{
-    bucket_by_key, Adjacency, CoreOp, CoreOpGraph, CoreOpGroup, CoreOpKind, GroupId, Neighbor,
+    bucket_by_key, Adjacency, CoreOpGraph, CoreOpGroup, CoreOpKind, GroupId, Neighbor,
 };
 pub use synthesizer::{NeuralSynthesizer, SynthesisConfig};
 pub use weights::{vmm_tile_matrix, weight_input_dim};

@@ -18,16 +18,6 @@ pub struct TileConstraints {
     pub cols: usize,
 }
 
-impl TileConstraints {
-    /// The default FPSA constraint: a 256×256 logical crossbar.
-    pub fn fpsa_256() -> Self {
-        TileConstraints {
-            rows: 256,
-            cols: 256,
-        }
-    }
-}
-
 /// Split `total` into tile sizes of at most `tile`.
 pub fn tile_sizes(total: usize, tile: usize) -> Vec<usize> {
     assert!(tile > 0, "tile size must be positive");
@@ -396,6 +386,16 @@ fn lower_pooling(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl TileConstraints {
+        /// The default FPSA constraint: a 256×256 logical crossbar.
+        pub(crate) fn fpsa_256() -> Self {
+            TileConstraints {
+                rows: 256,
+                cols: 256,
+            }
+        }
+    }
 
     #[test]
     fn tile_sizes_cover_the_total() {

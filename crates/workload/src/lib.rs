@@ -48,7 +48,7 @@ pub mod scenario;
 pub mod sim;
 pub mod trace;
 
-pub use replay::{Pacing, ReplayOutcome, ReplayTarget, RoutedReplayTarget, TraceReplayer};
+pub use replay::{ReplayOutcome, ReplayTarget, RoutedReplayTarget, TraceReplayer};
 pub use report::{scenario_report, ScenarioReport};
 pub use scenario::{
     ArrivalProcess, MixEntry, ReplayPolicy, Scenario, ScenarioParseError, ServiceModel,

@@ -12,8 +12,7 @@
 
 use crate::trace::{Trace, TraceEvent};
 use fpsa_serve::{Engine, ServeStats, Ticket};
-use serde::{Deserialize, Serialize};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Anything a recorded trace can be replayed against: the two serving
 /// engines today, test doubles tomorrow. One request in, one ticket out,
@@ -46,16 +45,6 @@ pub trait RoutedReplayTarget {
     fn stats(&self) -> ServeStats;
 }
 
-/// How the replayer spaces submissions on the wall clock.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum Pacing {
-    /// Submit every event back-to-back: the throughput shape.
-    Burst,
-    /// Sleep until each event's recorded offset before submitting: the
-    /// latency shape, gaps coming from the scenario's arrival process.
-    Trace,
-}
-
 /// What one real-engine replay produced.
 #[derive(Debug, Clone)]
 pub struct ReplayOutcome {
@@ -79,34 +68,25 @@ impl ReplayOutcome {
 }
 
 /// Drives a recorded [`Trace`] through a [`ReplayTarget`], regenerating
-/// each request's input from the trace seed.
+/// each request's input from the trace seed. Every event is submitted
+/// back-to-back (the throughput shape); the recorded offsets only matter
+/// to the virtual clock.
 pub struct TraceReplayer<'a> {
     trace: &'a Trace,
     input_len: usize,
-    pacing: Pacing,
 }
 
 impl<'a> TraceReplayer<'a> {
     /// A replayer for `trace` whose requests carry `input_len` features
-    /// (pass the executor's bound input width). Defaults to [`Pacing::Burst`].
+    /// (pass the executor's bound input width).
     pub fn new(trace: &'a Trace, input_len: usize) -> TraceReplayer<'a> {
-        TraceReplayer {
-            trace,
-            input_len,
-            pacing: Pacing::Burst,
-        }
-    }
-
-    /// Select how submissions are spaced on the wall clock.
-    pub fn with_pacing(mut self, pacing: Pacing) -> TraceReplayer<'a> {
-        self.pacing = pacing;
-        self
+        TraceReplayer { trace, input_len }
     }
 
     /// Replay every event from one client thread, in trace order.
     pub fn replay<T: ReplayTarget>(&self, target: &T) -> ReplayOutcome {
         let start = Instant::now();
-        let resolved = self.client(0, 1, self.pacing, start, &self.plain(target));
+        let resolved = self.client(0, 1, &self.plain(target));
         Self::outcome(resolved, start, target.stats())
     }
 
@@ -114,22 +94,21 @@ impl<'a> TraceReplayer<'a> {
     /// round-robin, each client submitting its share in trace order), then
     /// reassemble outputs back into trace order. Exercises the engines'
     /// cross-thread admission path; outputs still match [`Self::replay`]
-    /// bit for bit. Burst-paced regardless of the configured pacing.
+    /// bit for bit.
     pub fn replay_concurrent<T: ReplayTarget + Sync>(
         &self,
         target: &T,
         clients: usize,
     ) -> ReplayOutcome {
         let start = Instant::now();
-        let resolved = self.concurrent(clients, start, &self.plain(target));
+        let resolved = self.concurrent(clients, &self.plain(target));
         Self::outcome(resolved, start, target.stats())
     }
 
     /// Replay every event through a routed target, honouring each event's
     /// tenant and model columns. `input_lens[model]` gives each model's
     /// input width (models index the trace's mix order, same as the
-    /// registry's dense ids). One client thread, trace order, paced like
-    /// [`Self::replay`].
+    /// registry's dense ids). One client thread, trace order.
     ///
     /// # Panics
     ///
@@ -143,15 +122,14 @@ impl<'a> TraceReplayer<'a> {
     ) -> ReplayOutcome {
         let start = Instant::now();
         let submit = self.routed(target, input_lens);
-        let resolved = self.client(0, 1, self.pacing, start, &submit);
+        let resolved = self.client(0, 1, &submit);
         Self::outcome(resolved, start, target.stats())
     }
 
     /// [`Self::replay_routed`] through `clients` concurrent submitter
     /// threads (events dealt round-robin, reassembled into trace order),
     /// exercising the routed target's cross-thread admission path. Outputs
-    /// still match the single-client replay bit for bit. Burst-paced
-    /// regardless of the configured pacing.
+    /// still match the single-client replay bit for bit.
     ///
     /// # Panics
     ///
@@ -163,7 +141,7 @@ impl<'a> TraceReplayer<'a> {
         clients: usize,
     ) -> ReplayOutcome {
         let start = Instant::now();
-        let resolved = self.concurrent(clients, start, &self.routed(target, input_lens));
+        let resolved = self.concurrent(clients, &self.routed(target, input_lens));
         Self::outcome(resolved, start, target.stats())
     }
 
@@ -188,30 +166,17 @@ impl<'a> TraceReplayer<'a> {
     }
 
     /// The one replay body: client `client` of `clients` submits its
-    /// round-robin share of the trace in order (sleeping to each event's
-    /// recorded offset under [`Pacing::Trace`]), then collects its tickets.
+    /// round-robin share of the trace in order, then collects its tickets.
     fn client(
         &self,
         client: usize,
         clients: usize,
-        pacing: Pacing,
-        start: Instant,
         submit: &impl Fn(usize, &TraceEvent) -> Ticket,
     ) -> Vec<Resolved> {
         let events = &self.trace.events;
-        let first_at = events.first().map_or(0, |e| e.at_us);
         let tickets: Vec<(usize, Ticket)> = (client..events.len())
             .step_by(clients)
-            .map(|index| {
-                if pacing == Pacing::Trace {
-                    let offset_us = events[index].at_us - first_at;
-                    let elapsed_us = start.elapsed().as_micros() as u64;
-                    if offset_us > elapsed_us {
-                        std::thread::sleep(Duration::from_micros(offset_us - elapsed_us));
-                    }
-                }
-                (index, submit(index, &events[index]))
-            })
+            .map(|index| (index, submit(index, &events[index])))
             .collect();
         let wait = |(index, ticket): (usize, Ticket)| match ticket.wait_timed() {
             Ok((logits, latency_us)) => (index, logits, latency_us),
@@ -220,17 +185,16 @@ impl<'a> TraceReplayer<'a> {
         tickets.into_iter().map(wait).collect()
     }
 
-    /// Run [`Self::client`] on `clients` scoped threads, burst-paced.
+    /// Run [`Self::client`] on `clients` scoped threads.
     fn concurrent(
         &self,
         clients: usize,
-        start: Instant,
         submit: &(impl Fn(usize, &TraceEvent) -> Ticket + Sync),
     ) -> Vec<Resolved> {
         let clients = clients.max(1);
         std::thread::scope(|scope| {
             let handles: Vec<_> = (0..clients)
-                .map(|c| scope.spawn(move || self.client(c, clients, Pacing::Burst, start, submit)))
+                .map(|c| scope.spawn(move || self.client(c, clients, submit)))
                 .collect();
             let joined = handles.into_iter().map(|handle| handle.join());
             joined

@@ -339,24 +339,6 @@ impl Scenario {
         self
     }
 
-    /// Replace the tenant mix.
-    pub fn with_tenants(mut self, tenants: Vec<MixEntry>) -> Scenario {
-        self.tenants = tenants;
-        self
-    }
-
-    /// Replace the virtual queueing policy.
-    pub fn with_policy(mut self, policy: ReplayPolicy) -> Scenario {
-        self.policy = policy;
-        self
-    }
-
-    /// Replace the virtual service-cost model.
-    pub fn with_service(mut self, service: ServiceModel) -> Scenario {
-        self.service = service;
-        self
-    }
-
     /// Check the invariants every consumer relies on.
     ///
     /// # Errors
@@ -379,8 +361,11 @@ impl Scenario {
             if mix.is_empty() {
                 return Err(err(0, format!("{what} mix must not be empty")));
             }
-            if mix.iter().any(|e| e.weight <= 0.0 || e.weight.is_nan()) {
-                return Err(err(0, format!("{what} weights must be > 0")));
+            if mix
+                .iter()
+                .any(|e| !(e.weight > 0.0 && e.weight.is_finite()))
+            {
+                return Err(err(0, format!("{what} weights must be > 0 and finite")));
             }
             for entry in mix.iter() {
                 if entry.name.is_empty() {
@@ -409,21 +394,29 @@ impl Scenario {
         if self
             .batch_mix
             .iter()
-            .any(|&(n, w)| n == 0 || w <= 0.0 || w.is_nan())
+            .any(|&(n, w)| n == 0 || !(w > 0.0 && w.is_finite()))
         {
-            return Err(err(0, "batch_mix sizes must be >= 1 with weights > 0"));
+            return Err(err(
+                0,
+                "batch_mix sizes must be >= 1 with weights > 0 and finite",
+            ));
         }
         if self.policy.replicas == 0 || self.policy.max_batch == 0 {
             return Err(err(0, "policy replicas and max_batch must be >= 1"));
         }
         let arrival_ok = match self.arrival {
-            ArrivalProcess::Poisson { rate_per_s } => rate_per_s > 0.0,
+            ArrivalProcess::Poisson { rate_per_s } => rate_per_s > 0.0 && rate_per_s.is_finite(),
             ArrivalProcess::Bursty { period_us, burst } => period_us > 0 && burst > 0,
             ArrivalProcess::Diurnal {
                 base_rate_per_s,
                 peak_rate_per_s,
                 period_us,
-            } => base_rate_per_s > 0.0 && peak_rate_per_s >= base_rate_per_s && period_us > 0,
+            } => {
+                base_rate_per_s > 0.0
+                    && peak_rate_per_s >= base_rate_per_s
+                    && peak_rate_per_s.is_finite()
+                    && period_us > 0
+            }
             ArrivalProcess::AdversarialClosedLoop {
                 clients,
                 barrier_us,
@@ -560,6 +553,14 @@ impl Scenario {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Scenario {
+        /// Replace the tenant mix.
+        pub(crate) fn with_tenants(mut self, tenants: Vec<MixEntry>) -> Scenario {
+            self.tenants = tenants;
+            self
+        }
+    }
 
     fn full_scenario() -> Scenario {
         Scenario::steady("round-trip", "MLP-500-100", 17, 4096)

@@ -18,6 +18,17 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
+/// Thinning candidates a diurnal process may reject in a row before
+/// [`TraceRecorder::record`] gives up with a typed error. A checked-in
+/// day (peak / base = 16) rejects 1 − 1/16 of candidates, so a run this
+/// long has probability ~e^-4096; a peak rate tens of orders above the
+/// base would otherwise spin forever.
+const DIURNAL_REJECTION_BUDGET: u32 = 1 << 16;
+
+/// The most events [`TraceRecorder::record`] reserves up front: `requests`
+/// comes from the document, and a longer trace grows as it records.
+const MAX_PREALLOCATED_EVENTS: usize = 1 << 20;
+
 /// One request arrival in a trace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TraceEvent {
@@ -152,7 +163,7 @@ impl TraceRecorder {
         let model_cum = cumulative(s.models.iter().map(|e| e.weight));
         let batch_cum = cumulative(s.batch_mix.iter().map(|&(_, w)| w));
 
-        let mut events = Vec::with_capacity(s.requests);
+        let mut events = Vec::with_capacity(s.requests.min(MAX_PREALLOCATED_EVENTS));
         for (group, at_us) in self.arrival_times().enumerate() {
             if events.len() >= s.requests {
                 break;
@@ -169,6 +180,15 @@ impl TraceRecorder {
                 });
             }
         }
+        if events.len() < s.requests {
+            return Err(ScenarioParseError {
+                line: 0,
+                message: format!(
+                    "diurnal arrivals rejected {DIURNAL_REJECTION_BUDGET} candidates in a row: \
+                     peak_rate_per_s is too far above the rate the sinusoid reaches"
+                ),
+            });
+        }
         Ok(Trace {
             scenario: s.name.clone(),
             seed: s.seed,
@@ -176,8 +196,10 @@ impl TraceRecorder {
         })
     }
 
-    /// The (unbounded) arrival-time stream for the scenario's process, in
-    /// virtual microseconds. One yielded instant is one arrival *group*.
+    /// The arrival-time stream for the scenario's process, in virtual
+    /// microseconds. One yielded instant is one arrival *group*. Unbounded,
+    /// except that a diurnal stream ends after [`DIURNAL_REJECTION_BUDGET`]
+    /// rejected candidates in a row. Times saturate at `u64::MAX`.
     fn arrival_times(&self) -> Box<dyn Iterator<Item = u64> + '_> {
         let s = &self.scenario;
         let mut rng = StdRng::seed_from_u64(seeds::derive(s.seed, seeds::STREAM_ARRIVAL, 0));
@@ -189,9 +211,9 @@ impl TraceRecorder {
                     t as u64
                 }))
             }
-            ArrivalProcess::Bursty { period_us, burst } => {
-                Box::new((0u64..).flat_map(move |k| std::iter::repeat_n(k * period_us, burst)))
-            }
+            ArrivalProcess::Bursty { period_us, burst } => Box::new(
+                (0u64..).flat_map(move |k| std::iter::repeat_n(k.saturating_mul(period_us), burst)),
+            ),
             ArrivalProcess::Diurnal {
                 base_rate_per_s,
                 peak_rate_per_s,
@@ -202,14 +224,17 @@ impl TraceRecorder {
                 let mut accept =
                     StdRng::seed_from_u64(seeds::derive(s.seed, seeds::STREAM_ARRIVAL, 1));
                 let mut t = 0.0f64;
-                Box::new(std::iter::from_fn(move || loop {
-                    t += exponential_gap_us(&mut rng, peak_rate_per_s);
-                    let phase = (t / period_us as f64) * std::f64::consts::TAU;
-                    let lambda = base_rate_per_s
-                        + (peak_rate_per_s - base_rate_per_s) * 0.5 * (1.0 - phase.cos());
-                    if accept.gen_range(0.0f64..1.0) < lambda / peak_rate_per_s {
-                        return Some(t as u64);
+                Box::new(std::iter::from_fn(move || {
+                    for _ in 0..DIURNAL_REJECTION_BUDGET {
+                        t += exponential_gap_us(&mut rng, peak_rate_per_s);
+                        let phase = (t / period_us as f64) * std::f64::consts::TAU;
+                        let lambda = base_rate_per_s
+                            + (peak_rate_per_s - base_rate_per_s) * 0.5 * (1.0 - phase.cos());
+                        if accept.gen_range(0.0f64..1.0) < lambda / peak_rate_per_s {
+                            return Some(t as u64);
+                        }
                     }
+                    None
                 }))
             }
             ArrivalProcess::AdversarialClosedLoop {
@@ -222,7 +247,9 @@ impl TraceRecorder {
                 // until the next barrier — the herd re-synchronizes into
                 // simultaneous bursts. Fully deterministic.
                 let service = s.service;
-                let mut next: Vec<u64> = (0..clients).map(|_| 0).collect();
+                // At most `requests` arrivals are drawn, and every client
+                // starts at 0, so clients past that count never submit.
+                let mut next: Vec<u64> = vec![0; clients.min(s.requests)];
                 let mut server_free = 0u64;
                 Box::new(std::iter::from_fn(move || {
                     let (client, &at) = next
@@ -230,10 +257,10 @@ impl TraceRecorder {
                         .enumerate()
                         .min_by_key(|&(i, &t)| (t, i))
                         .expect("clients >= 1 validated");
-                    let done = server_free.max(at) + service.batch_us(1);
+                    let done = server_free.max(at).saturating_add(service.batch_us(1));
                     server_free = done;
-                    let ready = done + think_us;
-                    next[client] = ready.div_ceil(barrier_us) * barrier_us;
+                    let ready = done.saturating_add(think_us);
+                    next[client] = ready.div_ceil(barrier_us).saturating_mul(barrier_us);
                     Some(at)
                 }))
             }
@@ -362,5 +389,65 @@ mod tests {
         // After the initial herd at t=0, every arrival lands on a barrier
         // multiple — the re-synchronized thundering pattern.
         assert!(trace.events.iter().all(|e| e.at_us % 500 == 0));
+    }
+
+    /// A scenario document with `requests = 4` and the given arrival and
+    /// service lines.
+    fn hostile(arrival: &str, service: &str) -> Result<Trace, ScenarioParseError> {
+        let text = format!(
+            "name = hostile\nseed = 1\nrequests = 4\narrival = {arrival}\nservice = {service}\n\
+             policy = replicas=1 max_batch=4 window_us=100\nmodels = m:1\ntenants = t:1\n\
+             batch_mix = 1:1\n"
+        );
+        TraceRecorder::new(&Scenario::parse(&text)?).record()
+    }
+
+    const SERVICE: &str = "base_us=40 per_request_us=15";
+
+    fn assert_monotone(trace: &Trace) {
+        assert_eq!(trace.len(), 4);
+        assert!(trace.events.windows(2).all(|w| w[0].at_us <= w[1].at_us));
+    }
+
+    #[test]
+    fn bursty_arrivals_saturate_instead_of_overflowing() {
+        let trace = hostile("bursty period_us=18446744073709551615 burst=1", SERVICE).unwrap();
+        assert_monotone(&trace);
+        assert_eq!(trace.events[3].at_us, u64::MAX);
+    }
+
+    #[test]
+    fn closed_loop_think_time_saturates_instead_of_overflowing() {
+        let arrival =
+            "adversarial_closed_loop clients=1 think_us=18446744073709551615 barrier_us=1";
+        assert_monotone(&hostile(arrival, SERVICE).unwrap());
+    }
+
+    #[test]
+    fn closed_loop_service_cost_saturates_instead_of_overflowing() {
+        let arrival = "adversarial_closed_loop clients=2 think_us=10 barrier_us=7";
+        let service = "base_us=18446744073709551615 per_request_us=1";
+        assert_monotone(&hostile(arrival, service).unwrap());
+    }
+
+    #[test]
+    fn an_infinite_diurnal_peak_is_rejected_by_validation() {
+        let err = hostile(
+            "diurnal base_rate_per_s=1 peak_rate_per_s=inf period_us=10",
+            SERVICE,
+        )
+        .unwrap_err();
+        assert!(err.message.contains("arrival-process parameters"), "{err}");
+    }
+
+    #[test]
+    fn an_unsamplable_diurnal_peak_is_a_typed_error_not_a_hang() {
+        let err = hostile(
+            "diurnal base_rate_per_s=1 peak_rate_per_s=1e300 period_us=1000000",
+            SERVICE,
+        )
+        .unwrap_err();
+        assert!(err.message.contains("diurnal arrivals rejected"), "{err}");
+        assert_eq!(err.line, 0);
     }
 }
