@@ -28,10 +28,6 @@ pub struct RoutingArchitecture {
     /// Wire delay per block pitch in ns (driven by the block footprint and
     /// the per-mm wire delay of the technology).
     pub wire_delay_per_block_ns: f64,
-    /// Fraction of the connection box's tracks each block pin can reach.
-    pub connection_flexibility: f64,
-    /// Energy of moving one bit across one block pitch, in pJ.
-    pub energy_per_bit_hop_pj: f64,
 }
 
 impl RoutingArchitecture {
@@ -44,8 +40,6 @@ impl RoutingArchitecture {
             switch_delay_ns: 0.12,
             connection_delay_ns: 0.10,
             wire_delay_per_block_ns: 0.02,
-            connection_flexibility: 0.5,
-            energy_per_bit_hop_pj: 0.01,
         }
     }
 

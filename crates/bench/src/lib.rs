@@ -1,9 +1,9 @@
 //! Shared helpers for the FPSA benchmark harness.
 //!
 //! Every bench binary in `benches/` regenerates one table or figure of the
-//! paper: it prints the experiment's table (so that `cargo bench` output can
-//! be pasted straight into EXPERIMENTS.md) and then times the underlying
-//! experiment code with Criterion.
+//! paper: it prints the experiment's table, persists its records as JSON
+//! under the workspace's `target/experiment-data/` ([`save_json`]) and then
+//! times the underlying experiment code with Criterion.
 
 use std::path::PathBuf;
 

@@ -26,8 +26,6 @@ pub struct ModelEvaluation {
     pub duplication: u64,
     /// Measured performance.
     pub performance: PerformanceReport,
-    /// Peak performance of the allocated PEs in OPS.
-    pub peak_ops: f64,
     /// Spatial utilization bound (crossbar fill), 0..1.
     pub spatial_utilization: f64,
     /// Temporal utilization bound (pipeline balance), 0..1.
@@ -111,13 +109,11 @@ impl Evaluator {
         if let (Some(info), Some(trace)) = (info, performance.compile.as_mut()) {
             trace.set_cache(info);
         }
-        let peak_ops = compiled.mapping.netlist.stats().pe_count as f64 * self.arch.pe.peak_ops();
         ModelEvaluation {
             model: benchmark.name().to_string(),
             architecture: self.arch.kind.name().to_string(),
             duplication,
             performance,
-            peak_ops,
             spatial_utilization: compiled.core_graph.spatial_utilization(),
             temporal_utilization: compiled.mapping.allocation.temporal_utilization(),
             published_weights: benchmark.published_weights(),

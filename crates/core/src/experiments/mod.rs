@@ -1,9 +1,10 @@
 //! One driver per table and figure of the paper's evaluation.
 //!
 //! Every driver returns structured, serializable records and can render a
-//! plain-text table; the Criterion benchmarks in `fpsa-bench`, the examples
-//! and EXPERIMENTS.md all call these functions, so the numbers in the
-//! documentation are regenerated by the same code the tests exercise. Every
+//! plain-text table; the Criterion benchmarks in `fpsa-bench` (which persist
+//! the records under `target/experiment-data/`) and the examples all call
+//! these functions, so the published numbers are regenerated by the same
+//! code the tests exercise. Every
 //! driver fans its evaluation grid out through the unified
 //! [`crate::sweep`] engine instead of hand-rolling its own loop.
 //!
@@ -16,8 +17,7 @@
 //! | [`fig7`]   | Figure 7 — per-PE latency breakdown |
 //! | [`fig8`]   | Figure 8 — scalability across the 7-model zoo |
 //! | [`table3`] | Table 3 — overall FPSA results per model |
-//! | [`fig9`]   | Figure 9 — splice vs add accuracy under variation |
-//! | [`fig9_compiled`] | Figure 9 on compiled models — noise injected per PE into the executed fabric |
+//! | [`fig9`]   | Figure 9 — splice vs add accuracy under variation, noise injected per PE into the executed fabric |
 //! | [`serving`] | beyond the paper — serving throughput of the `fpsa_serve` engine (batch window × replicas vs the bind-per-request direct path) |
 //!
 //! The multi-fabric sharding sweep (stage count × batch window vs the
@@ -30,7 +30,6 @@ pub mod fig6;
 pub mod fig7;
 pub mod fig8;
 pub mod fig9;
-pub mod fig9_compiled;
 pub mod serving;
 pub mod table1;
 pub mod table2;

@@ -111,7 +111,7 @@ fn sweep_scenario(model: &str, requests: usize) -> Scenario {
 /// Regenerate for arbitrary models, replica counts, `(max_batch,
 /// window_us)` policies and request count. Every engine point replays the
 /// same recorded `requests`-long trace the direct path ran, and the leading
-/// [`CHECKED_OUTPUTS`] outputs are asserted bit-identical to it.
+/// `CHECKED_OUTPUTS` (32) outputs are asserted bit-identical to it.
 pub fn run_with(
     benchmarks: &[Benchmark],
     replicas: &[usize],

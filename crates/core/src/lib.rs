@@ -24,7 +24,8 @@
 //!   bit-exactness);
 //! * [`experiments`] — one driver per table and figure of the paper's
 //!   evaluation section, each returning structured records that the
-//!   benchmarks, examples and EXPERIMENTS.md regenerate.
+//!   benchmarks (JSON under `target/experiment-data/`) and examples
+//!   regenerate.
 //!
 //! # Example
 //!

@@ -101,12 +101,6 @@ pub struct NeuronUnit {
     pub energy_pj: f64,
     /// Integrate + fire latency contribution in ns.
     pub latency_ns: f64,
-    /// Threshold voltage in volts.
-    pub v_threshold: f64,
-    /// Reset voltage in volts.
-    pub v_reset: f64,
-    /// Membrane capacitance in femtofarads.
-    pub capacitance_ff: f64,
 }
 
 impl NeuronUnit {
@@ -116,9 +110,6 @@ impl NeuronUnit {
             area_um2: 9854.342 / 512.0,
             energy_pj: 19.861 / 512.0,
             latency_ns: 1.463,
-            v_threshold: 0.5,
-            v_reset: 0.0,
-            capacitance_ff: 20.0,
         }
     }
 

@@ -4,9 +4,9 @@
 //! Figure 9 device-variation experiment needs a network with a *real*
 //! accuracy to degrade. Since ImageNet training is far outside the scope of a
 //! simulator repository, we substitute small synthetic classification
-//! problems (documented in DESIGN.md): Gaussian blobs and concentric rings,
-//! which a small MLP learns to high accuracy and which expose the same
-//! relative degradation between the splice and add weight representations.
+//! problems (documented in DESIGN.md): Gaussian blobs, which a small MLP
+//! learns to high accuracy and which expose the same relative degradation
+//! between the splice and add weight representations.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -108,36 +108,6 @@ mod tests {
         /// Number of features per sample.
         pub(crate) fn features(&self) -> usize {
             self.samples.first().map_or(0, Vec::len)
-        }
-
-        /// Generate concentric rings in 2-D, a mildly non-linear problem that
-        /// needs the hidden layer to be solved.
-        pub(crate) fn concentric_rings(
-            classes: usize,
-            samples_per_class: usize,
-            seed: u64,
-        ) -> Self {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let mut samples = Vec::new();
-            let mut labels = Vec::new();
-            for i in 0..samples_per_class {
-                for class in 0..classes {
-                    let radius =
-                        0.25 + class as f64 * 0.5 / classes as f64 + rng.gen_range(-0.05..0.05);
-                    let theta = (i as f64 / samples_per_class as f64) * std::f64::consts::TAU
-                        + rng.gen_range(-0.1..0.1);
-                    samples.push(vec![
-                        (radius * theta.cos()) as f32,
-                        (radius * theta.sin()) as f32,
-                    ]);
-                    labels.push(class);
-                }
-            }
-            Dataset {
-                samples,
-                labels,
-                classes,
-            }
         }
     }
 

@@ -12,8 +12,9 @@
 //!   evaluation (MLP-500-100, LeNet, CIFAR-VGG17, AlexNet, VGG16, GoogLeNet,
 //!   ResNet-152), reproducing the published weight and operation counts of
 //!   Table 3;
-//! * a tiny, dependency-free training and inference engine ([`mlp`],
-//!   [`dataset`]) used by the Figure 9 device-variation accuracy experiment;
+//! * a tiny, dependency-free, bias-free training and inference engine
+//!   ([`mlp`], [`dataset`]) whose trained network Figure 9 compiles onto the
+//!   fabric to measure device-variation accuracy;
 //! * quantization helpers ([`quant`]) for the 8-bit weights / 6-bit
 //!   activations used on the accelerator;
 //! * numeric graph parameters ([`params`]) and the golden-model reference

@@ -1,23 +1,21 @@
 //! A tiny trainable multi-layer perceptron.
 //!
 //! This is the "real network" behind the Figure 9 accuracy experiment: it is
-//! trained with plain SGD on a synthetic dataset, its weights are then
-//! quantized and mapped onto noisy ReRAM cells with either the splice or the
-//! add representation, and the resulting classification accuracy is compared
-//! against the full-precision accuracy.
+//! trained with plain SGD on a synthetic dataset, imported into a
+//! computational graph ([`crate::params::GraphParameters::from_mlp`]) and
+//! compiled onto the fabric. Like the ReRAM crossbar and the graph IR, a
+//! layer has no bias term: it holds a weight matrix only.
 
 use crate::dataset::Dataset;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-/// One dense layer: `y = relu(W x + b)` (the last layer omits the ReLU).
+/// One dense layer: `y = relu(W x)` (the last layer omits the ReLU).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DenseLayer {
     /// Weight matrix, `weights[o][i]`.
     pub weights: Vec<Vec<f32>>,
-    /// Bias vector.
-    pub bias: Vec<f32>,
 }
 
 impl DenseLayer {
@@ -28,7 +26,6 @@ impl DenseLayer {
             weights: (0..outputs)
                 .map(|_| (0..inputs).map(|_| rng.gen_range(-scale..scale)).collect())
                 .collect(),
-            bias: vec![0.0; outputs],
         }
     }
 
@@ -46,8 +43,7 @@ impl DenseLayer {
     pub fn forward(&self, x: &[f32]) -> Vec<f32> {
         self.weights
             .iter()
-            .zip(&self.bias)
-            .map(|(row, b)| row.iter().zip(x).map(|(w, xi)| w * xi).sum::<f32>() + b)
+            .map(|row| row.iter().zip(x).map(|(w, xi)| w * xi).sum::<f32>())
             .collect()
     }
 }
@@ -143,36 +139,17 @@ impl Mlp {
 
     /// Train with SGD + softmax cross-entropy.
     pub fn train(&mut self, data: &Dataset, config: TrainConfig) {
-        self.train_impl(data, config, true);
-    }
-
-    /// Train with SGD while keeping every bias frozen at zero.
-    ///
-    /// Layers initialize their biases to zero, so the result is a pure
-    /// weight-matrix network — the form [`crate::params::GraphParameters::from_mlp`]
-    /// can import into a computational graph (the graph IR, like the ReRAM
-    /// crossbar, has no bias term).
-    pub fn train_without_bias(&mut self, data: &Dataset, config: TrainConfig) {
-        self.train_impl(data, config, false);
-    }
-
-    fn train_impl(&mut self, data: &Dataset, config: TrainConfig, update_bias: bool) {
         let mut rng = StdRng::seed_from_u64(config.seed);
         let n = data.len();
         for _ in 0..config.epochs {
             for _ in 0..n {
                 let idx = rng.gen_range(0..n);
-                self.sgd_step(
-                    &data.samples[idx],
-                    data.labels[idx],
-                    config.learning_rate,
-                    update_bias,
-                );
+                self.sgd_step(&data.samples[idx], data.labels[idx], config.learning_rate);
             }
         }
     }
 
-    fn sgd_step(&mut self, x: &[f32], label: usize, lr: f32, update_bias: bool) {
+    fn sgd_step(&mut self, x: &[f32], label: usize, lr: f32) {
         // Forward, keeping pre-activation inputs per layer.
         let mut inputs: Vec<Vec<f32>> = Vec::with_capacity(self.layers.len());
         let mut current = x.to_vec();
@@ -209,9 +186,6 @@ impl Mlp {
                 for (j, w) in row.iter_mut().enumerate() {
                     *w -= lr * delta[o] * input[j];
                 }
-                if update_bias {
-                    layer.bias[o] -= lr * delta[o];
-                }
             }
             if i > 0 {
                 for (j, d) in next_delta.iter_mut().enumerate() {
@@ -222,33 +196,6 @@ impl Mlp {
                 delta = next_delta;
             }
         }
-    }
-
-    /// Apply a transformation to every weight (used to inject quantization
-    /// and device variation), returning a new network.
-    pub fn map_weights<F: FnMut(f32) -> f32>(&self, mut f: F) -> Mlp {
-        Mlp {
-            layers: self
-                .layers
-                .iter()
-                .map(|l| DenseLayer {
-                    weights: l
-                        .weights
-                        .iter()
-                        .map(|row| row.iter().map(|&w| f(w)).collect())
-                        .collect(),
-                    bias: l.bias.clone(),
-                })
-                .collect(),
-        }
-    }
-
-    /// The largest absolute weight in the network (used as quantization range).
-    pub fn max_abs_weight(&self) -> f32 {
-        self.layers
-            .iter()
-            .flat_map(|l| l.weights.iter().flatten())
-            .fold(0.0f32, |m, &w| m.max(w.abs()))
     }
 }
 
@@ -329,63 +276,6 @@ mod tests {
             after > 0.9,
             "blobs should be almost perfectly separable, got {after}"
         );
-    }
-
-    #[test]
-    fn training_learns_concentric_rings() {
-        let data = Dataset::concentric_rings(2, 200, 4);
-        let (train, test) = data.split(0.8);
-        let mut mlp = Mlp::new(&[2, 32, 2], 6);
-        mlp.train(
-            &train,
-            TrainConfig {
-                learning_rate: 0.08,
-                epochs: 120,
-                seed: 9,
-            },
-        );
-        assert!(mlp.accuracy(&test) > 0.85);
-    }
-
-    #[test]
-    fn map_weights_applies_transformation() {
-        let mlp = Mlp::new(&[3, 4, 2], 2);
-        let zeroed = mlp.map_weights(|_| 0.0);
-        assert!(zeroed
-            .layers
-            .iter()
-            .flat_map(|l| l.weights.iter().flatten())
-            .all(|&w| w == 0.0));
-        assert_eq!(zeroed.weight_count(), mlp.weight_count());
-    }
-
-    #[test]
-    fn max_abs_weight_bounds_all_weights() {
-        let mlp = Mlp::new(&[5, 10, 4], 3);
-        let m = mlp.max_abs_weight();
-        assert!(mlp
-            .layers
-            .iter()
-            .flat_map(|l| l.weights.iter().flatten())
-            .all(|&w| w.abs() <= m));
-        assert!(m > 0.0);
-    }
-
-    #[test]
-    fn bias_free_training_learns_and_keeps_biases_zero() {
-        let data = Dataset::gaussian_blobs(3, 80, 6, 0.25, 13);
-        let (train, test) = data.split(0.8);
-        let mut mlp = Mlp::new(&[6, 24, 3], 5);
-        mlp.train_without_bias(
-            &train,
-            TrainConfig {
-                learning_rate: 0.05,
-                epochs: 40,
-                seed: 3,
-            },
-        );
-        assert!(mlp.layers.iter().all(|l| l.bias.iter().all(|&b| b == 0.0)));
-        assert!(mlp.accuracy(&test) > 0.85, "bias-free blobs stay separable");
     }
 
     #[test]

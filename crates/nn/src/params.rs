@@ -7,8 +7,7 @@
 //!
 //! * `Linear { in, out }` — a row-major `[out][in]` matrix
 //!   (`w[o * in + i]`), with no bias term (the fabric stores weights only;
-//!   biases would need a constant-input column, see
-//!   [`GraphParameters::from_mlp`]).
+//!   biases would need a constant-input column).
 //! * `Conv2d` — a `[out_channels][(in_channels/groups) * k * k]` matrix with
 //!   the kernel flattened channel-major (`(c * k + ky) * k + kx`), matching
 //!   the row layout the neural synthesizer tiles.
@@ -86,8 +85,7 @@ impl GraphParameters {
     /// # Errors
     ///
     /// Returns [`crate::NnError::ShapeMismatch`] if the layer shapes do not
-    /// line up or the MLP carries non-zero biases (the graph IR has no bias
-    /// term; train with [`Mlp::train_without_bias`]).
+    /// line up.
     pub fn from_mlp(graph: &ComputationalGraph, mlp: &Mlp) -> Result<Self, crate::NnError> {
         let mismatch = |reason: String| crate::NnError::ShapeMismatch {
             node: graph.name.clone(),
@@ -112,11 +110,6 @@ impl GraphParameters {
                             in_features,
                             out_features
                         )));
-                    }
-                    if layer.bias.iter().any(|&b| b != 0.0) {
-                        return Err(mismatch(
-                            "MLP carries non-zero biases; use Mlp::train_without_bias".into(),
-                        ));
                     }
                     let mut w = Vec::with_capacity(in_features * out_features);
                     for row in &layer.weights {
@@ -157,7 +150,7 @@ impl GraphParameters {
     }
 
     /// Apply a transformation to every weight (quantization, noise), keeping
-    /// the structure — the analogue of [`Mlp::map_weights`].
+    /// the structure.
     pub fn map_weights<F: FnMut(f32) -> f32>(&self, mut f: F) -> GraphParameters {
         GraphParameters {
             tensors: self
@@ -276,11 +269,8 @@ mod tests {
     }
 
     #[test]
-    fn from_mlp_rejects_nonzero_bias_and_shape_mismatch() {
+    fn from_mlp_rejects_shape_mismatch() {
         let g = mlp_graph("tiny", &[6, 12, 4]);
-        let mut mlp = Mlp::new(&[6, 12, 4], 5);
-        mlp.layers[0].bias[0] = 0.5;
-        assert!(GraphParameters::from_mlp(&g, &mlp).is_err());
         let wrong = Mlp::new(&[6, 13, 4], 5);
         assert!(GraphParameters::from_mlp(&g, &wrong).is_err());
     }

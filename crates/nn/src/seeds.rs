@@ -32,8 +32,9 @@ fn mix(mut z: u64) -> u64 {
 /// ([`crate::params::GraphParameters`]); `index` is the node id.
 pub const STREAM_PARAMS: u64 = 0x5041_5241_4D53; // "PARAMS"
 
-/// Stream tag: Monte-Carlo variation trials (`fpsa_sim::VariationStudy`);
-/// `index` is the trial number.
+/// Stream tag: Monte-Carlo variation trials of Figure 9
+/// (`fpsa_core::experiments::fig9`), each seeding one noisy bind; `index`
+/// is the trial number.
 pub const STREAM_TRIAL: u64 = 0x0054_5249_414C; // "TRIAL"
 
 /// Stream tag: per-PE weight-programming noise in the compiled-model

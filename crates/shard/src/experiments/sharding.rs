@@ -100,7 +100,7 @@ pub fn run() -> Vec<ShardingReport> {
 
 /// Regenerate for one model over arbitrary stage counts, `(max_batch,
 /// window_us)` policies and request count. Every sharded point serves the
-/// same stream; the leading [`CHECKED_OUTPUTS`] outputs are asserted
+/// same stream; the leading `CHECKED_OUTPUTS` (16) outputs are asserted
 /// bit-identical to the unsharded direct executor.
 pub fn run_with(
     graph: &ComputationalGraph,

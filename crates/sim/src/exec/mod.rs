@@ -24,10 +24,11 @@
 //!    and every core-graph edge must be backed by nets in the mapper's
 //!    netlist (producer PE → consumer PE duplicates, or producer → SMB →
 //!    consumer for buffered edges).
-//! 2. Binding then **lowers** the programs ([`crate::lower`]) into a flat
-//!    bytecode stream ([`crate::bytecode`]): every buffer becomes a fixed
-//!    region of two flat arena slabs, every instruction carries preresolved
-//!    absolute offsets, and structurally-zero crossbar rows are dropped.
+//! 2. Binding then **lowers** the programs (the crate's private `lower`
+//!    module) into a flat bytecode stream (`bytecode`): every buffer becomes
+//!    a fixed region of two flat arena slabs, every instruction carries
+//!    preresolved absolute offsets, and structurally-zero crossbar rows are
+//!    dropped.
 //! 3. [`Executor::run`] (`run.rs`) is a single dispatch loop over that
 //!    stream — no per-element op dispatch, no hash lookups, no shape math —
 //!    with run-time skipping of exactly-zero activations. The stream is the
@@ -301,7 +302,7 @@ pub(crate) struct NodeInfo {
 /// The bytecode executor needs exactly two flat slabs per numeric domain —
 /// the value slab (node activations, gathers, element-wise sides) and the
 /// partial slab (raw tile accumulations) — whose peak demand lowering
-/// precomputed ([`crate::bytecode`]). Reserving them is therefore O(1) per
+/// precomputed (the crate's private `bytecode` module). Reserving them is therefore O(1) per
 /// run: one length check against the lowered `val_len`/`part_len`, then a
 /// memset. After warm-up the steady-state hot path
 /// ([`Executor::run_into`] / [`Executor::run_batch_into`]) performs **zero

@@ -337,33 +337,6 @@ impl Executor {
         results.into_iter().collect()
     }
 
-    /// Classification accuracy over a labelled sample set (argmax of logits).
-    ///
-    /// # Errors
-    ///
-    /// Propagates per-sample execution errors;
-    /// [`ExecError::ModelMismatch`] when `labels` does not pair up with
-    /// `samples` one to one.
-    pub fn accuracy(&self, samples: &[Vec<f32>], labels: &[usize]) -> Result<f64, ExecError> {
-        if labels.len() != samples.len() {
-            return Err(mismatch(format!(
-                "{} labels for {} samples",
-                labels.len(),
-                samples.len()
-            )));
-        }
-        if samples.is_empty() {
-            return Ok(0.0);
-        }
-        let outputs = self.run_batch(samples)?;
-        let correct = outputs
-            .iter()
-            .zip(labels)
-            .filter(|(logits, &label)| fpsa_nn::mlp::argmax(logits) == label)
-            .count();
-        Ok(correct as f64 / samples.len() as f64)
-    }
-
     /// The graph's single input node, after validating the sample length.
     fn checked_input_node(&self, input: &[f32]) -> Result<NodeId, ExecError> {
         let (node, len) = self.input_node()?;
@@ -589,27 +562,5 @@ mod tests {
         let x = &samples(&graph, 1)[0];
         exec.run_into(x, &mut arena, &mut out).unwrap();
         assert_eq!(out, exec.run(x).unwrap());
-    }
-
-    #[test]
-    fn accuracy_counts_argmax_agreement() {
-        let graph = zoo::tiny_mlp();
-        let params = GraphParameters::seeded(&graph, 4);
-        let (core, mapping) = compile(&graph, 1);
-        let exec = Executor::bind(&graph, &params, &core, &mapping, &Precision::Float).unwrap();
-        let inputs = samples(&graph, 4);
-        let reference = Reference::new(&graph, &params).unwrap();
-        let labels: Vec<usize> = inputs
-            .iter()
-            .map(|x| fpsa_nn::mlp::argmax(&reference.logits(x).unwrap()))
-            .collect();
-        let acc = exec.accuracy(&inputs, &labels).unwrap();
-        assert_eq!(acc, 1.0, "float executor must agree with its own labels");
-        // Labels that do not pair up one to one are rejected, not zipped
-        // short and still divided by the sample count.
-        for unpaired in [&labels[..3], &[labels.clone(), labels.clone()].concat()[..]] {
-            let err = exec.accuracy(&inputs, unpaired).unwrap_err();
-            assert!(matches!(err, ExecError::ModelMismatch { .. }), "{err}");
-        }
     }
 }

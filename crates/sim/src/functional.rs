@@ -1,24 +1,13 @@
-//! Functional studies on real (small) networks.
+//! Functional check of the spiking PE on a real (small) network.
 //!
-//! Two questions are answered here with actual computation rather than
-//! analytic models:
-//!
-//! 1. Does the spiking PE compute the right function? [`SpikingMlpRunner`]
-//!    pushes a multi-layer perceptron through cycle-accurate spiking PEs
-//!    (Equations 1–6) and compares against the floating-point reference.
-//! 2. How does ReRAM conductance variation affect accuracy under the splice
-//!    and add weight representations? [`VariationStudy`] quantizes a trained
-//!    network, programs its weights onto simulated noisy cells and measures
-//!    classification accuracy — the machinery behind Figure 9.
+//! [`SpikingMlpRunner`] pushes a multi-layer perceptron through
+//! cycle-accurate spiking PEs (Equations 1–6) and compares against the
+//! floating-point reference. It draws no randomness: rate coding and the
+//! spiking PE are fully deterministic.
 
 use fpsa_device::spiking::{SpikeTrain, SpikingPe};
-use fpsa_device::variation::{CellVariation, WeightScheme};
 use fpsa_nn::dataset::Dataset;
 use fpsa_nn::mlp::Mlp;
-use fpsa_nn::quant::Quantizer;
-use fpsa_nn::seeds;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
 /// Runs an MLP through cycle-accurate spiking PEs.
@@ -106,9 +95,8 @@ impl SpikingMlpRunner {
             // Rescale: the spiking PE computed ReLU(W/w_scale * a/a_scale).
             activations = outputs
                 .iter()
-                .zip(&layer.bias)
-                .map(|(train, &b)| {
-                    let y = train.decode() * w_scale * a_scale + f64::from(b);
+                .map(|train| {
+                    let y = train.decode() * w_scale * a_scale;
                     if li + 1 == layer_count {
                         y
                     } else {
@@ -135,102 +123,6 @@ impl SpikingMlpRunner {
             })
             .count();
         correct as f64 / data.len() as f64
-    }
-}
-
-/// The Figure 9 experiment: accuracy of a quantized network whose weights are
-/// realized on noisy ReRAM cells with a given representation scheme.
-///
-/// # Seeded-RNG convention
-///
-/// All randomness follows the repository convention of `fpsa_nn::seeds`:
-/// trial `t` programs its cells from
-/// `StdRng(seeds::derive(self.seed, STREAM_TRIAL, t))`, so trials are
-/// independent streams — reordering, parallelizing or adding draws to one
-/// trial never perturbs another, and `mean_accuracy` /
-/// `mean_logit_distortion` see identical per-trial noise. The compiled-model
-/// executor's noise injection (`crate::exec`) derives per-PE streams the
-/// same way (`STREAM_PE_NOISE`). [`SpikingMlpRunner`] draws no randomness at
-/// all: rate coding and the spiking PE are fully deterministic.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct VariationStudy {
-    /// The weight representation under test.
-    pub scheme: WeightScheme,
-    /// The per-cell variation.
-    pub variation: CellVariation,
-    /// Monte-Carlo trials (independent programming runs) to average over.
-    pub trials: usize,
-    /// Base RNG seed (per-trial streams derive from it).
-    pub seed: u64,
-}
-
-impl VariationStudy {
-    /// Create a study.
-    pub fn new(scheme: WeightScheme, variation: CellVariation, trials: usize, seed: u64) -> Self {
-        VariationStudy {
-            scheme,
-            variation,
-            trials,
-            seed,
-        }
-    }
-
-    /// The noisy network of one Monte-Carlo trial, programmed from the
-    /// trial's derived RNG stream.
-    fn trial_network(&self, mlp: &Mlp, quantizer: &Quantizer, trial: u64) -> Mlp {
-        let mut rng = StdRng::seed_from_u64(seeds::derive(self.seed, seeds::STREAM_TRIAL, trial));
-        mlp.map_weights(|w| {
-            let q = quantizer.round_trip(w);
-            let normalized = f64::from(q) / f64::from(quantizer.range);
-            let realized = self
-                .scheme
-                .realize_signed_weight(normalized, self.variation, &mut rng);
-            (realized * f64::from(quantizer.range)) as f32
-        })
-    }
-
-    /// Mean classification accuracy over the Monte-Carlo trials.
-    pub fn mean_accuracy(&self, mlp: &Mlp, data: &Dataset) -> f64 {
-        let quantizer = Quantizer::weights_8bit(mlp.max_abs_weight().max(1e-6));
-        let mut total = 0.0;
-        for trial in 0..self.trials.max(1) {
-            total += self
-                .trial_network(mlp, &quantizer, trial as u64)
-                .accuracy(data);
-        }
-        total / self.trials.max(1) as f64
-    }
-
-    /// Accuracy normalized by the full-precision accuracy (the y-axis of
-    /// Figure 9).
-    pub fn normalized_accuracy(&self, mlp: &Mlp, data: &Dataset) -> f64 {
-        let full = mlp.accuracy(data).max(1e-9);
-        self.mean_accuracy(mlp, data) / full
-    }
-
-    /// Mean squared distortion of the network's output logits caused by the
-    /// weight realization, averaged over the dataset and the Monte-Carlo
-    /// trials. Accuracy can mask small perturbations on easy tasks; the
-    /// logit distortion exposes the splice-vs-add difference directly.
-    pub fn mean_logit_distortion(&self, mlp: &Mlp, data: &Dataset) -> f64 {
-        if data.is_empty() {
-            return 0.0;
-        }
-        let quantizer = Quantizer::weights_8bit(mlp.max_abs_weight().max(1e-6));
-        let mut total = 0.0;
-        let mut count = 0usize;
-        for trial in 0..self.trials.max(1) {
-            let noisy = self.trial_network(mlp, &quantizer, trial as u64);
-            for x in &data.samples {
-                let reference = mlp.forward(x);
-                let perturbed = noisy.forward(x);
-                for (r, p) in reference.iter().zip(&perturbed) {
-                    total += f64::from((r - p) * (r - p));
-                    count += 1;
-                }
-            }
-        }
-        total / count.max(1) as f64
     }
 }
 
@@ -283,152 +175,6 @@ mod tests {
         assert!(
             agree as f64 / n as f64 > 0.8,
             "only {agree}/{n} spiking predictions agree with the float network"
-        );
-    }
-
-    /// Regression pin for the Figure 9 machinery: the per-trial derived-seed
-    /// convention makes these values a pure function of (scheme, variation,
-    /// trials, seed), so any refactor that silently shifts the RNG streams —
-    /// and with them the published Figure 9 curve — fails here. The loose
-    /// epsilon only absorbs libm ulp differences across platforms (the
-    /// Box-Muller sampler calls `ln`/`cos`).
-    #[test]
-    fn variation_study_values_are_pinned_for_a_fixed_seed() {
-        let (mlp, test) = trained_network();
-        let add = VariationStudy::new(
-            WeightScheme::fpsa_add(),
-            CellVariation::measured(),
-            3,
-            0xF95A,
-        );
-        assert_eq!(add.mean_accuracy(&mlp, &test), 1.0);
-        let add_distortion = add.mean_logit_distortion(&mlp, &test);
-        assert!(
-            (add_distortion - 0.019_031_270_453_510_77).abs() < 1e-9,
-            "add distortion drifted: {add_distortion:.17}"
-        );
-        let splice = VariationStudy::new(
-            WeightScheme::prime_splice(),
-            CellVariation::measured(),
-            3,
-            0xF95A,
-        );
-        let splice_distortion = splice.mean_logit_distortion(&mlp, &test);
-        assert!(
-            (splice_distortion - 0.133_480_126_264_599_96).abs() < 1e-9,
-            "splice distortion drifted: {splice_distortion:.17}"
-        );
-    }
-
-    /// Trials are independent derived streams: trial networks are
-    /// deterministic and distinct per trial index, and a one-trial study's
-    /// mean equals trial 0's accuracy exactly — so `mean_accuracy` really
-    /// consumes the per-trial streams (a refactor that reintroduced one
-    /// shared RNG across trials, or skipped trial 0, fails here).
-    #[test]
-    fn trial_streams_are_independent_derived_streams() {
-        let (mlp, test) = trained_network();
-        let quantizer = Quantizer::weights_8bit(mlp.max_abs_weight().max(1e-6));
-        let study = VariationStudy::new(WeightScheme::fpsa_add(), CellVariation::measured(), 1, 42);
-        assert_eq!(
-            study.trial_network(&mlp, &quantizer, 0),
-            study.trial_network(&mlp, &quantizer, 0),
-            "trial networks are deterministic"
-        );
-        assert_ne!(
-            study.trial_network(&mlp, &quantizer, 0),
-            study.trial_network(&mlp, &quantizer, 1),
-            "distinct trials program distinct cells"
-        );
-        let trial0_accuracy = study.trial_network(&mlp, &quantizer, 0).accuracy(&test);
-        assert_eq!(
-            study.mean_accuracy(&mlp, &test),
-            trial0_accuracy,
-            "a one-trial mean is exactly trial 0's accuracy"
-        );
-    }
-    #[test]
-    fn ideal_devices_preserve_accuracy() {
-        let (mlp, test) = trained_network();
-        let study = VariationStudy::new(WeightScheme::fpsa_add(), CellVariation::ideal(), 1, 3);
-        let normalized = study.normalized_accuracy(&mlp, &test);
-        assert!(normalized > 0.95, "normalized accuracy {normalized}");
-    }
-
-    #[test]
-    fn add_method_distorts_outputs_less_than_splice() {
-        // The logit distortion is the direct observable of the §7.2 analysis:
-        // the add method's √k deviation reduction shows up as a lower mean
-        // squared perturbation of the network's outputs.
-        let (mlp, test) = trained_network();
-        let variation = CellVariation::measured();
-        let splice = VariationStudy::new(WeightScheme::prime_splice(), variation, 3, 5)
-            .mean_logit_distortion(&mlp, &test);
-        let add = VariationStudy::new(WeightScheme::fpsa_add(), variation, 3, 5)
-            .mean_logit_distortion(&mlp, &test);
-        assert!(
-            add < splice,
-            "add distortion ({add}) should be below splice distortion ({splice})"
-        );
-    }
-
-    #[test]
-    fn add_method_preserves_accuracy_under_stress_variation() {
-        // Under an exaggerated (stress) variation the accuracy difference
-        // between the two representations becomes visible even on a small
-        // network; the Figure 9 experiment uses the measured variation and a
-        // deeper sweep of cell counts.
-        let (mlp, test) = trained_network();
-        let stress = CellVariation { sigma_levels: 3.0 };
-        let splice = VariationStudy::new(WeightScheme::prime_splice(), stress, 5, 5)
-            .normalized_accuracy(&mlp, &test);
-        let add = VariationStudy::new(
-            WeightScheme::Add {
-                cells: 16,
-                bits_per_cell: 4,
-            },
-            stress,
-            5,
-            5,
-        )
-        .normalized_accuracy(&mlp, &test);
-        assert!(
-            add >= splice,
-            "add ({add}) should not be worse than splice ({splice}) under stress"
-        );
-        assert!(
-            add > 0.8,
-            "16-cell add should stay close to full precision, got {add}"
-        );
-    }
-
-    #[test]
-    fn more_cells_reduce_distortion_for_the_add_method() {
-        let (mlp, test) = trained_network();
-        let variation = CellVariation::measured();
-        let few = VariationStudy::new(
-            WeightScheme::Add {
-                cells: 1,
-                bits_per_cell: 4,
-            },
-            variation,
-            3,
-            9,
-        )
-        .mean_logit_distortion(&mlp, &test);
-        let many = VariationStudy::new(
-            WeightScheme::Add {
-                cells: 16,
-                bits_per_cell: 4,
-            },
-            variation,
-            3,
-            9,
-        )
-        .mean_logit_distortion(&mlp, &test);
-        assert!(
-            many < few,
-            "16 cells ({many}) should distort less than 1 cell ({few})"
         );
     }
 }

@@ -7,7 +7,7 @@
 //! bench pin the telemetry tax on the untraced hot path. With the feature
 //! on, recording is additionally gated behind a runtime sampling flag
 //! ([`set_sampling`]): counters accumulate into plain per-call registers
-//! ([`SkipTally`]) and flush to the global atomics once per instruction,
+//! (the private `SkipTally`) and flush to the global atomics once per instruction,
 //! so even a sampled run adds one relaxed `fetch_add` per retired
 //! instruction, not per element.
 //!

@@ -8,7 +8,7 @@
 //! cargo run --release --example compile_execute
 //! ```
 
-use fpsa::core::experiments::fig9_compiled;
+use fpsa::core::experiments::fig9;
 use fpsa::core::validate::{validate, ValidationConfig};
 use fpsa::core::Compiler;
 use fpsa::nn::{zoo, GraphParameters};
@@ -65,7 +65,7 @@ fn main() {
 
     println!();
     println!("Figure 9 on a compiled model (accuracy under per-PE programming noise):");
-    let fig = fig9_compiled::run_with(
+    let fig = fig9::run_with(
         fpsa::device::variation::CellVariation::measured(),
         &[1, 2, 8],
         2,
@@ -74,5 +74,5 @@ fn main() {
         "compiled accuracy {:.3} (reference {:.3})",
         fig.compiled_accuracy, fig.reference_accuracy
     );
-    println!("{}", fig9_compiled::to_table(&fig));
+    println!("{}", fig9::to_table(&fig));
 }

@@ -25,7 +25,5 @@ fn main() {
     println!("\n== Table 3: overall FPSA performance (64x duplication) ==\n");
     let cols = table3::run();
     println!("{}", table3::to_table(&cols));
-    println!(
-        "(The published throughput/area columns are included for side-by-side comparison; see EXPERIMENTS.md.)"
-    );
+    println!("(The published throughput/area columns are included for side-by-side comparison.)");
 }

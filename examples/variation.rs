@@ -4,11 +4,11 @@
 //! cargo run --release --example variation
 //! ```
 //!
-//! Reproduces Figure 9: a trained network is quantized to 8-bit weights,
-//! programmed onto simulated ReRAM cells whose conductance carries the
-//! measured Gaussian variation, and evaluated with both the conventional
-//! splice representation and the paper's add representation for 1–16 cells
-//! per weight.
+//! Reproduces Figure 9: a trained network is compiled onto the fabric, every
+//! PE's crossbar is programmed onto simulated ReRAM cells whose conductance
+//! carries the measured Gaussian variation, and the fabric is evaluated with
+//! both the conventional splice representation and the paper's add
+//! representation for 1–16 cells per weight.
 
 use fpsa::core::experiments::fig9;
 use fpsa::device::variation::{CellVariation, WeightScheme};
@@ -32,12 +32,12 @@ fn main() {
         println!("  {cells:>2} cells:  splice {splice:.4}   add {add:.4}");
     }
 
-    println!("\nMonte-Carlo accuracy study on a trained network:");
+    println!("\nMonte-Carlo accuracy study on a compiled, trained network:");
     let fig = fig9::run();
     println!("{}", fig9::to_table(&fig));
     println!(
-        "full-precision accuracy of the reference network: {:.3}",
-        fig.full_precision_accuracy
+        "noise-free compiled accuracy {:.3} (reference network {:.3})",
+        fig.compiled_accuracy, fig.reference_accuracy
     );
     println!(
         "\nThe splice curve stays flat regardless of how many cells are spent, while the add\n\

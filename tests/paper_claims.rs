@@ -1,8 +1,8 @@
 //! Integration tests that check the paper's headline quantitative claims at
 //! the level the reproduction supports (shape and factors, not third-decimal
-//! agreement — see EXPERIMENTS.md).
+//! agreement; `cargo bench -p fpsa-bench` prints the full tables).
 
-use fpsa::core::experiments::{fig2, fig6, fig7, table2};
+use fpsa::core::experiments::{fig2, fig6, fig7, fig9, table2};
 use fpsa::device::pe::ProcessingElementSpec;
 use fpsa::device::variation::{CellVariation, WeightScheme};
 use fpsa::nn::zoo::Benchmark;
@@ -96,6 +96,29 @@ fn claim_add_method_reduces_deviation_by_sqrt_n() {
     }
     .normalized_deviation(v);
     assert!((splice2 - splice1).abs() / splice1 < 0.1);
+}
+
+#[test]
+fn claim_add_method_beats_splice_on_the_compiled_fabric() {
+    // §7.2 on the configured fabric: FPSA's 8 added cells distort the
+    // compiled model's outputs less than PRIME's 2 spliced cells, and 16
+    // added cells keep the accuracy of the noise-free fabric.
+    let fig = fig9::run_with(CellVariation::measured(), &[2, 8, 16], 3);
+    let point = |method: &str, cells: usize| {
+        fig.points
+            .iter()
+            .find(|p| p.method == method && p.cells == cells)
+            .unwrap()
+    };
+    let (splice2, add8) = (point("splice", 2), point("add", 8));
+    assert!(
+        add8.logit_distortion < splice2.logit_distortion,
+        "add-8 distortion {} should be below splice-2 {}",
+        add8.logit_distortion,
+        splice2.logit_distortion
+    );
+    let add16 = point("add", 16).normalized_accuracy;
+    assert!(add16 >= 0.95, "add-16 normalized accuracy {add16}");
 }
 
 #[test]
