@@ -79,6 +79,9 @@ pub fn reference_network() -> (ComputationalGraph, GraphParameters, Dataset) {
 
 /// Fraction of `logits` whose argmax is the label.
 fn accuracy(logits: &[Vec<f32>], labels: &[usize]) -> f64 {
+    // Unpaired labels would be zipped short and still divide by the label
+    // count.
+    assert_eq!(logits.len(), labels.len(), "one label per output");
     let correct = logits
         .iter()
         .zip(labels)
@@ -243,21 +246,6 @@ mod tests {
     }
 
     #[test]
-    fn add_distorts_less_than_splice_at_the_paper_configuration() {
-        // PRIME uses 2 spliced cells; FPSA uses 8 added cells.
-        let fig = run_with(CellVariation::measured(), &[2, 8], 3);
-        let prime = point(&fig, "splice", 2);
-        let fpsa = point(&fig, "add", 8);
-        assert!(
-            fpsa.logit_distortion < prime.logit_distortion,
-            "add {} vs splice {}",
-            fpsa.logit_distortion,
-            prime.logit_distortion
-        );
-        assert!(fpsa.normalized_accuracy >= prime.normalized_accuracy - 0.02);
-    }
-
-    #[test]
     fn more_cells_reduce_distortion_for_the_add_method() {
         let fig = run_with(CellVariation::measured(), &[1, 16], 3);
         let (add_few, add_many) = (point(&fig, "add", 1), point(&fig, "add", 16));
@@ -302,10 +290,21 @@ mod tests {
     /// that silently shifts the RNG streams, the bind or the kernels — and
     /// with them the published curve — fails here. The epsilon only absorbs
     /// libm ulp differences across platforms (the Box-Muller sampler calls
-    /// `ln`/`cos`).
+    /// `ln`/`cos`). The §7.2 ordering at the paper's configuration is checked
+    /// on the same run, so it survives a re-pin.
     #[test]
     fn figure9_values_are_pinned_for_a_fixed_seed() {
         let fig = run_with(CellVariation::measured(), &[2, 8], 3);
+        // PRIME uses 2 spliced cells; FPSA uses 8 added cells.
+        let (prime, fpsa) = (point(&fig, "splice", 2), point(&fig, "add", 8));
+        assert!(
+            fpsa.logit_distortion < prime.logit_distortion,
+            "add {} vs splice {}",
+            fpsa.logit_distortion,
+            prime.logit_distortion
+        );
+        assert!(fpsa.normalized_accuracy >= prime.normalized_accuracy - 0.02);
+        assert!(fpsa.normalized_accuracy > 0.9, "{fpsa:?}");
         // Accuracies are correct answers out of 96 test samples × 3 trials.
         let pins = [
             ("splice", 2, 274.0 / 288.0, 0.888_845_786_831_869_8),
