@@ -1,11 +1,9 @@
-//! Ablation benchmarks for the software stack itself: where compile time
-//! goes stage by stage — read straight from the instrumented pipeline's
-//! `StageTrace` instead of re-timing each step by hand — and how the
+//! Ablation benchmarks for the software stack itself: the full LeNet compile
+//! next to its synthesis and mapping stages run alone, and how the
 //! duplication degree and channel width affect the result. These are the
 //! design-choice ablations called out in DESIGN.md rather than paper figures.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use fpsa_bench::{print_experiment, save_json};
 use fpsa_core::compiler::Compiler;
 use fpsa_core::pipeline::{CompileStage, MapStage, SynthesizeStage};
 use fpsa_nn::zoo;
@@ -14,15 +12,7 @@ use fpsa_placeroute::Router;
 fn bench(c: &mut Criterion) {
     let lenet = zoo::lenet();
 
-    // One instrumented compilation provides the per-stage breakdown that
-    // this ablation used to reconstruct by timing each step separately.
     let compiled = Compiler::fpsa().compile(&lenet).unwrap();
-    print_experiment(
-        "Compiler-stage ablation: LeNet wall-clock by pipeline stage",
-        &compiled.trace.to_table(),
-    );
-    save_json("ablation_compiler_stages", &compiled.trace);
-
     let arch = compiled.arch.clone();
     let synthesize = SynthesizeStage::for_architecture(&arch);
     let core = synthesize.run(&lenet).unwrap();

@@ -1,6 +1,5 @@
 //! Regenerates Figure 7: per-PE latency breakdown (computation vs
-//! communication), plus the compile-stage breakdown of the shared VGG16
-//! compilation measured by the instrumented pipeline.
+//! communication).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use fpsa_bench::{print_experiment, save_json};
@@ -11,10 +10,6 @@ fn bench(c: &mut Criterion) {
     print_experiment(
         "Figure 7: per-PE latency breakdown for VGG16",
         &fig7::to_table(&fig),
-    );
-    print_experiment(
-        "Figure 7 (instrumentation): where the VGG16 compile spent its time",
-        &fig.compile.to_table(),
     );
     print_experiment(
         "Figure 7 compile cache: process-wide statistics",

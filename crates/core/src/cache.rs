@@ -20,14 +20,13 @@
 //!   polish schedule instead of a cold anneal. Opt-in because the warm
 //!   result is legal but not bit-identical to a cold anneal.
 //!
-//! Every outcome is recorded in [`CacheStats`] and stamped on the artifact's
-//! [`StageTrace`](fpsa_sim::StageTrace) as a [`CacheInfo`], so performance
-//! reports show amortized compile cost honestly.
+//! Every request's [`CacheOutcome`] is returned by
+//! [`CompileCache::compile_with_info`], counted in [`CacheStats`] and
+//! mirrored into the global `fpsa_obs` metrics registry.
 
 use crate::compiler::{CompileError, CompiledModel, Compiler};
 use fpsa_nn::ComputationalGraph;
 use fpsa_placeroute::WarmStart;
-use fpsa_sim::{CacheInfo, CacheOutcome, StageKind};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -111,9 +110,34 @@ impl fmt::Display for CompileKey {
     }
 }
 
+/// How the compile cache satisfied one compile request.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CacheOutcome {
+    /// The key was absent: a full cold compile.
+    Miss,
+    /// The exact key was present in the in-memory store; the compiled
+    /// artifact was reused without running any pipeline stage.
+    Hit,
+    /// The exact key missed, but a near-miss entry (same architecture and
+    /// physical-design configuration, different graph) seeded the annealer
+    /// with its mapped-forward placement — the pipeline ran, with a cut
+    /// anneal budget.
+    WarmStart,
+}
+
+impl CacheOutcome {
+    /// Human-readable outcome name.
+    pub fn name(&self) -> &'static str {
+        match self {
+            CacheOutcome::Miss => "miss",
+            CacheOutcome::Hit => "hit",
+            CacheOutcome::WarmStart => "warm-start",
+        }
+    }
+}
+
 /// The cache's running counters. One of the three outcome counters is bumped
-/// per [`CompileCache::compile`] request; `saved_wall_ns` accumulates the
-/// wall-clock the cache avoided versus cold compiles.
+/// per [`CompileCache::compile`] request.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct CacheStats {
     /// Requests satisfied by an existing in-memory artifact (no stage ran).
@@ -124,8 +148,6 @@ pub struct CacheStats {
     pub warm_starts: u64,
     /// Completed entries dropped by LRU eviction.
     pub evictions: u64,
-    /// Total wall-clock saved versus cold compiles, in nanoseconds.
-    pub saved_wall_ns: f64,
 }
 
 impl CacheStats {
@@ -143,12 +165,11 @@ impl CacheStats {
     /// One-line human-readable summary.
     pub fn summary(&self) -> String {
         format!(
-            "{} requests: {} hits, {} misses, {} warm-starts ({:.1} ms saved)",
+            "{} requests: {} hits, {} misses, {} warm-starts",
             self.requests(),
             self.hits,
             self.misses,
-            self.warm_starts,
-            self.saved_wall_ns * 1e-6
+            self.warm_starts
         )
     }
 }
@@ -250,8 +271,7 @@ impl CompileCache {
     }
 
     /// [`CompileCache::compile`], additionally reporting how the cache
-    /// satisfied this particular request (callers stamp it onto the trace
-    /// of their performance report).
+    /// satisfied this particular request.
     ///
     /// # Errors
     ///
@@ -260,7 +280,7 @@ impl CompileCache {
         &self,
         compiler: &Compiler,
         graph: &ComputationalGraph,
-    ) -> Result<(Arc<CompiledModel>, CacheInfo), CompileError> {
+    ) -> Result<(Arc<CompiledModel>, CacheOutcome), CompileError> {
         let key = CompileKey::for_compile(compiler, graph);
         let arch_fp = CompileKey::arch_fingerprint(compiler);
 
@@ -295,45 +315,25 @@ impl CompileCache {
         // block inside `get_or_init` and share the artifact.
         let mut ran: Option<CacheOutcome> = None;
         let result = slot.get_or_init(|| {
-            let (model, outcome) = Self::compile_slot(compiler, graph, &key, donor);
+            let (model, outcome) = Self::compile_slot(compiler, graph, donor);
             ran = Some(outcome);
             model.map(Arc::new)
         });
-
-        let info = match ran {
-            Some(outcome) => CacheInfo {
-                outcome,
-                key: key.hex(),
-                saved_wall_ns: result
-                    .as_ref()
-                    .ok()
-                    .map_or(0.0, |m| m.trace.cache_saved_wall_ns()),
-            },
-            None => CacheInfo {
-                outcome: CacheOutcome::Hit,
-                key: key.hex(),
-                // A hit saves this artifact's whole recorded compile time.
-                saved_wall_ns: result
-                    .as_ref()
-                    .ok()
-                    .map_or(0.0, |m| m.trace.total_wall_ns()),
-            },
-        };
+        let outcome = ran.unwrap_or(CacheOutcome::Hit);
 
         {
             let mut state = self.state.lock().expect("cache lock");
-            match info.outcome {
+            match outcome {
                 CacheOutcome::Hit => state.stats.hits += 1,
                 CacheOutcome::Miss => state.stats.misses += 1,
                 CacheOutcome::WarmStart => state.stats.warm_starts += 1,
             }
-            state.stats.saved_wall_ns += info.saved_wall_ns;
         }
         // Mirror the outcome into the process-wide metrics registry so a
         // run summary shows cache effectiveness next to the serving
         // counters. Compiles are rare events; the name lookup is fine here.
         let registry = fpsa_obs::Registry::global();
-        let metric = registry.counter(match info.outcome {
+        let metric = registry.counter(match outcome {
             CacheOutcome::Hit => "compile.cache.hits",
             CacheOutcome::Miss => "compile.cache.misses",
             CacheOutcome::WarmStart => "compile.cache.warm_starts",
@@ -341,22 +341,20 @@ impl CompileCache {
         registry.inc(metric);
 
         match result {
-            Ok(model) => Ok((model.clone(), info)),
+            Ok(model) => Ok((model.clone(), outcome)),
             Err(e) => Err(e.clone()),
         }
     }
 
     /// The compile that fills one slot: donor warm start if physical design
-    /// runs and a donor exists, else cold. Stamps the outcome on the
-    /// artifact's trace.
+    /// runs and a donor exists, else cold.
     fn compile_slot(
         compiler: &Compiler,
         graph: &ComputationalGraph,
-        key: &CompileKey,
         donor: Option<Arc<CompiledModel>>,
     ) -> (Result<CompiledModel, CompileError>, CacheOutcome) {
-        let (result, outcome, donor_pr_ns) =
-            if let Some(donor) = donor.filter(|_| !compiler.place_route.skip) {
+        match donor.filter(|_| !compiler.place_route.skip) {
+            Some(donor) => {
                 let physical = donor
                     .physical
                     .as_ref()
@@ -365,28 +363,10 @@ impl CompileCache {
                 (
                     compiler.compile_warm(graph, Some(warm)),
                     CacheOutcome::WarmStart,
-                    donor.trace.wall_ns(StageKind::PlaceRoute).unwrap_or(0.0),
                 )
-            } else {
-                (compiler.compile(graph), CacheOutcome::Miss, 0.0)
-            };
-
-        let result = result.map(|mut model| {
-            let saved_wall_ns = match outcome {
-                CacheOutcome::Miss => 0.0,
-                // Warm starts save the donor's anneal-dominated P&R time
-                // minus the (short) P&R time they still paid.
-                _ => (donor_pr_ns - model.trace.wall_ns(StageKind::PlaceRoute).unwrap_or(0.0))
-                    .max(0.0),
-            };
-            model.trace.set_cache(CacheInfo {
-                outcome,
-                key: key.hex(),
-                saved_wall_ns,
-            });
-            model
-        });
-        (result, outcome)
+            }
+            None => (compiler.compile(graph), CacheOutcome::Miss),
+        }
     }
 
     /// Most-recently-used completed entry compiled under the same compiler
@@ -438,13 +418,11 @@ mod tests {
         let cache = CompileCache::new(4);
         let compiler = Compiler::fpsa();
         let graph = zoo::lenet();
-        let (a, ia) = cache.compile_with_info(&compiler, &graph).unwrap();
-        let (b, ib) = cache.compile_with_info(&compiler, &graph).unwrap();
+        let (a, oa) = cache.compile_with_info(&compiler, &graph).unwrap();
+        let (b, ob) = cache.compile_with_info(&compiler, &graph).unwrap();
         assert!(Arc::ptr_eq(&a, &b), "hits share the artifact");
-        assert_eq!(ia.outcome, CacheOutcome::Miss);
-        assert_eq!(ib.outcome, CacheOutcome::Hit);
-        assert_eq!(ia.key, ib.key);
-        assert!(ib.saved_wall_ns > 0.0, "a hit saves the compile wall-clock");
+        assert_eq!(oa, CacheOutcome::Miss);
+        assert_eq!(ob, CacheOutcome::Hit);
         let stats = cache.stats();
         assert_eq!((stats.misses, stats.hits), (1, 1));
     }
@@ -495,16 +473,12 @@ mod tests {
         let (donor, _) = cache.compile_with_info(&compiler, &zoo::lenet()).unwrap();
         assert!(donor.physical.is_some());
         // A different model under the same compiler warm-starts.
-        let (warmed, info) = cache
+        let (warmed, outcome) = cache
             .compile_with_info(&compiler, &zoo::mlp_500_100())
             .unwrap();
-        assert_eq!(info.outcome, CacheOutcome::WarmStart);
+        assert_eq!(outcome, CacheOutcome::WarmStart);
         let physical = warmed.physical.as_ref().unwrap();
         assert!(physical.placement.quality().warm_started);
         assert_eq!(cache.stats().warm_starts, 1);
-        assert_eq!(
-            warmed.trace.cache().unwrap().outcome,
-            CacheOutcome::WarmStart
-        );
     }
 }

@@ -1,25 +1,22 @@
 //! The end-to-end compilation pipeline.
 //!
-//! `Compiler` drives the instrumented stage pipeline of [`crate::pipeline`]
-//! through the three software-stack steps of the paper — neural synthesis
-//! (computational graph → core-op graph), spatial-to-temporal mapping
-//! (core-op graph → function-block netlist) and, when the netlist is small
-//! enough for full physical design, placement & routing on the fabric —
-//! followed by communication estimation. The result carries every
-//! intermediate artifact plus a [`StageTrace`] of per-stage wall-clock time
-//! and artifact sizes, so tools, tests and experiments can inspect any stage
-//! and see where compile time went.
+//! `Compiler` drives the stage pipeline of [`crate::pipeline`] through the
+//! three software-stack steps of the paper — neural synthesis (computational
+//! graph → core-op graph), spatial-to-temporal mapping (core-op graph →
+//! function-block netlist) and, when the netlist is small enough for full
+//! physical design, placement & routing on the fabric — followed by
+//! communication estimation. The result carries every
+//! intermediate artifact, so tools, tests and experiments can inspect any
+//! stage; each stage runs inside an `fpsa_obs` span in the `compile`
+//! category, which is where compile time is recorded.
 
-use crate::pipeline::{
-    EstimateStage, InstrumentedPipeline, MapStage, PlaceRouteStage, SynthesizeStage,
-};
+use crate::pipeline::{CompileStage, EstimateStage, MapStage, PlaceRouteStage, SynthesizeStage};
 use fpsa_arch::{ArchitectureConfig, Bitstream, FabricCapacity, SectionKind};
 use fpsa_mapper::Mapping;
 use fpsa_nn::{ComputationalGraph, NnError};
 use fpsa_serve::{ServeConfig, ServeEngine};
 use fpsa_sim::{
     CommunicationEstimate, ExecError, Executor, PerformanceReport, PerformanceSimulator, Precision,
-    StageTrace,
 };
 use fpsa_synthesis::CoreOpGraph;
 use serde::{Deserialize, Serialize};
@@ -153,7 +150,7 @@ impl Compiler {
         self
     }
 
-    /// Compile a computational graph through the instrumented stage pipeline
+    /// Compile a computational graph through the stage pipeline
     /// `Synthesize → Map → PlaceRoute → Estimate`.
     ///
     /// # Errors
@@ -182,17 +179,14 @@ impl Compiler {
         graph: &ComputationalGraph,
         warm: Option<fpsa_placeroute::WarmStart>,
     ) -> Result<CompiledModel, CompileError> {
-        let mut pipeline = InstrumentedPipeline::new();
-        let core_graph =
-            pipeline.run_stage(&SynthesizeStage::for_architecture(&self.arch), graph)?;
-        let mapping =
-            pipeline.run_stage(&MapStage::new(&self.arch, self.duplication), &core_graph)?;
+        let core_graph = run_stage(&SynthesizeStage::for_architecture(&self.arch), graph)?;
+        let mapping = run_stage(&MapStage::new(&self.arch, self.duplication), &core_graph)?;
         let mut place_route_stage = PlaceRouteStage::new(self.arch.clone(), self.place_route);
         if let Some(warm) = warm {
             place_route_stage = place_route_stage.with_warm_start(warm);
         }
-        let physical = pipeline.run_stage(&place_route_stage, &mapping)?;
-        let communication = pipeline.run_stage(
+        let physical = run_stage(&place_route_stage, &mapping)?;
+        let communication = run_stage(
             &EstimateStage::new(self.arch.clone()),
             (&mapping, physical.as_ref()),
         )?;
@@ -202,9 +196,36 @@ impl Compiler {
             mapping,
             physical,
             communication,
-            trace: pipeline.finish(),
         })
     }
+}
+
+/// Run one stage inside its `compile` span on the global tracer: the span
+/// opens with the input size, records the output size as an `items_out`
+/// instant, and on error still closes, marked `failed`.
+fn run_stage<S: CompileStage>(stage: &S, input: S::Input<'_>) -> Result<S::Output, CompileError> {
+    let tracer = fpsa_obs::Tracer::global();
+    let span = if tracer.enabled() {
+        tracer.enter_with(
+            S::NAME,
+            "compile",
+            tracer.now_us(),
+            fpsa_obs::SpanId::NONE,
+            &[("items_in", S::items_in(&input) as i64)],
+        )
+    } else {
+        fpsa_obs::Span::DISABLED
+    };
+    let result = stage.run(input);
+    if !span.id.is_none() {
+        let ts = tracer.now_us();
+        match &result {
+            Ok(output) => tracer.record(&span, "items_out", S::items_out(output) as i64, ts),
+            Err(_) => tracer.record(&span, "failed", 1, ts),
+        }
+        tracer.exit(&span, ts);
+    }
+    result
 }
 
 /// Everything the compiler produced for one model.
@@ -220,8 +241,6 @@ pub struct CompiledModel {
     pub physical: Option<PhysicalDesign>,
     /// The communication estimate picked by the pipeline's Estimate stage.
     pub communication: CommunicationEstimate,
-    /// Per-stage wall-clock and artifact-size instrumentation.
-    pub trace: StageTrace,
 }
 
 impl CompiledModel {
@@ -270,16 +289,13 @@ impl CompiledModel {
         Ok(ServeEngine::start(executor, config))
     }
 
-    /// Evaluate the performance of the compiled model. The report carries
-    /// this compilation's [`StageTrace`].
+    /// Evaluate the performance of the compiled model.
     pub fn performance(&self) -> PerformanceReport {
-        PerformanceSimulator::new(self.arch.clone())
-            .evaluate(
-                &self.core_graph,
-                &self.mapping,
-                self.communication_estimate(),
-            )
-            .with_compile_trace(self.trace.clone())
+        PerformanceSimulator::new(self.arch.clone()).evaluate(
+            &self.core_graph,
+            &self.mapping,
+            self.communication_estimate(),
+        )
     }
 
     /// Emit the configuration bitstream: one weight section per PE, one LUT
@@ -326,7 +342,6 @@ impl CompiledModel {
 mod tests {
     use super::*;
     use fpsa_nn::zoo;
-    use fpsa_sim::StageKind;
 
     #[test]
     fn compiling_lenet_runs_the_whole_flow() {
@@ -337,23 +352,6 @@ mod tests {
         let report = compiled.performance();
         assert!(report.throughput_samples_per_s > 0.0);
         assert!(report.area_mm2 > 0.0);
-    }
-
-    #[test]
-    fn compilation_records_a_full_stage_trace() {
-        let compiled = Compiler::fpsa().compile(&zoo::lenet()).unwrap();
-        let kinds: Vec<StageKind> = compiled.trace.records().iter().map(|r| r.stage).collect();
-        assert_eq!(kinds, StageKind::ALL.to_vec());
-        // Synthesis consumed the graph's nodes and produced the core groups.
-        let synth = &compiled.trace.records()[0];
-        assert_eq!(synth.items_out, compiled.core_graph.len());
-        // Mapping produced the netlist.
-        let map = &compiled.trace.records()[1];
-        assert_eq!(map.items_out, compiled.mapping.netlist.len());
-        // The trace rides on the performance report.
-        let report = compiled.performance();
-        let trace = report.compile.expect("compiled models report their trace");
-        assert_eq!(trace, compiled.trace);
     }
 
     #[test]
@@ -401,10 +399,6 @@ mod tests {
             CommunicationEstimate::Routed { .. }
         ));
         assert!(compiled.performance().throughput_samples_per_s > 0.0);
-        // The PlaceRoute stage still appears in the trace, with no output.
-        let pr = &compiled.trace.records()[2];
-        assert_eq!(pr.stage, StageKind::PlaceRoute);
-        assert_eq!(pr.items_out, 0);
     }
 
     #[test]
@@ -459,7 +453,6 @@ mod tests {
             core_graph: graph,
             mapping,
             physical: None,
-            trace: StageTrace::new(),
         };
 
         let bitstream = compiled.bitstream();

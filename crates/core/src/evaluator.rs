@@ -72,9 +72,7 @@ impl Evaluator {
 
     /// [`Evaluator::evaluate`], compiling through a [`CompileCache`] when
     /// one is given: identical (model, config) points reuse the cached
-    /// artifact and the report's compile trace carries the cache outcome.
-    /// Results are equal to an uncached evaluation (trace equality ignores
-    /// cache provenance, like wall-clock).
+    /// artifact. Results are equal to an uncached evaluation.
     pub fn evaluate_with_cache(
         &self,
         benchmark: Benchmark,
@@ -86,34 +84,16 @@ impl Evaluator {
         let compiler = Compiler::for_architecture(self.arch.clone())
             .with_duplication(duplication)
             .without_place_and_route();
-        let (compiled, info): (Arc<CompiledModel>, _) = match cache {
-            Some(cache) => {
-                let (model, info) = cache
-                    .compile_with_info(&compiler, &graph)
-                    .expect("zoo models are well formed");
-                (model, Some(info))
-            }
-            None => (
-                Arc::new(
-                    compiler
-                        .compile(&graph)
-                        .expect("zoo models are well formed"),
-                ),
-                None,
-            ),
-        };
-        let mut performance = compiled.performance();
-        // Stamp how the cache satisfied *this* request (the shared artifact
-        // records only how it was first produced). Excluded from equality,
-        // like wall-clock.
-        if let (Some(info), Some(trace)) = (info, performance.compile.as_mut()) {
-            trace.set_cache(info);
+        let compiled: Arc<CompiledModel> = match cache {
+            Some(cache) => cache.compile(&compiler, &graph),
+            None => compiler.compile(&graph).map(Arc::new),
         }
+        .expect("zoo models are well formed");
         ModelEvaluation {
             model: benchmark.name().to_string(),
             architecture: self.arch.kind.name().to_string(),
             duplication,
-            performance,
+            performance: compiled.performance(),
             spatial_utilization: compiled.core_graph.spatial_utilization(),
             temporal_utilization: compiled.mapping.allocation.temporal_utilization(),
             published_weights: benchmark.published_weights(),

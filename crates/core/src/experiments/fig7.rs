@@ -1,12 +1,10 @@
 //! Figure 7: the per-PE latency breakdown (computation vs communication).
 //!
-//! VGG16 is synthesized and mapped once through the instrumented compile
-//! pipeline (its [`StageTrace`] rides along on the result for the benchmark
-//! harness), then the three architectures evaluate the same mapped model in
-//! parallel through the unified sweep engine. The compilation goes through
-//! the process-wide [`CompileCache`]: repeated regenerations (tests, bench
-//! iterations) reuse the artifact, and the returned trace carries the cache
-//! outcome for this request.
+//! VGG16 is synthesized and mapped once through the compile pipeline, then
+//! the three architectures evaluate the same mapped model in parallel
+//! through the unified sweep engine. The compilation goes through the
+//! process-wide [`CompileCache`]: repeated regenerations (tests, bench
+//! iterations) reuse the artifact.
 
 use crate::cache::CompileCache;
 use crate::compiler::Compiler;
@@ -15,7 +13,7 @@ use crate::sweep::parallel_map;
 use fpsa_arch::ArchitectureConfig;
 use fpsa_nn::zoo::Benchmark;
 use fpsa_prime::MemoryBus;
-use fpsa_sim::{CommunicationEstimate, PerformanceSimulator, StageTrace};
+use fpsa_sim::{CommunicationEstimate, PerformanceSimulator};
 use serde::{Deserialize, Serialize};
 
 /// One bar of Figure 7.
@@ -36,32 +34,25 @@ impl Figure7Bar {
     }
 }
 
-/// The Figure 7 data set: the three bars plus the compile-stage trace of the
-/// shared VGG16 compilation.
+/// The Figure 7 data set: one bar per architecture.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Figure7 {
     /// One bar per architecture (PRIME, FP-PRIME, FPSA).
     pub bars: Vec<Figure7Bar>,
-    /// Where compile time went for the shared VGG16 compilation (consumed by
-    /// the Figure 7 bench and printed next to the bars).
-    pub compile: StageTrace,
 }
 
 /// Regenerate Figure 7 for VGG16.
 pub fn run() -> Figure7 {
     // One compilation through the staged pipeline provides the shared
-    // core-op graph, mapping and the instrumentation trace. VGG16 is far
-    // beyond the P&R block limit, so physical design is skipped explicitly.
-    // The global cache makes repeated regenerations (bench iterations, the
-    // test suite) reuse the artifact.
-    let (compiled, info) = CompileCache::global()
-        .compile_with_info(
+    // core-op graph and mapping. VGG16 is far beyond the P&R block limit, so
+    // physical design is skipped explicitly. The global cache makes repeated
+    // regenerations (bench iterations, the test suite) reuse the artifact.
+    let compiled = CompileCache::global()
+        .compile(
             &Compiler::fpsa().without_place_and_route(),
             &Benchmark::Vgg16.build(),
         )
         .expect("VGG16 synthesizes");
-    let mut trace = compiled.trace.clone();
-    trace.set_cache(info);
 
     // The routed designs share one delay profile (critical connection ~68
     // hops, typical connection about half that distance, per the paper's
@@ -93,10 +84,7 @@ pub fn run() -> Figure7 {
             communication_ns: report.communication_ns_per_vmm,
         }
     });
-    Figure7 {
-        bars,
-        compile: trace,
-    }
+    Figure7 { bars }
 }
 
 /// Render the bars as text.
@@ -125,7 +113,6 @@ pub fn to_table(fig: &Figure7) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fpsa_sim::StageKind;
 
     #[test]
     fn breakdown_reproduces_the_figure7_shape() {
@@ -151,17 +138,6 @@ mod tests {
         let fig = run();
         let ratio = fig.bars[2].communication_ns / fig.bars[1].communication_ns;
         assert!((ratio - 64.0 / 6.0).abs() < 0.2, "ratio {ratio}");
-    }
-
-    #[test]
-    fn compile_trace_covers_the_whole_pipeline() {
-        let fig = run();
-        let kinds: Vec<StageKind> = fig.compile.records().iter().map(|r| r.stage).collect();
-        assert_eq!(kinds, StageKind::ALL.to_vec());
-        // Physical design was skipped for the ImageNet-scale netlist.
-        let pr = &fig.compile.records()[2];
-        assert_eq!(pr.items_out, 0);
-        assert!(fig.compile.total_wall_ns() > 0.0);
     }
 
     #[test]

@@ -8,10 +8,9 @@
 //!   keys over (graph + compiler config), single-flight artifact reuse
 //!   across sweep workers, and opt-in warm-started annealing from
 //!   near-miss donors;
-//! * [`pipeline`] — the instrumented stage pipeline beneath the compiler
+//! * [`pipeline`] — the stage pipeline beneath the compiler
 //!   (`Synthesize → Map → PlaceRoute → Estimate`), each stage a typed
-//!   artifact transform whose wall-clock time and sizes land in a
-//!   `StageTrace`;
+//!   artifact transform the compiler runs inside an `fpsa_obs` compile span;
 //! * [`evaluator`] — the evaluation harness that compiles a benchmark on a
 //!   chosen architecture (FPSA / FP-PRIME / PRIME), estimates or measures the
 //!   communication critical path, and reports throughput, latency, area and
@@ -48,7 +47,7 @@ pub mod report;
 pub mod sweep;
 pub mod validate;
 
-pub use cache::{CacheStats, CompileCache, CompileKey};
+pub use cache::{CacheOutcome, CacheStats, CompileCache, CompileKey};
 pub use compiler::{CompileError, CompiledModel, Compiler};
 pub use evaluator::{Evaluator, ModelEvaluation};
 pub use sweep::{Sweep, SweepPoint};

@@ -1,14 +1,13 @@
-//! The instrumented compile pipeline.
+//! The compile pipeline's stages.
 //!
 //! [`crate::compiler::Compiler::compile`] runs as four explicit stages —
 //! `Synthesize → Map → PlaceRoute → Estimate` — each a [`CompileStage`] with
 //! typed input and output artifacts. Stages borrow their inputs and produce
-//! only the new artifact, so nothing is cloned between stages.
-//! [`InstrumentedPipeline::run_stage`] wraps every stage with wall-clock
-//! timing and artifact-size accounting and accumulates the measurements into
-//! a [`StageTrace`] that travels on the compiled model (and from there into
-//! `fpsa_sim::PerformanceReport`), so compile-time breakdowns come from real
-//! instrumentation.
+//! only the new artifact, so nothing is cloned between stages. The compiler
+//! wraps every stage in an `fpsa_obs` span in the `compile` category, named
+//! by [`CompileStage::NAME`] and carrying the stage's artifact sizes: where
+//! compile time went is read from the tracer, the system's one record of
+//! itself.
 //!
 //! The stage types are public: benchmarks (the compiler-stage ablation) and
 //! tools can run any stage in isolation against its typed artifact.
@@ -20,25 +19,24 @@ use fpsa_nn::ComputationalGraph;
 use fpsa_placeroute::{
     Placement, Placer, PlacerConfig, Router, RouterConfig, RoutingResult, TimingReport, WarmStart,
 };
-use fpsa_sim::{CommunicationEstimate, StageKind, StageQuality, StageRecord, StageTrace};
+use fpsa_sim::CommunicationEstimate;
 use fpsa_synthesis::{CoreOpGraph, NeuralSynthesizer, SynthesisConfig};
 use serde::{Deserialize, Serialize};
-use std::time::Instant;
 
 /// One typed stage of the compile pipeline.
 ///
 /// A stage borrows its input artifact (the lifetime-parameterized
 /// [`CompileStage::Input`]) and produces the next artifact; the sizes
 /// reported by [`CompileStage::items_in`] / [`CompileStage::items_out`] land
-/// in the [`StageTrace`] next to the stage's wall-clock time.
+/// on the stage's compile span.
 pub trait CompileStage {
     /// The (usually borrowed) artifact the stage consumes.
     type Input<'a>;
     /// The artifact the stage produces.
     type Output;
 
-    /// Which pipeline stage this is.
-    fn kind(&self) -> StageKind;
+    /// The stage's name, which is also the name of its compile span.
+    const NAME: &'static str;
 
     /// Execute the stage.
     ///
@@ -54,13 +52,6 @@ pub trait CompileStage {
 
     /// Size of the output artifact, in the stage's natural unit.
     fn items_out(output: &Self::Output) -> usize;
-
-    /// Deterministic quality metrics of the output, if the stage reports any
-    /// (they land in the [`StageTrace`] next to the wall-clock cost).
-    fn quality(output: &Self::Output) -> Option<StageQuality> {
-        let _ = output;
-        None
-    }
 }
 
 /// Stage 1: neural synthesis (computational graph → core-op graph).
@@ -93,9 +84,7 @@ impl CompileStage for SynthesizeStage {
     type Input<'a> = &'a ComputationalGraph;
     type Output = CoreOpGraph;
 
-    fn kind(&self) -> StageKind {
-        StageKind::Synthesize
-    }
+    const NAME: &'static str = "synthesize";
 
     fn run(&self, input: &ComputationalGraph) -> Result<CoreOpGraph, CompileError> {
         Ok(self.synthesizer.synthesize(input)?)
@@ -133,9 +122,7 @@ impl CompileStage for MapStage {
     type Input<'a> = &'a CoreOpGraph;
     type Output = Mapping;
 
-    fn kind(&self) -> StageKind {
-        StageKind::Map
-    }
+    const NAME: &'static str = "map";
 
     fn run(&self, input: &CoreOpGraph) -> Result<Mapping, CompileError> {
         Ok(self.mapper.map(input))
@@ -284,9 +271,7 @@ impl CompileStage for PlaceRouteStage {
     type Input<'a> = &'a Mapping;
     type Output = Option<PhysicalDesign>;
 
-    fn kind(&self) -> StageKind {
-        StageKind::PlaceRoute
-    }
+    const NAME: &'static str = "place&route";
 
     fn run(&self, input: &Mapping) -> Result<Option<PhysicalDesign>, CompileError> {
         if !self.would_run(input.netlist.len()) {
@@ -346,18 +331,6 @@ impl CompileStage for PlaceRouteStage {
             None => 0,
         }
     }
-
-    fn quality(output: &Option<PhysicalDesign>) -> Option<StageQuality> {
-        output.as_ref().map(|physical| StageQuality::PlaceRoute {
-            placement_wirelength: physical.placement.quality().final_wirelength,
-            placement_acceptance_rate: physical.placement.quality().acceptance_rate(),
-            placement_moves: physical.placement.quality().moves_evaluated,
-            warm_started: physical.placement.quality().warm_started,
-            router_iterations: physical.routing.iterations,
-            required_channel_width: physical.routing.required_channel_width(),
-            critical_hops: physical.timing.critical_hops,
-        })
-    }
 }
 
 /// Stage 4: pick the communication estimate — the routed critical path when
@@ -379,9 +352,7 @@ impl CompileStage for EstimateStage {
     type Input<'a> = (&'a Mapping, Option<&'a PhysicalDesign>);
     type Output = CommunicationEstimate;
 
-    fn kind(&self) -> StageKind {
-        StageKind::Estimate
-    }
+    const NAME: &'static str = "estimate";
 
     fn run(
         &self,
@@ -405,84 +376,6 @@ impl CompileStage for EstimateStage {
     }
 }
 
-/// Runs stages in order, recording wall-clock time and artifact sizes.
-#[derive(Debug, Clone, Default)]
-pub struct InstrumentedPipeline {
-    trace: StageTrace,
-}
-
-impl InstrumentedPipeline {
-    /// A pipeline with an empty trace.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Run one stage, timing it and recording artifact sizes.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the stage's error; nothing is recorded for a failed stage.
-    pub fn run_stage<'a, S: CompileStage>(
-        &mut self,
-        stage: &S,
-        input: S::Input<'a>,
-    ) -> Result<S::Output, CompileError> {
-        let items_in = S::items_in(&input);
-        // Compile-stage spans ride the global tracer (wall clock); the
-        // StageTrace keeps its own wall_ns so compile benchmarks need no
-        // tracing enabled.
-        let tracer = fpsa_obs::Tracer::global();
-        let span = if tracer.enabled() {
-            tracer.enter_with(
-                stage.kind().name(),
-                "compile",
-                tracer.now_us(),
-                fpsa_obs::SpanId::NONE,
-                &[("items_in", items_in as i64)],
-            )
-        } else {
-            fpsa_obs::Span::DISABLED
-        };
-        let start = Instant::now();
-        let output = match stage.run(input) {
-            Ok(output) => output,
-            Err(e) => {
-                // The span still closes on the error path, marked failed.
-                if !span.id.is_none() {
-                    let ts = tracer.now_us();
-                    tracer.record(&span, "failed", 1, ts);
-                    tracer.exit(&span, ts);
-                }
-                return Err(e);
-            }
-        };
-        let wall_ns = start.elapsed().as_secs_f64() * 1e9;
-        if !span.id.is_none() {
-            let ts = tracer.now_us();
-            tracer.record(&span, "items_out", S::items_out(&output) as i64, ts);
-            tracer.exit(&span, ts);
-        }
-        self.trace.push(StageRecord {
-            stage: stage.kind(),
-            wall_ns,
-            items_in,
-            items_out: S::items_out(&output),
-            quality: S::quality(&output),
-        });
-        Ok(output)
-    }
-
-    /// The measurements recorded so far.
-    pub fn trace(&self) -> &StageTrace {
-        &self.trace
-    }
-
-    /// Consume the pipeline, yielding the trace.
-    pub fn finish(self) -> StageTrace {
-        self.trace
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -492,68 +385,36 @@ mod tests {
     fn stages_compose_into_the_compiler_flow() {
         let arch = ArchitectureConfig::fpsa();
         let graph = zoo::lenet();
-        let mut pipeline = InstrumentedPipeline::new();
-        let core = pipeline
-            .run_stage(&SynthesizeStage::for_architecture(&arch), &graph)
+        let core = SynthesizeStage::for_architecture(&arch)
+            .run(&graph)
             .unwrap();
-        let mapping = pipeline.run_stage(&MapStage::new(&arch, 1), &core).unwrap();
-        let physical = pipeline
-            .run_stage(
-                &PlaceRouteStage::new(arch.clone(), PlaceRouteConfig::fast()),
-                &mapping,
-            )
+        let mapping = MapStage::new(&arch, 1).run(&core).unwrap();
+        let physical = PlaceRouteStage::new(arch.clone(), PlaceRouteConfig::fast())
+            .run(&mapping)
             .unwrap();
         assert!(physical.is_some(), "LeNet fits under the block limit");
-        let communication = pipeline
-            .run_stage(&EstimateStage::new(arch), (&mapping, physical.as_ref()))
+        let communication = EstimateStage::new(arch)
+            .run((&mapping, physical.as_ref()))
             .unwrap();
         assert!(matches!(
             communication,
             CommunicationEstimate::Routed { .. }
         ));
-
-        let trace = pipeline.finish();
-        let kinds: Vec<StageKind> = trace.records().iter().map(|r| r.stage).collect();
-        assert_eq!(kinds, StageKind::ALL.to_vec());
-        assert!(trace.records().iter().all(|r| r.wall_ns >= 0.0));
-        // The mapper folds the spatial core-op graph onto a netlist, so both
-        // sides of every stage carry real sizes.
-        assert!(trace.records().iter().all(|r| r.items_in > 0));
-        // The PlaceRoute stage reports its quality metrics into the trace.
-        match &trace.records()[2].quality {
-            Some(StageQuality::PlaceRoute {
-                placement_wirelength,
-                placement_acceptance_rate,
-                router_iterations,
-                required_channel_width,
-                ..
-            }) => {
-                assert!(*placement_wirelength > 0.0);
-                assert!((0.0..=1.0).contains(placement_acceptance_rate));
-                assert!(*router_iterations >= 1);
-                assert!(*required_channel_width >= 1);
-            }
-            other => panic!("PlaceRoute must report quality, got {other:?}"),
-        }
-        // The other stages report none.
-        assert!(trace.records()[0].quality.is_none());
-        assert!(trace.records()[1].quality.is_none());
     }
 
     #[test]
     fn minimize_mode_finds_a_width_below_the_architecture_default() {
         let arch = ArchitectureConfig::fpsa();
         let graph = zoo::lenet();
-        let mut pipeline = InstrumentedPipeline::new();
-        let core = pipeline
-            .run_stage(&SynthesizeStage::for_architecture(&arch), &graph)
+        let core = SynthesizeStage::for_architecture(&arch)
+            .run(&graph)
             .unwrap();
-        let mapping = pipeline.run_stage(&MapStage::new(&arch, 1), &core).unwrap();
+        let mapping = MapStage::new(&arch, 1).run(&core).unwrap();
         let stage = PlaceRouteStage::new(
             arch.clone(),
             PlaceRouteConfig::fast().minimize_channel_width(),
         );
-        let physical = pipeline.run_stage(&stage, &mapping).unwrap().unwrap();
+        let physical = stage.run(&mapping).unwrap().unwrap();
         assert!(physical.routing.is_routable());
         assert!(
             physical.routing.channel_width <= arch.routing.channel_width,
@@ -568,40 +429,32 @@ mod tests {
     }
 
     #[test]
-    fn skipping_place_and_route_records_an_empty_output() {
+    fn skipping_place_and_route_yields_an_empty_output() {
         let arch = ArchitectureConfig::fpsa();
         let graph = zoo::lenet();
-        let mut pipeline = InstrumentedPipeline::new();
-        let core = pipeline
-            .run_stage(&SynthesizeStage::for_architecture(&arch), &graph)
+        let core = SynthesizeStage::for_architecture(&arch)
+            .run(&graph)
             .unwrap();
-        let mapping = pipeline.run_stage(&MapStage::new(&arch, 1), &core).unwrap();
-        let physical = pipeline
-            .run_stage(
-                &PlaceRouteStage::new(
-                    arch.clone(),
-                    PlaceRouteConfig {
-                        skip: true,
-                        ..PlaceRouteConfig::fast()
-                    },
-                ),
-                &mapping,
-            )
-            .unwrap();
+        let mapping = MapStage::new(&arch, 1).run(&core).unwrap();
+        let physical = PlaceRouteStage::new(
+            arch,
+            PlaceRouteConfig {
+                skip: true,
+                ..PlaceRouteConfig::fast()
+            },
+        )
+        .run(&mapping)
+        .unwrap();
         assert!(physical.is_none());
-        let record = &pipeline.trace().records()[2];
-        assert_eq!(record.stage, StageKind::PlaceRoute);
-        assert_eq!(record.items_out, 0);
-        assert!(record.items_in > 0);
-        assert!(record.quality.is_none(), "skipped stages report no quality");
+        assert_eq!(PlaceRouteStage::items_out(&physical), 0);
+        assert!(PlaceRouteStage::items_in(&&mapping) > 0);
     }
 
     #[test]
-    fn stage_errors_propagate_and_record_nothing() {
+    fn stage_errors_propagate() {
         use fpsa_nn::{Operator, TensorShape};
 
         let arch = ArchitectureConfig::fpsa();
-        let mut pipeline = InstrumentedPipeline::new();
         // A node wired to a nonexistent input fails synthesis.
         let mut graph = ComputationalGraph::new("broken");
         graph.add_input("input", TensorShape::Features(8));
@@ -613,8 +466,7 @@ mod tests {
             },
             vec![999],
         );
-        let result = pipeline.run_stage(&SynthesizeStage::for_architecture(&arch), &graph);
+        let result = SynthesizeStage::for_architecture(&arch).run(&graph);
         assert!(result.is_err());
-        assert!(pipeline.trace().is_empty());
     }
 }

@@ -198,7 +198,6 @@ mod tests {
 
     #[test]
     fn repeated_points_compile_exactly_once() {
-        use fpsa_sim::CacheOutcome;
         // The same (model, arch, duplication) point three times, plus one
         // distinct point: exactly two compiler invocations, two hits.
         let arch = ArchitectureConfig::fpsa();
@@ -216,34 +215,9 @@ mod tests {
         let stats = cache.stats();
         assert_eq!(stats.misses, 2, "one compile per distinct point");
         assert_eq!(stats.hits, 2, "duplicates reuse the cached artifact");
-        assert!(stats.saved_wall_ns > 0.0);
-        // Duplicates are bit-identical evaluations, and each report's trace
-        // carries its own cache outcome.
+        // Duplicates are bit-identical evaluations.
         assert_eq!(results[0], results[1]);
         assert_eq!(results[1], results[3]);
-        let outcomes: Vec<CacheOutcome> = results
-            .iter()
-            .map(|r| {
-                r.performance
-                    .compile
-                    .as_ref()
-                    .unwrap()
-                    .cache()
-                    .unwrap()
-                    .outcome
-            })
-            .collect();
-        assert_eq!(
-            outcomes.iter().filter(|&&o| o == CacheOutcome::Hit).count(),
-            2
-        );
-        assert_eq!(
-            outcomes
-                .iter()
-                .filter(|&&o| o == CacheOutcome::Miss)
-                .count(),
-            2
-        );
     }
 
     #[test]

@@ -13,9 +13,9 @@ use std::fmt;
 use std::sync::Arc;
 
 use fpsa_arch::FabricCapacity;
-use fpsa_core::{CompileCache, CompileError, CompileKey, CompiledModel, Compiler};
+use fpsa_core::{CacheOutcome, CompileCache, CompileError, CompileKey, CompiledModel, Compiler};
 use fpsa_nn::{ComputationalGraph, GraphParameters, Operator};
-use fpsa_sim::{CacheOutcome, Precision};
+use fpsa_sim::Precision;
 
 /// Dense registry index of a model, matching `TraceEvent::model`.
 pub type ModelId = u16;
@@ -112,7 +112,7 @@ impl ModelRegistry {
         params: GraphParameters,
         precision: Precision,
     ) -> Result<ModelId, CompileError> {
-        let (compiled, info) = self.cache.compile_with_info(&self.compiler, &graph)?;
+        let (compiled, cache_outcome) = self.cache.compile_with_info(&self.compiler, &graph)?;
         let key = CompileKey::for_compile(&self.compiler, &graph);
         let (pes, smbs, clbs) = compiled.mapping.block_demand();
         let id = self.models.len() as ModelId;
@@ -124,7 +124,7 @@ impl ModelRegistry {
             compiled,
             key,
             demand: FabricCapacity::new(pes, smbs, clbs),
-            cache_outcome: info.outcome,
+            cache_outcome,
         });
         Ok(id)
     }

@@ -95,27 +95,18 @@ impl Mlp {
         Mlp { layers }
     }
 
-    /// Forward pass returning the activations of every layer (the last entry
-    /// holds the logits).
-    pub fn forward_trace(&self, x: &[f32]) -> Vec<Vec<f32>> {
-        let mut activations = Vec::with_capacity(self.layers.len());
+    /// Logits for one sample.
+    pub fn forward(&self, x: &[f32]) -> Vec<f32> {
         let mut current = x.to_vec();
         for (i, layer) in self.layers.iter().enumerate() {
-            let mut z = layer.forward(&current);
+            current = layer.forward(&current);
             if i + 1 != self.layers.len() {
-                for v in &mut z {
+                for v in &mut current {
                     *v = v.max(0.0);
                 }
             }
-            activations.push(z.clone());
-            current = z;
         }
-        activations
-    }
-
-    /// Logits for one sample.
-    pub fn forward(&self, x: &[f32]) -> Vec<f32> {
-        self.forward_trace(x).pop().unwrap_or_default()
+        current
     }
 
     /// Predicted class for one sample.

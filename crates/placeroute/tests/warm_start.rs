@@ -8,9 +8,7 @@
 //! * **routable input** — the deterministic router accepts the placement and
 //!   produces connected trees, exactly as it does for cold placements;
 //! * **deterministic** — the same (netlist, donor, seed) warm start
-//!   reproduces the identical placement;
-//! * **exact seeds** — an exact position seed reproduces the donor with zero
-//!   anneal moves (the compile cache's on-disk fast path).
+//!   reproduces the identical placement.
 
 use fpsa_arch::{ArchitectureConfig, BlockKind, Fabric};
 use fpsa_mapper::{Net, Netlist, NetlistBlock};

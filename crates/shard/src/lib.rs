@@ -15,7 +15,7 @@
 //!        │                               per-fabric PE/SMB budget)
 //!        ▼
 //!  ShardCompiler ── per-stage fpsa_core::Compiler ──► ShardedModel
-//!        │            (stage CompiledModels, StageTraces, netlist demand)
+//!        │            (stage CompiledModels, netlist demand)
 //!        ▼
 //!  ShardedModel::executor ──► ShardedExecutor   (bit-identical to the
 //!  ShardedModel::serve    ──► fpsa_serve::ShardedEngine      unsharded run)

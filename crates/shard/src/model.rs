@@ -2,12 +2,12 @@
 //!
 //! [`ShardCompiler`] partitions a model (see [`crate::partition`]) and runs
 //! the **existing** `fpsa_core::Compiler` on every stage subgraph — each
-//! stage gets its own `Synthesize → Map → PlaceRoute → Estimate` run, its
-//! own `StageTrace` and its own fabric-local communication estimate. The
-//! result is a [`ShardedModel`]: per-chip `CompiledModel`s plus the
-//! inter-chip transport cost ([`ChipLink`]: serialized activation bytes over
-//! a bandwidth + fixed hop latency) that the aggregated
-//! [`ShardedPerformanceReport`] charges between stages.
+//! stage gets its own `Synthesize → Map → PlaceRoute → Estimate` run and
+//! its own fabric-local communication estimate. The result is a
+//! [`ShardedModel`]: per-chip `CompiledModel`s plus the inter-chip transport
+//! cost ([`ChipLink`]: serialized activation bytes over a bandwidth + fixed
+//! hop latency) that the aggregated [`ShardedPerformanceReport`] charges
+//! between stages.
 //!
 //! A safety net runs at compile time: the per-stage synthesized groups are
 //! cross-checked positionally against the full-model synthesis (same tile
@@ -81,8 +81,7 @@ pub struct ShardStage {
     /// `(original id, local id)` mapping into `graph`.
     pub node_map: Vec<(NodeId, NodeId)>,
     /// The full single-fabric compilation of the stage (core-op graph,
-    /// mapping, optional physical design, communication estimate and
-    /// `StageTrace`).
+    /// mapping, optional physical design and communication estimate).
     pub compiled: CompiledModel,
     /// Group-id offset of this stage within the full-model synthesis — the
     /// noise-seed hook for bit-identical `Precision::Noisy` binds.
@@ -646,8 +645,6 @@ mod tests {
         for stage in &sharded.stages {
             assert!(stage.demand.pes <= 8);
             assert!(stage.compiled.physical.is_some(), "tiny stages get P&R");
-            // Every stage carries its own full instrumentation trace.
-            assert_eq!(stage.compiled.trace.records().len(), 4);
         }
         assert_eq!(sharded.transports.len(), sharded.stage_count() - 1);
         // Boundary 0 carries fc1's 280 activations as 6-bit values.

@@ -21,11 +21,6 @@
 //!   stay interpretable by a self-contained oracle (`exec/oracle.rs`), the
 //!   bit-exact reference `Executor::run_checked` compares the stream against
 //!   node by node.
-//!
-//! The [`trace`] module carries compile-stage instrumentation: the compiler
-//! in `fpsa-core` fills a [`StageTrace`] per compilation and attaches it to
-//! the [`PerformanceReport`], so consumers see both runtime performance and
-//! where compile time went.
 
 mod bytecode;
 mod domain;
@@ -35,11 +30,9 @@ mod kernels;
 mod lower;
 pub mod perf;
 pub mod profile;
-pub mod trace;
 
 pub use bytecode::LowerStats;
 pub use exec::{ExecArena, ExecError, Executor, Precision};
 pub use functional::SpikingMlpRunner;
 pub use perf::{CommunicationEstimate, PerformanceReport, PerformanceSimulator};
 pub use profile::{ProfileSnapshot, NUM_OPCODES, OPCODE_NAMES};
-pub use trace::{CacheInfo, CacheOutcome, StageKind, StageQuality, StageRecord, StageTrace};

@@ -97,17 +97,6 @@ pub struct PerformanceReport {
     pub pipeline_period_ns: f64,
     /// Number of PEs used.
     pub pe_count: usize,
-    /// Per-stage compile instrumentation, when the report came from a model
-    /// compiled through the staged pipeline (`None` for raw simulator runs).
-    pub compile: Option<crate::trace::StageTrace>,
-}
-
-impl PerformanceReport {
-    /// Attach the compile-stage trace of the model this report measures.
-    pub fn with_compile_trace(mut self, trace: crate::trace::StageTrace) -> Self {
-        self.compile = Some(trace);
-        self
-    }
 }
 
 /// The pipeline performance simulator.
@@ -223,7 +212,6 @@ impl PerformanceSimulator {
             communication_avg_ns_per_vmm,
             pipeline_period_ns,
             pe_count: stats.pe_count,
-            compile: None,
         }
     }
 }

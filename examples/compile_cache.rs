@@ -12,10 +12,9 @@
 //!    warm-start-enabled cache seeds the annealer from the nearest donor's
 //!    placement, cutting the move budget while matching the cold HPWL;
 //! 3. **sweep dedup** — a repeated-config evaluation sweep compiles each
-//!    distinct point once and stamps every report's trace with its cache
-//!    outcome.
+//!    distinct point once.
 
-use fpsa::core::{CompileCache, Compiler, Evaluator};
+use fpsa::core::{CompileCache, CompileKey, Compiler, Evaluator};
 use fpsa::nn::params::mlp_graph;
 use fpsa::nn::zoo::{self, Benchmark};
 use std::time::Instant;
@@ -26,20 +25,19 @@ fn main() {
     let compiler = Compiler::fpsa();
     let graph = zoo::mlp_500_100();
     let start = Instant::now();
-    let (_, info) = cache.compile_with_info(&compiler, &graph).unwrap();
+    let (_, outcome) = cache.compile_with_info(&compiler, &graph).unwrap();
     println!(
         "cold compile:    {:?} ({}, key {})",
         start.elapsed(),
-        info.outcome.name(),
-        info.key
+        outcome.name(),
+        CompileKey::for_compile(&compiler, &graph)
     );
     let start = Instant::now();
-    let (_, info) = cache.compile_with_info(&compiler, &graph).unwrap();
+    let (_, outcome) = cache.compile_with_info(&compiler, &graph).unwrap();
     println!(
-        "cached recompile: {:?} ({}, saved {:.1} ms)",
+        "cached recompile: {:?} ({})",
         start.elapsed(),
-        info.outcome.name(),
-        info.saved_wall_ns / 1e6
+        outcome.name()
     );
 
     // 2. Warm start: resize one hidden layer and recompile through a
@@ -48,7 +46,7 @@ fn main() {
     let donor = mlp_graph("edited-mlp", &[512, 384, 256, 10]);
     let edited = mlp_graph("edited-mlp", &[512, 384, 288, 10]);
     warm_cache.compile(&compiler, &donor).unwrap();
-    let (model, info) = warm_cache.compile_with_info(&compiler, &edited).unwrap();
+    let (model, outcome) = warm_cache.compile_with_info(&compiler, &edited).unwrap();
     let quality = model
         .physical
         .as_ref()
@@ -57,7 +55,7 @@ fn main() {
         .quality();
     println!(
         "\nresized-model compile: {} ({} of {} blocks seeded, {} anneal moves)",
-        info.outcome.name(),
+        outcome.name(),
         quality.seeded_blocks,
         model.mapping.netlist.len(),
         quality.moves_evaluated,
@@ -75,15 +73,8 @@ fn main() {
         (Benchmark::LeNet, 4),
     ] {
         let eval = evaluator.evaluate_with_cache(benchmark, duplication, Some(&sweep_cache));
-        let outcome = eval
-            .performance
-            .compile
-            .as_ref()
-            .and_then(|t| t.cache())
-            .map(|c| c.outcome.name())
-            .unwrap_or("-");
         println!(
-            "{:>12} x{duplication}: {outcome:>5}  ({:.0} samples/s)",
+            "{:>12} x{duplication}: {:.0} samples/s",
             eval.model, eval.performance.throughput_samples_per_s
         );
     }

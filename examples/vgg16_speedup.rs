@@ -37,6 +37,4 @@ fn main() {
         "the spiking PE then cuts the remaining computation time by {:.1}x.",
         bars[1].compute_ns / bars[2].compute_ns
     );
-    println!("\nWhere the shared VGG16 compile spent its time:");
-    println!("{}", fig7_data.compile.to_table());
 }

@@ -6,9 +6,9 @@
 //! unoptimized hashing and would make the ratios meaningless. The structural
 //! smoke test runs in every profile.
 
+use fpsa::core::CacheOutcome;
 use fpsa::core::{CompileCache, Compiler};
 use fpsa::nn::params::mlp_graph;
-use fpsa::sim::CacheOutcome;
 use std::sync::Arc;
 
 #[cfg(not(debug_assertions))]
@@ -21,17 +21,16 @@ use {
 };
 
 /// Debug-friendly smoke test: the second identical compile is a hit that
-/// shares the artifact, and the trace carries the outcome.
+/// shares the artifact, and the cache reports the outcome.
 #[test]
 fn identical_compiles_share_one_artifact() {
     let cache = CompileCache::new(4);
     let graph = mlp_graph("cache-smoke", &[32, 24, 8]);
     let compiler = Compiler::fpsa();
-    let (cold, info) = cache.compile_with_info(&compiler, &graph).unwrap();
-    assert_eq!(info.outcome, CacheOutcome::Miss);
-    let (hit, info) = cache.compile_with_info(&compiler, &graph).unwrap();
-    assert_eq!(info.outcome, CacheOutcome::Hit);
-    assert!(info.saved_wall_ns > 0.0);
+    let (cold, outcome) = cache.compile_with_info(&compiler, &graph).unwrap();
+    assert_eq!(outcome, CacheOutcome::Miss);
+    let (hit, outcome) = cache.compile_with_info(&compiler, &graph).unwrap();
+    assert_eq!(outcome, CacheOutcome::Hit);
     assert!(Arc::ptr_eq(&cold, &hit));
     assert_eq!(cache.stats().misses, 1);
     assert_eq!(cache.stats().hits, 1);
@@ -47,18 +46,18 @@ fn cached_recompile_is_ten_times_faster_than_cold() {
     let compiler = Compiler::fpsa();
 
     let start = Instant::now();
-    let (cold, info) = cache.compile_with_info(&compiler, &graph).unwrap();
+    let (cold, outcome) = cache.compile_with_info(&compiler, &graph).unwrap();
     let cold_wall = start.elapsed();
-    assert_eq!(info.outcome, CacheOutcome::Miss);
+    assert_eq!(outcome, CacheOutcome::Miss);
 
     // Best of a few lookups (a hit is a hash + map probe; the first may
     // still pay allocator noise).
     let mut hit_wall = std::time::Duration::MAX;
     for _ in 0..5 {
         let start = Instant::now();
-        let (hit, info) = cache.compile_with_info(&compiler, &graph).unwrap();
+        let (hit, outcome) = cache.compile_with_info(&compiler, &graph).unwrap();
         hit_wall = hit_wall.min(start.elapsed());
-        assert_eq!(info.outcome, CacheOutcome::Hit);
+        assert_eq!(outcome, CacheOutcome::Hit);
         assert!(Arc::ptr_eq(&cold, &hit));
     }
     assert!(
@@ -95,8 +94,7 @@ fn cached_sweep_halves_the_uncached_wall_clock() {
 
     assert_eq!(cache.stats().misses, 1, "one compile for six points");
     assert_eq!(cache.stats().hits, 5);
-    // Results are identical to the uncached sweep (trace equality ignores
-    // cache provenance, like wall-clock).
+    // Results are identical to the uncached sweep.
     assert_eq!(uncached, cached);
     assert!(
         cached_wall * 2 <= uncached_wall,

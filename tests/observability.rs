@@ -76,6 +76,17 @@ fn a_traced_fleet_zoo_run_exports_nested_chrome_spans_per_tenant() {
             .register(name, graph, params, Precision::Float)
             .expect("zoo models compile");
     }
+    // What each model's synthesize and map spans must report as output.
+    let artifact_sizes: Vec<(usize, usize)> = registry
+        .models()
+        .iter()
+        .map(|m| {
+            (
+                m.compiled.core_graph.len(),
+                m.compiled.mapping.netlist.len(),
+            )
+        })
+        .collect();
 
     // Ground truth, per request: direct single-threaded execution.
     let requests: Vec<(u16, u16)> = (0..8u64)
@@ -124,7 +135,8 @@ fn a_traced_fleet_zoo_run_exports_nested_chrome_spans_per_tenant() {
     tracer.clear();
 
     // The compile pipeline traced each stage of each model.
-    for stage in ["synthesize", "map", "estimate"] {
+    const STAGES: [&str; 4] = ["synthesize", "map", "place&route", "estimate"];
+    for stage in STAGES {
         assert!(
             events
                 .iter()
@@ -133,6 +145,31 @@ fn a_traced_fleet_zoo_run_exports_nested_chrome_spans_per_tenant() {
                 >= 2,
             "both zoo models record a '{stage}' compile span"
         );
+    }
+    // The models registered one after the other, so their compile spans
+    // open in pipeline order, model by model, and the synthesize and map
+    // spans report the sizes of the artifacts they produced.
+    let begins: Vec<&Event> = events
+        .iter()
+        .filter(|e| e.cat == "compile" && e.phase == Phase::SpanBegin)
+        .collect();
+    assert_eq!(begins.len(), STAGES.len() * artifact_sizes.len());
+    let items_out = |begin: &Event| {
+        events
+            .iter()
+            .find(|e| e.phase == Phase::Instant && e.id == begin.id && e.name == begin.name)
+            .and_then(|e| e.args().iter().find(|(key, _)| *key == "items_out"))
+            .map(|&(_, value)| value)
+    };
+    for (model, stages) in begins.chunks(STAGES.len()).enumerate() {
+        let names: Vec<&str> = stages.iter().map(|e| e.name).collect();
+        assert_eq!(
+            names, STAGES,
+            "model {model}'s compile spans in pipeline order"
+        );
+        let (core_groups, netlist_blocks) = artifact_sizes[model];
+        assert_eq!(items_out(stages[0]), Some(core_groups as i64));
+        assert_eq!(items_out(stages[1]), Some(netlist_blocks as i64));
     }
 
     // Per tenant: at least one request whose queue → execute → respond
