@@ -5,10 +5,10 @@
 //! graph → core-op graph), spatial-to-temporal mapping (core-op graph →
 //! function-block netlist) and, when the netlist is small enough for full
 //! physical design, placement & routing on the fabric — followed by
-//! communication estimation. The result carries every
-//! intermediate artifact, so tools, tests and experiments can inspect any
-//! stage; each stage runs inside an `fpsa_obs` span in the `compile`
-//! category, which is where compile time is recorded.
+//! communication estimation. The result carries every intermediate
+//! artifact, so tools, tests and experiments can inspect any stage; each
+//! stage runs inside an `fpsa_obs` span in the `compile` category, which is
+//! where compile time is recorded.
 
 use crate::pipeline::{CompileStage, EstimateStage, MapStage, PlaceRouteStage, SynthesizeStage};
 use fpsa_arch::{ArchitectureConfig, Bitstream, FabricCapacity, SectionKind};
