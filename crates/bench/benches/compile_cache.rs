@@ -20,9 +20,8 @@
 //!   netlist_ms` is pinned at <= 1/2 of what the hashed implementation this
 //!   one replaced recorded on the same host (`parent_*`).
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use fpsa_arch::ArchitectureConfig;
-use fpsa_bench::{median, print_experiment, save_bench_artifact};
+use fpsa_bench::{median, print_experiment, save_bench_artifact, time};
 use fpsa_core::compiler::PlaceRouteConfig;
 use fpsa_core::{CompileCache, Compiler, Evaluator};
 use fpsa_mapper::{Allocation, AllocationPolicy, Mapper, Netlist, Scheduler};
@@ -405,7 +404,7 @@ fn to_json(r: &CompileCacheReport, cold: &ColdCompileReport) -> String {
     j
 }
 
-fn bench(c: &mut Criterion) {
+fn main() {
     let report = measure();
     print_experiment(
         "Compile cache: cold vs cached vs warm-started compilation",
@@ -418,20 +417,14 @@ fn bench(c: &mut Criterion) {
     );
     save_bench_artifact("BENCH_compile.json", &to_json(&report, &cold));
 
-    let mut group = c.benchmark_group("compile_cache");
-    group.sample_size(10);
     let cache = CompileCache::new(4);
     let graph = zoo::mlp_500_100();
     let compiler = Compiler::fpsa();
     cache.compile(&compiler, &graph).expect("warms the cache");
-    group.bench_function("mlp_500_100_cache_hit", |b| {
-        b.iter(|| cache.compile(&compiler, &graph).expect("hit"))
+    time("compile_cache/mlp_500_100_cache_hit", 10, || {
+        cache.compile(&compiler, &graph).expect("hit")
     });
-    group.bench_function("mlp_500_100_cold_compile", |b| {
-        b.iter(|| compiler.compile(&graph).expect("cold compile"))
+    time("compile_cache/mlp_500_100_cold_compile", 10, || {
+        compiler.compile(&graph).expect("cold compile")
     });
-    group.finish();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

@@ -20,8 +20,7 @@
 //! target_speedup` (3×) and `integer_vs_float <= max_integer_vs_float`
 //! (1.25), giving the repo's perf trajectory a tracked execution datapoint.
 
-use criterion::{criterion_group, criterion_main, Criterion};
-use fpsa_bench::{print_experiment, save_bench_artifact};
+use fpsa_bench::{print_experiment, save_bench_artifact, time};
 use fpsa_core::validate::sample_inputs;
 use fpsa_core::Compiler;
 use fpsa_nn::{zoo, ComputationalGraph, GraphParameters, QuantizationPlan};
@@ -192,7 +191,7 @@ fn to_json(rows: &[ExecRow], min_speedup: f64) -> String {
     j
 }
 
-fn bench(c: &mut Criterion) {
+fn main() {
     let mut rows = Vec::new();
     let mut timed = Vec::new();
     for (graph, parent) in [
@@ -210,20 +209,12 @@ fn bench(c: &mut Criterion) {
     let min_speedup = rows.iter().map(|r| r.speedup).fold(f64::INFINITY, f64::min);
     save_bench_artifact("BENCH_exec.json", &to_json(&rows, min_speedup));
 
-    let mut group = c.benchmark_group("exec_forward");
-    group.sample_size(10);
     for (name, exec, inputs) in &timed {
         let mut arena = ExecArena::default();
         let mut outs = Vec::new();
-        group.bench_function(format!("{name}_bytecode_batch").as_str(), |b| {
-            b.iter(|| {
-                exec.run_batch_into(inputs, &mut arena, &mut outs)
-                    .expect("run");
-            })
+        time(&format!("exec_forward/{name}_bytecode_batch"), 10, || {
+            exec.run_batch_into(inputs, &mut arena, &mut outs)
+                .expect("run");
         });
     }
-    group.finish();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

@@ -1,21 +1,14 @@
 //! Regenerates Figure 2: PRIME peak / ideal / real performance vs area.
 
-use criterion::{criterion_group, criterion_main, Criterion};
-use fpsa_bench::{print_experiment, save_json};
+use fpsa_bench::{print_experiment, save_text, time};
 use fpsa_core::experiments::fig2;
 
-fn bench(c: &mut Criterion) {
+fn main() {
     let fig = fig2::run();
     print_experiment(
         "Figure 2: PRIME bounds for VGG16 (peak / ideal / real)",
         &fig2::to_table(&fig),
     );
-    save_json("fig2", &fig);
-    let mut group = c.benchmark_group("fig2");
-    group.sample_size(20);
-    group.bench_function("prime_bounds_sweep", |b| b.iter(fig2::run));
-    group.finish();
+    save_text("fig2.txt", &format!("{fig:#?}"));
+    time("fig2/prime_bounds_sweep", 20, fig2::run);
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

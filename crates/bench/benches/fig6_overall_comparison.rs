@@ -1,10 +1,9 @@
 //! Regenerates Figure 6: PRIME vs FP-PRIME vs FPSA for VGG16.
 
-use criterion::{criterion_group, criterion_main, Criterion};
-use fpsa_bench::{print_experiment, save_json};
+use fpsa_bench::{print_experiment, save_text, time};
 use fpsa_core::experiments::fig6;
 
-fn bench(c: &mut Criterion) {
+fn main() {
     let fig = fig6::run();
     print_experiment(
         &format!(
@@ -13,12 +12,6 @@ fn bench(c: &mut Criterion) {
         ),
         &fig6::to_table(&fig),
     );
-    save_json("fig6", &fig);
-    let mut group = c.benchmark_group("fig6");
-    group.sample_size(20);
-    group.bench_function("three_architecture_sweep", |b| b.iter(fig6::run));
-    group.finish();
+    save_text("fig6.txt", &format!("{fig:#?}"));
+    time("fig6/three_architecture_sweep", 20, fig6::run);
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

@@ -1,12 +1,11 @@
 //! Regenerates Figure 8: scalability with the duplication degree.
 
-use criterion::{criterion_group, criterion_main, Criterion};
-use fpsa_bench::{print_experiment, save_json};
+use fpsa_bench::{print_experiment, save_text, time};
 use fpsa_core::experiments::fig8;
 use fpsa_core::CompileCache;
 
-fn bench(c: &mut Criterion) {
-    // The full seven-model sweep is printed once; Criterion times the
+fn main() {
+    // The full seven-model sweep is printed once; the timing covers the
     // three-model variant so a bench run stays short. The sweep compiles
     // through a shared cache whose hit/miss statistics are printed below.
     let cache = CompileCache::new(64);
@@ -28,12 +27,6 @@ fn bench(c: &mut Criterion) {
         "Figure 8 compile cache: sweep-wide hit/miss statistics",
         &cache.stats().summary(),
     );
-    save_json("fig8", &fig);
-    let mut group = c.benchmark_group("fig8");
-    group.sample_size(10);
-    group.bench_function("scalability_small_models", |b| b.iter(fig8::run_small));
-    group.finish();
+    save_text("fig8.txt", &format!("{fig:#?}"));
+    time("fig8/scalability_small_models", 10, fig8::run_small);
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

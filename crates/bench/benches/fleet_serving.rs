@@ -11,8 +11,7 @@
 //! `bit_identical == true`; wall-clock throughputs of the real engines are
 //! recorded as advisory context, never pinned.
 
-use criterion::{criterion_group, criterion_main, Criterion};
-use fpsa_bench::{print_experiment, save_bench_artifact};
+use fpsa_bench::{print_experiment, save_bench_artifact, time};
 use fpsa_fleet::experiments::fleet::{checked_in_zoo, measure_dedicated, run, FleetComparison};
 use fpsa_workload::{simulate_fleet, FleetPolicy, TraceRecorder};
 use std::fmt::Write as _;
@@ -101,7 +100,7 @@ fn to_json(c: &FleetComparison, dedicated_measured_rps: f64) -> String {
     j
 }
 
-fn bench(c: &mut Criterion) {
+fn main() {
     let scenario = checked_in_zoo();
     let comparison = run(&scenario, scenario.models.len());
     let dedicated_measured_rps = measure_dedicated(&scenario);
@@ -119,8 +118,8 @@ fn bench(c: &mut Criterion) {
         &to_json(&comparison, dedicated_measured_rps),
     );
 
-    // Criterion timing: the fleet virtual replay of the full zoo trace —
-    // the deterministic half everything above is pinned on.
+    // Timing: the fleet virtual replay of the full zoo trace — the
+    // deterministic half everything above is pinned on.
     let trace = TraceRecorder::new(&scenario)
         .record()
         .expect("scenario is valid");
@@ -129,13 +128,7 @@ fn bench(c: &mut Criterion) {
         hosted: vec![(0..scenario.models.len() as u16).collect(); scenario.models.len()],
         tenant_weights: (0..scenario.tenants.len() as u16).map(|t| (t, 1)).collect(),
     };
-    let mut group = c.benchmark_group("fleet_serving");
-    group.sample_size(10);
-    group.bench_function("fleet_zoo_virtual_sim", |b| {
-        b.iter(|| simulate_fleet(&trace, &policy, scenario.service))
+    time("fleet_serving/fleet_zoo_virtual_sim", 10, || {
+        simulate_fleet(&trace, &policy, scenario.service)
     });
-    group.finish();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

@@ -12,8 +12,7 @@
 //! Emits `BENCH_obs.json` at the workspace root — the `obs` CI job pins
 //! `overhead_ratio <= target_ratio`.
 
-use criterion::{criterion_group, criterion_main, Criterion};
-use fpsa_bench::{median, print_experiment, save_bench_artifact};
+use fpsa_bench::{median, print_experiment, save_bench_artifact, time};
 use fpsa_core::validate::sample_inputs;
 use fpsa_core::Compiler;
 use fpsa_nn::zoo;
@@ -32,7 +31,7 @@ fn time_ns_per_sample<F: FnMut()>(n_samples: usize, mut run: F) -> f64 {
     start.elapsed().as_nanos() as f64 / n_samples as f64
 }
 
-fn bench(c: &mut Criterion) {
+fn main() {
     // The pin measures the *disabled* path: this is the mode every
     // latency-sensitive deployment runs in.
     assert_eq!(Tracer::global().mode(), Mode::Off);
@@ -88,16 +87,8 @@ fn bench(c: &mut Criterion) {
     j.push_str("}\n");
     save_bench_artifact("BENCH_obs.json", &j);
 
-    let mut group = c.benchmark_group("obs_overhead");
-    group.sample_size(10);
-    group.bench_function("mlp_500_100_obs_disabled", |b| {
-        b.iter(|| {
-            exec.run_batch_into(&inputs, &mut arena, &mut outs)
-                .expect("run");
-        })
+    time("obs_overhead/mlp_500_100_obs_disabled", 10, || {
+        exec.run_batch_into(&inputs, &mut arena, &mut outs)
+            .expect("run");
     });
-    group.finish();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

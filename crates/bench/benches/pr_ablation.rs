@@ -11,9 +11,8 @@
 //!   pass on the Figure 8 netlists: the negotiated routing must need at most
 //!   the single pass's channel width.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fpsa_arch::{ArchitectureConfig, BlockKind, Fabric};
-use fpsa_bench::{print_experiment, save_json};
+use fpsa_bench::{print_experiment, save_text, time};
 use fpsa_mapper::{AllocationPolicy, Mapper, Netlist, NetlistBlock};
 use fpsa_nn::zoo::Benchmark;
 use fpsa_placeroute::{Placer, PlacerConfig, Router, RouterConfig, WarmStart};
@@ -154,7 +153,7 @@ fn seed_anneal(netlist: &Netlist, fabric: &Fabric, config: &SeedConfig) -> (f64,
     (final_hpwl, attempted)
 }
 
-fn bench(c: &mut Criterion) {
+fn main() {
     let arch = ArchitectureConfig::fpsa();
     let netlist = netlist_for(Benchmark::LeNet, 4);
     let fabric = Fabric::with_pe_count(arch.clone(), netlist.len());
@@ -260,47 +259,39 @@ fn bench(c: &mut Criterion) {
         "P&R ablation: PathFinder negotiation vs single congestion-aware pass",
         &width_rows.join("\n"),
     );
-    save_json(
-        "pr_ablation",
-        &(incremental.quality().clone(), seed_hpwl, width_rows.clone()),
+    save_text(
+        "pr_ablation.txt",
+        &format!(
+            "{:#?}",
+            (incremental.quality().clone(), seed_hpwl, width_rows.clone())
+        ),
     );
 
     // Timed passes: per-move cost of both annealers at the same budget, the
     // two router modes, and the full minimum-width search.
-    let mut group = c.benchmark_group("pr_ablation");
-    group.sample_size(10);
     let fast = PlacerConfig::fast();
-    group.bench_function("place_incremental_fast", |b| {
-        b.iter(|| Placer::new(fast).place(&netlist, &fabric))
+    time("pr_ablation/place_incremental_fast", 10, || {
+        Placer::new(fast).place(&netlist, &fabric)
     });
-    group.bench_function("place_seed_reference_quality", |b| {
-        let seed_cfg = SeedConfig::quality();
-        b.iter(|| seed_anneal(&netlist, &fabric, &seed_cfg))
+    time("pr_ablation/place_seed_reference_quality", 10, || {
+        seed_anneal(&netlist, &fabric, &seed_cfg)
     });
-    group.bench_function("place_incremental_quality", |b| {
-        let quality = PlacerConfig::quality();
-        b.iter(|| Placer::new(quality).place(&netlist, &fabric))
+    let quality = PlacerConfig::quality();
+    time("pr_ablation/place_incremental_quality", 10, || {
+        Placer::new(quality).place(&netlist, &fabric)
     });
     let placement = Placer::new(fast).place(&netlist, &fabric);
     for (label, config) in [
         ("negotiated", RouterConfig::negotiated()),
         ("single_pass", RouterConfig::single_pass()),
     ] {
-        group.bench_with_input(
-            BenchmarkId::new("route_lenet_x4", label),
-            &config,
-            |b, config| {
-                let router = Router::with_config(arch.routing, *config);
-                b.iter(|| router.route(&netlist, &placement))
-            },
-        );
+        let router = Router::with_config(arch.routing, config);
+        time(&format!("pr_ablation/route_lenet_x4/{label}"), 10, || {
+            router.route(&netlist, &placement)
+        });
     }
-    group.bench_function("minimum_channel_width_lenet_x4", |b| {
-        let router = Router::new(arch.routing);
-        b.iter(|| router.minimum_channel_width(&netlist, &placement))
+    let router = Router::new(arch.routing);
+    time("pr_ablation/minimum_channel_width_lenet_x4", 10, || {
+        router.minimum_channel_width(&netlist, &placement)
     });
-    group.finish();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

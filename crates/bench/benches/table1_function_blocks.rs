@@ -1,18 +1,14 @@
 //! Regenerates Table 1: function-block parameters at 45 nm.
 
-use criterion::{criterion_group, criterion_main, Criterion};
-use fpsa_bench::{print_experiment, save_json};
+use fpsa_bench::{print_experiment, save_text, time};
 use fpsa_core::experiments::table1;
 
-fn bench(c: &mut Criterion) {
+fn main() {
     let rows = table1::run();
     print_experiment(
         "Table 1: function-block parameters (45 nm)",
         &table1::to_table(&rows),
     );
-    save_json("table1", &rows);
-    c.bench_function("table1/function_block_models", |b| b.iter(table1::run));
+    save_text("table1.txt", &format!("{rows:#?}"));
+    time("table1/function_block_models", 20, table1::run);
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

@@ -1,18 +1,14 @@
 //! Regenerates Table 2: PE comparison between PRIME and FPSA.
 
-use criterion::{criterion_group, criterion_main, Criterion};
-use fpsa_bench::{print_experiment, save_json};
+use fpsa_bench::{print_experiment, save_text, time};
 use fpsa_core::experiments::table2;
 
-fn bench(c: &mut Criterion) {
+fn main() {
     let table = table2::run();
     print_experiment(
         "Table 2: PRIME vs FPSA processing element (256x256 VMM, 8-bit weights, 6-bit I/O)",
         &table2::to_table(&table),
     );
-    save_json("table2", &table);
-    c.bench_function("table2/pe_comparison", |b| b.iter(table2::run));
+    save_text("table2.txt", &format!("{table:#?}"));
+    time("table2/pe_comparison", 20, table2::run);
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

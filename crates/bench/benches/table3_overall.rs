@@ -1,23 +1,16 @@
 //! Regenerates Table 3: overall FPSA performance for every benchmark model.
 
-use criterion::{criterion_group, criterion_main, Criterion};
-use fpsa_bench::{print_experiment, save_json};
+use fpsa_bench::{print_experiment, save_text, time};
 use fpsa_core::experiments::table3;
 
-fn bench(c: &mut Criterion) {
+fn main() {
     let cols = table3::run();
     print_experiment(
         "Table 3: overall FPSA performance (64x duplication)",
         &table3::to_table(&cols),
     );
-    save_json("table3", &cols);
-    let mut group = c.benchmark_group("table3");
-    group.sample_size(10);
-    group.bench_function("overall_low_duplication", |b| {
-        b.iter(|| table3::run_with_duplication(1))
+    save_text("table3.txt", &format!("{cols:#?}"));
+    time("table3/overall_low_duplication", 10, || {
+        table3::run_with_duplication(1)
     });
-    group.finish();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

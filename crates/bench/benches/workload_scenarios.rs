@@ -12,8 +12,7 @@
 //! the measured path exercised — its wall-clock throughput is recorded as
 //! advisory context, never pinned.
 
-use criterion::{criterion_group, criterion_main, Criterion};
-use fpsa_bench::{print_experiment, save_bench_artifact, save_text, workspace_root};
+use fpsa_bench::{print_experiment, save_bench_artifact, save_text, time, workspace_root};
 use fpsa_core::Compiler;
 use fpsa_nn::{zoo, GraphParameters};
 use fpsa_serve::{ServeConfig, ServeEngine};
@@ -134,7 +133,7 @@ fn to_json(rows: &[ScenarioRow], smoke: &(String, usize, f64)) -> String {
     j
 }
 
-fn bench(c: &mut Criterion) {
+fn main() {
     let scenarios = load_scenarios();
     assert!(
         !scenarios.is_empty(),
@@ -148,7 +147,7 @@ fn bench(c: &mut Criterion) {
     );
     save_bench_artifact("BENCH_workload.json", &to_json(&rows, &smoke));
 
-    // Criterion timing: the full virtual replay of the largest scenario.
+    // Timing: the full virtual replay of the largest scenario.
     let largest = scenarios
         .iter()
         .max_by_key(|s| s.requests)
@@ -156,13 +155,9 @@ fn bench(c: &mut Criterion) {
     let trace = TraceRecorder::new(largest)
         .record()
         .expect("scenario is valid");
-    let mut group = c.benchmark_group("workload_scenarios");
-    group.sample_size(10);
-    group.bench_function(format!("{}_full_sim", largest.name).as_str(), |b| {
-        b.iter(|| simulate(&trace, largest.policy, largest.service))
-    });
-    group.finish();
+    time(
+        &format!("workload_scenarios/{}_full_sim", largest.name),
+        10,
+        || simulate(&trace, largest.policy, largest.service),
+    );
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

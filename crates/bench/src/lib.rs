@@ -1,11 +1,12 @@
 //! Shared helpers for the FPSA benchmark harness.
 //!
-//! Every bench binary in `benches/` regenerates one table or figure of the
-//! paper: it prints the experiment's table, persists its records as JSON
-//! under the workspace's `target/experiment-data/` ([`save_json`]) and then
-//! times the underlying experiment code with Criterion.
+//! Every bench binary in `benches/` is a plain `main` that regenerates one
+//! table or figure of the paper: it prints the experiment's table, persists
+//! its records under the workspace's `target/experiment-data/`
+//! ([`save_text`]) and then times the underlying experiment code ([`time`]).
 
 use std::path::PathBuf;
+use std::time::{Duration, Instant};
 
 /// Print an experiment banner followed by its rendered table.
 pub fn print_experiment(title: &str, table: &str) {
@@ -51,32 +52,10 @@ pub fn workspace_root() -> PathBuf {
     dir
 }
 
-/// Persist an experiment's structured records next to Criterion's output so
-/// the numbers that produced a table can be inspected later.
-///
-/// Errors are reported but not fatal: benches still run on read-only file
-/// systems.
-pub fn save_json<T: serde::Serialize>(name: &str, value: &T) {
-    let dir = experiment_dir();
-    if let Err(e) = std::fs::create_dir_all(&dir) {
-        eprintln!("note: could not create {}: {e}", dir.display());
-        return;
-    }
-    let path = dir.join(format!("{name}.json"));
-    match serde_json::to_string_pretty(value) {
-        Ok(json) => {
-            if let Err(e) = std::fs::write(&path, json) {
-                eprintln!("note: could not write {}: {e}", path.display());
-            }
-        }
-        Err(e) => eprintln!("note: could not serialize {name}: {e}"),
-    }
-}
-
 /// Persist a pre-rendered experiment artifact under
 /// `<root>/target/experiment-data/`. `relative` may contain subdirectories
 /// (`workload/steady.md`); parents are created as needed. Errors are
-/// reported but not fatal, like [`save_json`].
+/// reported but not fatal: benches still run on read-only file systems.
 pub fn save_text(relative: &str, contents: &str) {
     let path = experiment_dir().join(relative);
     if let Some(parent) = path.parent() {
@@ -95,12 +74,28 @@ pub fn save_text(relative: &str, contents: &str) {
 /// The caller supplies the exact file contents (pre-rendered JSON), so the
 /// artifact stays machine-parseable regardless of serializer behavior.
 ///
-/// Errors are reported but not fatal, like [`save_json`].
+/// Errors are reported but not fatal, like [`save_text`].
 pub fn save_text_at_root(file_name: &str, contents: &str) {
     let path = workspace_root().join(file_name);
     if let Err(e) = std::fs::write(&path, contents) {
         eprintln!("note: could not write {}: {e}", path.display());
     }
+}
+
+/// Time `f`: one untimed warm-up call, then `samples` (at least one) timed
+/// calls, printed as `label: min … / mean … over N samples`.
+pub fn time<O>(label: &str, samples: u32, mut f: impl FnMut() -> O) {
+    std::hint::black_box(f());
+    let runs: Vec<Duration> = (0..samples)
+        .map(|_| {
+            let start = Instant::now();
+            std::hint::black_box(f());
+            start.elapsed()
+        })
+        .collect();
+    let min = runs.iter().min().copied().unwrap_or_default();
+    let mean = runs.iter().sum::<Duration>() / samples;
+    println!("{label}: min {min:.2?} / mean {mean:.2?} over {samples} samples");
 }
 
 /// The envelope schema every root `BENCH_*.json` artifact declares. Bump
@@ -146,7 +141,7 @@ pub fn bench_envelope(payload: &str) -> String {
 /// Persist a root `BENCH_*.json` artifact wrapped in the versioned
 /// envelope. All four CI-pinned artifacts go through here so the envelope
 /// cannot drift per bench. Errors are reported but not fatal, like
-/// [`save_json`].
+/// [`save_text`].
 pub fn save_bench_artifact(file_name: &str, payload_json: &str) {
     save_text_at_root(file_name, &bench_envelope(payload_json));
 }
@@ -161,8 +156,10 @@ mod tests {
     }
 
     #[test]
-    fn save_json_accepts_serializable_values() {
-        save_json("bench-selftest", &vec![1, 2, 3]);
+    fn time_runs_warm_up_plus_samples() {
+        let mut calls = 0;
+        time("bench-selftest", 3, || calls += 1);
+        assert_eq!(calls, 4);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! One driver per table and figure of the paper's evaluation.
 //!
 //! Every driver returns structured, serializable records and can render a
-//! plain-text table; the Criterion benchmarks in `fpsa-bench` (which persist
+//! plain-text table; the bench mains in `fpsa-bench` (which persist
 //! the records under `target/experiment-data/`) and the examples all call
 //! these functions, so the published numbers are regenerated by the same
 //! code the tests exercise. Every

@@ -341,7 +341,7 @@ mod tests {
         assert_eq!(nearest_rank_percentile(&[], 0.5), 0.0);
     }
 
-    /// The PR's acceptance criterion: on MLP-500-100, four pre-bound
+    /// The PR's acceptance bar: on MLP-500-100, four pre-bound
     /// replicas with dynamic batching sustain at least 3× the requests/s of
     /// the 1-replica, batch-size-1, bind-per-request path — with
     /// bit-identical outputs (asserted inside the driver). Release-only:

@@ -8,7 +8,7 @@
 //! Co-location, weighted-fair queueing and shortest-queue routing decide
 //! *where and when* a request runs, never *what it computes*.
 //!
-//! The release build additionally pins the acceptance criterion on the
+//! The release build additionally pins the acceptance bar on the
 //! checked-in `scenarios/fleet/fleet-zoo.scenario`: the co-located fleet
 //! beats dedicated single-model engines on aggregate virtual-clock
 //! throughput.

@@ -10,7 +10,7 @@
 //! as no virtual worker of any fabric is busy, instead of always waiting
 //! out its window (`bursty-coalesce`, whose batches always fill, kept its
 //! digests). The hand-built trace test pins that rule directly, and the
-//! proptest pins the claim the design rests on: `simulate` *is* the fleet
+//! property pins the claim the design rests on: `simulate` *is* the fleet
 //! loop run as one fabric with one lane.
 
 use fpsa_fleet::experiments::fleet::{
@@ -19,12 +19,13 @@ use fpsa_fleet::experiments::fleet::{
 use fpsa_fleet::FleetPlacement;
 use fpsa_obs::{export, Histogram, Mode, Tracer};
 use fpsa_serve::ServeStats;
+use fpsa_testgen::{cases, vec};
 use fpsa_workload::{
     simulate, simulate_fleet, simulate_fleet_traced, simulate_traced, FleetPolicy,
     FleetVirtualReplay, ReplayPolicy, Scenario, ServiceModel, Trace, TraceEvent, TraceRecorder,
     VirtualReplay,
 };
-use proptest::prelude::*;
+use rand::Rng;
 
 /// FNV-1a over bytes; `word` feeds little-endian `u64`s.
 struct Fnv(u64);
@@ -247,32 +248,46 @@ fn the_virtual_clock_batches_only_while_a_worker_is_busy() {
     assert_eq!(stats.max_latency_us(), 220);
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// `simulate` is the one-fabric, one-lane, everything-hosted case of
-    /// the fleet loop — whatever tenants and models the events carry.
-    #[test]
-    fn simulate_is_the_fleet_loop_on_one_fabric_and_one_lane(
-        gaps in proptest::collection::vec(0u64..400, 1..120),
-        replicas in 1usize..4,
-        max_batch in 1usize..9,
-        window_us in 0u64..500,
-        base_us in 1u64..300,
-        per_request_us in 0u64..60,
-    ) {
+/// `simulate` is the one-fabric, one-lane, everything-hosted case of
+/// the fleet loop — whatever tenants and models the events carry.
+#[test]
+fn simulate_is_the_fleet_loop_on_one_fabric_and_one_lane() {
+    let name = "simulate_is_the_fleet_loop_on_one_fabric_and_one_lane";
+    cases(name, 64, |rng| {
+        let gaps = vec(rng, 1..120, |r| r.gen_range(0u64..400));
+        let replicas = rng.gen_range(1usize..4);
+        let max_batch = rng.gen_range(1usize..9);
+        let window_us = rng.gen_range(0u64..500);
+        let base_us = rng.gen_range(1u64..300);
+        let per_request_us = rng.gen_range(0u64..60);
         let mut at_us = 0;
         let events: Vec<TraceEvent> = gaps
             .iter()
             .enumerate()
             .map(|(i, gap)| {
                 at_us += gap;
-                TraceEvent { at_us, tenant: 0, model: (i % 3) as u16, group: i as u32 }
+                TraceEvent {
+                    at_us,
+                    tenant: 0,
+                    model: (i % 3) as u16,
+                    group: i as u32,
+                }
             })
             .collect();
-        let trace = Trace { scenario: "prop".into(), seed: 0, events };
-        let policy = ReplayPolicy { replicas, max_batch, window_us };
-        let service = ServiceModel { base_us, per_request_us };
+        let trace = Trace {
+            scenario: "prop".into(),
+            seed: 0,
+            events,
+        };
+        let policy = ReplayPolicy {
+            replicas,
+            max_batch,
+            window_us,
+        };
+        let service = ServiceModel {
+            base_us,
+            per_request_us,
+        };
         let fleet = FleetPolicy {
             per_fabric: policy,
             hosted: vec![vec![0, 1, 2]],
@@ -280,7 +295,7 @@ proptest! {
         };
         let single = simulate(&trace, policy, service);
         let as_fleet = simulate_fleet(&trace, &fleet, service);
-        prop_assert_eq!(&as_fleet.aggregate, &single);
-        prop_assert_eq!(as_fleet.per_tenant, vec![single.stats]);
-    }
+        assert_eq!(&as_fleet.aggregate, &single);
+        assert_eq!(as_fleet.per_tenant, vec![single.stats]);
+    });
 }

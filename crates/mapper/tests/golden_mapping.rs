@@ -4,13 +4,14 @@
 //! rewritten for speed, but what they produce may not move: every digest
 //! below was recorded from the hashed (`HashMap`/`HashSet`) implementation
 //! this one replaced, over the schedule entries, the buffered edges, the
-//! blocks and the nets in order. The proptests pin the two index structures
+//! blocks and the nets in order. The properties pin the two index structures
 //! the rewrite introduced against their naive definitions.
 
 use fpsa_mapper::{AllocationPolicy, Mapper, Mapping, Net, Netlist, NetlistBlock};
 use fpsa_nn::zoo::Benchmark;
 use fpsa_synthesis::{CoreOpGraph, CoreOpGroup, CoreOpKind, NeuralSynthesizer, SynthesisConfig};
-use proptest::prelude::*;
+use fpsa_testgen::{cases, vec};
+use rand::Rng;
 
 /// FNV-1a over little-endian `u64` words.
 struct Fnv(u64);
@@ -180,17 +181,14 @@ fn group(name: String) -> CoreOpGroup {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
-
-    /// The CSR adjacency is the naive scan of `edges()`, slice for slice:
-    /// same neighbours in edge-list order (parallel edges and self-loops
-    /// included), each carrying the index of its edge.
-    #[test]
-    fn adjacency_equals_the_naive_edge_scan(
-        groups in 1usize..12,
-        endpoints in proptest::collection::vec(0usize..12, 0..120),
-    ) {
+/// The CSR adjacency is the naive scan of `edges()`, slice for slice:
+/// same neighbours in edge-list order (parallel edges and self-loops
+/// included), each carrying the index of its edge.
+#[test]
+fn adjacency_equals_the_naive_edge_scan() {
+    cases("adjacency_equals_the_naive_edge_scan", 128, |rng| {
+        let groups = rng.gen_range(1usize..12);
+        let endpoints = vec(rng, 0..120, |r| r.gen_range(0usize..12));
         let mut graph = CoreOpGraph::new("multigraph", 256, 256);
         for i in 0..groups {
             graph.add_group(group(format!("g{i}")));
@@ -199,8 +197,8 @@ proptest! {
             graph.add_edge(pair[0] % groups, pair[1] % groups);
         }
         let adjacency = graph.adjacency();
-        prop_assert_eq!(adjacency.len(), groups);
-        prop_assert_eq!(adjacency.edge_count(), graph.edges().len());
+        assert_eq!(adjacency.len(), groups);
+        assert_eq!(adjacency.edge_count(), graph.edges().len());
         let mut slot = 0;
         for id in 0..groups {
             let naive_preds: Vec<(usize, usize)> = graph
@@ -220,29 +218,31 @@ proptest! {
             let pairs = |ns: &[fpsa_synthesis::Neighbor]| {
                 ns.iter().map(|n| (n.group(), n.edge())).collect::<Vec<_>>()
             };
-            prop_assert_eq!(pairs(adjacency.predecessors(id)), naive_preds);
-            prop_assert_eq!(pairs(adjacency.successors(id)), naive_succs);
+            assert_eq!(pairs(adjacency.predecessors(id)), naive_preds);
+            assert_eq!(pairs(adjacency.successors(id)), naive_succs);
             let slots = adjacency.in_edge_slots(id);
-            prop_assert_eq!(slots.start, slot);
-            prop_assert_eq!(slots.len(), adjacency.predecessors(id).len());
+            assert_eq!(slots.start, slot);
+            assert_eq!(slots.len(), adjacency.predecessors(id).len());
             slot = slots.end;
         }
-        prop_assert_eq!(slot, graph.edges().len());
-    }
+        assert_eq!(slot, graph.edges().len());
+    });
+}
 
-    /// Flat net storage round-trips the owned nets it was assembled from,
-    /// and the incidence index over it is the per-block sorted, deduplicated
-    /// list of touching nets.
-    #[test]
-    fn flat_nets_round_trip_and_index_like_the_owned_list(
-        block_count in 1usize..10,
-        raw_nets in proptest::collection::vec(
-            proptest::collection::vec(0usize..1000, 2..8),
-            0..24,
-        ),
-    ) {
+/// Flat net storage round-trips the owned nets it was assembled from,
+/// and the incidence index over it is the per-block sorted, deduplicated
+/// list of touching nets.
+#[test]
+fn flat_nets_round_trip_and_index_like_the_owned_list() {
+    let name = "flat_nets_round_trip_and_index_like_the_owned_list";
+    cases(name, 128, |rng| {
+        let block_count = rng.gen_range(1usize..10);
+        let raw_nets = vec(rng, 0..24, |r| vec(r, 2..8, |r| r.gen_range(0usize..1000)));
         let blocks: Vec<NetlistBlock> = (0..block_count)
-            .map(|i| NetlistBlock::Pe { group: i, duplicate: 0 })
+            .map(|i| NetlistBlock::Pe {
+                group: i,
+                duplicate: 0,
+            })
             .collect();
         // Each raw net is [values, source, sinks...].
         let nets: Vec<Net> = raw_nets
@@ -254,17 +254,17 @@ proptest! {
             })
             .collect();
         let netlist = Netlist::from_parts("flat", blocks, nets.clone());
-        prop_assert_eq!(netlist.nets().to_vec(), nets.clone());
-        prop_assert_eq!(netlist.nets().len(), nets.len());
-        prop_assert_eq!(
+        assert_eq!(netlist.nets().to_vec(), nets.clone());
+        assert_eq!(netlist.nets().len(), nets.len());
+        assert_eq!(
             netlist.connection_count(),
             nets.iter().map(|n| n.sinks.len()).sum::<usize>()
         );
         for (i, net) in nets.iter().enumerate() {
-            prop_assert_eq!(netlist.net(i).to_net(), net.clone());
+            assert_eq!(netlist.net(i).to_net(), net.clone());
         }
         let incidence = netlist.incidence();
-        prop_assert_eq!(incidence.len(), block_count);
+        assert_eq!(incidence.len(), block_count);
         for block in 0..block_count {
             let naive: Vec<usize> = nets
                 .iter()
@@ -272,7 +272,7 @@ proptest! {
                 .filter(|(_, n)| n.source == block || n.sinks.contains(&block))
                 .map(|(i, _)| i)
                 .collect();
-            prop_assert_eq!(incidence.nets_of(block), &naive[..]);
+            assert_eq!(incidence.nets_of(block), &naive[..]);
         }
-    }
+    });
 }

@@ -15,7 +15,8 @@
 
 use fpsa_mapper::{AllocationPolicy, Mapper, NetlistBlock};
 use fpsa_synthesis::{CoreOpGraph, CoreOpGroup, CoreOpKind};
-use proptest::prelude::*;
+use fpsa_testgen::{cases, vec};
+use rand::Rng;
 use std::collections::{HashMap, HashSet};
 
 /// Build a random DAG: `reuses[i]` is group `i`'s reuse degree; an edge
@@ -49,65 +50,61 @@ fn dag(reuses: &[u64], edge_bits: &[u32]) -> CoreOpGraph {
     g
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(96))]
-
-    /// NBD/BD: schedule entries respect net dependencies, so sorting by
-    /// start cycle yields a valid (topological) execution order.
-    #[test]
-    fn entries_respect_net_dependencies(
-        reuses in proptest::collection::vec(1u64..200, 2..10),
-        edge_bits in proptest::collection::vec(0u32..2, 45),
-        duplication in 1u64..8,
-    ) {
+/// NBD/BD: schedule entries respect net dependencies, so sorting by
+/// start cycle yields a valid (topological) execution order.
+#[test]
+fn entries_respect_net_dependencies() {
+    cases("entries_respect_net_dependencies", 96, |rng| {
+        let reuses = vec(rng, 2..10, |r| r.gen_range(1u64..200));
+        let edge_bits = (0..45).map(|_| rng.gen_range(0u32..2)).collect::<Vec<_>>();
+        let duplication = rng.gen_range(1u64..8);
         let graph = dag(&reuses, &edge_bits);
-        let mapping = Mapper::new(64, AllocationPolicy::DuplicationDegree(duplication))
-            .map(&graph);
+        let mapping = Mapper::new(64, AllocationPolicy::DuplicationDegree(duplication)).map(&graph);
         let schedule = &mapping.schedule;
         let buffered: HashSet<_> = schedule.buffered_edges.iter().copied().collect();
         for &(u, v) in graph.edges() {
             let pu = schedule.entry(u).unwrap();
             let pv = schedule.entry(v).unwrap();
             if buffered.contains(&(u, v)) {
-                prop_assert!(
+                assert!(
                     pv.start_cycle > pu.end_cycle,
                     "BD violated for ({u},{v}): {pu:?} -> {pv:?}"
                 );
             } else {
-                prop_assert!(
+                assert!(
                     pv.start_cycle > pu.start_cycle,
                     "NBD violated for ({u},{v}): {pu:?} -> {pv:?}"
                 );
-                prop_assert!(
+                assert!(
                     pv.end_cycle > pu.end_cycle,
                     "NBD end cover violated for ({u},{v}): {pu:?} -> {pv:?}"
                 );
             }
         }
-    }
+    });
+}
 
-    /// RC: no PE is double-booked — each PE block hosts exactly one group,
-    /// and its group's scheduled window covers the PE's iteration count.
-    #[test]
-    fn no_pe_is_double_booked(
-        reuses in proptest::collection::vec(1u64..200, 2..10),
-        edge_bits in proptest::collection::vec(0u32..2, 45),
-        duplication in 1u64..8,
-    ) {
+/// RC: no PE is double-booked — each PE block hosts exactly one group,
+/// and its group's scheduled window covers the PE's iteration count.
+#[test]
+fn no_pe_is_double_booked() {
+    cases("no_pe_is_double_booked", 96, |rng| {
+        let reuses = vec(rng, 2..10, |r| r.gen_range(1u64..200));
+        let edge_bits = (0..45).map(|_| rng.gen_range(0u32..2)).collect::<Vec<_>>();
+        let duplication = rng.gen_range(1u64..8);
         let graph = dag(&reuses, &edge_bits);
-        let mapping = Mapper::new(64, AllocationPolicy::DuplicationDegree(duplication))
-            .map(&graph);
+        let mapping = Mapper::new(64, AllocationPolicy::DuplicationDegree(duplication)).map(&graph);
         let mut seen: HashMap<(usize, u64), usize> = HashMap::new();
         for (slot, block) in mapping.netlist.blocks().iter().enumerate() {
             if let NetlistBlock::Pe { group, duplicate } = *block {
                 // A (group, duplicate) PE must exist exactly once.
-                prop_assert!(
+                assert!(
                     seen.insert((group, duplicate), slot).is_none(),
                     "PE ({group},{duplicate}) instantiated twice"
                 );
                 let entry = mapping.schedule.entry(group).unwrap();
                 let iterations = mapping.allocation.iterations[group];
-                prop_assert!(
+                assert!(
                     entry.duration() >= iterations * mapping.schedule.sampling_window,
                     "PE ({group},{duplicate}) window {} too short for {} iterations",
                     entry.duration(),
@@ -115,19 +112,20 @@ proptest! {
                 );
             }
         }
-        prop_assert_eq!(seen.len(), mapping.allocation.total_pes());
-    }
+        assert_eq!(seen.len(), mapping.allocation.total_pes());
+    });
+}
 
-    /// SW: every execution lasts at least one sampling window.
-    #[test]
-    fn sampling_window_holds_for_arbitrary_dags(
-        reuses in proptest::collection::vec(1u64..200, 1..10),
-        edge_bits in proptest::collection::vec(0u32..2, 45),
-    ) {
+/// SW: every execution lasts at least one sampling window.
+#[test]
+fn sampling_window_holds_for_arbitrary_dags() {
+    cases("sampling_window_holds_for_arbitrary_dags", 96, |rng| {
+        let reuses = vec(rng, 1..10, |r| r.gen_range(1u64..200));
+        let edge_bits = (0..45).map(|_| rng.gen_range(0u32..2)).collect::<Vec<_>>();
         let graph = dag(&reuses, &edge_bits);
         let mapping = Mapper::new(64, AllocationPolicy::DuplicationDegree(1)).map(&graph);
         for entry in &mapping.schedule.entries {
-            prop_assert!(entry.duration() >= 64, "SW violated: {entry:?}");
+            assert!(entry.duration() >= 64, "SW violated: {entry:?}");
         }
-    }
+    });
 }

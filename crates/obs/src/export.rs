@@ -1,8 +1,8 @@
 //! Exporters: Chrome trace-event JSON (Perfetto-loadable), per-run
 //! markdown summaries, and flight-recorder dump files.
 //!
-//! The vendored serde facade renders any value as a quoted `Debug` string
-//! (see `vendor/serde_json`), so real structured JSON — which Perfetto and
+//! The vendored serde facade renders any value only as its `Debug` text
+//! (see `vendor/serde`), so real structured JSON — which Perfetto and
 //! the CI well-formedness checks require — is hand-rendered here. Rendering
 //! is deterministic: events are emitted in buffer order with no clocks,
 //! hashes, or map iteration involved, so a trace recorded against the

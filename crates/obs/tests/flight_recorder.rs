@@ -7,7 +7,7 @@
 //! this holds by construction; the test pins it against a future "make
 //! the ring lock-free" refactor done carelessly.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use fpsa_obs::{Mode, Phase, Tracer};
@@ -41,14 +41,20 @@ fn concurrent_writers_never_tear_ring_events() {
     tracer.set_mode(Mode::FlightRecorder);
 
     let stop = Arc::new(AtomicBool::new(false));
+    // Snapshots the reader has finished: each writer waits at its halfway
+    // point for one that started after it got there, so the reader is
+    // certain to see the ring mid-flight however the threads are scheduled.
+    let completed = Arc::new(AtomicU64::new(0));
     let reader = {
         let tracer = Arc::clone(&tracer);
         let stop = Arc::clone(&stop);
+        let completed = Arc::clone(&completed);
         std::thread::spawn(move || {
             let mut snapshots = 0u64;
             while !stop.load(Ordering::Relaxed) {
                 assert_untorn(&tracer.flight_events());
                 snapshots += 1;
+                completed.fetch_add(1, Ordering::Release);
             }
             snapshots
         })
@@ -57,8 +63,19 @@ fn concurrent_writers_never_tear_ring_events() {
     std::thread::scope(|scope| {
         for writer in 0..WRITERS {
             let tracer = Arc::clone(&tracer);
+            let (completed, reader) = (&completed, &reader);
             scope.spawn(move || {
                 for seq in 0..EVENTS_PER_WRITER {
+                    if seq == EVENTS_PER_WRITER / 2 {
+                        // The snapshot in progress may predate this point;
+                        // the one after it cannot. A reader that died (a
+                        // torn event) ends the wait; `join` reports it.
+                        let seen = completed.load(Ordering::Acquire);
+                        while completed.load(Ordering::Acquire) < seen + 2 && !reader.is_finished()
+                        {
+                            std::thread::yield_now();
+                        }
+                    }
                     let v = writer * EVENTS_PER_WRITER + seq;
                     tracer.instant("tick", "test", seq as u64, &[("lo", v), ("hi", v + 1)]);
                 }

@@ -6,10 +6,11 @@
 use fpsa_arch::{ArchitectureConfig, Fabric};
 use fpsa_mapper::{Net, Netlist, NetlistBlock};
 use fpsa_placeroute::{Placer, PlacerConfig, RouteEdge, Router, RoutingResult};
-use proptest::prelude::*;
+use fpsa_testgen::{cases, vec};
+use rand::Rng;
 use std::collections::HashMap;
 
-/// Build a synthetic all-PE netlist from raw proptest draws: every inner
+/// Build a synthetic all-PE netlist from raw random draws: every inner
 /// vector becomes one net (first element the source, the rest sinks), with
 /// indices folded into the block range.
 fn netlist_from(blocks: usize, raw_nets: &[Vec<usize>]) -> Netlist {
@@ -47,17 +48,14 @@ fn occupancy_from_trees(result: &RoutingResult) -> HashMap<RouteEdge, usize> {
     occupancy
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// Routed designs never claim `is_routable()` while any channel exceeds
-    /// its capacity, and the reported peak matches the trees exactly.
-    #[test]
-    fn routability_claims_match_the_trees(
-        blocks in 4usize..24,
-        raw_nets in collection::vec(collection::vec(0usize..1000, 2..6), 1..12),
-        width in 1usize..5,
-    ) {
+/// Routed designs never claim `is_routable()` while any channel exceeds
+/// its capacity, and the reported peak matches the trees exactly.
+#[test]
+fn routability_claims_match_the_trees() {
+    cases("routability_claims_match_the_trees", 48, |rng| {
+        let blocks = rng.gen_range(4usize..24);
+        let raw_nets = vec(rng, 1..12, |r| vec(r, 2..6, |r| r.gen_range(0usize..1000)));
+        let width = rng.gen_range(1usize..5);
         let netlist = netlist_from(blocks, &raw_nets);
         let config = ArchitectureConfig::fpsa();
         let fabric = Fabric::with_pe_count(config.clone(), netlist.len());
@@ -68,41 +66,44 @@ proptest! {
 
         let occupancy = occupancy_from_trees(&result);
         let recomputed_peak = occupancy.values().copied().max().unwrap_or(0);
-        prop_assert_eq!(
+        assert_eq!(
             result.peak_channel_occupancy, recomputed_peak,
             "reported peak must match the trees"
         );
         let recomputed_overused = occupancy.values().filter(|&&o| o > width).count();
-        prop_assert_eq!(result.overused_channels, recomputed_overused);
+        assert_eq!(result.overused_channels, recomputed_overused);
         if result.is_routable() {
             for (edge, occupancy) in &occupancy {
-                prop_assert!(
+                assert!(
                     *occupancy <= width,
                     "routable result but channel {:?} holds {} > {}",
-                    edge, occupancy, width
+                    edge,
+                    occupancy,
+                    width
                 );
             }
         }
         let segments: usize = occupancy.values().sum();
-        prop_assert_eq!(result.total_channel_segments, segments);
-    }
+        assert_eq!(result.total_channel_segments, segments);
+    });
+}
 
-    /// Every routing tree is connected: the source reaches all sinks.
-    #[test]
-    fn every_tree_connects_source_to_all_sinks(
-        blocks in 4usize..24,
-        raw_nets in collection::vec(collection::vec(0usize..1000, 2..6), 1..12),
-    ) {
+/// Every routing tree is connected: the source reaches all sinks.
+#[test]
+fn every_tree_connects_source_to_all_sinks() {
+    cases("every_tree_connects_source_to_all_sinks", 48, |rng| {
+        let blocks = rng.gen_range(4usize..24);
+        let raw_nets = vec(rng, 1..12, |r| vec(r, 2..6, |r| r.gen_range(0usize..1000)));
         let netlist = netlist_from(blocks, &raw_nets);
         let config = ArchitectureConfig::fpsa();
         let fabric = Fabric::with_pe_count(config.clone(), netlist.len());
         let placement = Placer::new(PlacerConfig::fast()).place(&netlist, &fabric);
         let result = Router::new(config.routing).route(&netlist, &placement);
 
-        prop_assert_eq!(result.trees.len(), netlist.nets().len());
-        prop_assert_eq!(result.connection_hops.len(), netlist.connection_count());
+        assert_eq!(result.trees.len(), netlist.nets().len());
+        assert_eq!(result.connection_hops.len(), netlist.connection_count());
         for tree in &result.trees {
-            prop_assert!(
+            assert!(
                 tree.is_connected(),
                 "net {} tree with {} edges does not reach all sinks",
                 tree.net,
@@ -111,8 +112,8 @@ proptest! {
             // Hop profiles agree with the tree: zero exactly when the sink
             // shares the source tile.
             for (&sink, &hops) in tree.sinks.iter().zip(&tree.sink_hops) {
-                prop_assert_eq!(hops == 0, sink == tree.source);
+                assert_eq!(hops == 0, sink == tree.source);
             }
         }
-    }
+    });
 }

@@ -13,10 +13,11 @@
 use fpsa_arch::{ArchitectureConfig, BlockKind, Fabric};
 use fpsa_mapper::{Net, Netlist, NetlistBlock};
 use fpsa_placeroute::{Placer, PlacerConfig, Router, WarmStart};
-use proptest::prelude::*;
+use fpsa_testgen::{cases, vec};
+use rand::Rng;
 use std::collections::HashSet;
 
-/// Build a synthetic all-PE netlist from raw proptest draws (the same
+/// Build a synthetic all-PE netlist from raw random draws (the same
 /// folding scheme as the router property suite).
 fn netlist_from(name: &str, blocks: usize, raw_nets: &[Vec<usize>]) -> Netlist {
     let block_list: Vec<NetlistBlock> = (0..blocks)
@@ -57,16 +58,14 @@ fn assert_legal(netlist: &Netlist, fabric: &Fabric, positions: &[(usize, usize)]
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// A warm start from a cold donor of the same netlist is legal, cheaper
-    /// than the cold anneal, routable, and deterministic.
-    #[test]
-    fn warm_starts_are_legal_routable_and_deterministic(
-        blocks in 4usize..24,
-        raw_nets in proptest::collection::vec(proptest::collection::vec(0usize..1000, 2..6), 1..12),
-    ) {
+/// A warm start from a cold donor of the same netlist is legal, cheaper
+/// than the cold anneal, routable, and deterministic.
+#[test]
+fn warm_starts_are_legal_routable_and_deterministic() {
+    let name = "warm_starts_are_legal_routable_and_deterministic";
+    cases(name, 32, |rng| {
+        let blocks = rng.gen_range(4usize..24);
+        let raw_nets = vec(rng, 1..12, |r| vec(r, 2..6, |r| r.gen_range(0usize..1000)));
         let netlist = netlist_from("warm-prop", blocks, &raw_nets);
         let config = ArchitectureConfig::fpsa();
         let fabric = Fabric::with_pe_count(config.clone(), netlist.len());
@@ -75,32 +74,34 @@ proptest! {
 
         let seed = WarmStart::from_placement(&netlist, &cold);
         let warm = placer.place_seeded(&netlist, &fabric, Some(&seed));
-        prop_assert!(warm.quality().warm_started);
-        prop_assert_eq!(warm.quality().seeded_blocks, netlist.len());
-        prop_assert!(warm.quality().moves_evaluated <= cold.quality().moves_evaluated);
+        assert!(warm.quality().warm_started);
+        assert_eq!(warm.quality().seeded_blocks, netlist.len());
+        assert!(warm.quality().moves_evaluated <= cold.quality().moves_evaluated);
         assert_legal(&netlist, &fabric, warm.positions());
 
         // The router accepts the warm placement exactly like a cold one.
         let routed = Router::new(config.routing).route(&netlist, &warm);
-        prop_assert_eq!(routed.trees.len(), netlist.nets().len());
+        assert_eq!(routed.trees.len(), netlist.nets().len());
         for tree in &routed.trees {
-            prop_assert!(tree.is_connected());
+            assert!(tree.is_connected());
         }
 
         // Determinism: the same warm start reproduces the same placement.
         let again = placer.place_seeded(&netlist, &fabric, Some(&seed));
-        prop_assert_eq!(warm.positions(), again.positions());
-        prop_assert_eq!(warm.wirelength(), again.wirelength());
-    }
+        assert_eq!(warm.positions(), again.positions());
+        assert_eq!(warm.wirelength(), again.wirelength());
+    });
+}
 
-    /// A donor from an *edited* netlist (some blocks gone) still seeds the
-    /// surviving blocks and yields a legal, routable placement.
-    #[test]
-    fn donors_from_edited_netlists_seed_survivors_legally(
-        blocks in 6usize..24,
-        raw_nets in proptest::collection::vec(proptest::collection::vec(0usize..1000, 2..6), 1..12),
-        dropped in 1usize..4,
-    ) {
+/// A donor from an *edited* netlist (some blocks gone) still seeds the
+/// surviving blocks and yields a legal, routable placement.
+#[test]
+fn donors_from_edited_netlists_seed_survivors_legally() {
+    let name = "donors_from_edited_netlists_seed_survivors_legally";
+    cases(name, 32, |rng| {
+        let blocks = rng.gen_range(6usize..24);
+        let raw_nets = vec(rng, 1..12, |r| vec(r, 2..6, |r| r.gen_range(0usize..1000)));
+        let dropped = rng.gen_range(1usize..4);
         let netlist = netlist_from("edited-prop", blocks, &raw_nets);
         let config = ArchitectureConfig::fpsa();
         let fabric = Fabric::with_pe_count(config.clone(), netlist.len());
@@ -113,12 +114,12 @@ proptest! {
         let survivors = blocks - dropped.min(blocks - 2);
         let edited = netlist_from("edited-prop", survivors, &raw_nets);
         let warm = placer.place_seeded(&edited, &fabric, Some(&seed));
-        prop_assert!(warm.quality().warm_started);
-        prop_assert!(warm.quality().seeded_blocks >= survivors.min(blocks));
+        assert!(warm.quality().warm_started);
+        assert!(warm.quality().seeded_blocks >= survivors.min(blocks));
         assert_legal(&edited, &fabric, warm.positions());
         let routed = Router::new(config.routing).route(&edited, &warm);
         for tree in &routed.trees {
-            prop_assert!(tree.is_connected());
+            assert!(tree.is_connected());
         }
-    }
+    });
 }

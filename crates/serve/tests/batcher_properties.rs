@@ -16,7 +16,8 @@
 //! * an idle engine never waits: a non-empty queue polled idle is ready.
 
 use fpsa_serve::{BatchPolicy, DynamicBatcher};
-use proptest::prelude::*;
+use fpsa_testgen::{cases, vec};
+use rand::Rng;
 
 /// Replay a schedule of arrivals (amid worker polls) against one batcher.
 ///
@@ -58,18 +59,16 @@ fn replay(
     (batches, batcher)
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
-
-    /// Lossless, duplicate-free, FIFO; bounded batches; deadline flush.
-    #[test]
-    fn batches_are_lossless_fifo_bounded_and_deadline_kept(
-        max_batch in 1usize..12,
-        window_us in 0u64..5_000,
-        gaps_us in proptest::collection::vec(0u64..2_000, 1..60),
-        poll_bits in proptest::collection::vec(0u32..2, 1..60),
-        idle_bits in proptest::collection::vec(0u32..2, 60),
-    ) {
+/// Lossless, duplicate-free, FIFO; bounded batches; deadline flush.
+#[test]
+fn batches_are_lossless_fifo_bounded_and_deadline_kept() {
+    let name = "batches_are_lossless_fifo_bounded_and_deadline_kept";
+    cases(name, 128, |rng| {
+        let max_batch = rng.gen_range(1usize..12);
+        let window_us = rng.gen_range(0u64..5_000);
+        let gaps_us = vec(rng, 1..60, |r| r.gen_range(0u64..2_000));
+        let poll_bits = vec(rng, 1..60, |r| r.gen_range(0u32..2));
+        let idle_bits = (0..60).map(|_| rng.gen_range(0u32..2)).collect::<Vec<_>>();
         let n = gaps_us.len().min(poll_bits.len());
         let gaps = &gaps_us[..n];
         let polls: Vec<bool> = poll_bits[..n].iter().map(|&b| b == 1).collect();
@@ -78,13 +77,16 @@ proptest! {
         let (batches, batcher) = replay(policy, gaps, &polls, &idle);
 
         // Fully drained: the queue is empty after the final deadline polls.
-        prop_assert!(batcher.is_empty());
-        prop_assert_eq!(batcher.next_deadline_us(), None);
+        assert!(batcher.is_empty());
+        assert_eq!(batcher.next_deadline_us(), None);
 
         // Bounded and non-empty.
         for batch in &batches {
-            prop_assert!(!batch.is_empty(), "the batcher must never emit an empty batch");
-            prop_assert!(
+            assert!(
+                !batch.is_empty(),
+                "the batcher must never emit an empty batch"
+            );
+            assert!(
                 batch.len() <= policy.max_batch,
                 "batch of {} exceeds max_batch {}",
                 batch.len(),
@@ -98,60 +100,66 @@ proptest! {
         // stream that is globally in order is itself in order.
         let drained: Vec<u32> = batches.iter().flatten().copied().collect();
         let expected: Vec<u32> = (0..n as u32).collect();
-        prop_assert_eq!(drained, expected);
-    }
+        assert_eq!(drained, expected);
+    });
+}
 
-    /// The deadline is exactly the oldest arrival plus the window, and a
-    /// busy engine's queue is never ready before it (unless full).
-    #[test]
-    fn deadlines_are_tight(
-        window_us in 1u64..10_000,
-        first_arrival in 0u64..1_000_000,
-    ) {
+/// The deadline is exactly the oldest arrival plus the window, and a
+/// busy engine's queue is never ready before it (unless full).
+#[test]
+fn deadlines_are_tight() {
+    cases("deadlines_are_tight", 128, |rng| {
+        let window_us = rng.gen_range(1u64..10_000);
+        let first_arrival = rng.gen_range(0u64..1_000_000);
         let mut b = DynamicBatcher::new(BatchPolicy::new(4, window_us));
-        prop_assert_eq!(b.next_deadline_us(), None);
+        assert_eq!(b.next_deadline_us(), None);
         b.push(0u32, first_arrival);
         let deadline = first_arrival + window_us;
-        prop_assert_eq!(b.next_deadline_us(), Some(deadline));
-        prop_assert!(!b.ready(deadline - 1, false), "ready strictly before the deadline");
-        prop_assert!(b.ready(deadline, false), "not ready at the deadline");
+        assert_eq!(b.next_deadline_us(), Some(deadline));
+        assert!(
+            !b.ready(deadline - 1, false),
+            "ready strictly before the deadline"
+        );
+        assert!(b.ready(deadline, false), "not ready at the deadline");
         // A later straggler does not extend the oldest request's deadline.
         b.push(1u32, deadline - 1);
-        prop_assert_eq!(b.next_deadline_us(), Some(deadline));
-    }
+        assert_eq!(b.next_deadline_us(), Some(deadline));
+    });
+}
 
-    /// Filling the batch makes it ready immediately, at any clock value.
-    #[test]
-    fn full_batches_ignore_the_window(
-        max_batch in 1usize..9,
-        arrival in 0u64..1_000,
-    ) {
+/// Filling the batch makes it ready immediately, at any clock value.
+#[test]
+fn full_batches_ignore_the_window() {
+    cases("full_batches_ignore_the_window", 128, |rng| {
+        let max_batch = rng.gen_range(1usize..9);
+        let arrival = rng.gen_range(0u64..1_000);
         let mut b = DynamicBatcher::new(BatchPolicy::new(max_batch, u64::MAX));
         for i in 0..max_batch {
-            prop_assert!(!b.ready(arrival, false), "ready before the batch filled");
+            assert!(!b.ready(arrival, false), "ready before the batch filled");
             b.push(i as u32, arrival);
         }
-        prop_assert!(b.ready(arrival, false));
+        assert!(b.ready(arrival, false));
         let batch = b.pop_ready(arrival, false).expect("full batch pops");
-        prop_assert_eq!(batch.len(), max_batch);
-        prop_assert!(b.is_empty());
-    }
+        assert_eq!(batch.len(), max_batch);
+        assert!(b.is_empty());
+    });
+}
 
-    /// An idle engine pops whatever is queued at once — the oldest
-    /// `max_batch` items, FIFO — with the window far in the future.
-    #[test]
-    fn an_idle_engine_never_waits_for_company(
-        max_batch in 1usize..9,
-        queued in 1usize..20,
-        arrival in 0u64..1_000,
-    ) {
+/// An idle engine pops whatever is queued at once — the oldest
+/// `max_batch` items, FIFO — with the window far in the future.
+#[test]
+fn an_idle_engine_never_waits_for_company() {
+    cases("an_idle_engine_never_waits_for_company", 128, |rng| {
+        let max_batch = rng.gen_range(1usize..9);
+        let queued = rng.gen_range(1usize..20);
+        let arrival = rng.gen_range(0u64..1_000);
         let mut b = DynamicBatcher::new(BatchPolicy::new(max_batch, u64::MAX));
         for i in 0..queued {
             b.push(i as u32, arrival);
         }
-        prop_assert_eq!(b.ready(arrival, false), queued >= max_batch);
+        assert_eq!(b.ready(arrival, false), queued >= max_batch);
         let batch = b.pop_ready(arrival, true).expect("an idle engine pops");
         let expected: Vec<u32> = (0..queued.min(max_batch) as u32).collect();
-        prop_assert_eq!(batch, expected);
-    }
+        assert_eq!(batch, expected);
+    });
 }

@@ -16,7 +16,8 @@
 //! * every pushed or relayed item pops exactly once.
 
 use fpsa_serve::{BatchPolicy, Decision, StationState};
-use proptest::prelude::*;
+use fpsa_testgen::{cases, vec};
+use rand::Rng;
 use std::collections::VecDeque;
 
 /// The test's own account of what the station holds.
@@ -67,17 +68,16 @@ fn decide_and_take(station: &mut StationState<u32>, model: &mut Model, now: u64,
     model.popped.extend(batch);
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-
-    /// Random transitions keep the decision and the pops in agreement.
-    #[test]
-    fn the_decision_and_the_pop_agree(
-        max_batch in 1usize..6,
-        window_us in 0u64..400,
-        weights in collection::vec(1u64..4, 3),
-        ops in collection::vec(collection::vec(0u64..1_000, 4), 1..160),
-    ) {
+/// Random transitions keep the decision and the pops in agreement.
+#[test]
+fn the_decision_and_the_pop_agree() {
+    cases("the_decision_and_the_pop_agree", 256, |rng| {
+        let max_batch = rng.gen_range(1usize..6);
+        let window_us = rng.gen_range(0u64..400);
+        let weights = (0..3).map(|_| rng.gen_range(1u64..4)).collect::<Vec<_>>();
+        let ops = vec(rng, 1..160, |r| {
+            (0..4).map(|_| r.gen_range(0u64..1_000)).collect::<Vec<_>>()
+        });
         let lanes: Vec<(u16, u64)> = (0u16..).zip(weights).collect();
         let mut station = StationState::new(BatchPolicy::new(max_batch, window_us), &lanes);
         let mut model = Model::default();
@@ -121,6 +121,6 @@ proptest! {
         }
         decide_and_take(&mut station, &mut model, clock, false);
         model.popped.sort_unstable();
-        prop_assert_eq!(model.popped, (0..next_item).collect::<Vec<u32>>());
-    }
+        assert_eq!(model.popped, (0..next_item).collect::<Vec<u32>>());
+    });
 }

@@ -17,7 +17,8 @@
 //!   service-share guarantee rather than a hint.
 
 use fpsa_serve::{BatchPolicy, WeightedFairBatcher};
-use proptest::prelude::*;
+use fpsa_testgen::{cases, vec};
+use rand::Rng;
 
 /// Replay a multi-tenant schedule against one machine, checking the deficit
 /// bound after every pop. Returns the popped `(tenant, batch)` sequence.
@@ -73,38 +74,41 @@ fn replay(
     batches
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
-
-    /// Lossless, duplicate-free, per-tenant FIFO, bounded, deficit-bounded.
-    #[test]
-    fn wfq_is_lossless_fifo_bounded_and_fair(
-        max_batch in 1usize..10,
-        window_us in 0u64..4_000,
-        weights in proptest::collection::vec(1u64..6, 1..5),
-        tenant_picks in proptest::collection::vec(0u32..5, 1..80),
-        gaps_us in proptest::collection::vec(0u64..1_500, 1..80),
-        poll_bits in proptest::collection::vec(0u32..2, 1..80),
-        idle_bits in proptest::collection::vec(0u32..2, 80),
-    ) {
+/// Lossless, duplicate-free, per-tenant FIFO, bounded, deficit-bounded.
+#[test]
+fn wfq_is_lossless_fifo_bounded_and_fair() {
+    cases("wfq_is_lossless_fifo_bounded_and_fair", 128, |rng| {
+        let max_batch = rng.gen_range(1usize..10);
+        let window_us = rng.gen_range(0u64..4_000);
+        let weights = vec(rng, 1..5, |r| r.gen_range(1u64..6));
+        let tenant_picks = vec(rng, 1..80, |r| r.gen_range(0u32..5));
+        let gaps_us = vec(rng, 1..80, |r| r.gen_range(0u64..1_500));
+        let poll_bits = vec(rng, 1..80, |r| r.gen_range(0u32..2));
+        let idle_bits = (0..80).map(|_| rng.gen_range(0u32..2)).collect::<Vec<_>>();
         let n = tenant_picks.len().min(gaps_us.len()).min(poll_bits.len());
         let lanes = weights.len() as u32;
-        let tenants: Vec<u16> = tenant_picks[..n].iter().map(|&t| (t % lanes) as u16).collect();
+        let tenants: Vec<u16> = tenant_picks[..n]
+            .iter()
+            .map(|&t| (t % lanes) as u16)
+            .collect();
         let polls: Vec<bool> = poll_bits[..n].iter().map(|&b| b == 1).collect();
         let idle: Vec<bool> = idle_bits[..n].iter().map(|&b| b == 1).collect();
         let policy = BatchPolicy::new(max_batch, window_us);
         let batches = replay(policy, &weights, &tenants, &gaps_us[..n], &polls, &idle);
 
         for (_, batch) in &batches {
-            prop_assert!(!batch.is_empty(), "the machine must never emit an empty batch");
-            prop_assert!(batch.len() <= policy.max_batch);
+            assert!(
+                !batch.is_empty(),
+                "the machine must never emit an empty batch"
+            );
+            assert!(batch.len() <= policy.max_batch);
         }
 
         // Lossless + duplicate-free: every item pops exactly once.
         let mut drained: Vec<u32> = batches.iter().flat_map(|(_, b)| b).copied().collect();
         drained.sort_unstable();
         let expected: Vec<u32> = (0..n as u32).collect();
-        prop_assert_eq!(&drained, &expected);
+        assert_eq!(&drained, &expected);
 
         // Single-tenant batches whose items really belong to that tenant,
         // and per-tenant FIFO: each tenant's drain order is its arrival
@@ -113,28 +117,33 @@ proptest! {
         let mut last_seen = vec![None::<u32>; lanes as usize];
         for (tenant, batch) in &batches {
             for &item in batch {
-                prop_assert_eq!(
+                assert_eq!(
                     tenants[item as usize], *tenant,
-                    "item {} popped from the wrong lane", item
+                    "item {} popped from the wrong lane",
+                    item
                 );
                 let last = &mut last_seen[usize::from(*tenant)];
-                prop_assert!(
+                assert!(
                     last.is_none_or(|prev| prev < item),
-                    "tenant {} reordered: {} after {:?}", tenant, item, last
+                    "tenant {} reordered: {} after {:?}",
+                    tenant,
+                    item,
+                    last
                 );
                 *last = Some(item);
             }
         }
-    }
+    });
+}
 
-    /// Under saturation, weights translate into proportional service: a
-    /// weight-w tenant owns ~w/(sum w) of the served requests at every
-    /// prefix of the drain (within one round's slack).
-    #[test]
-    fn weights_are_honored_under_saturation(
-        per_tenant in 20usize..60,
-        heavy_weight in 2u64..6,
-    ) {
+/// Under saturation, weights translate into proportional service: a
+/// weight-w tenant owns ~w/(sum w) of the served requests at every
+/// prefix of the drain (within one round's slack).
+#[test]
+fn weights_are_honored_under_saturation() {
+    cases("weights_are_honored_under_saturation", 128, |rng| {
+        let per_tenant = rng.gen_range(20usize..60);
+        let heavy_weight = rng.gen_range(2u64..6);
         let policy = BatchPolicy::new(1, 0);
         let mut q: WeightedFairBatcher<u32> = WeightedFairBatcher::new(policy);
         q.set_weight(1, heavy_weight);
@@ -154,13 +163,16 @@ proptest! {
             // shares rightly diverge.)
             if q.tenant_len(0) > 0 && q.tenant_len(1) > 0 && total > heavy_weight {
                 let expect = total as f64 * heavy_weight as f64 / (1.0 + heavy_weight as f64);
-                prop_assert!(
+                assert!(
                     (heavy_served as f64 - expect).abs() <= (1 + heavy_weight) as f64,
                     "heavy share {} of {} strays from {:.1} (weight {})",
-                    heavy_served, total, expect, heavy_weight
+                    heavy_served,
+                    total,
+                    expect,
+                    heavy_weight
                 );
             }
         }
-        prop_assert_eq!(total, 2 * per_tenant as u64);
-    }
+        assert_eq!(total, 2 * per_tenant as u64);
+    });
 }

@@ -290,7 +290,7 @@ mod tests {
         assert!(table.contains("modeled speedup"));
     }
 
-    /// The PR's acceptance criterion: on a ≥2-stage MLP sweep,
+    /// The PR's acceptance bar: on a ≥2-stage MLP sweep,
     /// pipeline-parallel sharded serving beats the single fabric in modeled
     /// pipeline throughput — each chip's smaller netlist routes a shorter
     /// critical path than the whole die, and the link does not erase the

@@ -19,7 +19,8 @@ use fpsa_nn::params::mlp_graph;
 use fpsa_nn::ComputationalGraph;
 use fpsa_shard::{FabricBudget, Partitioner};
 use fpsa_synthesis::{CoreOpGraph, NeuralSynthesizer, SynthesisConfig};
-use proptest::prelude::*;
+use fpsa_testgen::{cases, vec};
+use rand::Rng;
 
 fn synthesize(graph: &ComputationalGraph) -> CoreOpGraph {
     NeuralSynthesizer::new(SynthesisConfig::fpsa_default())
@@ -27,14 +28,11 @@ fn synthesize(graph: &ComputationalGraph) -> CoreOpGraph {
         .expect("generated MLPs synthesize")
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    #[test]
-    fn auto_partitions_uphold_the_invariants(
-        sizes in proptest::collection::vec(4usize..400, 3..7),
-        budget_divisor in 1u64..6,
-    ) {
+#[test]
+fn auto_partitions_uphold_the_invariants() {
+    cases("auto_partitions_uphold_the_invariants", 48, |rng| {
+        let sizes = vec(rng, 3..7, |r| r.gen_range(4usize..400));
+        let budget_divisor = rng.gen_range(1u64..6);
         let graph = mlp_graph("prop-mlp", &sizes);
         let core = synthesize(&graph);
         let partitioner =
@@ -55,21 +53,21 @@ proptest! {
 
         // Exact cover: every node in exactly one stage, consistently with
         // the stage_of_node index.
-        prop_assert_eq!(plan.stage_of_node.len(), graph.len());
+        assert_eq!(plan.stage_of_node.len(), graph.len());
         let mut seen = vec![false; graph.len()];
         for (s, stage) in plan.stages.iter().enumerate() {
             for &node in &stage.nodes {
-                prop_assert!(!seen[node], "node {} assigned twice", node);
+                assert!(!seen[node], "node {} assigned twice", node);
                 seen[node] = true;
-                prop_assert_eq!(plan.stage_of_node[node], s);
+                assert_eq!(plan.stage_of_node[node], s);
             }
         }
-        prop_assert!(seen.iter().all(|&covered| covered));
+        assert!(seen.iter().all(|&covered| covered));
 
         // Forward edges only.
         for node in graph.nodes() {
             for &input in &node.inputs {
-                prop_assert!(
+                assert!(
                     plan.stage_of_node[input] <= plan.stage_of_node[node.id],
                     "edge {} -> {} goes backwards",
                     input,
@@ -80,7 +78,7 @@ proptest! {
 
         // Capacity: estimated stage demand within the budget.
         for stage in &plan.stages {
-            prop_assert!(stage.pe_demand <= budget_pes as u64);
+            assert!(stage.pe_demand <= budget_pes as u64);
         }
 
         // Reconstruction: concatenated per-stage synthesis equals the
@@ -92,55 +90,63 @@ proptest! {
             let stage_core = synthesize(&stage.graph);
             for (i, got) in stage_core.groups().iter().enumerate() {
                 let want = &core.groups()[offset + i];
-                prop_assert_eq!(got.rows, want.rows, "stage {} group {}", s, i);
-                prop_assert_eq!(got.cols, want.cols, "stage {} group {}", s, i);
-                prop_assert_eq!(got.kind, want.kind, "stage {} group {}", s, i);
-                prop_assert_eq!(got.reuse_degree, want.reuse_degree, "stage {} group {}", s, i);
-                prop_assert_eq!(got.relu, want.relu, "stage {} group {}", s, i);
-                prop_assert_eq!(got.row_offset, want.row_offset, "stage {} group {}", s, i);
-                prop_assert_eq!(got.col_offset, want.col_offset, "stage {} group {}", s, i);
+                assert_eq!(got.rows, want.rows, "stage {} group {}", s, i);
+                assert_eq!(got.cols, want.cols, "stage {} group {}", s, i);
+                assert_eq!(got.kind, want.kind, "stage {} group {}", s, i);
+                assert_eq!(
+                    got.reuse_degree, want.reuse_degree,
+                    "stage {} group {}",
+                    s, i
+                );
+                assert_eq!(got.relu, want.relu, "stage {} group {}", s, i);
+                assert_eq!(got.row_offset, want.row_offset, "stage {} group {}", s, i);
+                assert_eq!(got.col_offset, want.col_offset, "stage {} group {}", s, i);
             }
             offset += stage_core.len();
         }
-        prop_assert_eq!(offset, core.len());
-    }
+        assert_eq!(offset, core.len());
+    });
+}
 
-    #[test]
-    fn every_legal_cut_builds_valid_pipeline_segments(
-        sizes in proptest::collection::vec(4usize..200, 3..6),
-    ) {
+#[test]
+fn every_legal_cut_builds_valid_pipeline_segments() {
+    let name = "every_legal_cut_builds_valid_pipeline_segments";
+    cases(name, 48, |rng| {
+        let sizes = vec(rng, 3..6, |r| r.gen_range(4usize..200));
         let graph = mlp_graph("prop-cuts", &sizes);
         let core = synthesize(&graph);
         let partitioner =
             Partitioner::new(&graph, &core, AllocationPolicy::DuplicationDegree(1)).unwrap();
         for cut in partitioner.legal_cuts() {
             let plan = partitioner.partition_at(&[cut]).unwrap();
-            prop_assert_eq!(plan.stage_count(), 2);
+            assert_eq!(plan.stage_count(), 2);
             for stage in &plan.stages {
                 // Self-contained: one input, one output, shapes infer.
-                prop_assert_eq!(stage.graph.outputs().len(), 1);
-                prop_assert!(stage.graph.infer_shapes().is_ok());
+                assert_eq!(stage.graph.outputs().len(), 1);
+                assert!(stage.graph.infer_shapes().is_ok());
             }
             // The boundary tensor is the cut node's output width.
-            prop_assert_eq!(
+            assert_eq!(
                 plan.stages[0].boundary_elements,
                 graph.infer_shapes().unwrap()[&cut].elements()
             );
         }
-    }
+    });
+}
 
-    #[test]
-    fn balanced_cuts_never_exceed_the_requested_stage_count(
-        sizes in proptest::collection::vec(4usize..300, 2..7),
-        stages in 1usize..6,
-    ) {
+#[test]
+fn balanced_cuts_never_exceed_the_requested_stage_count() {
+    let name = "balanced_cuts_never_exceed_the_requested_stage_count";
+    cases(name, 48, |rng| {
+        let sizes = vec(rng, 2..7, |r| r.gen_range(4usize..300));
+        let stages = rng.gen_range(1usize..6);
         let graph = mlp_graph("prop-balance", &sizes);
         let core = synthesize(&graph);
         let partitioner =
             Partitioner::new(&graph, &core, AllocationPolicy::DuplicationDegree(1)).unwrap();
         let cuts = partitioner.balanced_cuts(stages);
-        prop_assert!(cuts.len() < stages.max(1));
+        assert!(cuts.len() < stages.max(1));
         let plan = partitioner.partition_at(&cuts).unwrap();
-        prop_assert_eq!(plan.stage_count(), cuts.len() + 1);
-    }
+        assert_eq!(plan.stage_count(), cuts.len() + 1);
+    });
 }

@@ -181,7 +181,7 @@ fn parallel_stage_compilation_is_bit_identical_to_sequential() {
     }
 }
 
-/// The PR's acceptance criterion, at debug-friendly scale: a model whose PE
+/// The PR's acceptance bar, at debug-friendly scale: a model whose PE
 /// demand exceeds one fabric auto-partitions onto ≥ 2 fabrics and executes
 /// bit-identically to its single-large-fabric compilation.
 #[test]
@@ -201,7 +201,7 @@ fn over_budget_models_auto_shard_and_stay_bit_identical() {
     }
 }
 
-/// Release-only: the same acceptance criterion on the paper's MLP-500-100
+/// Release-only: the same acceptance bar on the paper's MLP-500-100
 /// (debug-mode binds of the 443k-weight model are too slow for the default
 /// test run; the sharding CI job runs this in --release).
 #[cfg(not(debug_assertions))]

@@ -9,7 +9,7 @@ use crate::profile::{NUM_OPCODES, OPCODE_NAMES};
 use fpsa_device::variation::{CellVariation, WeightScheme};
 use fpsa_nn::reference::QuantizationPlan;
 use fpsa_nn::{zoo, ComputationalGraph, GraphParameters, Operator, TensorShape};
-use proptest::prelude::*;
+use rand::Rng;
 
 fn bits(outputs: &[Vec<f32>]) -> Vec<Vec<u32>> {
     outputs
@@ -115,37 +115,40 @@ fn conv_net(
     g
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Conv geometry the zoo does not reach: position counts that leave
-    /// block tails, padding 0/1/2, stride 1/2, kernels 1/3/5, tile widths
-    /// below one lane and not a lane multiple, and inputs deep enough
-    /// (`c · k² > 256`) that the tile splits by rows and stores partials.
-    /// About a third of the weights and activations are zeroed so whole
-    /// block rows drop.
-    #[test]
-    fn conv_geometry_stays_bit_identical_under_every_family(
-        c in 0usize..3,
-        h in 5usize..10,
-        w in 5usize..10,
-        out_channels in 0usize..5,
-        kernel in 0usize..3,
-        stride in 1usize..3,
-        padding in 0usize..3,
-        duplication in 0usize..2,
-        seed in 0u64..1_000_000,
-    ) {
+/// Conv geometry the zoo does not reach: position counts that leave block
+/// tails, padding 0/1/2, stride 1/2, kernels 1/3/5, tile widths below one
+/// lane and not a lane multiple, and inputs deep enough (`c · k² > 256`)
+/// that the tile splits by rows and stores partials. About a third of the
+/// weights and activations are zeroed so whole block rows drop.
+#[test]
+fn conv_geometry_stays_bit_identical_under_every_family() {
+    let name = "conv_geometry_stays_bit_identical_under_every_family";
+    fpsa_testgen::cases(name, 24, |rng| {
+        let c = rng.gen_range(0usize..3);
+        let h = rng.gen_range(5usize..10);
+        let w = rng.gen_range(5usize..10);
+        let out_channels = rng.gen_range(0usize..5);
+        let kernel = rng.gen_range(0usize..3);
+        let stride = rng.gen_range(1usize..3);
+        let padding = rng.gen_range(0usize..3);
+        let duplication = rng.gen_range(0usize..2);
+        let seed = rng.gen_range(0u64..1_000_000);
         let (c, out_channels) = ([1, 3, 11][c], [1, 3, 5, 13, 20][out_channels]);
         let (kernel, duplication) = ([1, 3, 5][kernel], [1, 3][duplication]);
         let graph = conv_net((c, h, w), out_channels, (kernel, stride, padding));
         let mut state = seed;
         let params = GraphParameters::seeded(&graph, seed).map_weights(|v| {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            if state >> 61 < 3 { 0.0 } else { v }
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            if state >> 61 < 3 {
+                0.0
+            } else {
+                v
+            }
         });
         check_every_family(&graph, &params, duplication, 9);
-    }
+    });
 }
 
 /// The `±0.0` argument behind sample groups and position blocks holds only

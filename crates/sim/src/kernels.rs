@@ -641,7 +641,7 @@ unsafe fn map_store_avx512<S: Copy, D>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use rand::Rng;
 
     /// Widths that exercise full 8-register stripes, partial stripes,
     /// overlapped final lanes and the sub-lane fallbacks of every family.
@@ -754,21 +754,23 @@ mod tests {
         }
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
-
-        /// Random sparse tiles (most weights zero, rows dropped at random,
-        /// as lowering and the zero-activation skip leave them) agree with
-        /// the `i64` reference in every family.
-        #[test]
-        fn random_sparse_integer_tiles_match_the_i64_reference(
-            cols in 1usize..70,
-            depth in 0usize..300,
-            zero_pct in 0i32..100,
-            codes in collection::vec(-WLEVELS..WLEVELS + 1, 300 * 70),
-            dice in collection::vec(0i32..100, 300 * 70),
-            acts in collection::vec(-ALEVELS..ALEVELS + 1, 300),
-        ) {
+    /// Random sparse tiles (most weights zero, rows dropped at random, as
+    /// lowering and the zero-activation skip leave them) agree with the
+    /// `i64` reference in every family.
+    #[test]
+    fn random_sparse_integer_tiles_match_the_i64_reference() {
+        let name = "random_sparse_integer_tiles_match_the_i64_reference";
+        fpsa_testgen::cases(name, 64, |rng| {
+            let cols = rng.gen_range(1usize..70);
+            let depth = rng.gen_range(0usize..300);
+            let zero_pct = rng.gen_range(0i32..100);
+            let codes: Vec<i32> = (0..300 * 70)
+                .map(|_| rng.gen_range(-WLEVELS..WLEVELS + 1))
+                .collect();
+            let dice: Vec<i32> = (0..300 * 70).map(|_| rng.gen_range(0i32..100)).collect();
+            let acts: Vec<i32> = (0..300)
+                .map(|_| rng.gen_range(-ALEVELS..ALEVELS + 1))
+                .collect();
             let w: Vec<i8> = codes[..depth * cols]
                 .iter()
                 .zip(&dice)
@@ -779,7 +781,7 @@ mod tests {
                 .map(|r| ((r * cols) as u32, acts[r]))
                 .collect();
             assert_mac_i_matches_i64(&w, cols, &rows);
-        }
+        });
     }
 
     /// An empty row list must fully overwrite the output with zeros.

@@ -1,4 +1,4 @@
-//! Sparsity proptests for the bytecode executor.
+//! Sparsity properties for the bytecode executor.
 //!
 //! The lowering pass drops all-zero weight rows structurally and the
 //! dispatch loop short-circuits zero-activation rows at run time. Both
@@ -14,7 +14,7 @@ use fpsa_nn::reference::{QuantizationPlan, Reference};
 use fpsa_nn::{seeds, ComputationalGraph, GraphParameters, Operator};
 use fpsa_sim::{Executor, Precision};
 use fpsa_synthesis::{NeuralSynthesizer, SynthesisConfig};
-use proptest::prelude::*;
+use fpsa_testgen::cases;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -108,32 +108,33 @@ fn check_all_precisions(graph: &ComputationalGraph, params: &GraphParameters, se
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    /// Randomly zeroed weight tiles execute bit-identically to the
-    /// interpreter across Float / Integer / Noisy. High zero rates make
-    /// all-zero rows (structurally dropped at lowering) near-certain.
-    #[test]
-    fn randomly_zeroed_weight_tiles_stay_bit_identical(
-        seed in 0u64..1_000_000,
-        zero_pct in 0u32..96,
-    ) {
+/// Randomly zeroed weight tiles execute bit-identically to the
+/// interpreter across Float / Integer / Noisy. High zero rates make
+/// all-zero rows (structurally dropped at lowering) near-certain.
+#[test]
+fn randomly_zeroed_weight_tiles_stay_bit_identical() {
+    let name = "randomly_zeroed_weight_tiles_stay_bit_identical";
+    cases(name, 12, |rng| {
+        let seed = rng.gen_range(0u64..1_000_000);
+        let zero_pct = rng.gen_range(0u32..96);
         let graph = mlp_graph("sparse-mlp", &[12, 10, 8, 4]);
         let params = sparse_params(&graph, seed, zero_pct);
         check_all_precisions(&graph, &params, seed);
-    }
+    });
+}
 
-    /// All-negative weights kill every ReLU after the first layer, so all
-    /// downstream activations are exactly zero — the run-time
-    /// zero-activation-row short circuit fires on every row and must not
-    /// change a single bit in any precision regime.
-    #[test]
-    fn relu_dead_activations_skip_bit_identically(seed in 0u64..1_000_000) {
+/// All-negative weights kill every ReLU after the first layer, so all
+/// downstream activations are exactly zero — the run-time
+/// zero-activation-row short circuit fires on every row and must not
+/// change a single bit in any precision regime.
+#[test]
+fn relu_dead_activations_skip_bit_identically() {
+    cases("relu_dead_activations_skip_bit_identically", 12, |rng| {
+        let seed = rng.gen_range(0u64..1_000_000);
         let graph = mlp_graph("dead-mlp", &[10, 8, 6, 4]);
         let params = GraphParameters::seeded(&graph, seed).map_weights(|w| -w.abs());
         check_all_precisions(&graph, &params, seed);
-    }
+    });
 }
 
 /// Regression: an all-zero weight tile must vanish at lowering — zero

@@ -3,8 +3,9 @@
 //! this suite so a config typo is caught at review time, not when a bench
 //! run silently skips the file.
 
+use fpsa_testgen::{cases, vec};
 use fpsa_workload::{MixEntry, Scenario, TraceRecorder};
-use proptest::prelude::*;
+use rand::Rng;
 use std::path::PathBuf;
 
 fn scenarios_dir() -> PathBuf {
@@ -71,17 +72,18 @@ fn weight(mantissa: u64, shift: u32) -> f64 {
     mantissa as f64 / 10f64.powi(shift as i32)
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn safe_names_round_trip_exactly(
-        names in collection::vec(collection::vec(0usize..66, 1..13), 5),
-        mantissas in collection::vec(1u64..1_000_000_000, 4),
-        shifts in collection::vec(0u32..6, 4),
-        split in 1usize..4,
-        seed in 0u64..1_000_000_000,
-    ) {
+#[test]
+fn safe_names_round_trip_exactly() {
+    cases("safe_names_round_trip_exactly", 64, |rng| {
+        let names = (0..5)
+            .map(|_| vec(rng, 1..13, |r| r.gen_range(0usize..66)))
+            .collect::<Vec<_>>();
+        let mantissas = (0..4)
+            .map(|_| rng.gen_range(1u64..1_000_000_000))
+            .collect::<Vec<_>>();
+        let shifts = (0..4).map(|_| rng.gen_range(0u32..6)).collect::<Vec<_>>();
+        let split = rng.gen_range(1usize..4);
+        let seed = rng.gen_range(0u64..1_000_000_000);
         let entries: Vec<MixEntry> = names[1..]
             .iter()
             .zip(mantissas.iter().zip(&shifts))
@@ -93,19 +95,21 @@ proptest! {
         let mut scenario = Scenario::steady(safe_name(&names[0]), "placeholder", seed, 128);
         scenario.models = entries[..split].to_vec();
         scenario.tenants = entries[split..].to_vec();
-        prop_assert!(scenario.validate().is_ok());
-        let reparsed = Scenario::parse(&scenario.to_config_string())
-            .expect("validated scenarios re-parse");
-        prop_assert_eq!(reparsed, scenario);
-    }
+        assert!(scenario.validate().is_ok());
+        let reparsed =
+            Scenario::parse(&scenario.to_config_string()).expect("validated scenarios re-parse");
+        assert_eq!(reparsed, scenario);
+    });
+}
 
-    #[test]
-    fn hostile_names_fail_validation_before_they_can_corrupt_a_config(
-        prefix in collection::vec(0usize..66, 0..7),
-        suffix in collection::vec(0usize..66, 0..7),
-        hostile in 0usize..5,
-        slot in 0usize..3,
-    ) {
+#[test]
+fn hostile_names_fail_validation_before_they_can_corrupt_a_config() {
+    let name = "hostile_names_fail_validation_before_they_can_corrupt_a_config";
+    cases(name, 64, |rng| {
+        let prefix = vec(rng, 0..7, |r| r.gen_range(0usize..66));
+        let suffix = vec(rng, 0..7, |r| r.gen_range(0usize..66));
+        let hostile = rng.gen_range(0usize..5);
+        let slot = rng.gen_range(0usize..3);
         let poison = ["#", " ", "\t", "a#b", "a b"][hostile];
         let name = format!("{}{poison}{}", safe_name(&prefix), safe_name(&suffix));
         let mut scenario = Scenario::steady("hostile", "m", 1, 16);
@@ -116,11 +120,11 @@ proptest! {
             // whole rest of the line) but never `#`.
             _ => scenario.name = format!("{}#{}", safe_name(&prefix), safe_name(&suffix)),
         }
-        prop_assert!(scenario.validate().is_err());
+        assert!(scenario.validate().is_err());
         // And recording refuses too — the typed error, not a panic or a
         // silently truncated mix.
-        prop_assert!(TraceRecorder::new(&scenario).record().is_err());
-    }
+        assert!(TraceRecorder::new(&scenario).record().is_err());
+    });
 }
 
 #[test]

@@ -11,7 +11,6 @@ use fpsa::core::Compiler;
 use fpsa::nn::{zoo, GraphParameters};
 use fpsa::serve::ServeConfig;
 use fpsa::sim::Precision;
-use fpsa_bench::save_json;
 
 fn main() {
     // --- Quickstart: one model behind a serving engine. ---------------
@@ -48,11 +47,10 @@ fn main() {
         stats.submitted, stats.completed, stats.batches
     );
 
-    // --- The full sweep the BENCH_serving.json artifact records. ------
+    // --- The full sweep (also the `serving_throughput` bench target). --
     println!();
     let reports = serving::run();
     println!("{}", serving::to_table(&reports));
-    save_json("BENCH_serving", &reports);
     for report in &reports {
         let best = report
             .points

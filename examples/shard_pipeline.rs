@@ -14,7 +14,6 @@ use fpsa::serve::ServeConfig;
 use fpsa::shard::experiments::sharding;
 use fpsa::shard::{FabricBudget, ShardCompiler};
 use fpsa::sim::Precision;
-use fpsa_bench::save_json;
 
 fn main() {
     // --- A model too big for one (small) fabric. ----------------------
@@ -90,5 +89,4 @@ fn main() {
     // --- The full sweep (also the `sharding_pipeline` bench target). ---
     let reports = sharding::run();
     println!("\n{}", sharding::to_table(&reports));
-    save_json("BENCH_sharding", &reports);
 }
