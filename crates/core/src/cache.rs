@@ -6,8 +6,9 @@
 //! makes compiled artifacts content-addressed and reusable:
 //!
 //! * [`CompileKey`] — a stable 128-bit structural hash of (graph +
-//!   `Compiler` configuration). Two bit-identical rebuilds of a model hash
-//!   equal; perturbing any shape or config field hashes different.
+//!   `Compiler` configuration), fed one `u64` word per field. Two
+//!   bit-identical rebuilds of a model hash equal; perturbing any shape or
+//!   config field hashes different.
 //! * [`CompileCache`] — a bounded, thread-safe, single-flight store of
 //!   `CompileKey → Arc<CompiledModel>`. Concurrent requests for the same key
 //!   run exactly one compile (the rest block and share the artifact), which
@@ -25,19 +26,24 @@
 //! mirrored into the global `fpsa_obs` metrics registry.
 
 use crate::compiler::{CompileError, CompiledModel, Compiler};
-use fpsa_nn::ComputationalGraph;
-use fpsa_placeroute::WarmStart;
+use crate::pipeline::{ChannelWidthMode, OverLimitPolicy, PlaceRouteConfig};
+use fpsa_arch::{
+    ArchitectureConfig, ArchitectureKind, CommunicationStyle, PeModel, RoutingArchitecture,
+};
+use fpsa_nn::{ComputationalGraph, Node, Operator, TensorShape};
+use fpsa_placeroute::{PlacerConfig, RouterConfig, WarmStart};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Arc, Mutex, OnceLock};
 
-/// Version tag mixed into every key: bump to invalidate all cached
-/// artifacts when the compile pipeline's semantics change.
-const KEY_SCHEMA: &[u8] = b"fpsa-compile-key-v1";
+/// Version tag mixed into every key: bump it whenever the word encoding
+/// below or the compile pipeline's semantics change, so no artifact cached
+/// under the old meaning is ever served.
+const KEY_SCHEMA: &str = "fpsa-compile-key-v2";
 
-/// Two-lane FNV-1a-style streaming hasher. Not cryptographic — the cache
-/// key only has to be stable across processes and overwhelmingly unlikely
-/// to collide within one workspace's model zoo.
+/// Two-lane FNV-1a-style streaming hasher over `u64` words. Not
+/// cryptographic — the cache key only has to be stable across processes and
+/// overwhelmingly unlikely to collide within one workspace's model zoo.
 #[derive(Debug, Clone)]
 struct StableHasher {
     a: u64,
@@ -52,24 +58,157 @@ impl StableHasher {
         }
     }
 
-    fn write(&mut self, bytes: &[u8]) {
-        for &byte in bytes {
-            self.a = (self.a ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
-            self.b = (self.b.rotate_left(23) ^ u64::from(byte)).wrapping_mul(0xc2b2_ae3d_27d4_eb4f);
+    fn word(&mut self, word: u64) {
+        self.a = (self.a ^ word).wrapping_mul(0x0000_0100_0000_01b3);
+        self.b = (self.b.rotate_left(23) ^ word).wrapping_mul(0xc2b2_ae3d_27d4_eb4f);
+    }
+}
+
+/// A value's encoding as a fixed sequence of hasher words: integers widen to
+/// `u64`, an `f64` is its bits, an enum is a fixed discriminant word then its
+/// fields, and a slice or string is its length then its contents.
+trait Words {
+    fn words(&self, h: &mut StableHasher);
+}
+
+/// Integers and `bool` widen to one word.
+macro_rules! widened_words {
+    ($($ty:ty),+) => {$(
+        impl Words for $ty {
+            fn words(&self, h: &mut StableHasher) {
+                h.word(*self as u64);
+            }
         }
+    )+};
+}
+
+widened_words!(u64, usize, u32, bool);
+
+impl Words for f64 {
+    fn words(&self, h: &mut StableHasher) {
+        h.word(self.to_bits());
+    }
+}
+
+impl Words for str {
+    /// The length, then 8-byte little-endian chunks, the tail zero-padded.
+    fn words(&self, h: &mut StableHasher) {
+        self.len().words(h);
+        for chunk in self.as_bytes().chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            h.word(u64::from_le_bytes(word));
+        }
+    }
+}
+
+impl<T: Words> Words for [T] {
+    fn words(&self, h: &mut StableHasher) {
+        self.len().words(h);
+        for item in self {
+            item.words(h);
+        }
+    }
+}
+
+/// Encodes each struct as its fields in the order listed. The destructure
+/// names every field with no `..`, so a new field fails to compile until it
+/// is listed here.
+macro_rules! struct_words {
+    ($($ty:ident { $($field:ident),+ })+) => {$(
+        impl Words for $ty {
+            fn words(&self, h: &mut StableHasher) {
+                let $ty { $($field),+ } = self;
+                $($field.words(h);)+
+            }
+        }
+    )+};
+}
+
+struct_words! {
+    Compiler { arch, duplication, place_route }
+    ArchitectureConfig {
+        kind, pe, io_bits, communication, routing, pes_per_smb, pes_per_clb
+    }
+    PeModel { area_um2, vmm_latency_ns, rows, cols }
+    RoutingArchitecture {
+        channel_width, segment_length, switch_delay_ns, connection_delay_ns,
+        wire_delay_per_block_ns
+    }
+    PlaceRouteConfig { placer, router, channel_width, block_limit, over_limit, skip }
+    PlacerConfig {
+        seed, moves_per_temperature, max_temperature_steps, initial_temperature_fraction,
+        timing_weight
+    }
+    RouterConfig {
+        max_iterations, initial_present_factor, present_growth, history_weight, wave_width,
+        parallel
+    }
+    Node { id, name, op, inputs }
+}
+
+/// Encodes each enum as the listed discriminant word, then the variant's
+/// fields. The `match` has no `_` arm, so a new variant fails to compile
+/// until it is listed here.
+macro_rules! enum_words {
+    ($($ty:ident {
+        $($variant:ident $({ $($field:ident),+ })? $(($($item:ident),+))? = $tag:literal),+ $(,)?
+    })+) => {$(
+        impl Words for $ty {
+            fn words(&self, h: &mut StableHasher) {
+                match self {
+                    $($ty::$variant $({ $($field),+ })? $(($($item),+))? => {
+                        h.word($tag);
+                        $($($field.words(h);)+)?
+                        $($($item.words(h);)+)?
+                    })+
+                }
+            }
+        }
+    )+};
+}
+
+enum_words! {
+    ArchitectureKind { Prime = 0, FpPrime = 1, Fpsa = 2 }
+    CommunicationStyle { MemoryBus { bandwidth_gbps } = 0, Routed { bits_per_value } = 1 }
+    ChannelWidthMode { Architecture = 0, Minimize = 1 }
+    OverLimitPolicy { Error = 0, AnalyticFallback = 1 }
+    Operator {
+        Input { shape } = 0,
+        Conv2d { in_channels, out_channels, kernel, stride, padding, groups } = 1,
+        Linear { in_features, out_features } = 2,
+        Relu = 3,
+        MaxPool2d { kernel, stride } = 4,
+        AvgPool2d { kernel, stride } = 5,
+        GlobalAvgPool = 6,
+        Add = 7,
+        Concat = 8,
+        Flatten = 9,
+        BatchNorm { channels } = 10,
+        LocalResponseNorm = 11,
+        Dropout = 12,
+        Softmax = 13,
+    }
+    TensorShape { Features(elements) = 0, Chw { channels, height, width } = 1 }
+}
+
+impl Words for ComputationalGraph {
+    fn words(&self, h: &mut StableHasher) {
+        let (name, nodes) = self.parts();
+        name.words(h);
+        nodes.words(h);
     }
 }
 
 /// A stable 128-bit content address for one compilation.
 ///
-/// The hash covers the `Debug` rendering of the [`Compiler`] (architecture,
+/// The hash covers every field of the [`Compiler`] (architecture,
 /// duplication degree and the full
-/// [`PlaceRouteConfig`](crate::pipeline::PlaceRouteConfig), including
-/// placer seed and effort) and of the
-/// [`ComputationalGraph`] (name, operators, shapes, wiring). `Debug` is the
-/// same canonical encoding the vendored serde facade serializes through, and
-/// Rust renders floats shortest-roundtrip, so distinct values always render
-/// — and hash — distinct.
+/// [`PlaceRouteConfig`], including placer seed and effort) and of the
+/// [`ComputationalGraph`] (name, operators, shapes, wiring), encoded as one
+/// `u64` word per field behind a schema tag. Floats hash by their bits, and
+/// strings and lists carry their length, so distinct inputs always feed
+/// distinct word streams.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CompileKey {
     hi: u64,
@@ -79,23 +218,21 @@ pub struct CompileKey {
 impl CompileKey {
     /// The key of a structural compilation (no weights involved).
     pub fn for_compile(compiler: &Compiler, graph: &ComputationalGraph) -> Self {
-        let mut h = StableHasher::new();
-        h.write(KEY_SCHEMA);
-        h.write(format!("{compiler:?}").as_bytes());
-        h.write(b"/graph/");
-        h.write(format!("{graph:?}").as_bytes());
-        CompileKey { hi: h.a, lo: h.b }
+        Self::with_arch_fingerprint(compiler, graph).0
     }
 
-    /// A fingerprint of the compiler configuration alone (architecture,
-    /// duplication, P&R config) — the compatibility class for warm-start
+    /// The key, plus a fingerprint of the compiler configuration alone
+    /// (architecture, duplication, P&R config) read off the hasher once the
+    /// compiler's words are in — the compatibility class for warm-start
     /// donors: only entries compiled under the same fingerprint may donate
     /// a placement.
-    pub fn arch_fingerprint(compiler: &Compiler) -> u64 {
+    fn with_arch_fingerprint(compiler: &Compiler, graph: &ComputationalGraph) -> (Self, u64) {
         let mut h = StableHasher::new();
-        h.write(KEY_SCHEMA);
-        h.write(format!("{compiler:?}").as_bytes());
-        h.a
+        KEY_SCHEMA.words(&mut h);
+        compiler.words(&mut h);
+        let arch_fp = h.a;
+        graph.words(&mut h);
+        (CompileKey { hi: h.a, lo: h.b }, arch_fp)
     }
 
     /// Lowercase-hex rendering (32 digits).
@@ -281,8 +418,7 @@ impl CompileCache {
         compiler: &Compiler,
         graph: &ComputationalGraph,
     ) -> Result<(Arc<CompiledModel>, CacheOutcome), CompileError> {
-        let key = CompileKey::for_compile(compiler, graph);
-        let arch_fp = CompileKey::arch_fingerprint(compiler);
+        let (key, arch_fp) = CompileKey::with_arch_fingerprint(compiler, graph);
 
         let (slot, donor) = {
             let mut state = self.state.lock().expect("cache lock");
@@ -331,7 +467,7 @@ impl CompileCache {
         }
         // Mirror the outcome into the process-wide metrics registry so a
         // run summary shows cache effectiveness next to the serving
-        // counters. Compiles are rare events; the name lookup is fine here.
+        // counters.
         let registry = fpsa_obs::Registry::global();
         let metric = registry.counter(match outcome {
             CacheOutcome::Hit => "compile.cache.hits",
@@ -425,6 +561,16 @@ mod tests {
         assert_eq!(ob, CacheOutcome::Hit);
         let stats = cache.stats();
         assert_eq!((stats.misses, stats.hits), (1, 1));
+    }
+
+    #[test]
+    fn the_lenet_key_is_pinned() {
+        // The key of one fixed input, recorded once. Any change to the word
+        // stream moves it, and so would an input that is not stable across
+        // processes (an address, random state). Re-recording it requires
+        // bumping `KEY_SCHEMA`.
+        let key = CompileKey::for_compile(&Compiler::fpsa(), &zoo::lenet());
+        assert_eq!(key.hex(), "459ac25cfb8bbf8d8cf7aa45c73e6113");
     }
 
     #[test]

@@ -73,6 +73,14 @@ impl ComputationalGraph {
         &self.nodes
     }
 
+    /// Every field of the graph: its name and its nodes. For encoders that
+    /// must cover the whole graph (the compile-cache key); the exhaustive
+    /// destructure makes a new field a compile error here.
+    pub fn parts(&self) -> (&str, &[Node]) {
+        let ComputationalGraph { name, nodes } = self;
+        (name, nodes)
+    }
+
     /// Element count of the graph's first `Input` tensor — the feature
     /// width a request vector must have — or 0 for input-less graphs.
     pub fn input_elements(&self) -> usize {
